@@ -3,13 +3,18 @@
 Simulation library for the problem of finding, among several groups each
 holding an effectively infinite pool of arms, the group whose reservoir
 distribution of arm means has the highest (1-alpha)-quantile.  Ships the
-two-step and multi-step identification algorithms, the finite-arm
+multi-step identification algorithm over a schedule of tolerances (the
+two-step algorithm is its one-epoch schedule), the finite-arm
 successive-elimination subroutine with anytime confidence bounds, exact
 oracles and gap calculators, pull-count bound evaluators, worst-case hard
 instances with a numerical verifier, and a deterministic Monte Carlo harness.
+
+Arms are sampled through ``Reservoir.quantile_many`` on uniform hidden
+indices and pulled through ``RewardEnv.pull``; ``ArmLedger`` keeps the
+per-arm means and confidence bounds.
 """
 
-from .confidence import PullStats, bounds, confidence_width, invert_width
+from .confidence import confidence_width, invert_width
 from .elimination import (ArmLedger, EliminationResult, EliminationRun, EliminationState,
                           FiniteGroup, GapProfile, bound_pulls_finite, gap_profile,
                           multiset_quantile, run_elimination)
@@ -22,10 +27,9 @@ from .hardness import (DriftReport, HardInstanceParams, ScoreState, conditional_
                        make_worst_case_instances, success_scale, verify_drift)
 from .harness import (AggregateReport, ExperimentConfig, config_from_dict, config_from_file,
                       mix_seed, run_experiment, run_trial)
-from .instances import (ArmIdentity, BanditInstance, DiscreteReservoir,
-                        PiecewiseLinearReservoir, Reservoir, RewardEnv, RewardFamily,
-                        instance_from_dict, instance_to_dict, relaxed_success_set,
-                        reservoir_quantile, sample_arm, sample_arms, sample_reward)
+from .instances import (BanditInstance, DiscreteReservoir, PiecewiseLinearReservoir, Reservoir,
+                        RewardEnv, RewardFamily, instance_from_dict, instance_to_dict,
+                        relaxed_success_set)
 
 __version__ = "0.1.0"
 

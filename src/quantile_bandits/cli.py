@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .elimination import FiniteGroup, gap_profile, bound_pulls_finite
-from .grouped import (RunParams, pull_bound_grouped, pull_bound_multistep,
+from .elimination import bound_pulls_finite, gap_profile
+from .grouped import (RunParams, _sample_finite_groups, pull_bound_multistep,
                       pull_bound_worst_case, required_arm_count)
 from .harness import ExperimentConfig, config_from_file, mix_seed, run_experiment
 from .hardness import HardInstanceParams, make_worst_case_instances, success_scale, verify_drift
@@ -31,11 +31,9 @@ def _load_config(args) -> ExperimentConfig:
         if val is not None:
             overrides[key] = val
     if getattr(args, "eps", None) is not None:
-        overrides["eps"] = args.eps
-        overrides["eps_schedule"] = None
+        overrides["eps_schedule"] = (args.eps,)
     if getattr(args, "delta_gap", None) is not None:
-        overrides["gap"] = args.delta_gap
-        overrides["gap_schedule"] = None
+        overrides["gap_schedule"] = (args.delta_gap,)
     if getattr(args, "noiseless", False):
         overrides["noiseless"] = True
     if getattr(args, "out", None):
@@ -72,8 +70,7 @@ def _cmd_sweep(args) -> int:
         for gap in gap_grid:
             for delta in delta_grid:
                 tag = f"eps{eps:g}_gap{gap:g}_delta{delta:g}"
-                cfg = replace(base, eps=eps, gap=gap, delta=delta,
-                              eps_schedule=None, gap_schedule=None,
+                cfg = replace(base, eps_schedule=(eps,), gap_schedule=(gap,), delta=delta,
                               trials=args.trials if args.trials is not None else base.trials,
                               seed=args.seed if args.seed is not None else base.seed,
                               threads=args.threads if args.threads is not None else base.threads,
@@ -97,31 +94,22 @@ def _cmd_bound(args) -> int:
     cfg = _load_config(args)
     inst = cfg.instance
     num_groups = len(inst.groups)
-    if cfg.eps is not None:
-        params = RunParams(inst.alpha, cfg.eps, cfg.gap, cfg.delta)
-        n_per = required_arm_count(params.eps, params.delta, num_groups)
-        rng = np.random.default_rng(mix_seed(cfg.seed, 0))
-        groups, means = [], []
-        start = 0
-        for gid, res in inst.groups:
-            mu = res.quantile_many(rng.random(n_per))
-            groups.append(FiniteGroup(gid, tuple(range(start, start + n_per))))
-            means.append(mu)
-            start += n_per
-        profile = gap_profile(groups, np.concatenate(means), inst.alpha, params.gap)
-        finite = bound_pulls_finite(profile, start, cfg.delta, cfg.c)
-        grouped = pull_bound_grouped(inst, params, c=cfg.c)
-        worst = pull_bound_worst_case(params, num_groups, d=cfg.d)
-        print(f"arms requested per group: {n_per}")
-        print(f"finite-arm gap bound (one sampled draw, seed {cfg.seed}): {finite:.6g}")
-        print(f"grouped reservoir bound: {grouped:.6g}")
-        print(f"worst-case bound: {worst:.6g}")
-    else:
-        total = pull_bound_multistep(inst, cfg.eps_schedule, cfg.gap_schedule, cfg.delta, c=cfg.c)
-        worst = pull_bound_worst_case(
-            RunParams(inst.alpha, cfg.final_eps, cfg.final_gap, cfg.delta), num_groups, d=cfg.d)
+    total = pull_bound_multistep(inst, cfg.eps_schedule, cfg.gap_schedule, cfg.delta, c=cfg.c)
+    worst = pull_bound_worst_case(
+        RunParams(inst.alpha, cfg.final_eps, cfg.final_gap, cfg.delta), num_groups, d=cfg.d)
+    if len(cfg.eps_schedule) > 1:
         print(f"multi-step schedule bound: {total:.6g}")
         print(f"worst-case bound at final tolerances: {worst:.6g}")
+        return 0
+    n_per = required_arm_count(cfg.final_eps, cfg.delta, num_groups)
+    rng = np.random.default_rng(mix_seed(cfg.seed, 0))
+    groups, means, _ = _sample_finite_groups(inst, list(inst.group_ids), n_per, rng)
+    profile = gap_profile(groups, means, inst.alpha, cfg.final_gap)
+    finite = bound_pulls_finite(profile, means.size, cfg.delta, cfg.c)
+    print(f"arms requested per group: {n_per}")
+    print(f"finite-arm gap bound (one sampled draw, seed {cfg.seed}): {finite:.6g}")
+    print(f"grouped reservoir bound: {total:.6g}")
+    print(f"worst-case bound: {worst:.6g}")
     return 0
 
 

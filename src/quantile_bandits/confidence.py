@@ -13,7 +13,6 @@ strictly decreasing in T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,33 +35,6 @@ def confidence_width(pulls, delta: float):
     num = 2.0 * big_l + 6.0 * loglog + 3.0 * np.log(np.log(math.e * t))
     out = np.sqrt(num / t)
     return float(out) if np.isscalar(pulls) or np.ndim(pulls) == 0 else out
-
-
-@dataclass
-class PullStats:
-    """Running pull count and empirical mean for one arm.
-
-    Before the first pull the mean is NaN (sentinel state); callers that need
-    bounds for an unpulled arm should use (-inf, +inf) directly.
-    """
-
-    pulls: int = 0
-    mean: float = math.nan
-
-    def add(self, reward: float) -> None:
-        self.pulls += 1
-        if self.pulls == 1:
-            self.mean = float(reward)
-        else:
-            self.mean += (float(reward) - self.mean) / self.pulls
-
-
-def bounds(stats: PullStats, delta_per_arm: float) -> tuple[float, float]:
-    """Symmetric (LCB, UCB) around the running mean at the per-arm budget."""
-    if stats.pulls < 1:
-        raise ValueError("bounds undefined before the first pull; use (-inf, inf) sentinels")
-    u = confidence_width(stats.pulls, delta_per_arm)
-    return stats.mean - u, stats.mean + u
 
 
 def invert_width(target: float, delta_per_arm: float) -> int:

@@ -182,17 +182,23 @@ def gap_profile(groups: list[FiniteGroup], true_means: np.ndarray, alpha: float,
     return GapProfile(best_group, quants, group_gaps, uniqueness, arm_gaps, overall)
 
 
-def bound_pulls_finite(profile: GapProfile, num_arms: int, delta: float, c: float) -> float:
-    """Gap-based pull-count bound for the finite-arm elimination loop.
+def gap_bound_sum(gaps: np.ndarray, arms_over_delta: float, c: float) -> float:
+    """Sum over gaps g of (c / g^2) * log((N/delta) * log(max(1/g^2, e))).
 
-    Sum over arms of (c / gap^2) * log((n/delta) * log(max(1/gap^2, e))); the
-    inner log argument is clamped at e so a gap of 1 stays well-defined.
+    The summand of every pull-count bound; ``arms_over_delta`` is N/delta.
+    The inner log argument is clamped at e so a gap of 1 stays well-defined.
     """
+    inner = np.log(np.maximum(1.0 / gaps**2, math.e))
+    return float(np.sum((c / gaps**2) * np.log(arms_over_delta * inner)))
+
+
+def bound_pulls_finite(profile: GapProfile, num_arms: int, delta: float, c: float) -> float:
+    """Gap-based pull-count bound for the finite-arm elimination loop: the
+    bound summand over every arm's overall gap with N = ``num_arms``."""
     gaps = profile.overall
     if np.any(gaps <= 0.0):
         raise ValueError("all overall gaps must be positive")
-    inner = np.log(np.maximum(1.0 / gaps**2, math.e))
-    return float(np.sum((c / gaps**2) * np.log((num_arms / delta) * inner)))
+    return gap_bound_sum(gaps, num_arms / delta, c)
 
 
 class EliminationRun:
@@ -247,10 +253,8 @@ class EliminationRun:
         self.shortcut_consistent = True
         self.round_log: list[RoundRecord] | None = [] if log_rounds else None
         self.pull_log: list[tuple[int, int, str, float, float, float]] | None = [] if log_pulls else None
-        self._gid_of = np.empty(n, dtype=object)
-        for g in groups:
-            for i in g.arm_ids:
-                self._gid_of[i] = g.group_id
+        if log_pulls:
+            self._gid_of = {i: g.group_id for g in groups for i in g.arm_ids}
         # oracle-side telemetry
         self._true_means = None if true_means is None else np.asarray(true_means, dtype=float)
         self.bounds_valid: bool | None = None

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import FiniteGroup, multiset_quantile, run_elimination
+from .elimination import FiniteGroup, gap_bound_sum, multiset_quantile, run_elimination
 from .instances import BanditInstance, Reservoir, RewardEnv, relaxed_success_set
 
 _INT_TOL = 1e-9
@@ -49,6 +49,24 @@ class RunParams:
             raise ValueError(f"gap must be positive, got {self.gap}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+
+
+def epoch_params(alpha: float, eps_schedule, gap_schedule, delta: float) -> list[RunParams]:
+    """One :class:`RunParams` per epoch of a schedule; errors name the epoch.
+
+    A two-step run is the schedule of length one.
+    """
+    eps_schedule, gap_schedule = tuple(eps_schedule), tuple(gap_schedule)
+    if len(eps_schedule) != len(gap_schedule) or not eps_schedule:
+        raise ValueError("eps and delta_gap schedules must be equally long and nonempty, "
+                         f"got {len(eps_schedule)} and {len(gap_schedule)} epochs")
+    params = []
+    for k, (e, g) in enumerate(zip(eps_schedule, gap_schedule)):
+        try:
+            params.append(RunParams(alpha, float(e), float(g), delta))
+        except ValueError as exc:
+            raise ValueError(f"schedule[{k}]: {exc}") from None
+    return params
 
 
 def required_arm_count(eps: float, delta: float, num_groups: int) -> int:
@@ -165,17 +183,10 @@ def reservoir_gap_bounds(instance: BanditInstance, params: RunParams) -> Reservo
 
 
 def pull_bound_grouped(instance: BanditInstance, params: RunParams, c: float = 1.0) -> float:
-    """Instance-dependent pull bound: sum over groups and buckets 1..m of
-    (c / gap^2) * log((G*N/delta) * log(max(1/gap^2, e))) * 3*eps*N."""
-    gapb = reservoir_gap_bounds(instance, params)
-    num_groups = len(instance.groups)
-    n_per = required_arm_count(params.eps, params.delta, num_groups)
-    total = 0.0
-    for gid in instance.group_ids:
-        g = gapb.combined[gid][1:]  # buckets 1..m
-        inner = np.log(np.maximum(1.0 / g**2, math.e))
-        total += float(np.sum((c / g**2) * np.log((num_groups * n_per / params.delta) * inner)))
-    return total * 3.0 * params.eps * n_per
+    """Instance-dependent pull bound of the two-step run: the schedule-aware
+    bound with a single epoch, so every group pays it."""
+    return pull_bound_multistep(instance, [params.eps], [params.gap], params.delta, c=c,
+                                alpha=params.alpha)
 
 
 def pull_bound_worst_case(params: RunParams, num_groups: int, d: float = 1.0) -> float:
@@ -208,17 +219,8 @@ class TrialResult:
     stop_pull_violations: int | None = None
     best_group_retained: bool | None = None
     epochs_run: int = 1
-    samples: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
     round_log: list | None = None
     pull_log: list | None = None
-
-    def csv_row(self) -> str:
-        epochs = ";".join(str(p) for p in self.epoch_pulls)
-        return (f"{self.instance_id},{self.alpha:.10g},{self.eps:.10g},{self.gap:.10g},"
-                f"{self.delta:.10g},{self.chosen_group},{int(self.success)},"
-                f"{self.total_pulls},{epochs}")
-
-    CSV_HEADER = "instance_id,alpha,eps,gap,delta,chosen_group,success,total_pulls,epoch_pulls"
 
 
 def _sample_finite_groups(instance: BanditInstance, group_ids: list[str], count: int,
@@ -261,26 +263,23 @@ def _finite_success(groups, true_means, alpha: float, slack: float, chosen: str)
 
 def run_two_step(instance: BanditInstance, params: RunParams, rng: np.random.Generator,
                  noiseless: bool = False, oracle_checks: bool = False,
-                 log_rounds: bool = False, log_pulls: bool = False,
-                 keep_samples: bool = False) -> TrialResult:
+                 log_rounds: bool = False, log_pulls: bool = False) -> TrialResult:
     """Request arms once, run the elimination subroutine, map back to the group.
 
-    The success flag is scored against the exact reservoir oracle at the run's
-    own (eps, gap); oracle checks additionally score the finite-sample event
-    and the elimination-internals invariants.
+    This is :func:`run_multistep` with a one-epoch schedule.  The success flag
+    is scored against the exact reservoir oracle at the run's own (eps, gap);
+    oracle checks additionally score the finite-sample event and the
+    elimination-internals invariants.
     """
-    result = run_multistep(instance, [params.eps], [params.gap], params.delta, rng,
-                           alpha=params.alpha, noiseless=noiseless,
-                           oracle_checks=oracle_checks, log_rounds=log_rounds,
-                           log_pulls=log_pulls, keep_samples=keep_samples)
-    return result
+    return run_multistep(instance, [params.eps], [params.gap], params.delta, rng,
+                         alpha=params.alpha, noiseless=noiseless, oracle_checks=oracle_checks,
+                         log_rounds=log_rounds, log_pulls=log_pulls)
 
 
 def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: float,
                   rng: np.random.Generator, alpha: float | None = None,
                   noiseless: bool = False, oracle_checks: bool = False,
-                  log_rounds: bool = False, log_pulls: bool = False,
-                  keep_samples: bool = False) -> TrialResult:
+                  log_rounds: bool = False, log_pulls: bool = False) -> TrialResult:
     """Run the epoch schedule of shrinking tolerances.
 
     Each epoch requests fresh arms for the surviving groups, runs the
@@ -289,15 +288,7 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
     two-step algorithm.
     """
     a = instance.alpha if alpha is None else alpha
-    eps_schedule = [float(e) for e in eps_schedule]
-    gap_schedule = [float(g) for g in gap_schedule]
-    if len(eps_schedule) != len(gap_schedule) or not eps_schedule:
-        raise ValueError("eps and gap schedules must be equally long and nonempty")
-    for k, (e, g) in enumerate(zip(eps_schedule, gap_schedule)):
-        if not delta < e < min(a, 1.0 - a):
-            raise ValueError(f"schedule[{k}]: need delta < eps < min(alpha, 1-alpha), got eps={e}")
-        if g <= 0.0:
-            raise ValueError(f"schedule[{k}]: gap must be positive, got {g}")
+    epochs = epoch_params(a, eps_schedule, gap_schedule, delta)
 
     num_groups = len(instance.groups)
     surviving = list(instance.group_ids)
@@ -312,24 +303,19 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
     bounds_valid: bool | None = True if oracle_checks else None
     stop_viol: int | None = 0 if oracle_checks else None
     retained: bool | None = True if oracle_checks else None
-    kept_samples: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
     round_log = [] if log_rounds else None
     pull_log = [] if log_pulls else None
-    epochs_run = 0
 
-    for k, (eps_k, gap_k) in enumerate(zip(eps_schedule, gap_schedule)):
-        n_per = required_arm_count(eps_k, delta, num_groups)
+    for params in epochs:
+        n_per = required_arm_count(params.eps, delta, num_groups)
         groups, means, samples = _sample_finite_groups(instance, surviving, n_per, rng)
-        sandwiched, bucket = _epoch_oracles(instance, samples, a, eps_k)
+        sandwiched, bucket = _epoch_oracles(instance, samples, a, params.eps)
         event_a = event_a and sandwiched
         max_bucket = max(max_bucket, bucket)
-        if keep_samples:
-            kept_samples = samples
         env = RewardEnv(means, instance.family, rng, noiseless=noiseless)
-        res = run_elimination(groups, a, gap_k, delta, env, rng=rng,
+        res = run_elimination(groups, a, params.gap, delta, env, rng=rng,
                               true_means=means if oracle_checks else None,
                               log_rounds=log_rounds, log_pulls=log_pulls)
-        epochs_run += 1
         epoch_pulls.append(res.total_pulls)
         rounds += res.rounds
         chosen = res.chosen
@@ -339,7 +325,7 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
             bounds_valid = bounds_valid and bool(res.bounds_valid)
             stop_viol += int(res.stop_pull_violations)
             retained = retained and bool(res.best_group_retained)
-            event_b = event_b and _finite_success(groups, means, a, gap_k, res.chosen)
+            event_b = event_b and _finite_success(groups, means, a, params.gap, res.chosen)
         if log_rounds:
             round_log.append(res.round_log)
         if log_pulls:
@@ -348,15 +334,16 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
         if len(surviving) == 1:
             break
 
-    success = chosen in relaxed_success_set(instance, eps_schedule[-1], gap_schedule[-1], alpha=a)
+    final = epochs[-1]
+    success = chosen in relaxed_success_set(instance, final.eps, final.gap, alpha=a)
     return TrialResult(
-        instance_id=instance.name, alpha=a, eps=eps_schedule[-1], gap=gap_schedule[-1],
+        instance_id=instance.name, alpha=a, eps=final.eps, gap=final.gap,
         delta=delta, chosen_group=chosen, success=success,
         total_pulls=sum(epoch_pulls), rounds=rounds, event_a=event_a,
         max_bucket_size=max_bucket, epoch_pulls=tuple(epoch_pulls), event_b=event_b,
         equal_pull_ok=equal_pull_ok, shortcut_consistent=shortcut_ok,
         bounds_valid=bounds_valid, stop_pull_violations=stop_viol,
-        best_group_retained=retained, epochs_run=epochs_run, samples=kept_samples,
+        best_group_retained=retained, epochs_run=len(epoch_pulls),
         round_log=round_log, pull_log=pull_log,
     )
 
@@ -366,13 +353,12 @@ def epochs_until_elimination(instance: BanditInstance, eps_schedule, gap_schedul
     """Earliest epoch whose reservoir-level group gap bound exceeds that
     epoch's quantile slack (the full schedule length when none does)."""
     a = instance.alpha if alpha is None else alpha
-    total = len(list(eps_schedule))
+    epochs = epoch_params(a, eps_schedule, gap_schedule, delta)
     out: dict[str, int] = {}
     for gid in instance.group_ids:
-        out[gid] = total
-        for k, (e, g) in enumerate(zip(eps_schedule, gap_schedule), start=1):
-            params = RunParams(a, float(e), float(g), delta)
-            if reservoir_gap_bounds(instance, params).group_bound[gid] > float(g):
+        out[gid] = len(epochs)
+        for k, params in enumerate(epochs, start=1):
+            if reservoir_gap_bounds(instance, params).group_bound[gid] > params.gap:
                 out[gid] = k
                 break
     return out
@@ -381,20 +367,21 @@ def epochs_until_elimination(instance: BanditInstance, eps_schedule, gap_schedul
 def pull_bound_multistep(instance: BanditInstance, eps_schedule, gap_schedule,
                          delta: float, c: float = 1.0, alpha: float | None = None) -> float:
     """Schedule-aware pull bound: each group pays the per-epoch grouped bound
-    only up to the epoch where its reservoir gap bound exceeds the slack."""
+    only up to the epoch where its reservoir gap bound exceeds the slack.
+
+    Epoch k's bound sums, over its paying groups, the bound summand over
+    buckets 1..m at N = G * n_k arms, and scales that sum by 3 * eps_k * n_k.
+    """
     a = instance.alpha if alpha is None else alpha
     kmax = epochs_until_elimination(instance, eps_schedule, gap_schedule, delta, alpha=a)
     num_groups = len(instance.groups)
     total = 0.0
-    for k, (e, g) in enumerate(zip(eps_schedule, gap_schedule), start=1):
-        params = RunParams(a, float(e), float(g), delta)
+    for k, params in enumerate(epoch_params(a, eps_schedule, gap_schedule, delta), start=1):
         gapb = reservoir_gap_bounds(instance, params)
-        n_k = required_arm_count(float(e), delta, num_groups)
+        n_k = required_arm_count(params.eps, delta, num_groups)
+        epoch = 0.0  # plain left-to-right sum: builtin sum() compensates from Python 3.12
         for gid in instance.group_ids:
-            if k > kmax[gid]:
-                continue
-            gaps = gapb.combined[gid][1:]
-            inner = np.log(np.maximum(1.0 / gaps**2, math.e))
-            total += float(np.sum((c / gaps**2) * np.log((num_groups * n_k / delta) * inner))) \
-                * 3.0 * float(e) * n_k
+            if k <= kmax[gid]:
+                epoch += gap_bound_sum(gapb.combined[gid][1:], num_groups * n_k / delta, c)
+        total += epoch * 3.0 * params.eps * n_k
     return total

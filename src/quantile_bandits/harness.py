@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grouped import (RunParams, TrialResult, pull_bound_grouped, pull_bound_multistep,
-                      pull_bound_worst_case, required_arm_count, run_multistep, run_two_step)
+from .grouped import (RunParams, TrialResult, epoch_params, pull_bound_multistep,
+                      pull_bound_worst_case, required_arm_count, run_multistep)
 from .instances import BanditInstance, instance_from_dict
 
 _MASK64 = (1 << 64) - 1
@@ -38,13 +38,15 @@ def mix_seed(master_seed: int, trial_index: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment byte-for-byte."""
+    """Everything needed to reproduce one experiment byte-for-byte.
+
+    ``eps_schedule`` and ``gap_schedule`` list each epoch's tolerances; a
+    two-step run is the schedule of length one.
+    """
 
     instance: BanditInstance
-    eps: float | None = None
-    gap: float | None = None
-    eps_schedule: tuple[float, ...] | None = None
-    gap_schedule: tuple[float, ...] | None = None
+    eps_schedule: tuple[float, ...]
+    gap_schedule: tuple[float, ...]
     delta: float = 0.1
     trials: int = 100
     seed: int = 0
@@ -56,34 +58,43 @@ class ExperimentConfig:
     out_summary: str | None = None
 
     def __post_init__(self) -> None:
-        single = self.eps is not None and self.gap is not None
-        multi = self.eps_schedule is not None and self.gap_schedule is not None
-        if single == multi:
-            raise ValueError("config needs either (eps, gap) or (eps_schedule, gap_schedule)")
         if self.trials < 0:
             raise ValueError(f"trials must be nonnegative, got {self.trials}")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         # validate tolerances eagerly so bad configs fail before any work
-        if single:
-            RunParams(self.instance.alpha, self.eps, self.gap, self.delta)
-        else:
-            if len(self.eps_schedule) != len(self.gap_schedule) or not self.eps_schedule:
-                raise ValueError("schedules must be equally long and nonempty")
-            for e, g in zip(self.eps_schedule, self.gap_schedule):
-                RunParams(self.instance.alpha, e, g, self.delta)
+        epoch_params(self.instance.alpha, self.eps_schedule, self.gap_schedule, self.delta)
 
     @property
     def final_eps(self) -> float:
-        return self.eps if self.eps is not None else self.eps_schedule[-1]
+        return self.eps_schedule[-1]
 
     @property
     def final_gap(self) -> float:
-        return self.gap if self.gap is not None else self.gap_schedule[-1]
+        return self.gap_schedule[-1]
+
+
+def _number(value, field: str, kind=float):
+    """``kind(value)``; a value that does not convert names its field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"{field}: expected {expected}, got {value!r}") from None
+
+
+def _numbers(values, field: str) -> tuple[float, ...]:
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"{field}: expected a nonempty list of numbers, got {values!r}")
+    return tuple(_number(v, f"{field}[{i}]") for i, v in enumerate(values))
 
 
 def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "config") -> ExperimentConfig:
-    """Build a config from a plain dict; validation errors carry field paths."""
+    """Build a config from a plain dict; validation errors carry field paths.
+
+    Scalar ``eps``/``delta_gap`` give a one-epoch schedule; ``schedule``
+    gives the epoch lists.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected an object")
     if "instance" in data:
@@ -98,32 +109,35 @@ def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "conf
     else:
         raise ValueError(f"{path}.instance: required (inline object or instance_file)")
     if "alpha" in data:
-        inst = BanditInstance(inst.groups, inst.family, float(data["alpha"]), inst.name)
+        alpha = _number(data["alpha"], f"{path}.alpha")
+        try:
+            inst = BanditInstance(inst.groups, inst.family, alpha, inst.name)
+        except ValueError as exc:
+            raise ValueError(f"{path}.alpha: {exc}") from None
     sched = data.get("schedule")
-    kwargs: dict = {}
     if sched is not None:
-        if not isinstance(sched, dict) or "eps" not in sched or "delta_gap" not in sched:
-            raise ValueError(f"{path}.schedule: expected an object with 'eps' and 'delta_gap' lists")
-        kwargs["eps_schedule"] = tuple(float(e) for e in sched["eps"])
-        kwargs["gap_schedule"] = tuple(float(g) for g in sched["delta_gap"])
+        if not isinstance(sched, dict):
+            raise ValueError(
+                f"{path}.schedule: expected an object with 'eps' and 'delta_gap' lists")
+        eps_schedule = _numbers(sched.get("eps"), f"{path}.schedule.eps")
+        gap_schedule = _numbers(sched.get("delta_gap"), f"{path}.schedule.delta_gap")
     else:
-        for key, name in (("eps", "eps"), ("delta_gap", "gap")):
+        for key in ("eps", "delta_gap"):
             if key not in data:
                 raise ValueError(f"{path}.{key}: required when no schedule is given")
-            kwargs[name] = float(data[key])
+        eps_schedule = (_number(data["eps"], f"{path}.eps"),)
+        gap_schedule = (_number(data["delta_gap"], f"{path}.delta_gap"),)
+    numbers = {key: _number(data.get(key, default), f"{path}.{key}", kind)
+               for key, default, kind in (("delta", 0.1, float), ("trials", 100, int),
+                                          ("seed", 0, int), ("c", 1.0, float),
+                                          ("d", 1.0, float), ("threads", 1, int))}
     try:
         return ExperimentConfig(
-            instance=inst,
-            delta=float(data.get("delta", 0.1)),
-            trials=int(data.get("trials", 100)),
-            seed=int(data.get("seed", 0)),
-            c=float(data.get("c", 1.0)),
-            d=float(data.get("d", 1.0)),
+            instance=inst, eps_schedule=eps_schedule, gap_schedule=gap_schedule,
             noiseless=bool(data.get("noiseless", False)),
-            threads=int(data.get("threads", 1)),
             out_csv=data.get("out_csv"),
             out_summary=data.get("out_summary"),
-            **kwargs,
+            **numbers,
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -139,9 +153,6 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     """Run one trial on its own deterministic child stream."""
     rng = np.random.default_rng(mix_seed(config.seed, trial_index))
-    if config.eps is not None:
-        params = RunParams(config.instance.alpha, config.eps, config.gap, config.delta)
-        return run_two_step(config.instance, params, rng, noiseless=config.noiseless)
     return run_multistep(config.instance, config.eps_schedule, config.gap_schedule,
                          config.delta, rng, noiseless=config.noiseless)
 
@@ -202,12 +213,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         results = [run_trial(config, i) for i in indices]
 
     num_groups = len(config.instance.groups)
-    if config.eps is not None:
-        params = RunParams(config.instance.alpha, config.eps, config.gap, config.delta)
-        bound = pull_bound_grouped(config.instance, params, c=config.c)
-    else:
-        bound = pull_bound_multistep(config.instance, config.eps_schedule,
-                                     config.gap_schedule, config.delta, c=config.c)
+    bound = pull_bound_multistep(config.instance, config.eps_schedule, config.gap_schedule,
+                                 config.delta, c=config.c)
     worst = pull_bound_worst_case(
         RunParams(config.instance.alpha, config.final_eps, config.final_gap, config.delta),
         num_groups, d=config.d)

@@ -40,21 +40,38 @@ class RewardFamily:
 
 
 class Reservoir:
-    """Distribution over arm means within one group, queryable by CDF and quantile."""
+    """Distribution over arm means within one group, queryable by CDF and quantile.
+
+    Subclasses implement ``_inverse``, the vectorized quantile function on
+    levels already checked to lie in [0, 1]; ``quantile`` and
+    ``quantile_many`` are its scalar and array entry points.
+    """
 
     def cdf(self, tau: float) -> float:
         raise NotImplementedError
 
-    def quantile(self, p: float) -> float:
-        """Return inf{mu : F(mu) >= p} for p in [0, 1]."""
+    def _inverse(self, levels: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def quantile(self, p: float) -> float:
+        """Return inf{mu : F(mu) >= p} for p in [0, 1]."""
+        return float(self._inverse(_checked_levels(p)))
+
     def quantile_many(self, ps: np.ndarray) -> np.ndarray:
-        return np.array([self.quantile(float(p)) for p in np.asarray(ps).ravel()])
+        """Elementwise :meth:`quantile` over an array of levels in [0, 1]."""
+        return self._inverse(_checked_levels(ps))
 
     @property
     def max_mean(self) -> float:
         return self.quantile(1.0)
+
+
+def _checked_levels(ps) -> np.ndarray:
+    levels = np.asarray(ps, dtype=float)
+    inside = (levels >= 0.0) & (levels <= 1.0)
+    if not np.all(inside):
+        raise ValueError(f"quantile levels must lie in [0, 1], got {levels[~inside].flat[0]}")
+    return levels
 
 
 @dataclass(frozen=True)
@@ -103,17 +120,8 @@ class DiscreteReservoir(Reservoir):
             return 0.0
         return float(self._cum[np.searchsorted(self._means_arr, tau, side="right") - 1])
 
-    def quantile(self, p: float) -> float:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"quantile level must lie in [0, 1], got {p}")
-        idx = int(np.searchsorted(self._cum, p, side="left"))
-        return float(self._means_arr[min(idx, len(self._means_arr) - 1)])
-
-    def quantile_many(self, ps: np.ndarray) -> np.ndarray:
-        ps = np.asarray(ps, dtype=float)
-        if np.any(ps < 0.0) or np.any(ps > 1.0):
-            raise ValueError("quantile levels must lie in [0, 1]")
-        idx = np.minimum(np.searchsorted(self._cum, ps, side="left"), len(self._means_arr) - 1)
+    def _inverse(self, levels: np.ndarray) -> np.ndarray:
+        idx = np.minimum(np.searchsorted(self._cum, levels, side="left"), len(self._means_arr) - 1)
         return self._means_arr[idx]
 
     def atoms(self) -> tuple[tuple[float, float], ...]:
@@ -155,18 +163,15 @@ class PiecewiseLinearReservoir(Reservoir):
             return 0.0
         return float(np.interp(tau, self._xs, self._ps))
 
-    def quantile(self, p: float) -> float:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"quantile level must lie in [0, 1], got {p}")
-        i = int(np.searchsorted(self._ps, p, side="left"))
-        i = min(i, len(self._ps) - 1)
-        if i == 0 or self._ps[i] <= self._ps[i - 1]:
-            return float(self._xs[i])
-        lo_p, hi_p = self._ps[i - 1], self._ps[i]
-        if p <= lo_p:  # level sits inside a flat stretch; inf is the left edge
-            return float(self._xs[i])
-        frac = (p - lo_p) / (hi_p - lo_p)
-        return float(self._xs[i - 1] + frac * (self._xs[i] - self._xs[i - 1]))
+    def _inverse(self, levels: np.ndarray) -> np.ndarray:
+        # searchsorted(left) places each level p in ps[i-1] < p <= ps[i], so
+        # every i > 0 interpolates on a rising stretch; i == 0 is the lower
+        # support edge or an initial atom (ps[-1] is exactly 1, so i < n)
+        i = np.searchsorted(self._ps, levels, side="left")
+        lo = np.maximum(i - 1, 0)
+        rising = i > 0
+        frac = (levels - self._ps[lo]) / np.where(rising, self._ps[i] - self._ps[lo], 1.0)
+        return np.where(rising, self._xs[lo] + frac * (self._xs[i] - self._xs[lo]), self._xs[i])
 
 
 @dataclass(frozen=True)
@@ -196,48 +201,6 @@ class BanditInstance:
             if gid == group_id:
                 return res
         raise KeyError(group_id)
-
-
-@dataclass(frozen=True)
-class ArmIdentity:
-    """Oracle-side record of a requested arm.
-
-    The hidden index and the true mean must never reach algorithm code; they
-    exist so oracles can score a run exactly.
-    """
-
-    group_id: str
-    hidden_index: float
-    true_mean: float
-
-
-def reservoir_quantile(spec: Reservoir, p: float) -> float:
-    """Quantile inf{mu : F(mu) >= p} of a reservoir at level p in [0, 1]."""
-    return spec.quantile(p)
-
-
-def sample_arm(spec: Reservoir, rng: np.random.Generator, group_id: str = "") -> ArmIdentity:
-    """Draw one arm: hidden index j ~ Uniform[0, 1], mean = quantile at j."""
-    j = float(rng.random())
-    return ArmIdentity(group_id, j, spec.quantile(j))
-
-
-def sample_arms(spec: Reservoir, count: int, rng: np.random.Generator, group_id: str = "") -> list[ArmIdentity]:
-    """Draw ``count`` arms with a single uniform block for determinism."""
-    js = rng.random(count)
-    means = spec.quantile_many(js)
-    return [ArmIdentity(group_id, float(j), float(m)) for j, m in zip(js, means)]
-
-
-def sample_reward(family: RewardFamily, mean: float, rng: np.random.Generator, noiseless: bool = False) -> float:
-    """One reward draw with the given mean; noiseless mode returns the mean."""
-    if not 0.0 <= mean <= 1.0:
-        raise ValueError(f"mean must lie in [0, 1], got {mean}")
-    if noiseless:
-        return float(mean)
-    if family.kind == "bernoulli":
-        return float(rng.random() < mean)
-    return float(rng.normal(mean, math.sqrt(family.sigma2)))
 
 
 class RewardEnv:

@@ -76,8 +76,8 @@ class TestCriterion1Correctness:
                              ids=[s[0].name for s in CORRECTNESS_SETUPS])
     def test_success_rate_meets_guarantee(self, inst, eps, gap, delta):
         trials = 200
-        cfg = ExperimentConfig(instance=inst, eps=eps, gap=gap, delta=delta,
-                               trials=trials, seed=20260808, threads=WORKERS)
+        cfg = ExperimentConfig(instance=inst, eps_schedule=(eps,), gap_schedule=(gap,),
+                               delta=delta, trials=trials, seed=20260808, threads=WORKERS)
         report = run_experiment(cfg)
         floor = 1.0 - 3.0 * delta
         threshold = floor - three_sigma(floor, trials)
@@ -278,8 +278,8 @@ class TestCriterion10MultistepImprovement:
         multi_cfg = ExperimentConfig(instance=inst, eps_schedule=(0.2, 0.1, 0.05),
                                      gap_schedule=(0.2, 0.1, 0.05), delta=0.04,
                                      trials=trials, seed=seed, threads=WORKERS)
-        single_cfg = ExperimentConfig(instance=inst, eps=0.05, gap=0.05, delta=0.04,
-                                      trials=trials, seed=seed, threads=WORKERS)
+        single_cfg = ExperimentConfig(instance=inst, eps_schedule=(0.05,), gap_schedule=(0.05,),
+                                      delta=0.04, trials=trials, seed=seed, threads=WORKERS)
         multi = run_experiment(multi_cfg)
         single = run_experiment(single_cfg)
         ok = multi.mean_pulls < single.mean_pulls
@@ -297,8 +297,8 @@ class TestCriterion11HardnessTrend:
         # delta = 0.05 everywhere: the eps = 0.1 setting requires delta < eps
         for eps, gap in ((0.2, 0.2), (0.1, 0.2), (0.2, 0.1)):
             inst = make_worst_case_instances(HardInstanceParams(eps, gap))[1]
-            cfg = ExperimentConfig(instance=inst, eps=eps, gap=gap, delta=0.05,
-                                   trials=trials, seed=seed, threads=WORKERS)
+            cfg = ExperimentConfig(instance=inst, eps_schedule=(eps,), gap_schedule=(gap,),
+                                   delta=0.05, trials=trials, seed=seed, threads=WORKERS)
             means[(eps, gap)] = run_experiment(cfg).mean_pulls
         r_eps = means[(0.1, 0.2)] / means[(0.2, 0.2)]
         r_gap = means[(0.2, 0.1)] / means[(0.2, 0.2)]
@@ -311,8 +311,8 @@ class TestCriterion11HardnessTrend:
 class TestCriterion12Determinism:
     def test_csv_bytes_identical_across_runs_and_workers(self, tmp_path):
         def cfg(path, threads):
-            return ExperimentConfig(instance=POINT_PAIR, eps=0.2, gap=0.2, delta=0.1,
-                                    trials=8, seed=777, threads=threads,
+            return ExperimentConfig(instance=POINT_PAIR, eps_schedule=(0.2,), gap_schedule=(0.2,),
+                                    delta=0.1, trials=8, seed=777, threads=threads,
                                     out_csv=str(path))
         run_experiment(cfg(tmp_path / "a.csv", 1))
         run_experiment(cfg(tmp_path / "b.csv", 1))

@@ -18,6 +18,16 @@ INSTANCE = {
 
 
 @pytest.fixture
+def schedule_path(tmp_path):
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({
+        "instance": INSTANCE, "schedule": {"eps": [0.2, 0.15], "delta_gap": [0.2, 0.1]},
+        "delta": 0.1, "trials": 2, "seed": 3,
+    }))
+    return path
+
+
+@pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({
@@ -51,6 +61,23 @@ class TestRun:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["trials"] == 2
 
+    def test_malformed_schedule_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"instance": INSTANCE,
+                                    "schedule": {"eps": 0.2, "delta_gap": [0.2]}}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "error: config.schedule.eps:" in capsys.readouterr().err
+
+    def test_eps_override_on_schedule_config(self, schedule_path, capsys):
+        # --eps alone leaves a two-epoch delta_gap schedule beside one eps
+        assert main(["run", "--config", str(schedule_path), "--eps", "0.2"]) == 2
+        err = capsys.readouterr().err
+        assert "eps and delta_gap schedules" in err and "got 1 and 2 epochs" in err
+        code = main(["run", "--config", str(schedule_path), "--eps", "0.2",
+                     "--delta-gap", "0.2", "--trials", "2"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["trials"] == 2
+
 
 class TestBound:
     def test_prints_bound_values(self, config_path, capsys):
@@ -60,6 +87,12 @@ class TestBound:
         assert "finite-arm gap bound" in out
         assert "grouped reservoir bound" in out
         assert "worst-case bound" in out
+
+    def test_schedule_config_prints_schedule_bound(self, schedule_path, capsys):
+        assert main(["bound", "--config", str(schedule_path)]) == 0
+        out = capsys.readouterr().out
+        assert "multi-step schedule bound" in out
+        assert "worst-case bound at final tolerances" in out
 
 
 class TestVerifyLb:

@@ -1,11 +1,11 @@
-"""Anytime confidence widths, interval bounds, and width inversion."""
+"""Anytime confidence widths, the ledger's interval bounds, and width inversion."""
 
 import math
 
 import numpy as np
 import pytest
 
-from quantile_bandits import PullStats, bounds, confidence_width, invert_width
+from quantile_bandits import ArmLedger, confidence_width, invert_width
 
 
 def width_by_hand(pulls, delta):
@@ -58,31 +58,36 @@ class TestWidth:
 
 
 class TestBounds:
+    """Per-arm bounds as kept by the elimination ledger."""
+
     def test_symmetric_around_mean(self):
-        stats = PullStats()
-        stats.add(0.5)
-        lo, hi = bounds(stats, 0.1)
-        assert lo == pytest.approx(0.5 - 3.09990, abs=1e-4)
-        assert hi == pytest.approx(0.5 + 3.09990, abs=1e-4)
+        ledger = ArmLedger(1, 0.1)
+        ledger.record_pulls(np.array([0]), np.array([0.5]))
+        assert ledger.lcb[0] == pytest.approx(0.5 - 3.09990, abs=1e-4)
+        assert ledger.ucb[0] == pytest.approx(0.5 + 3.09990, abs=1e-4)
 
     def test_contains_running_mean(self):
         rng = np.random.default_rng(0)
-        stats = PullStats()
+        ledger = ArmLedger(1, 0.05)
         for x in rng.random(200):
-            stats.add(x)
-            lo, hi = bounds(stats, 0.05)
-            assert lo <= stats.mean <= hi
+            ledger.record_pulls(np.array([0]), np.array([x]))
+            assert ledger.lcb[0] <= ledger.means[0] <= ledger.ucb[0]
 
     def test_running_mean_is_average(self):
-        stats = PullStats()
+        ledger = ArmLedger(1, 0.1)
         xs = [0.1, 0.9, 0.4, 0.4]
         for x in xs:
-            stats.add(x)
-        assert stats.mean == pytest.approx(np.mean(xs))
+            ledger.record_pulls(np.array([0]), np.array([x]))
+        assert ledger.means[0] == pytest.approx(np.mean(xs))
 
-    def test_unpulled_arm_rejected(self):
-        with pytest.raises(ValueError):
-            bounds(PullStats(), 0.1)
+    def test_unpulled_arm_carries_sentinel_interval(self):
+        # bounds are undefined before the first pull (the width rejects zero
+        # pulls), so an unpulled arm's interval is the whole line
+        ledger = ArmLedger(2, 0.1)
+        ledger.record_pulls(np.array([1]), np.array([0.3]))
+        assert (ledger.lcb[0], ledger.ucb[0]) == (-np.inf, np.inf)
+        assert np.isnan(ledger.means[0]) and ledger.pulls[0] == 0
+        assert np.isfinite(ledger.lcb[1]) and np.isfinite(ledger.ucb[1])
 
 
 class TestInvertWidth:

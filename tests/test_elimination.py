@@ -11,6 +11,7 @@ from quantile_bandits import (
     RewardEnv,
     RewardFamily,
     bound_pulls_finite,
+    confidence_width,
     gap_profile,
     invert_width,
     multiset_quantile,
@@ -184,21 +185,21 @@ class TestNoisyElimination:
         with pytest.raises(ValueError):
             export_pull_log(plain)
 
-    def test_ledger_bounds_match_scalar_bounds(self):
-        from quantile_bandits import PullStats, bounds
+    def test_ledger_bounds_match_width_around_mean(self):
         from quantile_bandits.elimination import ArmLedger
         rng = np.random.default_rng(14)
         ledger = ArmLedger(3, 0.02)
-        stats = [PullStats() for _ in range(3)]
+        history = []
         for _ in range(50):
             rewards = rng.random(3)
             ledger.record_pulls(np.arange(3), rewards)
-            for s, r in zip(stats, rewards):
-                s.add(float(r))
-        for arm, s in enumerate(stats):
-            lo, hi = bounds(s, 0.02)
-            assert ledger.lcb[arm] == pytest.approx(lo, rel=1e-12)
-            assert ledger.ucb[arm] == pytest.approx(hi, rel=1e-12)
+            history.append(rewards)
+        means = np.mean(history, axis=0)
+        width = confidence_width(50, 0.02)
+        assert np.array_equal(ledger.pulls, [50, 50, 50])
+        np.testing.assert_allclose(ledger.means, means, rtol=1e-12)
+        np.testing.assert_allclose(ledger.lcb, means - width, rtol=1e-12)
+        np.testing.assert_allclose(ledger.ucb, means + width, rtol=1e-12)
 
 
 class TestGapProfile:

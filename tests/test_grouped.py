@@ -23,7 +23,6 @@ from quantile_bandits import (
     reservoir_gap_bounds,
     run_multistep,
     run_two_step,
-    sample_arms,
 )
 from quantile_bandits.hardness import HardInstanceParams
 
@@ -173,20 +172,17 @@ class TestReservoirGapBounds:
         checked = 0
         from quantile_bandits import FiniteGroup
         for _ in range(60):
-            samples = {gid: sample_arms(inst.reservoir(gid), n, rng, gid) for gid in inst.group_ids}
-            if not all(quantile_sandwiched(inst.reservoir(g), [a.true_mean for a in arms], alpha, part_geom_eps)
-                       for g, arms in samples.items()):
+            js = {gid: rng.random(n) for gid in inst.group_ids}
+            mus = {gid: inst.reservoir(gid).quantile_many(js[gid]) for gid in inst.group_ids}
+            if not all(quantile_sandwiched(inst.reservoir(g), mus[g], alpha, part_geom_eps)
+                       for g in inst.group_ids):
                 continue
             checked += 1
-            groups, means, start = [], [], 0
-            for gid in inst.group_ids:
-                groups.append(FiniteGroup(gid, tuple(range(start, start + n))))
-                means.extend(a.true_mean for a in samples[gid])
-                start += n
-            prof = gap_profile(groups, np.array(means), alpha, params.gap)
-            part = build_partition(part_geom_eps, alpha,
-                                   {gid: np.array([a.hidden_index for a in samples[gid]])
-                                    for gid in inst.group_ids})
+            groups = [FiniteGroup(gid, tuple(range(k * n, (k + 1) * n)))
+                      for k, gid in enumerate(inst.group_ids)]
+            means = np.concatenate([mus[gid] for gid in inst.group_ids])
+            prof = gap_profile(groups, means, alpha, params.gap)
+            part = build_partition(part_geom_eps, alpha, js)
             for gid in inst.group_ids:
                 assert prof.group_gaps[gid] >= gb.group_bound[gid] - 1e-12
                 offset = inst.group_ids.index(gid) * n
@@ -264,13 +260,6 @@ class TestTwoStep:
         assert tr.max_bucket_size > 0
         assert tr.epoch_pulls == (tr.total_pulls,)
 
-    def test_csv_row_shape(self):
-        params = RunParams(0.5, 0.2, 0.2, 0.1)
-        tr = run_two_step(GOOD_PAIR, params, np.random.default_rng(4))
-        row = tr.csv_row()
-        assert row.startswith("hard2,0.5,0.2,0.2,0.1,")
-        assert len(row.split(",")) == len(tr.CSV_HEADER.split(","))
-
 
 class TestMultistep:
     def test_single_epoch_schedule_equals_two_step(self):
@@ -284,8 +273,10 @@ class TestMultistep:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             run_multistep(GOOD_PAIR, [0.2, 0.1], [0.2], 0.1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"schedule\[1\]: need delta < eps"):
             run_multistep(GOOD_PAIR, [0.2, 0.05], [0.2, 0.05], 0.1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"schedule\[0\]: gap must be positive"):
+            run_multistep(GOOD_PAIR, [0.2], [0.0], 0.1, np.random.default_rng(0))
 
     def test_far_suboptimal_group_dropped_in_first_epoch(self):
         inst = make_instance([

@@ -1,6 +1,8 @@
 """Experiment harness: configs, determinism, CSV artifacts, aggregation."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from quantile_bandits import (
     run_trial,
 )
 from quantile_bandits.harness import read_trial_csv
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 INSTANCE = {
     "name": "pair",
@@ -64,10 +68,31 @@ class TestConfigValidation:
             bad = dict(INSTANCE, groups=[INSTANCE["groups"][0], {"id": "x"}])
             config_from_dict({"instance": bad, "eps": 0.2, "delta_gap": 0.1})
 
-    def test_schedule_and_single_modes_exclusive(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(instance=config_from_dict(
-                {"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1}).instance)
+    def test_malformed_values_name_their_field(self):
+        base = {"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1}
+        for over, field in (({"eps": "x"}, r"config\.eps:"),
+                            ({"trials": "many"}, r"config\.trials:"),
+                            ({"delta": None}, r"config\.delta:"),
+                            ({"schedule": {"eps": 0.2, "delta_gap": [0.1]}},
+                             r"config\.schedule\.eps:"),
+                            ({"schedule": {"eps": [0.2], "delta_gap": ["y"]}},
+                             r"config\.schedule\.delta_gap\[0\]:")):
+            with pytest.raises(ValueError, match=field):
+                config_from_dict(dict(base, **over))
+
+    def test_scalar_tolerances_are_a_one_epoch_schedule(self):
+        cfg = config_from_dict({"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1})
+        assert (cfg.eps_schedule, cfg.gap_schedule) == ((0.2,), (0.1,))
+        assert (cfg.final_eps, cfg.final_gap) == (0.2, 0.1)
+
+    def test_schedule_lengths_must_match(self):
+        inst = config_from_dict({"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1}).instance
+        for eps, gap in (((0.2, 0.15), (0.1,)), ((), ())):
+            with pytest.raises(ValueError, match="eps and delta_gap schedules"):
+                ExperimentConfig(instance=inst, eps_schedule=eps, gap_schedule=gap)
+        with pytest.raises(ValueError, match=r"config: schedule\[1\]"):
+            config_from_dict({"instance": INSTANCE, "delta": 0.1,
+                              "schedule": {"eps": [0.2, 0.05], "delta_gap": [0.2, 0.1]}})
 
     def test_tolerances_validated_eagerly(self):
         with pytest.raises(ValueError):
@@ -153,6 +178,23 @@ class TestArtifacts:
         report = run_experiment(cfg)
         assert report.trials == 3
         assert report.success_rate == 1.0  # 0.4 median gap is easy
+
+    @pytest.mark.parametrize("workload,rows,bound_grouped", [
+        ("hard2-fine", 2, 461304.74503470655),
+        ("three-group", 4, 255473.02115058483),
+        ("pwl-wide-pool", 40, 97642.60263435828),
+    ])
+    def test_rows_and_bound_match_bench_reference(self, tmp_path, workload, rows, bound_grouped):
+        # trials.csv bytes are the behavioural contract: a prefix of each
+        # benchmark workload's committed reference rows, run in one process,
+        # and its grouped bound to the last bit (per-group sums, then 3*eps*N)
+        cfg = replace(config_from_file(BENCH / "workloads" / f"{workload}.json"),
+                      trials=rows, threads=1, out_csv=str(tmp_path / "trials.csv"))
+        report = run_experiment(cfg)
+        got = (tmp_path / "trials.csv").read_text().splitlines()
+        reference = (BENCH / "reference" / f"{workload}.csv").read_text().splitlines()
+        assert got == reference[:rows + 1]
+        assert report.bound_grouped == bound_grouped
 
     def test_report_fields_complete(self, tmp_path):
         report = run_experiment(small_config(tmp_path))

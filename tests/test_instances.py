@@ -1,4 +1,4 @@
-"""Reservoirs, sampling, reward families, and the success-set oracle."""
+"""Reservoirs, arm sampling, reward draws, and the success-set oracle."""
 
 import math
 
@@ -9,14 +9,11 @@ from quantile_bandits import (
     BanditInstance,
     DiscreteReservoir,
     PiecewiseLinearReservoir,
+    RewardEnv,
     RewardFamily,
     instance_from_dict,
     instance_to_dict,
     relaxed_success_set,
-    reservoir_quantile,
-    sample_arm,
-    sample_arms,
-    sample_reward,
 )
 
 
@@ -37,17 +34,17 @@ QUARTER_LOW = ((0.1, 0.25), (0.3, 0.25), (0.5, 0.25), (0.7, 0.25))
 class TestReservoirQuantile:
     def test_point_mass(self):
         spec = DiscreteReservoir.point_mass(0.5)
-        assert reservoir_quantile(spec, 0.3) == 0.5
+        assert spec.quantile(0.3) == 0.5
 
     def test_four_atoms_median(self):
         spec = DiscreteReservoir.from_atoms(QUARTER)
-        assert reservoir_quantile(spec, 0.5) == 0.4
-        assert reservoir_quantile(spec, 0.5) == brute_force_quantile(QUARTER, 0.5)
+        assert spec.quantile(0.5) == 0.4
+        assert spec.quantile(0.5) == brute_force_quantile(QUARTER, 0.5)
 
     def test_four_atoms_upper(self):
         spec = DiscreteReservoir.from_atoms(QUARTER_LOW)
-        assert reservoir_quantile(spec, 0.75) == 0.5
-        assert reservoir_quantile(spec, 0.75) == brute_force_quantile(QUARTER_LOW, 0.75)
+        assert spec.quantile(0.75) == 0.5
+        assert spec.quantile(0.75) == brute_force_quantile(QUARTER_LOW, 0.75)
 
     def test_matches_brute_force_on_grid(self):
         rng = np.random.default_rng(7)
@@ -58,8 +55,10 @@ class TestReservoirQuantile:
             w /= w.sum()
             atoms = tuple(zip(means.tolist(), w.tolist()))
             spec = DiscreteReservoir.from_atoms(atoms)
-            for p in rng.random(20):
-                assert spec.quantile(p) == brute_force_quantile(atoms, p)
+            ps = rng.random(20)
+            expected = [brute_force_quantile(atoms, p) for p in ps]
+            assert [spec.quantile(p) for p in ps] == expected
+            assert spec.quantile_many(ps).tolist() == expected
 
     def test_nondecreasing_and_cdf_inverse(self):
         spec = DiscreteReservoir.from_atoms(QUARTER)
@@ -80,8 +79,22 @@ class TestReservoirQuantile:
 
     def test_level_out_of_range(self):
         spec = DiscreteReservoir.point_mass(0.5)
-        with pytest.raises(ValueError):
-            spec.quantile(1.5)
+        for bad in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                spec.quantile(bad)
+            with pytest.raises(ValueError):
+                spec.quantile_many(np.array([0.5, bad]))
+
+
+def brute_force_pwl_quantile(xs, ps, p):
+    """Independent oracle: walk the breakpoints, return the first x with F(x) >= p,
+    interpolating inside the rising stretch that crosses p."""
+    if p <= ps[0]:
+        return xs[0]  # the lower support edge, or an initial atom
+    for i in range(1, len(xs)):
+        if ps[i] >= p:
+            return xs[i - 1] + (p - ps[i - 1]) / (ps[i] - ps[i - 1]) * (xs[i] - xs[i - 1])
+    return xs[-1]
 
 
 class TestPiecewiseLinear:
@@ -100,29 +113,50 @@ class TestPiecewiseLinear:
         with pytest.raises(ValueError):
             PiecewiseLinearReservoir((0.0, 0.5, 1.0), (0.0, 0.8, 0.6))
 
+    @pytest.mark.parametrize("xs,ps", [
+        ((0.0, 1.0), (0.0, 1.0)),
+        ((0.8, 1.0), (0.0, 1.0)),
+        ((0.0, 0.2, 0.6, 1.0), (0.0, 0.5, 0.5, 1.0)),        # flat stretch
+        ((0.1, 0.3, 0.9), (0.3, 0.3, 1.0)),                  # initial atom, then flat
+        ((0.1, 0.2, 0.5, 0.7, 0.95), (0.25, 0.4, 0.4, 0.4, 1.0)),
+        ((0.05, 0.15, 0.35, 0.4, 0.8), (0.0, 0.1, 0.7, 0.7, 1.0)),
+    ])
+    def test_quantile_many_bitwise_matches_brute_force(self, xs, ps):
+        spec = PiecewiseLinearReservoir(xs, ps)
+        rng = np.random.default_rng(17)
+        grid = np.asarray(ps)
+        levels = np.concatenate([rng.random(5000), grid, np.nextafter(grid, 0.0),
+                                 np.nextafter(grid, 1.0).clip(0.0, 1.0), [0.0, 1.0]])
+        expected = np.array([brute_force_pwl_quantile(xs, ps, float(p)) for p in levels])
+        got = spec.quantile_many(levels)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert [spec.quantile(p) for p in levels[:50]] == got[:50].tolist()
+        for bad in (-1e-12, 1.0 + 1e-12, math.nan):
+            with pytest.raises(ValueError):
+                spec.quantile_many(np.array([0.5, bad]))
+
 
 class TestSampleArm:
+    """An arm is a hidden index j ~ U[0, 1] with mean ``quantile_many(j)``."""
+
     def test_point_mass_mean(self):
         spec = DiscreteReservoir.point_mass(0.5)
-        arm = sample_arm(spec, np.random.default_rng(0), group_id="g")
-        assert arm.true_mean == 0.5
-        assert arm.group_id == "g"
+        assert spec.quantile_many(np.random.default_rng(0).random(3)).tolist() == [0.5] * 3
 
     def test_two_atom_frequency(self):
         spec = DiscreteReservoir.from_atoms(((0.3, 0.5), (0.7, 0.5)))
-        arms = sample_arms(spec, 100_000, np.random.default_rng(11))
-        frac_high = np.mean([a.true_mean == 0.7 for a in arms])
-        assert abs(frac_high - 0.5) < 0.01
+        means = spec.quantile_many(np.random.default_rng(11).random(100_000))
+        assert abs(np.mean(means == 0.7) - 0.5) < 0.01
 
     def test_index_zero_takes_lowest_atom(self):
         spec = DiscreteReservoir.from_atoms(QUARTER)
         assert spec.quantile(0.0) == 0.2
+        assert spec.quantile_many(np.array([0.0]))[0] == 0.2
 
     def test_histogram_matches_masses(self):
         atoms = ((0.1, 0.2), (0.5, 0.5), (0.9, 0.3))
         spec = DiscreteReservoir.from_atoms(atoms)
-        arms = sample_arms(spec, 100_000, np.random.default_rng(3))
-        means = np.array([a.true_mean for a in arms])
+        means = spec.quantile_many(np.random.default_rng(3).random(100_000))
         for mean, mass in atoms:
             freq = np.mean(means == mean)
             tol = 3.0 * math.sqrt(mass * (1 - mass) / 100_000)
@@ -130,36 +164,38 @@ class TestSampleArm:
 
     def test_hidden_index_consistent(self):
         spec = DiscreteReservoir.from_atoms(QUARTER)
-        for arm in sample_arms(spec, 100, np.random.default_rng(5)):
-            assert arm.true_mean == spec.quantile(arm.hidden_index)
+        js = np.random.default_rng(5).random(100)
+        assert spec.quantile_many(js).tolist() == [spec.quantile(j) for j in js]
 
 
 class TestSampleReward:
+    """Reward draws through ``RewardEnv.pull``."""
+
     def test_bernoulli_sure_thing(self):
-        fam = RewardFamily("bernoulli")
-        rng = np.random.default_rng(0)
-        assert all(sample_reward(fam, 1.0, rng) == 1.0 for _ in range(20))
+        env = RewardEnv(np.array([1.0]), RewardFamily("bernoulli"), np.random.default_rng(0))
+        assert env.pull(np.zeros(20, dtype=np.int64)).tolist() == [1.0] * 20
 
     def test_bernoulli_mean(self):
-        fam = RewardFamily("bernoulli")
-        rng = np.random.default_rng(1)
-        draws = [sample_reward(fam, 0.6, rng) for _ in range(100_000)]
-        assert abs(np.mean(draws) - 0.6) < 0.01
+        env = RewardEnv(np.array([0.6]), RewardFamily("bernoulli"), np.random.default_rng(1))
+        draws = env.pull(np.zeros(100_000, dtype=np.int64))
+        assert set(np.unique(draws)) == {0.0, 1.0}
+        assert abs(draws.mean() - 0.6) < 0.01
 
     def test_noiseless_returns_mean(self):
-        fam = RewardFamily("bernoulli")
-        assert sample_reward(fam, 0.42, np.random.default_rng(0), noiseless=True) == 0.42
+        env = RewardEnv(np.array([0.42, 0.7]), RewardFamily("bernoulli"),
+                        np.random.default_rng(0), noiseless=True)
+        assert env.pull(np.array([1, 0, 0])).tolist() == [0.7, 0.42, 0.42]
 
     def test_gaussian_mean_and_var(self):
-        fam = RewardFamily("gaussian", sigma2=0.25)
-        rng = np.random.default_rng(2)
-        draws = np.array([sample_reward(fam, 0.5, rng) for _ in range(20_000)])
+        env = RewardEnv(np.array([0.5]), RewardFamily("gaussian", sigma2=0.25),
+                        np.random.default_rng(2))
+        draws = env.pull(np.zeros(20_000, dtype=np.int64))
         assert abs(draws.mean() - 0.5) < 0.02
         assert abs(draws.var() - 0.25) < 0.02
 
     def test_mean_out_of_range(self):
         with pytest.raises(ValueError):
-            sample_reward(RewardFamily("bernoulli"), 1.2, np.random.default_rng(0))
+            RewardEnv(np.array([0.5, 1.2]), RewardFamily("bernoulli"), np.random.default_rng(0))
 
     def test_bad_family(self):
         with pytest.raises(ValueError):
