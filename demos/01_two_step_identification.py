@@ -2,6 +2,7 @@
 
 Builds a three-group instance with discrete reservoirs, requests arms, runs
 the elimination subroutine, and reports what the oracle thinks of the answer.
+The two-step run is ``run_multistep`` with a one-epoch schedule.
 
 Run:
     python demos/01_two_step_identification.py
@@ -13,10 +14,9 @@ from quantile_bandits import (
     BanditInstance,
     DiscreteReservoir,
     RewardFamily,
-    RunParams,
     relaxed_success_set,
     required_arm_count,
-    run_two_step,
+    run_multistep,
 )
 
 instance = BanditInstance(
@@ -30,26 +30,27 @@ instance = BanditInstance(
     name="demo-three-group",
 )
 
-params = RunParams(alpha=0.5, eps=0.15, gap=0.1, delta=0.1)
+alpha, eps, gap, delta = instance.alpha, 0.15, 0.1, 0.1
 
 print(f"instance: {instance.name}")
 for gid, res in instance.groups:
-    lo = res.quantile(1 - params.alpha - params.eps)
-    mid = res.quantile(1 - params.alpha)
-    hi = res.quantile(1 - params.alpha + params.eps)
+    lo = res.quantile(1 - alpha - eps)
+    mid = res.quantile(1 - alpha)
+    hi = res.quantile(1 - alpha + eps)
     print(f"  {gid:>7}: median {mid:.2f}, quantile band [{lo:.2f}, {hi:.2f}]")
 
-winners = relaxed_success_set(instance, params.eps, params.gap)
-n_per = required_arm_count(params.eps, params.delta, len(instance.groups))
-print(f"\nacceptable answers at (eps={params.eps}, gap={params.gap}): {sorted(winners)}")
+winners = relaxed_success_set(instance, eps, gap)
+n_per = required_arm_count(eps, delta, len(instance.groups))
+print(f"\nacceptable answers at (eps={eps}, gap={gap}): {sorted(winners)}")
 print(f"arms requested per group: {n_per}")
 
 for seed in range(3):
-    trial = run_two_step(instance, params, np.random.default_rng(seed), oracle_checks=True)
+    trial = run_multistep(instance, (eps,), (gap,), delta, np.random.default_rng(seed),
+                          oracle_checks=True)
     verdict = "correct" if trial.success else "WRONG"
     print(f"\nseed {seed}: chose {trial.chosen_group!r} ({verdict}) "
           f"after {trial.total_pulls} pulls in {trial.rounds} rounds")
     print(f"  sample quantiles sandwiched: {trial.event_a}; "
           f"subroutine met its finite-sample target: {trial.event_b}")
     print(f"  largest hidden-index bucket: {trial.max_bucket_size} "
-          f"(cap 3*eps*N = {3 * params.eps * n_per:.1f})")
+          f"(cap 3*eps*N = {3 * eps * n_per:.1f})")

@@ -15,13 +15,10 @@ from quantile_bandits import (
     BanditInstance,
     DiscreteReservoir,
     RewardFamily,
-    RunParams,
     epochs_until_elimination,
     mix_seed,
-    pull_bound_grouped,
     pull_bound_multistep,
     run_multistep,
-    run_two_step,
 )
 
 instance = BanditInstance(
@@ -46,16 +43,16 @@ for i in range(trials):
                        np.random.default_rng(mix_seed(3, i)))
     multi_pulls.append(tr.total_pulls)
     print(f"trial {i}: multi-step chose {tr.chosen_group!r}, "
-          f"epoch pulls {tr.epoch_pulls} (ran {tr.epochs_run} of {len(eps_sched)} epochs)")
+          f"epoch pulls {tr.epoch_pulls} (ran {len(tr.epoch_pulls)} of {len(eps_sched)} epochs)")
 for i in range(trials):
-    tr = run_two_step(instance, RunParams(0.5, eps_sched[-1], gap_sched[-1], delta),
-                      np.random.default_rng(mix_seed(3, 1000 + i)))
+    tr = run_multistep(instance, eps_sched[-1:], gap_sched[-1:], delta,
+                       np.random.default_rng(mix_seed(3, 1000 + i)))
     single_pulls.append(tr.total_pulls)
 
 print(f"\nmean pulls, multi-step : {np.mean(multi_pulls):,.0f}")
 print(f"mean pulls, single-step: {np.mean(single_pulls):,.0f}")
 
 bound_multi = pull_bound_multistep(instance, eps_sched, gap_sched, delta)
-bound_single = pull_bound_grouped(instance, RunParams(0.5, eps_sched[-1], gap_sched[-1], delta))
+bound_single = pull_bound_multistep(instance, eps_sched[-1:], gap_sched[-1:], delta)
 print(f"\nschedule-aware pull bound (c=1): {bound_multi:,.0f}")
 print(f"single-tolerance pull bound (c=1): {bound_single:,.0f}")

@@ -12,12 +12,11 @@ import numpy as np
 
 from quantile_bandits import (
     HardInstanceParams,
-    RunParams,
     likelihood_ratio,
     make_worst_case_instances,
     mix_seed,
     relaxed_success_set,
-    run_two_step,
+    run_multistep,
     success_scale,
     verify_drift,
 )
@@ -44,7 +43,6 @@ for eps, gap in ((0.2, 0.2), (0.1, 0.2), (0.2, 0.1)):
     inst = make_worst_case_instances(HardInstanceParams(eps, gap))[1]
     pulls = []
     for i in range(10):
-        tr = run_two_step(inst, RunParams(0.5, eps, gap, 0.05),
-                          np.random.default_rng(mix_seed(17, i)))
+        tr = run_multistep(inst, (eps,), (gap,), 0.05, np.random.default_rng(mix_seed(17, i)))
         pulls.append(tr.total_pulls)
     print(f"  eps={eps}, gap={gap}: mean pulls {np.mean(pulls):>12,.0f}")

@@ -11,7 +11,7 @@ instances with a numerical verifier, and a deterministic Monte Carlo harness.
 
 Arms are sampled through ``Reservoir.quantile_many`` on uniform hidden
 indices and pulled through ``RewardEnv.pull``; ``ArmLedger`` keeps the
-per-arm means and confidence bounds.
+per-arm pull counts, reward sums and confidence bounds.
 """
 
 from .confidence import confidence_width, invert_width
@@ -19,9 +19,9 @@ from .elimination import (ArmLedger, EliminationResult, EliminationRun, Eliminat
                           FiniteGroup, GapProfile, bound_pulls_finite, gap_profile,
                           multiset_quantile, run_elimination)
 from .grouped import (Partition, ReservoirGapBounds, RunParams, TrialResult,
-                      build_partition, epochs_until_elimination, pull_bound_grouped,
-                      pull_bound_multistep, pull_bound_worst_case, quantile_sandwiched,
-                      required_arm_count, reservoir_gap_bounds, run_multistep, run_two_step)
+                      build_partition, epochs_until_elimination, pull_bound_multistep,
+                      pull_bound_worst_case, quantile_sandwiched, required_arm_count,
+                      reservoir_gap_bounds, run_multistep)
 from .hardness import (DriftReport, HardInstanceParams, ScoreState, conditional_good_prob,
                        expected_next_likelihood_ratio, likelihood_ratio,
                        make_worst_case_instances, success_scale, verify_drift)

@@ -62,19 +62,18 @@ class FiniteGroup:
 
 
 class ArmLedger:
-    """Per-arm pull counts, running means, and frozen/live confidence bounds.
+    """Per-arm pull counts, reward sums, and frozen/live confidence bounds.
 
-    Bounds are recomputed only for arms pulled this round; unpulled arms keep
-    their previous values, which is exactly the frozen-bound behaviour the
-    elimination rules rely on.  Before the first pull an arm carries the
-    sentinel interval (-inf, +inf).
+    Bounds are recomputed only for arms pulled this round, around the mean
+    ``sums / pulls``; unpulled arms keep their previous values, which is
+    exactly the frozen-bound behaviour the elimination rules rely on.  Before
+    the first pull an arm carries the sentinel interval (-inf, +inf).
     """
 
     def __init__(self, num_arms: int, delta_per_arm: float) -> None:
-        self.num_arms = num_arms
         self.delta_per_arm = delta_per_arm
         self.pulls = np.zeros(num_arms, dtype=np.int64)
-        self.means = np.full(num_arms, np.nan)
+        self.sums = np.zeros(num_arms)
         self.lcb = np.full(num_arms, -np.inf)
         self.ucb = np.full(num_arms, np.inf)
         self._width_table = confidence_width(np.arange(1, 1025), delta_per_arm)
@@ -87,19 +86,13 @@ class ArmLedger:
         return self._width_table[pulls - 1]
 
     def record_pulls(self, arm_ids: np.ndarray, rewards: np.ndarray) -> None:
-        first = self.pulls[arm_ids] == 0
         self.pulls[arm_ids] += 1
-        if np.any(first):
-            seed_ids = arm_ids[first]
-            self.means[seed_ids] = rewards[first]
-            rest = arm_ids[~first]
-            if rest.size:
-                self.means[rest] += (rewards[~first] - self.means[rest]) / self.pulls[rest]
-        else:
-            self.means[arm_ids] += (rewards - self.means[arm_ids]) / self.pulls[arm_ids]
-        w = self.width_at(self.pulls[arm_ids])
-        self.lcb[arm_ids] = self.means[arm_ids] - w
-        self.ucb[arm_ids] = self.means[arm_ids] + w
+        self.sums[arm_ids] += rewards
+        pulls = self.pulls[arm_ids]
+        mean = self.sums[arm_ids] / pulls
+        w = self.width_at(pulls)
+        self.lcb[arm_ids] = mean - w
+        self.ucb[arm_ids] = mean + w
 
 
 @dataclass
@@ -114,16 +107,6 @@ class EliminationState:
 
 
 @dataclass
-class RoundRecord:
-    round_index: int
-    active_count: int
-    candidates: tuple[str, ...]
-    spread_direct: float
-    spread_shortcut: float
-    equal_pull: bool
-
-
-@dataclass
 class EliminationResult:
     chosen: str
     total_pulls: int
@@ -135,8 +118,6 @@ class EliminationResult:
     bounds_valid: bool | None = None
     stop_pull_violations: int | None = None
     best_group_retained: bool | None = None
-    round_log: list[RoundRecord] | None = None
-    pull_log: list[tuple[int, int, str, float, float, float]] | None = None
 
 
 @dataclass(frozen=True)
@@ -212,8 +193,7 @@ class EliminationRun:
 
     def __init__(self, groups: list[FiniteGroup], alpha: float, slack: float, delta: float,
                  env, rng: np.random.Generator | None = None,
-                 true_means: np.ndarray | None = None,
-                 log_rounds: bool = False, log_pulls: bool = False) -> None:
+                 true_means: np.ndarray | None = None) -> None:
         if not groups:
             raise ValueError("need at least one group")
         if not 0.0 < alpha < 1.0:
@@ -228,13 +208,9 @@ class EliminationRun:
             raise ValueError("groups must partition arm ids 0..n-1 disjointly")
         if env.num_arms != n:
             raise ValueError("environment arm count does not match the groups")
-        self.groups = list(groups)
-        self.alpha = alpha
         self.slack = slack
-        self.delta = delta
         self.env = env
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.num_arms = n
         self.ledger = ArmLedger(n, delta / n)
         self._idx = {g.group_id: np.asarray(g.arm_ids, dtype=np.int64) for g in groups}
         self._kq = {g.group_id: quantile_index(len(g.arm_ids), alpha) for g in groups}
@@ -251,10 +227,6 @@ class EliminationRun:
         self._round_cap = 100 * invert_width(slack / 4.0, delta / n) + 10_000
         self.equal_pull_ok = True
         self.shortcut_consistent = True
-        self.round_log: list[RoundRecord] | None = [] if log_rounds else None
-        self.pull_log: list[tuple[int, int, str, float, float, float]] | None = [] if log_pulls else None
-        if log_pulls:
-            self._gid_of = {i: g.group_id for g in groups for i in g.arm_ids}
         # oracle-side telemetry
         self._true_means = None if true_means is None else np.asarray(true_means, dtype=float)
         self.bounds_valid: bool | None = None
@@ -262,8 +234,7 @@ class EliminationRun:
         self.best_group_retained: bool | None = None
         self._stop_round = None
         if self._true_means is not None:
-            profile = gap_profile(self.groups, self._true_means, alpha, slack)
-            self._profile = profile
+            self._profile = gap_profile(groups, self._true_means, alpha, slack)
             self._stop_round = np.full(n, -1, dtype=np.int64)
             self.bounds_valid = True
             self.stop_pull_violations = 0
@@ -289,16 +260,10 @@ class EliminationRun:
             hit = self._stop_round[active]
             self.stop_pull_violations += int(np.count_nonzero((hit >= 1) & (hit < t)))
 
-        rewards = self.env.pull(active)
-        led.record_pulls(active, rewards)
+        led.record_pulls(active, self.env.pull(active))
         self.total_pulls += active.size
         if bool(np.any(led.pulls[active] != t)):
             self.equal_pull_ok = False
-
-        if self.pull_log is not None:
-            for i, arm in enumerate(active):
-                self.pull_log.append((t, int(arm), self._gid_of[arm], float(rewards[i]),
-                                      float(led.lcb[arm]), float(led.ucb[arm])))
 
         if self._true_means is not None:
             mu = self._true_means[active]
@@ -339,10 +304,6 @@ class EliminationRun:
         if self.best_group_retained is not None and self._profile.best_group not in new_candidates:
             self.best_group_retained = False
 
-        if self.round_log is not None:
-            self.round_log.append(RoundRecord(t, int(active.size), new_candidates,
-                                              spread, shortcut, bool(self.equal_pull_ok)))
-
         self.state = EliminationState(t + 1, new_candidates, quantile_arms, new_active, spread)
         return self.state
 
@@ -377,26 +338,11 @@ class EliminationRun:
             bounds_valid=self.bounds_valid,
             stop_pull_violations=self.stop_pull_violations,
             best_group_retained=self.best_group_retained,
-            round_log=self.round_log,
-            pull_log=self.pull_log,
         )
 
 
 def run_elimination(groups: list[FiniteGroup], alpha: float, slack: float, delta: float,
                     env, rng: np.random.Generator | None = None,
-                    true_means: np.ndarray | None = None,
-                    log_rounds: bool = False, log_pulls: bool = False) -> EliminationResult:
+                    true_means: np.ndarray | None = None) -> EliminationResult:
     """Run the elimination loop to completion and return the chosen group."""
-    run = EliminationRun(groups, alpha, slack, delta, env, rng=rng, true_means=true_means,
-                         log_rounds=log_rounds, log_pulls=log_pulls)
-    return run.run()
-
-
-def export_pull_log(result: EliminationResult) -> list[str]:
-    """Render the pull log as CSV rows (round, arm, group, reward, lcb, ucb)."""
-    if result.pull_log is None:
-        raise ValueError("run was executed without pull logging")
-    rows = ["round,arm_id,group_id,reward,lcb,ucb"]
-    rows += [f"{t},{arm},{gid},{r:.10g},{lo:.10g},{hi:.10g}"
-             for t, arm, gid, r, lo, hi in result.pull_log]
-    return rows
+    return EliminationRun(groups, alpha, slack, delta, env, rng=rng, true_means=true_means).run()

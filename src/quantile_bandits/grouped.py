@@ -182,13 +182,6 @@ def reservoir_gap_bounds(instance: BanditInstance, params: RunParams) -> Reservo
     return ReservoirGapBounds(m, bounds, relaxed_best, group_bound, uniq, bucket_bounds, combined)
 
 
-def pull_bound_grouped(instance: BanditInstance, params: RunParams, c: float = 1.0) -> float:
-    """Instance-dependent pull bound of the two-step run: the schedule-aware
-    bound with a single epoch, so every group pays it."""
-    return pull_bound_multistep(instance, [params.eps], [params.gap], params.delta, c=c,
-                                alpha=params.alpha)
-
-
 def pull_bound_worst_case(params: RunParams, num_groups: int, d: float = 1.0) -> float:
     """Weakened worst-case bound d * G / (eps^2 gap^2) * polylog terms."""
     lg = math.log(num_groups / params.delta)
@@ -201,10 +194,6 @@ class TrialResult:
     """Outcome and telemetry of one identification trial."""
 
     instance_id: str
-    alpha: float
-    eps: float
-    gap: float
-    delta: float
     chosen_group: str
     success: bool
     total_pulls: int
@@ -218,9 +207,6 @@ class TrialResult:
     bounds_valid: bool | None = None
     stop_pull_violations: int | None = None
     best_group_retained: bool | None = None
-    epochs_run: int = 1
-    round_log: list | None = None
-    pull_log: list | None = None
 
 
 def _sample_finite_groups(instance: BanditInstance, group_ids: list[str], count: int,
@@ -261,33 +247,20 @@ def _finite_success(groups, true_means, alpha: float, slack: float, chosen: str)
     return quants[chosen] >= max(quants.values()) - slack
 
 
-def run_two_step(instance: BanditInstance, params: RunParams, rng: np.random.Generator,
-                 noiseless: bool = False, oracle_checks: bool = False,
-                 log_rounds: bool = False, log_pulls: bool = False) -> TrialResult:
-    """Request arms once, run the elimination subroutine, map back to the group.
-
-    This is :func:`run_multistep` with a one-epoch schedule.  The success flag
-    is scored against the exact reservoir oracle at the run's own (eps, gap);
-    oracle checks additionally score the finite-sample event and the
-    elimination-internals invariants.
-    """
-    return run_multistep(instance, [params.eps], [params.gap], params.delta, rng,
-                         alpha=params.alpha, noiseless=noiseless, oracle_checks=oracle_checks,
-                         log_rounds=log_rounds, log_pulls=log_pulls)
-
-
 def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: float,
-                  rng: np.random.Generator, alpha: float | None = None,
-                  noiseless: bool = False, oracle_checks: bool = False,
-                  log_rounds: bool = False, log_pulls: bool = False) -> TrialResult:
+                  rng: np.random.Generator, noiseless: bool = False,
+                  oracle_checks: bool = False) -> TrialResult:
     """Run the epoch schedule of shrinking tolerances.
 
     Each epoch requests fresh arms for the surviving groups, runs the
     elimination subroutine at that epoch's quantile slack, and permanently
     drops the groups it eliminated.  A schedule of length one is exactly the
-    two-step algorithm.
+    two-step algorithm.  The success flag is scored against the exact
+    reservoir oracle at the final epoch's (eps, gap); oracle checks
+    additionally score the finite-sample event and the elimination-internals
+    invariants.
     """
-    a = instance.alpha if alpha is None else alpha
+    a = instance.alpha
     epochs = epoch_params(a, eps_schedule, gap_schedule, delta)
 
     num_groups = len(instance.groups)
@@ -303,8 +276,6 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
     bounds_valid: bool | None = True if oracle_checks else None
     stop_viol: int | None = 0 if oracle_checks else None
     retained: bool | None = True if oracle_checks else None
-    round_log = [] if log_rounds else None
-    pull_log = [] if log_pulls else None
 
     for params in epochs:
         n_per = required_arm_count(params.eps, delta, num_groups)
@@ -314,8 +285,7 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
         max_bucket = max(max_bucket, bucket)
         env = RewardEnv(means, instance.family, rng, noiseless=noiseless)
         res = run_elimination(groups, a, params.gap, delta, env, rng=rng,
-                              true_means=means if oracle_checks else None,
-                              log_rounds=log_rounds, log_pulls=log_pulls)
+                              true_means=means if oracle_checks else None)
         epoch_pulls.append(res.total_pulls)
         rounds += res.rounds
         chosen = res.chosen
@@ -326,58 +296,54 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
             stop_viol += int(res.stop_pull_violations)
             retained = retained and bool(res.best_group_retained)
             event_b = event_b and _finite_success(groups, means, a, params.gap, res.chosen)
-        if log_rounds:
-            round_log.append(res.round_log)
-        if log_pulls:
-            pull_log.append(res.pull_log)
         surviving = [gid for gid in surviving if gid in res.final_candidates]
         if len(surviving) == 1:
             break
 
     final = epochs[-1]
-    success = chosen in relaxed_success_set(instance, final.eps, final.gap, alpha=a)
+    success = chosen in relaxed_success_set(instance, final.eps, final.gap)
     return TrialResult(
-        instance_id=instance.name, alpha=a, eps=final.eps, gap=final.gap,
-        delta=delta, chosen_group=chosen, success=success,
+        instance_id=instance.name, chosen_group=chosen, success=success,
         total_pulls=sum(epoch_pulls), rounds=rounds, event_a=event_a,
         max_bucket_size=max_bucket, epoch_pulls=tuple(epoch_pulls), event_b=event_b,
         equal_pull_ok=equal_pull_ok, shortcut_consistent=shortcut_ok,
         bounds_valid=bounds_valid, stop_pull_violations=stop_viol,
-        best_group_retained=retained, epochs_run=len(epoch_pulls),
-        round_log=round_log, pull_log=pull_log,
+        best_group_retained=retained,
     )
 
 
+def _schedule_gap_bounds(instance: BanditInstance, eps_schedule, gap_schedule, delta: float):
+    """Each epoch's :class:`RunParams`, its reservoir gap bounds (evaluated
+    once per epoch), and each group's last paying epoch as
+    :func:`epochs_until_elimination` defines it."""
+    epochs = epoch_params(instance.alpha, eps_schedule, gap_schedule, delta)
+    gap_bounds = [reservoir_gap_bounds(instance, params) for params in epochs]
+    kmax = {gid: next((k for k, (params, gapb) in enumerate(zip(epochs, gap_bounds), start=1)
+                       if gapb.group_bound[gid] > params.gap), len(epochs))
+            for gid in instance.group_ids}
+    return epochs, gap_bounds, kmax
+
+
 def epochs_until_elimination(instance: BanditInstance, eps_schedule, gap_schedule,
-                             delta: float, alpha: float | None = None) -> dict[str, int]:
+                             delta: float) -> dict[str, int]:
     """Earliest epoch whose reservoir-level group gap bound exceeds that
     epoch's quantile slack (the full schedule length when none does)."""
-    a = instance.alpha if alpha is None else alpha
-    epochs = epoch_params(a, eps_schedule, gap_schedule, delta)
-    out: dict[str, int] = {}
-    for gid in instance.group_ids:
-        out[gid] = len(epochs)
-        for k, params in enumerate(epochs, start=1):
-            if reservoir_gap_bounds(instance, params).group_bound[gid] > params.gap:
-                out[gid] = k
-                break
-    return out
+    return _schedule_gap_bounds(instance, eps_schedule, gap_schedule, delta)[2]
 
 
 def pull_bound_multistep(instance: BanditInstance, eps_schedule, gap_schedule,
-                         delta: float, c: float = 1.0, alpha: float | None = None) -> float:
+                         delta: float, c: float = 1.0) -> float:
     """Schedule-aware pull bound: each group pays the per-epoch grouped bound
     only up to the epoch where its reservoir gap bound exceeds the slack.
 
     Epoch k's bound sums, over its paying groups, the bound summand over
     buckets 1..m at N = G * n_k arms, and scales that sum by 3 * eps_k * n_k.
+    A one-epoch schedule gives the two-step bound, which every group pays.
     """
-    a = instance.alpha if alpha is None else alpha
-    kmax = epochs_until_elimination(instance, eps_schedule, gap_schedule, delta, alpha=a)
+    epochs, gap_bounds, kmax = _schedule_gap_bounds(instance, eps_schedule, gap_schedule, delta)
     num_groups = len(instance.groups)
     total = 0.0
-    for k, params in enumerate(epoch_params(a, eps_schedule, gap_schedule, delta), start=1):
-        gapb = reservoir_gap_bounds(instance, params)
+    for k, (params, gapb) in enumerate(zip(epochs, gap_bounds), start=1):
         n_k = required_arm_count(params.eps, delta, num_groups)
         epoch = 0.0  # plain left-to-right sum: builtin sum() compensates from Python 3.12
         for gid in instance.group_ids:

@@ -75,11 +75,15 @@ class ExperimentConfig:
 
 
 def _number(value, field: str, kind=float):
-    """``kind(value)``; a value that does not convert names its field."""
+    """``kind(value)``; a value that does not convert, a boolean, or a
+    non-integral number for an integer field names its field."""
+    expected = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"{field}: expected {expected}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError):
-        expected = "an integer" if kind is int else "a number"
         raise ValueError(f"{field}: expected {expected}, got {value!r}") from None
 
 
@@ -131,10 +135,13 @@ def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "conf
                for key, default, kind in (("delta", 0.1, float), ("trials", 100, int),
                                           ("seed", 0, int), ("c", 1.0, float),
                                           ("d", 1.0, float), ("threads", 1, int))}
+    noiseless = data.get("noiseless", False)
+    if not isinstance(noiseless, bool):
+        raise ValueError(f"{path}.noiseless: expected true or false, got {noiseless!r}")
     try:
         return ExperimentConfig(
             instance=inst, eps_schedule=eps_schedule, gap_schedule=gap_schedule,
-            noiseless=bool(data.get("noiseless", False)),
+            noiseless=noiseless,
             out_csv=data.get("out_csv"),
             out_summary=data.get("out_summary"),
             **numbers,

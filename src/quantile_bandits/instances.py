@@ -61,10 +61,6 @@ class Reservoir:
         """Elementwise :meth:`quantile` over an array of levels in [0, 1]."""
         return self._inverse(_checked_levels(ps))
 
-    @property
-    def max_mean(self) -> float:
-        return self.quantile(1.0)
-
 
 def _checked_levels(ps) -> np.ndarray:
     levels = np.asarray(ps, dtype=float)
@@ -237,14 +233,13 @@ class RewardEnv:
         return self._rng.normal(mu, self._sigma)
 
 
-def relaxed_success_set(instance: BanditInstance, eps: float, gap: float,
-                        alpha: float | None = None) -> set[str]:
+def relaxed_success_set(instance: BanditInstance, eps: float, gap: float) -> set[str]:
     """Ground-truth oracle for the doubly relaxed identification goal.
 
     A group G succeeds when its quantile at level (1 - alpha + eps) is within
     ``gap`` of the best quantile at level (1 - alpha - eps) across groups.
     """
-    a = instance.alpha if alpha is None else alpha
+    a = instance.alpha
     if not 0.0 < eps < min(a, 1.0 - a):
         raise ValueError(f"eps must lie in (0, min(alpha, 1-alpha)), got {eps}")
     if gap <= 0.0:

@@ -18,7 +18,6 @@ from quantile_bandits import (
     HardInstanceParams,
     RewardEnv,
     RewardFamily,
-    RunParams,
     build_partition,
     confidence_width,
     expected_next_likelihood_ratio,
@@ -29,7 +28,7 @@ from quantile_bandits import (
     required_arm_count,
     run_elimination,
     run_experiment,
-    run_two_step,
+    run_multistep,
     verify_drift,
 )
 
@@ -165,10 +164,9 @@ class TestCriterion5StopPull:
         # grouped pipeline trajectories on two instances
         for inst, eps, gap, delta, reps in ((POINT_PAIR, 0.2, 0.1, 0.1, 40),
                                             (THREE_GROUP, 0.15, 0.15, 0.1, 30)):
-            params = RunParams(inst.alpha, eps, gap, delta)
             for i in range(reps):
                 rng = np.random.default_rng(mix_seed(5150, i))
-                tr = run_two_step(inst, params, rng, oracle_checks=True)
+                tr = run_multistep(inst, (eps,), (gap,), delta, rng, oracle_checks=True)
                 if tr.bounds_valid:
                     valid += 1
                     violations += tr.stop_pull_violations

@@ -71,14 +71,14 @@ class TestBounds:
         ledger = ArmLedger(1, 0.05)
         for x in rng.random(200):
             ledger.record_pulls(np.array([0]), np.array([x]))
-            assert ledger.lcb[0] <= ledger.means[0] <= ledger.ucb[0]
+            assert ledger.lcb[0] <= ledger.sums[0] / ledger.pulls[0] <= ledger.ucb[0]
 
     def test_running_mean_is_average(self):
         ledger = ArmLedger(1, 0.1)
         xs = [0.1, 0.9, 0.4, 0.4]
         for x in xs:
             ledger.record_pulls(np.array([0]), np.array([x]))
-        assert ledger.means[0] == pytest.approx(np.mean(xs))
+        assert ledger.sums[0] / ledger.pulls[0] == pytest.approx(np.mean(xs))
 
     def test_unpulled_arm_carries_sentinel_interval(self):
         # bounds are undefined before the first pull (the width rejects zero
@@ -86,7 +86,7 @@ class TestBounds:
         ledger = ArmLedger(2, 0.1)
         ledger.record_pulls(np.array([1]), np.array([0.3]))
         assert (ledger.lcb[0], ledger.ucb[0]) == (-np.inf, np.inf)
-        assert np.isnan(ledger.means[0]) and ledger.pulls[0] == 0
+        assert ledger.sums[0] == 0.0 and ledger.pulls[0] == 0
         assert np.isfinite(ledger.lcb[1]) and np.isfinite(ledger.ucb[1])
 
 

@@ -14,7 +14,6 @@ from quantile_bandits import (
     epochs_until_elimination,
     gap_profile,
     make_worst_case_instances,
-    pull_bound_grouped,
     pull_bound_multistep,
     pull_bound_worst_case,
     quantile_sandwiched,
@@ -22,7 +21,6 @@ from quantile_bandits import (
     relaxed_success_set,
     reservoir_gap_bounds,
     run_multistep,
-    run_two_step,
 )
 from quantile_bandits.hardness import HardInstanceParams
 
@@ -204,14 +202,15 @@ class TestPullBounds:
                 inner = math.log(max(1.0 / g**2, math.e))
                 expected += (1.0 / g**2) * math.log((2 * n / params.delta) * inner)
         expected *= 3 * params.eps * n
-        assert pull_bound_grouped(GOOD_PAIR, params, c=1.0) == pytest.approx(expected, rel=1e-12)
+        got = pull_bound_multistep(GOOD_PAIR, [params.eps], [params.gap], params.delta, c=1.0)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_slack_dominated_bound_quarters_when_slack_doubles(self):
         # identical groups: every combined gap equals the slack floor
         res = DiscreteReservoir.point_mass(0.5)
         inst = make_instance([("a", res), ("b", res)])
-        b1 = pull_bound_grouped(inst, RunParams(0.5, 0.1, 0.05, 0.05))
-        b2 = pull_bound_grouped(inst, RunParams(0.5, 0.1, 0.10, 0.05))
+        b1 = pull_bound_multistep(inst, [0.1], [0.05], 0.05)
+        b2 = pull_bound_multistep(inst, [0.1], [0.10], 0.05)
         assert 3.0 < b1 / b2 < 5.0
 
     def test_worst_case_scaling(self):
@@ -226,7 +225,7 @@ class TestPullBounds:
         res = DiscreteReservoir.point_mass(0.5)
         inst = make_instance([("a", res), ("b", res)])
         params = RunParams(0.5, 0.1, 0.05, 0.05)
-        grouped = pull_bound_grouped(inst, params, c=1.0)
+        grouped = pull_bound_multistep(inst, [params.eps], [params.gap], params.delta, c=1.0)
         worst = pull_bound_worst_case(params, 2, d=1.0)
         assert 0.1 < grouped / worst < 10.0
 
@@ -234,8 +233,7 @@ class TestPullBounds:
 class TestTwoStep:
     def test_single_group_returns_immediately(self):
         inst = make_instance([("only", DiscreteReservoir.point_mass(0.6))])
-        params = RunParams(0.5, 0.1, 0.05, 0.05)
-        tr = run_two_step(inst, params, np.random.default_rng(0))
+        tr = run_multistep(inst, [0.1], [0.05], 0.05, np.random.default_rng(0))
         assert tr.chosen_group == "only"
         assert tr.total_pulls == 0
         assert tr.success
@@ -245,15 +243,15 @@ class TestTwoStep:
             ("hi", DiscreteReservoir.point_mass(0.7)),
             ("lo", DiscreteReservoir.point_mass(0.3)),
         ])
-        params = RunParams(0.5, 0.2, 0.1, 0.1)
         for seed in range(5):
-            tr = run_two_step(inst, params, np.random.default_rng(seed), noiseless=True)
+            tr = run_multistep(inst, [0.2], [0.1], 0.1, np.random.default_rng(seed),
+                               noiseless=True)
             assert tr.chosen_group == "hi"
             assert tr.success
 
     def test_oracle_telemetry_populated(self):
-        params = RunParams(0.5, 0.2, 0.2, 0.1)
-        tr = run_two_step(GOOD_PAIR, params, np.random.default_rng(4), oracle_checks=True)
+        tr = run_multistep(GOOD_PAIR, [0.2], [0.2], 0.1, np.random.default_rng(4),
+                           oracle_checks=True)
         assert tr.event_b is not None
         assert tr.bounds_valid is not None
         assert tr.stop_pull_violations == 0
@@ -262,14 +260,6 @@ class TestTwoStep:
 
 
 class TestMultistep:
-    def test_single_epoch_schedule_equals_two_step(self):
-        params = RunParams(0.5, 0.2, 0.2, 0.1)
-        a = run_two_step(GOOD_PAIR, params, np.random.default_rng(9), log_pulls=True)
-        b = run_multistep(GOOD_PAIR, [0.2], [0.2], 0.1, np.random.default_rng(9), log_pulls=True)
-        assert a.chosen_group == b.chosen_group
-        assert a.total_pulls == b.total_pulls
-        assert a.pull_log == b.pull_log
-
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             run_multistep(GOOD_PAIR, [0.2, 0.1], [0.2], 0.1, np.random.default_rng(0))
@@ -287,7 +277,6 @@ class TestMultistep:
         tr = run_multistep(inst, [0.2, 0.1], [0.2, 0.1], 0.05,
                            np.random.default_rng(1), noiseless=True)
         assert tr.chosen_group == "best"
-        assert tr.epochs_run == 2
         assert len(tr.epoch_pulls) == 2
         # epoch 2 runs without the far group: at eps=0.1 it requests arms for
         # two groups only, visible as a pull count below 3 groups' worth
@@ -324,6 +313,25 @@ class TestMultistep:
         floor = 1.0 - 3.0 * epochs * delta
         assert rate >= floor - 3.0 * math.sqrt(floor * (1 - floor) / trials)
 
+    def test_multistep_bound_evaluates_gap_bounds_once_per_epoch(self, monkeypatch):
+        from quantile_bandits import grouped
+        inst = make_instance([
+            ("best", DiscreteReservoir.point_mass(0.7)),
+            ("near", DiscreteReservoir.point_mass(0.55)),
+            ("far", DiscreteReservoir.point_mass(0.2)),
+        ])
+        calls = []
+
+        def counted(instance, params):
+            calls.append(params.eps)
+            return reservoir_gap_bounds(instance, params)
+
+        monkeypatch.setattr(grouped, "reservoir_gap_bounds", counted)
+        bound = pull_bound_multistep(inst, [0.2, 0.1, 0.05], [0.2, 0.1, 0.05], 0.01)
+        assert calls == [0.2, 0.1, 0.05]
+        # the value of the per-group-and-epoch evaluation, bit for bit
+        assert repr(bound) == "3659878.7016695635"
+
     def test_multistep_bound_positive_and_below_naive(self):
         inst = make_instance([
             ("best", DiscreteReservoir.point_mass(0.7)),
@@ -336,7 +344,7 @@ class TestMultistep:
         # paying every epoch for every group can only be larger
         total_all = 0.0
         for e, g in zip(sched_e, sched_g):
-            total_all += pull_bound_grouped(inst, RunParams(0.5, e, g, 0.01))
+            total_all += pull_bound_multistep(inst, [e], [g], 0.01)
         assert with_cutoff <= total_all + 1e-9
 
 

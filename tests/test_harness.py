@@ -76,9 +76,23 @@ class TestConfigValidation:
                             ({"schedule": {"eps": 0.2, "delta_gap": [0.1]}},
                              r"config\.schedule\.eps:"),
                             ({"schedule": {"eps": [0.2], "delta_gap": ["y"]}},
-                             r"config\.schedule\.delta_gap\[0\]:")):
+                             r"config\.schedule\.delta_gap\[0\]:"),
+                            ({"noiseless": "false"},
+                             r"config\.noiseless: expected true or false"),
+                            ({"noiseless": 0}, r"config\.noiseless: expected true or false"),
+                            ({"trials": 2.9}, r"config\.trials: expected an integer"),
+                            ({"trials": True}, r"config\.trials: expected an integer"),
+                            ({"seed": 1.5}, r"config\.seed: expected an integer"),
+                            ({"threads": False}, r"config\.threads: expected an integer"),
+                            ({"delta": True}, r"config\.delta: expected a number")):
             with pytest.raises(ValueError, match=field):
                 config_from_dict(dict(base, **over))
+
+    def test_integral_numbers_and_booleans_accepted(self):
+        cfg = config_from_dict({"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1,
+                                "trials": 3.0, "noiseless": True})
+        assert cfg.trials == 3 and isinstance(cfg.trials, int)
+        assert cfg.noiseless is True
 
     def test_scalar_tolerances_are_a_one_epoch_schedule(self):
         cfg = config_from_dict({"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1})
