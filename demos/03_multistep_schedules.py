@@ -54,5 +54,5 @@ print(f"mean pulls, single-step: {np.mean(single_pulls):,.0f}")
 
 bound_multi = pull_bound_multistep(instance, eps_sched, gap_sched, delta)
 bound_single = pull_bound_multistep(instance, eps_sched[-1:], gap_sched[-1:], delta)
-print(f"\nschedule-aware pull bound (c=1): {bound_multi:,.0f}")
-print(f"single-tolerance pull bound (c=1): {bound_single:,.0f}")
+print(f"\nschedule-aware pull bound: {bound_multi:,.0f}")
+print(f"single-tolerance pull bound: {bound_single:,.0f}")

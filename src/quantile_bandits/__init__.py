@@ -18,8 +18,8 @@ from .confidence import confidence_width, invert_width
 from .elimination import (ArmLedger, EliminationResult, EliminationRun, EliminationState,
                           FiniteGroup, GapProfile, bound_pulls_finite, gap_profile,
                           multiset_quantile, run_elimination)
-from .grouped import (Partition, ReservoirGapBounds, RunParams, TrialResult,
-                      build_partition, epochs_until_elimination, pull_bound_multistep,
+from .grouped import (Partition, ReservoirGapBounds, TrialResult, build_partition,
+                      check_schedule, epochs_until_elimination, pull_bound_multistep,
                       pull_bound_worst_case, quantile_sandwiched, required_arm_count,
                       reservoir_gap_bounds, run_multistep)
 from .hardness import (DriftReport, HardInstanceParams, ScoreState, conditional_good_prob,

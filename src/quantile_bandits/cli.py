@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from .elimination import bound_pulls_finite, gap_profile
-from .grouped import (RunParams, _sample_finite_groups, pull_bound_multistep,
-                      pull_bound_worst_case, required_arm_count)
+from .grouped import (_sample_finite_groups, pull_bound_multistep, pull_bound_worst_case,
+                      required_arm_count)
 from .harness import ExperimentConfig, config_from_file, mix_seed, run_experiment
 from .hardness import HardInstanceParams, make_worst_case_instances, success_scale, verify_drift
 from .instances import instance_to_dict
@@ -25,9 +25,8 @@ def _parse_floats(text: str) -> list[float]:
 def _load_config(args) -> ExperimentConfig:
     cfg = config_from_file(args.config)
     overrides: dict = {}
-    for attr, key in (("trials", "trials"), ("seed", "seed"), ("threads", "threads"),
-                      ("c", "c"), ("d", "d"), ("delta", "delta")):
-        val = getattr(args, attr, None)
+    for key in ("trials", "seed", "threads", "delta"):
+        val = getattr(args, key, None)
         if val is not None:
             overrides[key] = val
     if getattr(args, "eps", None) is not None:
@@ -57,10 +56,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base = config_from_file(args.config)
-    eps_grid = _parse_floats(args.eps) if args.eps else [base.final_eps]
-    gap_grid = _parse_floats(args.delta_gap) if args.delta_gap else [base.final_gap]
-    delta_grid = _parse_floats(args.delta) if args.delta else [base.delta]
+    base = _load_config(args)
+    eps_grid = _parse_floats(args.eps_grid) if args.eps_grid else [base.final_eps]
+    gap_grid = _parse_floats(args.gap_grid) if args.gap_grid else [base.final_gap]
+    delta_grid = _parse_floats(args.delta_grid) if args.delta_grid else [base.delta]
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -71,10 +70,6 @@ def _cmd_sweep(args) -> int:
             for delta in delta_grid:
                 tag = f"eps{eps:g}_gap{gap:g}_delta{delta:g}"
                 cfg = replace(base, eps_schedule=(eps,), gap_schedule=(gap,), delta=delta,
-                              trials=args.trials if args.trials is not None else base.trials,
-                              seed=args.seed if args.seed is not None else base.seed,
-                              threads=args.threads if args.threads is not None else base.threads,
-                              noiseless=base.noiseless or args.noiseless,
                               out_csv=str(out_dir / f"trials_{tag}.csv") if out_dir else None,
                               out_summary=str(out_dir / f"summary_{tag}.json") if out_dir else None)
                 rep = run_experiment(cfg)
@@ -94,9 +89,8 @@ def _cmd_bound(args) -> int:
     cfg = _load_config(args)
     inst = cfg.instance
     num_groups = len(inst.groups)
-    total = pull_bound_multistep(inst, cfg.eps_schedule, cfg.gap_schedule, cfg.delta, c=cfg.c)
-    worst = pull_bound_worst_case(
-        RunParams(inst.alpha, cfg.final_eps, cfg.final_gap, cfg.delta), num_groups, d=cfg.d)
+    total = pull_bound_multistep(inst, cfg.eps_schedule, cfg.gap_schedule, cfg.delta)
+    worst = pull_bound_worst_case(num_groups, cfg.final_eps, cfg.final_gap, cfg.delta)
     if len(cfg.eps_schedule) > 1:
         print(f"multi-step schedule bound: {total:.6g}")
         print(f"worst-case bound at final tolerances: {worst:.6g}")
@@ -105,7 +99,7 @@ def _cmd_bound(args) -> int:
     rng = np.random.default_rng(mix_seed(cfg.seed, 0))
     groups, means, _ = _sample_finite_groups(inst, list(inst.group_ids), n_per, rng)
     profile = gap_profile(groups, means, inst.alpha, cfg.final_gap)
-    finite = bound_pulls_finite(profile, means.size, cfg.delta, cfg.c)
+    finite = bound_pulls_finite(profile, means.size, cfg.delta)
     print(f"arms requested per group: {n_per}")
     print(f"finite-arm gap bound (one sampled draw, seed {cfg.seed}): {finite:.6g}")
     print(f"grouped reservoir bound: {total:.6g}")
@@ -151,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--c", type=float, default=None, help="bound constant c")
-        p.add_argument("--d", type=float, default=None, help="bound constant d")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--noiseless", action="store_true")
@@ -167,9 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid over eps, delta-gap, delta")
     common(p_sweep)
-    p_sweep.add_argument("--eps", default=None, help="comma list")
-    p_sweep.add_argument("--delta", default=None, help="comma list of failure probabilities")
-    p_sweep.add_argument("--delta-gap", default=None, dest="delta_gap", help="comma list")
+    # grid flags get their own dests so _load_config does not read them as overrides
+    p_sweep.add_argument("--eps", default=None, dest="eps_grid", help="comma list")
+    p_sweep.add_argument("--delta", default=None, dest="delta_grid",
+                         help="comma list of failure probabilities")
+    p_sweep.add_argument("--delta-gap", default=None, dest="gap_grid", help="comma list")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_bound = sub.add_parser("bound", help="evaluate the pull-count bound expressions")

@@ -163,23 +163,24 @@ def gap_profile(groups: list[FiniteGroup], true_means: np.ndarray, alpha: float,
     return GapProfile(best_group, quants, group_gaps, uniqueness, arm_gaps, overall)
 
 
-def gap_bound_sum(gaps: np.ndarray, arms_over_delta: float, c: float) -> float:
-    """Sum over gaps g of (c / g^2) * log((N/delta) * log(max(1/g^2, e))).
+def gap_bound_sum(gaps: np.ndarray, arms_over_delta: float) -> float:
+    """Sum over gaps g of (1 / g^2) * log((N/delta) * log(max(1/g^2, e))).
 
-    The summand of every pull-count bound; ``arms_over_delta`` is N/delta.
-    The inner log argument is clamped at e so a gap of 1 stays well-defined.
+    The summand of every pull-count bound; the bounds are order-level, so
+    the constant in front is 1.  ``arms_over_delta`` is N/delta.  The inner
+    log argument is clamped at e so a gap of 1 stays well-defined.
     """
     inner = np.log(np.maximum(1.0 / gaps**2, math.e))
-    return float(np.sum((c / gaps**2) * np.log(arms_over_delta * inner)))
+    return float(np.sum((1.0 / gaps**2) * np.log(arms_over_delta * inner)))
 
 
-def bound_pulls_finite(profile: GapProfile, num_arms: int, delta: float, c: float) -> float:
+def bound_pulls_finite(profile: GapProfile, num_arms: int, delta: float) -> float:
     """Gap-based pull-count bound for the finite-arm elimination loop: the
     bound summand over every arm's overall gap with N = ``num_arms``."""
     gaps = profile.overall
     if np.any(gaps <= 0.0):
         raise ValueError("all overall gaps must be positive")
-    return gap_bound_sum(gaps, num_arms / delta, c)
+    return gap_bound_sum(gaps, num_arms / delta)
 
 
 class EliminationRun:

@@ -25,48 +25,24 @@ from .instances import BanditInstance, Reservoir, RewardEnv, relaxed_success_set
 _INT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RunParams:
-    """Tolerances for one identification run.
+def check_schedule(alpha: float, eps_schedule, gap_schedule, delta: float) -> None:
+    """Validate a schedule of epoch tolerances; errors name the epoch.
 
-    ``eps`` relaxes the quantile level, ``gap`` the quantile value, ``delta``
-    is the failure budget.  Requires delta < eps < min(alpha, 1 - alpha) and
-    gap > 0.
+    Every epoch needs delta < eps < min(alpha, 1 - alpha) and gap > 0, with
+    delta in (0, 1) the shared failure budget.  A two-step run is the
+    schedule of length one.
     """
-
-    alpha: float
-    eps: float
-    gap: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.delta < self.eps < min(self.alpha, 1.0 - self.alpha):
-            raise ValueError(
-                f"need delta < eps < min(alpha, 1-alpha); got delta={self.delta}, eps={self.eps}, alpha={self.alpha}")
-        if self.gap <= 0.0:
-            raise ValueError(f"gap must be positive, got {self.gap}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-
-
-def epoch_params(alpha: float, eps_schedule, gap_schedule, delta: float) -> list[RunParams]:
-    """One :class:`RunParams` per epoch of a schedule; errors name the epoch.
-
-    A two-step run is the schedule of length one.
-    """
-    eps_schedule, gap_schedule = tuple(eps_schedule), tuple(gap_schedule)
     if len(eps_schedule) != len(gap_schedule) or not eps_schedule:
         raise ValueError("eps and delta_gap schedules must be equally long and nonempty, "
                          f"got {len(eps_schedule)} and {len(gap_schedule)} epochs")
-    params = []
-    for k, (e, g) in enumerate(zip(eps_schedule, gap_schedule)):
-        try:
-            params.append(RunParams(alpha, float(e), float(g), delta))
-        except ValueError as exc:
-            raise ValueError(f"schedule[{k}]: {exc}") from None
-    return params
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    for k, (eps, gap) in enumerate(zip(eps_schedule, gap_schedule)):
+        if not delta < eps < min(alpha, 1.0 - alpha):
+            raise ValueError(f"schedule[{k}]: need delta < eps < min(alpha, 1-alpha); "
+                             f"got delta={delta}, eps={eps}, alpha={alpha}")
+        if gap <= 0.0:
+            raise ValueError(f"schedule[{k}]: gap must be positive, got {gap}")
 
 
 def required_arm_count(eps: float, delta: float, num_groups: int) -> int:
@@ -155,9 +131,10 @@ class ReservoirGapBounds:
     combined: dict[str, np.ndarray]
 
 
-def reservoir_gap_bounds(instance: BanditInstance, params: RunParams) -> ReservoirGapBounds:
-    """Evaluate the gap lower bounds exactly from the reservoir quantiles."""
-    a, eps = params.alpha, params.eps
+def reservoir_gap_bounds(instance: BanditInstance, eps: float, gap: float) -> ReservoirGapBounds:
+    """Evaluate the gap lower bounds at tolerances (eps, gap) exactly from
+    the reservoir quantiles."""
+    a = instance.alpha
     m, bounds, level_steps = _bucket_geometry(eps, a)
     low = {gid: res.quantile(1.0 - a - eps) for gid, res in instance.groups}
     high = {gid: res.quantile(1.0 - a + eps) for gid, res in instance.groups}
@@ -178,15 +155,16 @@ def reservoir_gap_bounds(instance: BanditInstance, params: RunParams) -> Reservo
             elif i > level_steps + 1:
                 vals[i] = res.quantile(float(bounds[i - 1])) - high[gid]
         bucket_bounds[gid] = vals
-        combined[gid] = np.maximum(params.gap, np.maximum(group_bound[gid], np.maximum(uniq, vals)))
+        combined[gid] = np.maximum(gap, np.maximum(group_bound[gid], np.maximum(uniq, vals)))
     return ReservoirGapBounds(m, bounds, relaxed_best, group_bound, uniq, bucket_bounds, combined)
 
 
-def pull_bound_worst_case(params: RunParams, num_groups: int, d: float = 1.0) -> float:
-    """Weakened worst-case bound d * G / (eps^2 gap^2) * polylog terms."""
-    lg = math.log(num_groups / params.delta)
-    loglog = max(math.log(max(math.log(1.0 / params.gap), 1.0)), 0.0) if params.gap < 1.0 else 0.0
-    return d * (num_groups / (params.eps**2 * params.gap**2)) * (lg * lg + lg * loglog)
+def pull_bound_worst_case(num_groups: int, eps: float, gap: float, delta: float) -> float:
+    """Weakened worst-case bound G / (eps^2 gap^2) * polylog terms, order-level
+    (constant 1)."""
+    lg = math.log(num_groups / delta)
+    loglog = max(math.log(max(math.log(1.0 / gap), 1.0)), 0.0) if gap < 1.0 else 0.0
+    return (num_groups / (eps**2 * gap**2)) * (lg * lg + lg * loglog)
 
 
 @dataclass
@@ -261,7 +239,7 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
     invariants.
     """
     a = instance.alpha
-    epochs = epoch_params(a, eps_schedule, gap_schedule, delta)
+    check_schedule(a, eps_schedule, gap_schedule, delta)
 
     num_groups = len(instance.groups)
     surviving = list(instance.group_ids)
@@ -277,14 +255,14 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
     stop_viol: int | None = 0 if oracle_checks else None
     retained: bool | None = True if oracle_checks else None
 
-    for params in epochs:
-        n_per = required_arm_count(params.eps, delta, num_groups)
+    for eps, gap in zip(eps_schedule, gap_schedule):
+        n_per = required_arm_count(eps, delta, num_groups)
         groups, means, samples = _sample_finite_groups(instance, surviving, n_per, rng)
-        sandwiched, bucket = _epoch_oracles(instance, samples, a, params.eps)
+        sandwiched, bucket = _epoch_oracles(instance, samples, a, eps)
         event_a = event_a and sandwiched
         max_bucket = max(max_bucket, bucket)
         env = RewardEnv(means, instance.family, rng, noiseless=noiseless)
-        res = run_elimination(groups, a, params.gap, delta, env, rng=rng,
+        res = run_elimination(groups, a, gap, delta, env, rng=rng,
                               true_means=means if oracle_checks else None)
         epoch_pulls.append(res.total_pulls)
         rounds += res.rounds
@@ -295,13 +273,12 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
             bounds_valid = bounds_valid and bool(res.bounds_valid)
             stop_viol += int(res.stop_pull_violations)
             retained = retained and bool(res.best_group_retained)
-            event_b = event_b and _finite_success(groups, means, a, params.gap, res.chosen)
+            event_b = event_b and _finite_success(groups, means, a, gap, res.chosen)
         surviving = [gid for gid in surviving if gid in res.final_candidates]
         if len(surviving) == 1:
             break
 
-    final = epochs[-1]
-    success = chosen in relaxed_success_set(instance, final.eps, final.gap)
+    success = chosen in relaxed_success_set(instance, eps_schedule[-1], gap_schedule[-1])
     return TrialResult(
         instance_id=instance.name, chosen_group=chosen, success=success,
         total_pulls=sum(epoch_pulls), rounds=rounds, event_a=event_a,
@@ -313,26 +290,26 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
 
 
 def _schedule_gap_bounds(instance: BanditInstance, eps_schedule, gap_schedule, delta: float):
-    """Each epoch's :class:`RunParams`, its reservoir gap bounds (evaluated
-    once per epoch), and each group's last paying epoch as
-    :func:`epochs_until_elimination` defines it."""
-    epochs = epoch_params(instance.alpha, eps_schedule, gap_schedule, delta)
-    gap_bounds = [reservoir_gap_bounds(instance, params) for params in epochs]
-    kmax = {gid: next((k for k, (params, gapb) in enumerate(zip(epochs, gap_bounds), start=1)
-                       if gapb.group_bound[gid] > params.gap), len(epochs))
+    """Each epoch's reservoir gap bounds (evaluated once per epoch) and each
+    group's last paying epoch as :func:`epochs_until_elimination` defines it."""
+    check_schedule(instance.alpha, eps_schedule, gap_schedule, delta)
+    gap_bounds = [reservoir_gap_bounds(instance, eps, gap)
+                  for eps, gap in zip(eps_schedule, gap_schedule)]
+    kmax = {gid: next((k for k, (gap, gapb) in enumerate(zip(gap_schedule, gap_bounds), start=1)
+                       if gapb.group_bound[gid] > gap), len(gap_schedule))
             for gid in instance.group_ids}
-    return epochs, gap_bounds, kmax
+    return gap_bounds, kmax
 
 
 def epochs_until_elimination(instance: BanditInstance, eps_schedule, gap_schedule,
                              delta: float) -> dict[str, int]:
     """Earliest epoch whose reservoir-level group gap bound exceeds that
     epoch's quantile slack (the full schedule length when none does)."""
-    return _schedule_gap_bounds(instance, eps_schedule, gap_schedule, delta)[2]
+    return _schedule_gap_bounds(instance, eps_schedule, gap_schedule, delta)[1]
 
 
 def pull_bound_multistep(instance: BanditInstance, eps_schedule, gap_schedule,
-                         delta: float, c: float = 1.0) -> float:
+                         delta: float) -> float:
     """Schedule-aware pull bound: each group pays the per-epoch grouped bound
     only up to the epoch where its reservoir gap bound exceeds the slack.
 
@@ -340,14 +317,14 @@ def pull_bound_multistep(instance: BanditInstance, eps_schedule, gap_schedule,
     buckets 1..m at N = G * n_k arms, and scales that sum by 3 * eps_k * n_k.
     A one-epoch schedule gives the two-step bound, which every group pays.
     """
-    epochs, gap_bounds, kmax = _schedule_gap_bounds(instance, eps_schedule, gap_schedule, delta)
+    gap_bounds, kmax = _schedule_gap_bounds(instance, eps_schedule, gap_schedule, delta)
     num_groups = len(instance.groups)
     total = 0.0
-    for k, (params, gapb) in enumerate(zip(epochs, gap_bounds), start=1):
-        n_k = required_arm_count(params.eps, delta, num_groups)
+    for k, (eps, gapb) in enumerate(zip(eps_schedule, gap_bounds), start=1):
+        n_k = required_arm_count(eps, delta, num_groups)
         epoch = 0.0  # plain left-to-right sum: builtin sum() compensates from Python 3.12
         for gid in instance.group_ids:
             if k <= kmax[gid]:
-                epoch += gap_bound_sum(gapb.combined[gid][1:], num_groups * n_k / delta, c)
-        total += epoch * 3.0 * params.eps * n_k
+                epoch += gap_bound_sum(gapb.combined[gid][1:], num_groups * n_k / delta)
+        total += epoch * 3.0 * eps * n_k
     return total

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grouped import (RunParams, TrialResult, epoch_params, pull_bound_multistep,
-                      pull_bound_worst_case, required_arm_count, run_multistep)
+from .grouped import (TrialResult, check_schedule, pull_bound_multistep, pull_bound_worst_case,
+                      required_arm_count, run_multistep)
 from .instances import BanditInstance, instance_from_dict
 
 _MASK64 = (1 << 64) - 1
@@ -40,8 +40,9 @@ def mix_seed(master_seed: int, trial_index: int) -> int:
 class ExperimentConfig:
     """Everything needed to reproduce one experiment byte-for-byte.
 
-    ``eps_schedule`` and ``gap_schedule`` list each epoch's tolerances; a
-    two-step run is the schedule of length one.
+    ``eps_schedule`` and ``gap_schedule`` list each epoch's tolerances, with
+    ``delta`` the shared failure budget; a two-step run is the schedule of
+    length one.
     """
 
     instance: BanditInstance
@@ -50,8 +51,6 @@ class ExperimentConfig:
     delta: float = 0.1
     trials: int = 100
     seed: int = 0
-    c: float = 1.0
-    d: float = 1.0
     noiseless: bool = False
     threads: int = 1
     out_csv: str | None = None
@@ -63,7 +62,7 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         # validate tolerances eagerly so bad configs fail before any work
-        epoch_params(self.instance.alpha, self.eps_schedule, self.gap_schedule, self.delta)
+        check_schedule(self.instance.alpha, self.eps_schedule, self.gap_schedule, self.delta)
 
     @property
     def final_eps(self) -> float:
@@ -93,14 +92,22 @@ def _numbers(values, field: str) -> tuple[float, ...]:
     return tuple(_number(v, f"{field}[{i}]") for i, v in enumerate(values))
 
 
+_CONFIG_KEYS = ("instance", "instance_file", "alpha", "schedule", "eps", "delta_gap", "delta",
+                "trials", "seed", "threads", "noiseless", "out_csv", "out_summary")
+
+
 def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "config") -> ExperimentConfig:
     """Build a config from a plain dict; validation errors carry field paths.
 
     Scalar ``eps``/``delta_gap`` give a one-epoch schedule; ``schedule``
-    gives the epoch lists.
+    gives the epoch lists.  Unknown keys are rejected, so a misspelt field
+    cannot silently fall back to its default.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected an object")
+    for key in data:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}.{key}: unknown field")
     if "instance" in data:
         inst = instance_from_dict(data["instance"], path=f"{path}.instance")
     elif "instance_file" in data:
@@ -133,11 +140,13 @@ def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "conf
         gap_schedule = (_number(data["delta_gap"], f"{path}.delta_gap"),)
     numbers = {key: _number(data.get(key, default), f"{path}.{key}", kind)
                for key, default, kind in (("delta", 0.1, float), ("trials", 100, int),
-                                          ("seed", 0, int), ("c", 1.0, float),
-                                          ("d", 1.0, float), ("threads", 1, int))}
+                                          ("seed", 0, int), ("threads", 1, int))}
     noiseless = data.get("noiseless", False)
     if not isinstance(noiseless, bool):
         raise ValueError(f"{path}.noiseless: expected true or false, got {noiseless!r}")
+    for key in ("out_csv", "out_summary"):
+        if data.get(key) is not None and not isinstance(data[key], str):
+            raise ValueError(f"{path}.{key}: expected a path string, got {data[key]!r}")
     try:
         return ExperimentConfig(
             instance=inst, eps_schedule=eps_schedule, gap_schedule=gap_schedule,
@@ -196,12 +205,14 @@ class AggregateReport:
         }
 
 
-def _csv_lines(results: list[TrialResult]) -> list[str]:
-    lines = [",".join(CSV_COLUMNS)]
-    for i, r in enumerate(results):
-        lines.append(f"{i},{r.instance_id},{r.chosen_group},{int(r.success)},"
-                     f"{r.total_pulls},{r.rounds},{int(r.event_a)},{r.max_bucket_size}")
-    return lines
+def _write_csv(path: str, results: list[TrialResult]) -> None:
+    """Write the trial rows; ids holding commas or quotes are quoted."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows((i, r.instance_id, r.chosen_group, int(r.success), r.total_pulls,
+                          r.rounds, int(r.event_a), r.max_bucket_size)
+                         for i, r in enumerate(results))
 
 
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
@@ -221,10 +232,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
 
     num_groups = len(config.instance.groups)
     bound = pull_bound_multistep(config.instance, config.eps_schedule, config.gap_schedule,
-                                 config.delta, c=config.c)
-    worst = pull_bound_worst_case(
-        RunParams(config.instance.alpha, config.final_eps, config.final_gap, config.delta),
-        num_groups, d=config.d)
+                                 config.delta)
+    worst = pull_bound_worst_case(num_groups, config.final_eps, config.final_gap, config.delta)
 
     if results:
         pulls = [r.total_pulls for r in results]
@@ -248,7 +257,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
 
     if config.out_csv:
         Path(config.out_csv).parent.mkdir(parents=True, exist_ok=True)
-        Path(config.out_csv).write_text("\n".join(_csv_lines(results)) + "\n")
+        _write_csv(config.out_csv, results)
     if config.out_summary:
         Path(config.out_summary).parent.mkdir(parents=True, exist_ok=True)
         Path(config.out_summary).write_text(json.dumps(report.to_dict(), indent=2) + "\n")

@@ -81,7 +81,7 @@ class TestRun:
 
 class TestBound:
     def test_prints_bound_values(self, config_path, capsys):
-        code = main(["bound", "--config", str(config_path), "--c", "1"])
+        code = main(["bound", "--config", str(config_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "finite-arm gap bound" in out
@@ -142,3 +142,18 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].startswith("eps,delta_gap,delta")
         assert len(lines) == 3  # header + 2 grid points
+
+    def test_alpha_override_matches_run(self, tmp_path, capsys):
+        # at alpha 0.3 the groups' 0.7-quantiles are 0.8 and 0.6; at 0.5
+        # their medians are 0.3 and 0.4
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "instance": dict(INSTANCE, groups=[
+                {"id": "hi", "atoms": [[0.3, 0.5], [0.8, 0.5]]},
+                {"id": "lo", "atoms": [[0.4, 0.5], [0.6, 0.5]]}]),
+            "eps": 0.1, "delta_gap": 0.1, "delta": 0.05, "trials": 2, "seed": 5}))
+        assert main(["run", "--config", str(path), "--alpha", "0.3"]) == 0
+        run_pulls = json.loads(capsys.readouterr().out)["mean_pulls"]
+        assert main(["sweep", "--config", str(path), "--alpha", "0.3"]) == 0
+        sweep_pulls = capsys.readouterr().out.strip().split(",")[5]
+        assert sweep_pulls == f"{run_pulls:.3f}"

@@ -201,11 +201,11 @@ class TestGapProfile:
         assert prof.best_group == "a"
 
 
-def bound_by_hand(gaps, num_arms, delta, c):
+def bound_by_hand(gaps, num_arms, delta):
     total = 0.0
     for g in gaps:
         inner = math.log(max(1.0 / g**2, math.e))
-        total += (c / g**2) * math.log((num_arms / delta) * inner)
+        total += (1.0 / g**2) * math.log((num_arms / delta) * inner)
     return total
 
 
@@ -213,29 +213,29 @@ class TestFiniteBound:
     def test_unit_gaps_boundary(self):
         prof = gap_profile([FiniteGroup("a", (0,))], np.array([1.0]), 0.5, 1.0)
         assert prof.overall[0] == 1.0
-        got = bound_pulls_finite(prof, 1, 0.1, c=1.0)
+        got = bound_pulls_finite(prof, 1, 0.1)
         assert got == pytest.approx(math.log(1.0 / 0.1))
 
     def test_matches_hand_formula(self):
         prof = gap_profile(AB_GROUPS, AB_MEANS, 0.5, 0.05)
-        got = bound_pulls_finite(prof, 8, 0.1, c=1.0)
-        assert got == pytest.approx(bound_by_hand(prof.overall, 8, 0.1, 1.0), rel=1e-12)
+        got = bound_pulls_finite(prof, 8, 0.1)
+        assert got == pytest.approx(bound_by_hand(prof.overall, 8, 0.1), rel=1e-12)
 
     def test_doubling_gaps_quarters_leading_term(self):
         gaps1 = np.full(4, 0.1)
         gaps2 = np.full(4, 0.2)
-        b1 = bound_by_hand(gaps1, 4, 0.1, 1.0)
-        b2 = bound_by_hand(gaps2, 4, 0.1, 1.0)
+        b1 = bound_by_hand(gaps1, 4, 0.1)
+        b2 = bound_by_hand(gaps2, 4, 0.1)
         # 1/gap^2 quarters; log factor drifts mildly
         assert 3.0 < b1 / b2 < 5.0
 
     def test_monotone_decreasing_in_each_gap(self):
         base = np.array([0.1, 0.2, 0.3])
-        ref = bound_by_hand(base, 3, 0.1, 1.0)
+        ref = bound_by_hand(base, 3, 0.1)
         for i in range(3):
             bumped = base.copy()
             bumped[i] *= 1.5
-            assert bound_by_hand(bumped, 3, 0.1, 1.0) < ref
+            assert bound_by_hand(bumped, 3, 0.1) < ref
 
 
 class TestValidation:

@@ -9,8 +9,8 @@ from quantile_bandits import (
     BanditInstance,
     DiscreteReservoir,
     RewardFamily,
-    RunParams,
     build_partition,
+    check_schedule,
     epochs_until_elimination,
     gap_profile,
     make_worst_case_instances,
@@ -51,15 +51,21 @@ class TestRequiredArmCount:
             required_arm_count(0.0, 0.1, 2)
 
 
-class TestRunParams:
+class TestCheckSchedule:
     def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            RunParams(0.5, 0.2, 0.1, 0.3)   # delta > eps
-        with pytest.raises(ValueError):
-            RunParams(0.5, 0.6, 0.1, 0.05)  # eps > min(alpha, 1-alpha)
-        with pytest.raises(ValueError):
-            RunParams(0.5, 0.2, 0.0, 0.05)  # gap must be positive
-        RunParams(0.5, 0.2, 0.1, 0.05)
+        with pytest.raises(ValueError, match=r"schedule\[0\]: need delta < eps"):
+            check_schedule(0.5, [0.2], [0.1], 0.3)   # delta > eps
+        with pytest.raises(ValueError, match=r"schedule\[0\]: need delta < eps"):
+            check_schedule(0.5, [0.6], [0.1], 0.05)  # eps > min(alpha, 1-alpha)
+        with pytest.raises(ValueError, match=r"schedule\[0\]: need delta < eps"):
+            check_schedule(0.3, [0.35], [0.1], 0.05)  # eps > alpha
+        with pytest.raises(ValueError, match=r"schedule\[0\]: gap must be positive"):
+            check_schedule(0.5, [0.2], [0.0], 0.05)
+        with pytest.raises(ValueError, match="delta must lie in"):
+            check_schedule(0.5, [0.2], [0.1], -0.05)
+        with pytest.raises(ValueError, match="eps and delta_gap schedules"):
+            check_schedule(0.5, [], [], 0.05)
+        check_schedule(0.5, [0.2], [0.1], 0.05)
 
 
 class TestQuantileSandwiched:
@@ -125,8 +131,7 @@ class TestReservoirGapBounds:
     def test_identical_groups_bound_nonpositive(self):
         res = DiscreteReservoir.from_atoms(((0.2, 0.5), (0.8, 0.5)))
         inst = make_instance([("a", res), ("b", res)])
-        params = RunParams(0.5, 0.1, 0.05, 0.05)
-        gb = reservoir_gap_bounds(inst, params)
+        gb = reservoir_gap_bounds(inst, 0.1, 0.05)
         for gid in ("a", "b"):
             assert gb.group_bound[gid] <= 0.0
             assert np.all(gb.combined[gid] >= 0.05)
@@ -137,16 +142,14 @@ class TestReservoirGapBounds:
     def test_hard_pair_suboptimal_group_bound(self):
         # instance built at tolerance 0.2, analyzed at 0.05: the point-mass
         # group's quantile band sits 0.1 below the mixture's upper quantile
-        params = RunParams(0.5, 0.05, 0.05, 0.01)
-        gb = reservoir_gap_bounds(GOOD_PAIR, params)
+        gb = reservoir_gap_bounds(GOOD_PAIR, 0.05, 0.05)
         assert gb.best_group_relaxed == "g2"
         assert gb.group_bound["g1"] == pytest.approx(0.1)
         assert gb.group_bound["g2"] == pytest.approx(0.0)  # its own low is the max
 
     def test_middle_buckets_have_zero_arm_bound(self):
         inst = make_instance([("a", DiscreteReservoir.from_atoms(((0.2, 0.25), (0.4, 0.25), (0.6, 0.25), (0.8, 0.25))))])
-        params = RunParams(0.5, 0.1, 0.05, 0.05)
-        gb = reservoir_gap_bounds(inst, params)
+        gb = reservoir_gap_bounds(inst, 0.1, 0.05)
         level = math.floor((1 - 0.5) / 0.1)
         for i in range(gb.bucket_count + 1):
             if level - 1 <= i <= level + 1:
@@ -162,25 +165,25 @@ class TestReservoirGapBounds:
             ("b", DiscreteReservoir.from_atoms(((0.1, 0.25), (0.3, 0.25), (0.5, 0.25), (0.7, 0.25)))),
             ("c", DiscreteReservoir.point_mass(0.35)),
         ])
-        params = RunParams(0.5, 0.1, 0.05, 0.05)
-        gb = reservoir_gap_bounds(inst, params)
-        part_geom_eps, alpha = params.eps, params.alpha
-        n = required_arm_count(params.eps, params.delta, 3)
+        eps, gap, delta = 0.1, 0.05, 0.05
+        gb = reservoir_gap_bounds(inst, eps, gap)
+        alpha = inst.alpha
+        n = required_arm_count(eps, delta, 3)
         rng = np.random.default_rng(11)
         checked = 0
         from quantile_bandits import FiniteGroup
         for _ in range(60):
             js = {gid: rng.random(n) for gid in inst.group_ids}
             mus = {gid: inst.reservoir(gid).quantile_many(js[gid]) for gid in inst.group_ids}
-            if not all(quantile_sandwiched(inst.reservoir(g), mus[g], alpha, part_geom_eps)
+            if not all(quantile_sandwiched(inst.reservoir(g), mus[g], alpha, eps)
                        for g in inst.group_ids):
                 continue
             checked += 1
             groups = [FiniteGroup(gid, tuple(range(k * n, (k + 1) * n)))
                       for k, gid in enumerate(inst.group_ids)]
             means = np.concatenate([mus[gid] for gid in inst.group_ids])
-            prof = gap_profile(groups, means, alpha, params.gap)
-            part = build_partition(part_geom_eps, alpha, js)
+            prof = gap_profile(groups, means, alpha, gap)
+            part = build_partition(eps, alpha, js)
             for gid in inst.group_ids:
                 assert prof.group_gaps[gid] >= gb.group_bound[gid] - 1e-12
                 offset = inst.group_ids.index(gid) * n
@@ -193,16 +196,16 @@ class TestReservoirGapBounds:
 
 class TestPullBounds:
     def test_grouped_bound_matches_hand_sum(self):
-        params = RunParams(0.5, 0.1, 0.05, 0.05)
-        gb = reservoir_gap_bounds(GOOD_PAIR, params)
-        n = required_arm_count(params.eps, params.delta, 2)
+        eps, gap, delta = 0.1, 0.05, 0.05
+        gb = reservoir_gap_bounds(GOOD_PAIR, eps, gap)
+        n = required_arm_count(eps, delta, 2)
         expected = 0.0
         for gid in GOOD_PAIR.group_ids:
             for g in gb.combined[gid][1:]:
                 inner = math.log(max(1.0 / g**2, math.e))
-                expected += (1.0 / g**2) * math.log((2 * n / params.delta) * inner)
-        expected *= 3 * params.eps * n
-        got = pull_bound_multistep(GOOD_PAIR, [params.eps], [params.gap], params.delta, c=1.0)
+                expected += (1.0 / g**2) * math.log((2 * n / delta) * inner)
+        expected *= 3 * eps * n
+        got = pull_bound_multistep(GOOD_PAIR, [eps], [gap], delta)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_slack_dominated_bound_quarters_when_slack_doubles(self):
@@ -214,19 +217,16 @@ class TestPullBounds:
         assert 3.0 < b1 / b2 < 5.0
 
     def test_worst_case_scaling(self):
-        p1 = RunParams(0.5, 0.1, 0.05, 0.05)
-        p2 = RunParams(0.5, 0.1, 0.10, 0.05)
-        w1 = pull_bound_worst_case(p1, 2)
-        w2 = pull_bound_worst_case(p2, 2)
+        w1 = pull_bound_worst_case(2, 0.1, 0.05, 0.05)
+        w2 = pull_bound_worst_case(2, 0.1, 0.10, 0.05)
         assert w1 / w2 == pytest.approx(4.0, rel=0.15)  # 1/gap^2 with loglog drift
-        assert pull_bound_worst_case(p1, 4) > pull_bound_worst_case(p1, 2)
+        assert pull_bound_worst_case(4, 0.1, 0.05, 0.05) > w1
 
     def test_grouped_vs_worst_case_same_order_when_slack_dominates(self):
         res = DiscreteReservoir.point_mass(0.5)
         inst = make_instance([("a", res), ("b", res)])
-        params = RunParams(0.5, 0.1, 0.05, 0.05)
-        grouped = pull_bound_multistep(inst, [params.eps], [params.gap], params.delta, c=1.0)
-        worst = pull_bound_worst_case(params, 2, d=1.0)
+        grouped = pull_bound_multistep(inst, [0.1], [0.05], 0.05)
+        worst = pull_bound_worst_case(2, 0.1, 0.05, 0.05)
         assert 0.1 < grouped / worst < 10.0
 
 
@@ -322,9 +322,9 @@ class TestMultistep:
         ])
         calls = []
 
-        def counted(instance, params):
-            calls.append(params.eps)
-            return reservoir_gap_bounds(instance, params)
+        def counted(instance, eps, gap):
+            calls.append(eps)
+            return reservoir_gap_bounds(instance, eps, gap)
 
         monkeypatch.setattr(grouped, "reservoir_gap_bounds", counted)
         bound = pull_bound_multistep(inst, [0.2, 0.1, 0.05], [0.2, 0.1, 0.05], 0.01)

@@ -16,7 +16,7 @@ from quantile_bandits import (
     run_experiment,
     run_trial,
 )
-from quantile_bandits.harness import read_trial_csv
+from quantile_bandits.harness import CSV_COLUMNS, read_trial_csv
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -84,9 +84,18 @@ class TestConfigValidation:
                             ({"trials": True}, r"config\.trials: expected an integer"),
                             ({"seed": 1.5}, r"config\.seed: expected an integer"),
                             ({"threads": False}, r"config\.threads: expected an integer"),
-                            ({"delta": True}, r"config\.delta: expected a number")):
+                            ({"delta": True}, r"config\.delta: expected a number"),
+                            ({"out_csv": 5}, r"config\.out_csv: expected a path string"),
+                            ({"out_summary": ["s.json"]},
+                             r"config\.out_summary: expected a path string")):
             with pytest.raises(ValueError, match=field):
                 config_from_dict(dict(base, **over))
+
+    def test_unknown_fields_rejected(self):
+        base = {"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1}
+        for key, value in (("trails", 3), ("c", 2.0)):
+            with pytest.raises(ValueError, match=rf"config\.{key}: unknown field"):
+                config_from_dict(dict(base, **{key: value}))
 
     def test_integral_numbers_and_booleans_accepted(self):
         cfg = config_from_dict({"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1,
@@ -160,6 +169,15 @@ class TestArtifacts:
         assert [r["trial"] for r in rows] == [str(i) for i in range(8)]
         assert all(r["instance_id"] == "pair" for r in rows)
 
+    def test_ids_with_commas_and_quotes_round_trip(self, tmp_path):
+        inst = dict(INSTANCE, name='p,q "r"', groups=[{"id": "hi,1", "atoms": [[0.7, 1.0]]},
+                                                       {"id": "lo", "atoms": [[0.3, 1.0]]}])
+        report = run_experiment(small_config(tmp_path, instance=inst, trials=2))
+        rows = read_trial_csv(tmp_path / "trials.csv")
+        assert [list(r) for r in rows] == [list(CSV_COLUMNS)] * 2
+        assert [(r["instance_id"], r["chosen_group"]) for r in rows] == [('p,q "r"', "hi,1")] * 2
+        assert report.success_rate == 1.0
+
     def test_summary_recomputable_from_csv(self, tmp_path):
         cfg = small_config(tmp_path)
         report = run_experiment(cfg)
@@ -193,6 +211,9 @@ class TestArtifacts:
         assert report.trials == 3
         assert report.success_rate == 1.0  # 0.4 median gap is easy
 
+    WORST_CASE = {"hard2-fine": 101981.77571763034, "three-group": 81458.10932456367,
+                  "pwl-wide-pool": 343311.94089313556}
+
     @pytest.mark.parametrize("workload,rows,bound_grouped", [
         ("hard2-fine", 2, 461304.74503470655),
         ("three-group", 4, 255473.02115058483),
@@ -201,7 +222,8 @@ class TestArtifacts:
     def test_rows_and_bound_match_bench_reference(self, tmp_path, workload, rows, bound_grouped):
         # trials.csv bytes are the behavioural contract: a prefix of each
         # benchmark workload's committed reference rows, run in one process,
-        # and its grouped bound to the last bit (per-group sums, then 3*eps*N)
+        # and its grouped and worst-case bounds to the last bit (per-group
+        # sums, then 3*eps*N)
         cfg = replace(config_from_file(BENCH / "workloads" / f"{workload}.json"),
                       trials=rows, threads=1, out_csv=str(tmp_path / "trials.csv"))
         report = run_experiment(cfg)
@@ -209,6 +231,7 @@ class TestArtifacts:
         reference = (BENCH / "reference" / f"{workload}.csv").read_text().splitlines()
         assert got == reference[:rows + 1]
         assert report.bound_grouped == bound_grouped
+        assert report.bound_worst_case == self.WORST_CASE[workload]
 
     def test_report_fields_complete(self, tmp_path):
         report = run_experiment(small_config(tmp_path))
