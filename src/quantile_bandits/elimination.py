@@ -17,6 +17,15 @@ optimistic and most pessimistic achievable max-quantiles drops to the target
 slack.  The spread is always computed from its direct definition; the cheap
 2*U(t, delta/n) shortcut is tracked as telemetry and flagged if it ever
 disagrees.
+
+Block rounds: between set changes round t+1 repeats round t with one more
+pull of the same arms, so :meth:`EliminationRun.step` evaluates a block of up
+to K rounds with one reward draw and one partition per group and side.  The
+block ends at its first round that changes a set or meets the stopping
+condition; the rounds after it are drawn again in the next block, with the
+reward generator rewound so it advances exactly as one draw per round would.
+Sums accumulate row by row and quantiles are exact order statistics, so a
+block gives the same bits as its rounds run one at a time.
 """
 
 from __future__ import annotations
@@ -85,14 +94,33 @@ class ArmLedger:
             self._width_table = confidence_width(np.arange(1, grown + 1), self.delta_per_arm)
         return self._width_table[pulls - 1]
 
+    def running_sums(self, arm_ids: np.ndarray, rewards: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+        """Reward sums of the listed arms after each row of a (k, m) reward
+        block, added row by row in pull order into ``out``; the ledger is not
+        changed.  Row i holds the sums that :meth:`record_pulls` of rows
+        0..i would leave, bit for bit."""
+        out[...] = rewards
+        out[0] += self.sums[arm_ids]
+        return np.cumsum(out, axis=0, out=out)
+
     def record_pulls(self, arm_ids: np.ndarray, rewards: np.ndarray) -> None:
-        self.pulls[arm_ids] += 1
-        self.sums[arm_ids] += rewards
+        """Record one pull of each listed arm per row of ``rewards``: an
+        (m,) vector is one round, a (k, m) block is k rounds in order."""
+        rows = rewards.reshape(-1, arm_ids.size)
+        self.pulls[arm_ids] += rows.shape[0]
+        sums = self.sums[arm_ids]
+        for row in rows:  # one add per round keeps the sums in pull order
+            sums += row
+        self.sums[arm_ids] = sums
         pulls = self.pulls[arm_ids]
-        mean = self.sums[arm_ids] / pulls
-        w = self.width_at(pulls)
-        self.lcb[arm_ids] = mean - w
-        self.ucb[arm_ids] = mean + w
+        self.lcb[arm_ids], self.ucb[arm_ids] = _interval(sums, pulls, self.width_at(pulls))
+
+
+def _interval(sums: np.ndarray, pulls: np.ndarray, width: np.ndarray):
+    """Confidence interval (lcb, ucb) of width ``width`` around ``sums / pulls``."""
+    mean = sums / pulls
+    return mean - width, mean + width
 
 
 @dataclass
@@ -183,6 +211,11 @@ def bound_pulls_finite(profile: GapProfile, num_arms: int, delta: float) -> floa
     return gap_bound_sum(gaps, num_arms / delta)
 
 
+# float64 elements per (rounds, arms) block array; a block runs
+# BLOCK_ELEMENTS // num_arms rounds at most
+BLOCK_ELEMENTS = 16_384
+
+
 class EliminationRun:
     """Driver object holding a single elimination run's state and telemetry.
 
@@ -226,6 +259,13 @@ class EliminationRun:
         # widths vanish, so the loop provably stops; the cap is a loud guard
         # against the astronomically unlikely fully-frozen stall
         self._round_cap = 100 * invert_width(slack / 4.0, delta / n) + 10_000
+        # the round from which 2*U(t) < slack, where the spread meets the stop
+        self._t_star = invert_width(slack / 2.0, delta / n)
+        self._max_block = max(1, BLOCK_ELEMENTS // n)
+        self._block = self._max_block
+        self._sums = np.empty(self._max_block * n)
+        self._group_rows = {gid: np.empty((self._max_block, idx.size))
+                            for gid, idx in self._idx.items()}
         self.equal_pull_ok = True
         self.shortcut_consistent = True
         # oracle-side telemetry
@@ -249,46 +289,59 @@ class EliminationRun:
         return float(np.partition(values[idx], self._kq[gid])[self._kq[gid]])
 
     def step(self) -> EliminationState:
-        """Run one round: pull all active arms, refresh bounds, shrink the sets."""
+        """Run one block of rounds and return the state after it.
+
+        Each round pulls every active arm once.  The block ends at its first
+        round that changes the candidates or the quantile arms, or that meets
+        the stopping condition, so one call crosses at most one set change,
+        and only in its last round.  Its length K is at most the block budget
+        divided by the arm count and the rounds left to the round where 2*U(t)
+        falls below the slack; K doubles after a full block and halves after
+        one cut short.  Rows are evaluated together: per candidate group and
+        side, one partition of a (K, group size) matrix whose frozen columns
+        repeat the ledger's bounds gives the quantile of every round.
+        """
         if self.should_stop():
             raise RuntimeError("step() called after the stopping condition was met")
         st = self.state
         led = self.ledger
         t = st.round_index
         active = st.active
+        m = active.size
+        k = max(1, min(self._block, self._t_star - t + 1))
 
-        if self._stop_round is not None:
-            hit = self._stop_round[active]
-            self.stop_pull_violations += int(np.count_nonzero((hit >= 1) & (hit < t)))
+        # one draw for all k rounds; the start state rewinds a block cut short
+        start = self.env.rng.bit_generator.state
+        rewards = self.env.pull(np.tile(active, k)).reshape(k, m)
+        rounds = np.arange(t, t + k)
+        width = led.width_at(rounds)
+        sums = led.running_sums(active, rewards, out=self._sums[:k * m].reshape(k, m))
+        # every active arm has been pulled t-1 times: lockstep
+        lcb, ucb = _interval(sums, rounds[:, None].astype(float), width[:, None])
 
-        led.record_pulls(active, self.env.pull(active))
-        self.total_pulls += active.size
-        if bool(np.any(led.pulls[active] != t)):
+        # the first round that would drop a candidate or a quantile arm, or
+        # stop the loop, ends the block; the rounds before it change nothing
+        q_lcb, q_ucb, column, positions = self._quantile_rows(lcb, ucb)
+        threshold = q_lcb.max(axis=1)
+        keep_group = q_ucb >= threshold[:, None]
+        keep_arm = (lcb <= q_ucb[:, column]) & (ucb >= q_lcb[:, column])
+        spread = q_ucb.max(axis=1) - threshold
+        event = ~keep_group.all(axis=1) | ~keep_arm.all(axis=1) | (spread <= self.slack)
+        r = int(event.argmax()) if event.any() else k - 1
+
+        if r < k - 1:  # draw the kept rounds again, as one draw per round would leave it
+            self.env.rng.bit_generator.state = start
+            rewards = self.env.pull(np.tile(active, r + 1)).reshape(r + 1, m)
+        led.record_pulls(active, rewards)
+        self.total_pulls += m * (r + 1)
+        if bool(np.any(led.pulls[active] != t + r)):
             self.equal_pull_ok = False
-
         if self._true_means is not None:
-            mu = self._true_means[active]
-            if bool(np.any((led.lcb[active] > mu) | (led.ucb[active] < mu))):
-                self.bounds_valid = False
-            widths = led.ucb[active] - led.lcb[active]
-            small = widths < self._profile.overall[active] / 2.0  # half-width < gap/4
-            fresh = small & (self._stop_round[active] == -1)
-            if np.any(fresh):
-                self._stop_round[active[fresh]] = t
+            self._check_oracle(active, lcb[:r + 1], ucb[:r + 1], t)
 
-        q_ucb = {gid: self._group_quantiles(led.ucb, gid) for gid in st.candidates}
-        q_lcb = {gid: self._group_quantiles(led.lcb, gid) for gid in st.candidates}
-        threshold = max(q_lcb.values())
-        new_candidates = tuple(gid for gid in st.candidates if q_ucb[gid] >= threshold)
-
-        # quantile bands range over ALL of the group's arms (frozen bounds
-        # included); membership filters the previous set, so elimination is
-        # permanent and active arms stay in lockstep at t pulls
-        quantile_arms: dict[str, np.ndarray] = {}
-        for gid in new_candidates:
-            pool = st.quantile_arms[gid]
-            mask = (led.lcb[pool] <= q_ucb[gid]) & (led.ucb[pool] >= q_lcb[gid])
-            quantile_arms[gid] = pool[mask]
+        new_candidates = tuple(gid for c, gid in enumerate(st.candidates) if keep_group[r, c])
+        quantile_arms = {gid: st.quantile_arms[gid][keep_arm[r, positions[gid]]]
+                         for gid in new_candidates}
         new_active = (np.sort(np.concatenate([quantile_arms[g] for g in new_candidates]))
                       if new_candidates else np.empty(0, dtype=np.int64))
         if new_candidates and new_active.size == 0:
@@ -296,17 +349,71 @@ class EliminationRun:
                 "all potential quantile arms eliminated while candidates remain; "
                 "confidence bounds must have failed catastrophically")
 
-        spread = (max(q_ucb[g] for g in new_candidates)
-                  - max(q_lcb[g] for g in new_candidates)) if new_candidates else 0.0
-        shortcut = 2.0 * float(self.ledger.width_at(np.asarray([t]))[0])
-        if abs(spread - shortcut) > 1e-9:
+        kept = keep_group[r]
+        spread_r = float(q_ucb[r, kept].max() - q_lcb[r, kept].max()) if new_candidates else 0.0
+        spreads = np.append(spread[:r], spread_r)
+        if bool(np.any(np.abs(spreads - 2.0 * width[:r + 1]) > 1e-9)):
             self.shortcut_consistent = False
 
         if self.best_group_retained is not None and self._profile.best_group not in new_candidates:
             self.best_group_retained = False
 
-        self.state = EliminationState(t + 1, new_candidates, quantile_arms, new_active, spread)
+        self._block = (min(2 * self._block, self._max_block) if r == k - 1
+                       else max(1, self._block // 2))
+        self.state = EliminationState(t + r + 1, new_candidates, quantile_arms, new_active,
+                                      spread_r)
         return self.state
+
+    def _quantile_rows(self, lcb: np.ndarray, ucb: np.ndarray):
+        """Each round's pessimistic and optimistic quantile of every candidate.
+
+        ``lcb``/``ucb`` are (k, m) bounds of the active arms, one row per
+        round.  Returns the (k, candidates) quantiles, the candidate column of
+        each active arm, and each candidate's quantile arms as positions in
+        the active set.
+        """
+        st = self.state
+        led = self.ledger
+        active = st.active
+        # quantile bands range over ALL of the group's arms (frozen bounds
+        # included); membership filters the previous set, so elimination is
+        # permanent and active arms stay in lockstep at t pulls
+        live = np.zeros(led.pulls.size, dtype=bool)
+        live[active] = True
+        k = lcb.shape[0]
+        column = np.empty(active.size, dtype=np.int64)
+        q_lcb = np.empty((k, len(st.candidates)))
+        q_ucb = np.empty((k, len(st.candidates)))
+        positions = {}
+        for c, gid in enumerate(st.candidates):
+            idx = self._idx[gid]
+            frozen = idx[~live[idx]]
+            pos = positions[gid] = np.searchsorted(active, st.quantile_arms[gid])
+            column[pos] = c
+            mat = self._group_rows[gid][:k]
+            for rows, bound, q in ((lcb, led.lcb, q_lcb), (ucb, led.ucb, q_ucb)):
+                mat[:, :frozen.size] = bound[frozen]
+                mat[:, frozen.size:] = rows[:, pos]
+                mat.partition(self._kq[gid], axis=1)
+                q[:, c] = mat[:, self._kq[gid]]
+        return q_lcb, q_ucb, column, positions
+
+    def _check_oracle(self, active: np.ndarray, lcb: np.ndarray, ucb: np.ndarray,
+                      t: int) -> None:
+        """Oracle telemetry of the committed rounds t.. of a block, one row each."""
+        mu = self._true_means[active]
+        if bool(np.any((lcb > mu) | (ucb < mu))):
+            self.bounds_valid = False
+        # an arm's stop round is its first with half-width < gap / 4; every
+        # later pull of it is a violation
+        small = ucb - lcb < self._profile.overall[active] / 2.0
+        stop = self._stop_round[active]
+        fresh = (stop == -1) & small.any(axis=0)
+        stop[fresh] = t + small[:, fresh].argmax(axis=0)
+        self._stop_round[active] = stop
+        last = t + lcb.shape[0] - 1
+        hit = stop[stop >= 1]
+        self.stop_pull_violations += int(np.sum(last - np.maximum(hit, t - 1)))
 
     def choose(self) -> str:
         """Final recommendation: argmax of the pessimistic group quantiles."""

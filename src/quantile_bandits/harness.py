@@ -101,13 +101,17 @@ def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "conf
 
     Scalar ``eps``/``delta_gap`` give a one-epoch schedule; ``schedule``
     gives the epoch lists.  Unknown keys are rejected, so a misspelt field
-    cannot silently fall back to its default.
+    cannot silently fall back to its default, and so are fields that another
+    field would override (``eps`` beside ``schedule``, ``instance_file``
+    beside ``instance``).
     """
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected an object")
     for key in data:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}.{key}: unknown field")
+    if "instance" in data and "instance_file" in data:
+        raise ValueError(f"{path}.instance_file: not allowed beside {path}.instance")
     if "instance" in data:
         inst = instance_from_dict(data["instance"], path=f"{path}.instance")
     elif "instance_file" in data:
@@ -132,6 +136,9 @@ def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "conf
                 f"{path}.schedule: expected an object with 'eps' and 'delta_gap' lists")
         eps_schedule = _numbers(sched.get("eps"), f"{path}.schedule.eps")
         gap_schedule = _numbers(sched.get("delta_gap"), f"{path}.schedule.delta_gap")
+        for key in ("eps", "delta_gap"):
+            if key in data:
+                raise ValueError(f"{path}.{key}: not allowed beside {path}.schedule")
     else:
         for key in ("eps", "delta_gap"):
             if key not in data:

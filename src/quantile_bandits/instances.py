@@ -223,6 +223,11 @@ class RewardEnv:
     def num_arms(self) -> int:
         return self._means.size
 
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator rewards are drawn from (read-only)."""
+        return self._rng
+
     def pull(self, arm_indices: np.ndarray) -> np.ndarray:
         """Pull each listed arm once and return the rewards in order."""
         mu = self._means[arm_indices]

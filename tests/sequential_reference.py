@@ -1,0 +1,66 @@
+"""The elimination loop one round per call: the plain sequential reference
+that the block engine of ``EliminationRun.step`` must match bit for bit."""
+
+import numpy as np
+
+from quantile_bandits.elimination import EliminationRun, EliminationState
+
+
+class SequentialRun(EliminationRun):
+    """``EliminationRun`` whose ``step`` runs exactly one round."""
+
+    def step(self) -> EliminationState:
+        if self.should_stop():
+            raise RuntimeError("step() called after the stopping condition was met")
+        st = self.state
+        led = self.ledger
+        t = st.round_index
+        active = st.active
+
+        if self._stop_round is not None:
+            hit = self._stop_round[active]
+            self.stop_pull_violations += int(np.count_nonzero((hit >= 1) & (hit < t)))
+
+        led.record_pulls(active, self.env.pull(active))
+        self.total_pulls += active.size
+        if bool(np.any(led.pulls[active] != t)):
+            self.equal_pull_ok = False
+
+        if self._true_means is not None:
+            mu = self._true_means[active]
+            if bool(np.any((led.lcb[active] > mu) | (led.ucb[active] < mu))):
+                self.bounds_valid = False
+            widths = led.ucb[active] - led.lcb[active]
+            small = widths < self._profile.overall[active] / 2.0  # half-width < gap/4
+            fresh = small & (self._stop_round[active] == -1)
+            if np.any(fresh):
+                self._stop_round[active[fresh]] = t
+
+        q_ucb = {gid: self._group_quantiles(led.ucb, gid) for gid in st.candidates}
+        q_lcb = {gid: self._group_quantiles(led.lcb, gid) for gid in st.candidates}
+        threshold = max(q_lcb.values())
+        new_candidates = tuple(gid for gid in st.candidates if q_ucb[gid] >= threshold)
+
+        quantile_arms: dict[str, np.ndarray] = {}
+        for gid in new_candidates:
+            pool = st.quantile_arms[gid]
+            mask = (led.lcb[pool] <= q_ucb[gid]) & (led.ucb[pool] >= q_lcb[gid])
+            quantile_arms[gid] = pool[mask]
+        new_active = (np.sort(np.concatenate([quantile_arms[g] for g in new_candidates]))
+                      if new_candidates else np.empty(0, dtype=np.int64))
+        if new_candidates and new_active.size == 0:
+            raise RuntimeError(
+                "all potential quantile arms eliminated while candidates remain; "
+                "confidence bounds must have failed catastrophically")
+
+        spread = (max(q_ucb[g] for g in new_candidates)
+                  - max(q_lcb[g] for g in new_candidates)) if new_candidates else 0.0
+        shortcut = 2.0 * float(self.ledger.width_at(np.asarray([t]))[0])
+        if abs(spread - shortcut) > 1e-9:
+            self.shortcut_consistent = False
+
+        if self.best_group_retained is not None and self._profile.best_group not in new_candidates:
+            self.best_group_retained = False
+
+        self.state = EliminationState(t + 1, new_candidates, quantile_arms, new_active, spread)
+        return self.state

@@ -87,7 +87,11 @@ class TestConfigValidation:
                             ({"delta": True}, r"config\.delta: expected a number"),
                             ({"out_csv": 5}, r"config\.out_csv: expected a path string"),
                             ({"out_summary": ["s.json"]},
-                             r"config\.out_summary: expected a path string")):
+                             r"config\.out_summary: expected a path string"),
+                            ({"schedule": {"eps": [0.2], "delta_gap": [0.2]}},
+                             r"config\.eps: not allowed beside config\.schedule"),
+                            ({"instance_file": "inst.json"},
+                             r"config\.instance_file: not allowed beside config\.instance")):
             with pytest.raises(ValueError, match=field):
                 config_from_dict(dict(base, **over))
 
