@@ -20,12 +20,12 @@ disagrees.
 
 Block rounds: between set changes round t+1 repeats round t with one more
 pull of the same arms, so :meth:`EliminationRun.step` evaluates a block of up
-to K rounds with one reward draw and one partition per group and side.  The
-block ends at its first round that changes a set or meets the stopping
-condition; the rounds after it are drawn again in the next block, with the
-reward generator rewound so it advances exactly as one draw per round would.
-Sums accumulate row by row and quantiles are exact order statistics, so a
-block gives the same bits as its rounds run one at a time.
+to K rounds from one reward draw and its running sums.  The block ends at its
+first round that changes a set or meets the stopping condition and commits
+that round's sums; the rounds after it are drawn again in the next block,
+with the reward generator rewound so it advances exactly as one draw per
+round would.  Sums accumulate row by row and quantiles are exact order
+statistics, so a block gives the same bits as its rounds run one at a time.
 """
 
 from __future__ import annotations
@@ -98,29 +98,20 @@ class ArmLedger:
                      out: np.ndarray) -> np.ndarray:
         """Reward sums of the listed arms after each row of a (k, m) reward
         block, added row by row in pull order into ``out``; the ledger is not
-        changed.  Row i holds the sums that :meth:`record_pulls` of rows
-        0..i would leave, bit for bit."""
+        changed.  Row i holds the sums after rounds 0..i, the same bits as
+        adding the rows one at a time."""
         out[...] = rewards
         out[0] += self.sums[arm_ids]
         return np.cumsum(out, axis=0, out=out)
 
-    def record_pulls(self, arm_ids: np.ndarray, rewards: np.ndarray) -> None:
-        """Record one pull of each listed arm per row of ``rewards``: an
-        (m,) vector is one round, a (k, m) block is k rounds in order."""
-        rows = rewards.reshape(-1, arm_ids.size)
-        self.pulls[arm_ids] += rows.shape[0]
-        sums = self.sums[arm_ids]
-        for row in rows:  # one add per round keeps the sums in pull order
-            sums += row
+    def record_pulls(self, arm_ids: np.ndarray, sums: np.ndarray, count: int) -> None:
+        """Record ``count`` more pulls of each listed arm, whose reward sums
+        are now ``sums``, and refresh their bounds."""
+        self.pulls[arm_ids] += count
         self.sums[arm_ids] = sums
         pulls = self.pulls[arm_ids]
-        self.lcb[arm_ids], self.ucb[arm_ids] = _interval(sums, pulls, self.width_at(pulls))
-
-
-def _interval(sums: np.ndarray, pulls: np.ndarray, width: np.ndarray):
-    """Confidence interval (lcb, ucb) of width ``width`` around ``sums / pulls``."""
-    mean = sums / pulls
-    return mean - width, mean + width
+        mean, width = sums / pulls, self.width_at(pulls)
+        self.lcb[arm_ids], self.ucb[arm_ids] = mean - width, mean + width
 
 
 @dataclass
@@ -264,8 +255,7 @@ class EliminationRun:
         self._max_block = max(1, BLOCK_ELEMENTS // n)
         self._block = self._max_block
         self._sums = np.empty(self._max_block * n)
-        self._group_rows = {gid: np.empty((self._max_block, idx.size))
-                            for gid, idx in self._idx.items()}
+        self._means = np.empty(self._max_block * n)
         self.equal_pull_ok = True
         self.shortcut_consistent = True
         # oracle-side telemetry
@@ -297,9 +287,13 @@ class EliminationRun:
         and only in its last round.  Its length K is at most the block budget
         divided by the arm count and the rounds left to the round where 2*U(t)
         falls below the slack; K doubles after a full block and halves after
-        one cut short.  Rows are evaluated together: per candidate group and
-        side, one partition of a (K, group size) matrix whose frozen columns
-        repeat the ledger's bounds gives the quantile of every round.
+        one cut short.  Active arms share the round's width w, and float
+        x - w and x + w keep the order of x, so a candidate group with no
+        frozen arm gets both quantiles of every round (kth - w, kth + w) from
+        one partition of its (K, live arms) means; a group with frozen arms
+        partitions its bounds beside the ledger's frozen ones, one side at a
+        time.  The row max and min of a group's means tell whether a round
+        drops one of its arms.
         """
         if self.should_stop():
             raise RuntimeError("step() called after the stopping condition was met")
@@ -317,31 +311,62 @@ class EliminationRun:
         width = led.width_at(rounds)
         sums = led.running_sums(active, rewards, out=self._sums[:k * m].reshape(k, m))
         # every active arm has been pulled t-1 times: lockstep
-        lcb, ucb = _interval(sums, rounds[:, None].astype(float), width[:, None])
+        mean = np.divide(sums, rounds[:, None], out=self._means[:k * m].reshape(k, m))
+
+        # quantile bands range over ALL of the group's arms (frozen bounds
+        # included); membership filters the previous set, so elimination is
+        # permanent and active arms stay in lockstep at t pulls
+        is_active = np.zeros(led.pulls.size, dtype=bool)
+        is_active[active] = True
+        q_lcb = np.empty((k, len(st.candidates)))
+        q_ucb = np.empty((k, len(st.candidates)))
+        arm_exits = np.zeros(k, dtype=bool)
+        for c, gid in enumerate(st.candidates):
+            pool = st.quantile_arms[gid]
+            live = mean[:, np.searchsorted(active, pool)]
+            top, bottom = live.max(axis=1), live.min(axis=1)
+            idx = self._idx[gid]
+            kq = self._kq[gid]
+            if pool.size == idx.size:  # no frozen arm
+                live.partition(kq, axis=1)
+                q_lcb[:, c] = live[:, kq] - width
+                q_ucb[:, c] = live[:, kq] + width
+            else:
+                frozen = idx[~is_active[idx]]
+                mat = np.empty((k, idx.size))
+                for bound, side, q in ((led.lcb, np.subtract, q_lcb), (led.ucb, np.add, q_ucb)):
+                    mat[:, :frozen.size] = bound[frozen]
+                    side(live, width[:, None], out=mat[:, frozen.size:])
+                    mat.partition(kq, axis=1)
+                    q[:, c] = mat[:, kq]
+            # an arm leaves once its interval misses the band: row extremes decide
+            arm_exits |= (top - width > q_ucb[:, c]) | (bottom + width < q_lcb[:, c])
 
         # the first round that would drop a candidate or a quantile arm, or
         # stop the loop, ends the block; the rounds before it change nothing
-        q_lcb, q_ucb, column, positions = self._quantile_rows(lcb, ucb)
         threshold = q_lcb.max(axis=1)
         keep_group = q_ucb >= threshold[:, None]
-        keep_arm = (lcb <= q_ucb[:, column]) & (ucb >= q_lcb[:, column])
         spread = q_ucb.max(axis=1) - threshold
-        event = ~keep_group.all(axis=1) | ~keep_arm.all(axis=1) | (spread <= self.slack)
+        event = ~keep_group.all(axis=1) | arm_exits | (spread <= self.slack)
         r = int(event.argmax()) if event.any() else k - 1
 
-        if r < k - 1:  # draw the kept rounds again, as one draw per round would leave it
+        if r < k - 1:  # leave the stream where one draw per round would
             self.env.rng.bit_generator.state = start
-            rewards = self.env.pull(np.tile(active, r + 1)).reshape(r + 1, m)
-        led.record_pulls(active, rewards)
+            self.env.pull(np.tile(active, r + 1))
+        led.record_pulls(active, sums[r], r + 1)
         self.total_pulls += m * (r + 1)
         if bool(np.any(led.pulls[active] != t + r)):
             self.equal_pull_ok = False
         if self._true_means is not None:
-            self._check_oracle(active, lcb[:r + 1], ucb[:r + 1], t)
+            w = width[:r + 1, None]
+            self._check_oracle(active, mean[:r + 1] - w, mean[:r + 1] + w, t)
 
-        new_candidates = tuple(gid for c, gid in enumerate(st.candidates) if keep_group[r, c])
-        quantile_arms = {gid: st.quantile_arms[gid][keep_arm[r, positions[gid]]]
-                         for gid in new_candidates}
+        # the ledger now holds round r's bounds; quantile_arms is keyed in
+        # candidate order
+        kept = keep_group[r]
+        quantile_arms = {gid: pool[(led.lcb[pool] <= q_ucb[r, c]) & (led.ucb[pool] >= q_lcb[r, c])]
+                         for c, (gid, pool) in enumerate(st.quantile_arms.items()) if kept[c]}
+        new_candidates = tuple(quantile_arms)
         new_active = (np.sort(np.concatenate([quantile_arms[g] for g in new_candidates]))
                       if new_candidates else np.empty(0, dtype=np.int64))
         if new_candidates and new_active.size == 0:
@@ -349,7 +374,6 @@ class EliminationRun:
                 "all potential quantile arms eliminated while candidates remain; "
                 "confidence bounds must have failed catastrophically")
 
-        kept = keep_group[r]
         spread_r = float(q_ucb[r, kept].max() - q_lcb[r, kept].max()) if new_candidates else 0.0
         spreads = np.append(spread[:r], spread_r)
         if bool(np.any(np.abs(spreads - 2.0 * width[:r + 1]) > 1e-9)):
@@ -363,40 +387,6 @@ class EliminationRun:
         self.state = EliminationState(t + r + 1, new_candidates, quantile_arms, new_active,
                                       spread_r)
         return self.state
-
-    def _quantile_rows(self, lcb: np.ndarray, ucb: np.ndarray):
-        """Each round's pessimistic and optimistic quantile of every candidate.
-
-        ``lcb``/``ucb`` are (k, m) bounds of the active arms, one row per
-        round.  Returns the (k, candidates) quantiles, the candidate column of
-        each active arm, and each candidate's quantile arms as positions in
-        the active set.
-        """
-        st = self.state
-        led = self.ledger
-        active = st.active
-        # quantile bands range over ALL of the group's arms (frozen bounds
-        # included); membership filters the previous set, so elimination is
-        # permanent and active arms stay in lockstep at t pulls
-        live = np.zeros(led.pulls.size, dtype=bool)
-        live[active] = True
-        k = lcb.shape[0]
-        column = np.empty(active.size, dtype=np.int64)
-        q_lcb = np.empty((k, len(st.candidates)))
-        q_ucb = np.empty((k, len(st.candidates)))
-        positions = {}
-        for c, gid in enumerate(st.candidates):
-            idx = self._idx[gid]
-            frozen = idx[~live[idx]]
-            pos = positions[gid] = np.searchsorted(active, st.quantile_arms[gid])
-            column[pos] = c
-            mat = self._group_rows[gid][:k]
-            for rows, bound, q in ((lcb, led.lcb, q_lcb), (ucb, led.ucb, q_ucb)):
-                mat[:, :frozen.size] = bound[frozen]
-                mat[:, frozen.size:] = rows[:, pos]
-                mat.partition(self._kq[gid], axis=1)
-                q[:, c] = mat[:, self._kq[gid]]
-        return q_lcb, q_ucb, column, positions
 
     def _check_oracle(self, active: np.ndarray, lcb: np.ndarray, ucb: np.ndarray,
                       t: int) -> None:

@@ -21,7 +21,7 @@ class SequentialRun(EliminationRun):
             hit = self._stop_round[active]
             self.stop_pull_violations += int(np.count_nonzero((hit >= 1) & (hit < t)))
 
-        led.record_pulls(active, self.env.pull(active))
+        led.record_pulls(active, led.sums[active] + self.env.pull(active), 1)
         self.total_pulls += active.size
         if bool(np.any(led.pulls[active] != t)):
             self.equal_pull_ok = False

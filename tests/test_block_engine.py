@@ -73,6 +73,34 @@ def assert_same_run(case):
     assert streams == ref_streams
 
 
+# float values with many ties: a few repeated values beside arbitrary ones
+VALUES = st.sampled_from([0.0, 0.1, 0.5, 1.0 / 3.0, 1.0]) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_shifted_order_statistics_are_exact(data):
+    # the identity behind one partition per frozen-free group: rounding is
+    # monotone, so x - w and x + w keep the order of x and every order
+    # statistic of M -/+ w is kth(M) -/+ w, bit for bit
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+    means = np.array(data.draw(st.lists(VALUES, min_size=rows * cols,
+                                        max_size=rows * cols))).reshape(rows, cols)
+    width = np.array(data.draw(st.lists(st.floats(1e-300, 1e3), min_size=rows,
+                                        max_size=rows)))
+    kq = data.draw(st.integers(0, cols - 1))
+    kth = np.partition(means, kq, axis=1)[:, kq]
+
+    def bits(x):
+        return x.view(np.int64).tolist()
+
+    for side in (np.subtract, np.add):
+        shifted = side(means, width[:, None])
+        assert bits(np.partition(shifted, kq, axis=1)[:, kq]) == bits(side(kth, width))
+        assert bits(shifted.max(axis=1)) == bits(side(means.max(axis=1), width))
+        assert bits(shifted.min(axis=1)) == bits(side(means.min(axis=1), width))
+
+
 @settings(max_examples=60, deadline=None)
 @given(instances())
 def test_block_engine_matches_sequential_loop(case):
@@ -109,7 +137,9 @@ class CountingRun(EliminationRun):
 
 def test_cut_blocks_rewind_the_stream():
     # arms spread around three distinct medians: sets change every few dozen
-    # rounds, so blocks are cut short and their committed rounds drawn again
+    # rounds, so blocks are cut short; a cut block rewinds the generator and
+    # draws its committed rounds again only to position the stream, since the
+    # ledger takes its sums from the first draw
     means = np.array([0.2, 0.5, 0.7, 0.9, 0.1, 0.3, 0.6, 0.8, 0.0, 0.1, 0.2, 0.4])
     groups = [FiniteGroup("a", (0, 1, 2, 3)), FiniteGroup("b", (4, 5, 6, 7)),
               FiniteGroup("c", (8, 9, 10, 11))]
@@ -120,3 +150,42 @@ def test_cut_blocks_rewind_the_stream():
         assert env.calls > engine.calls  # some block drew twice: it was cut and rewound
         assert_same_run({"groups": groups, "means": means, "family": family, "alpha": 0.5,
                          "slack": 0.1, "oracle": "reversed", "shared_rng": True, "seed": 3})
+
+
+class BranchRun(EliminationRun):
+    """Counts the blocks in which one candidate group has frozen arms and
+    another has none, so both ways of finding a quantile run in one block.
+    Asserts that only a set change or the stop cuts a block short: a false
+    alarm would keep the bits but waste the rest of the block."""
+
+    def __init__(self, groups, *args, **kwargs):
+        super().__init__(groups, *args, **kwargs)
+        self._sizes = {g.group_id: len(g.arm_ids) for g in groups}
+        self.mixed_blocks = 0
+
+    def step(self):
+        before = self.state
+        frozen = {before.quantile_arms[gid].size < self._sizes[gid] for gid in before.candidates}
+        self.mixed_blocks += frozen == {True, False}
+        full = max(1, min(self._block, self._t_star - before.round_index + 1))
+        after = super().step()
+        if (before.candidates, before.active.size) == (after.candidates, after.active.size) \
+                and not self.should_stop():
+            assert after.round_index - before.round_index == full
+        return after
+
+
+def test_frozen_and_frozen_free_groups_in_one_block():
+    # in group a the arms at 0.1 and 0.9 leave once w falls below about 0.2
+    # and freeze; group b's two equal arms never leave.  Both medians are 0.5,
+    # so both groups stay candidates until the spread 2w meets the slack
+    means = np.array([0.1, 0.5, 0.5, 0.9, 0.5, 0.5])
+    groups = [FiniteGroup("a", (0, 1, 2, 3)), FiniteGroup("b", (4, 5))]
+    for family in ("noiseless", "bernoulli", "gaussian"):
+        env = RewardEnv(means, FAMILIES[family], np.random.default_rng(11),
+                        noiseless=family == "noiseless")
+        engine = BranchRun(groups, 0.5, 0.1, 0.1, env, rng=env.rng, true_means=means)
+        engine.run()
+        assert engine.mixed_blocks > 0
+        assert_same_run({"groups": groups, "means": means, "family": family, "alpha": 0.5,
+                         "slack": 0.1, "oracle": "true", "shared_rng": True, "seed": 11})

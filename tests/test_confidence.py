@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantile_bandits import ArmLedger, confidence_width, invert_width
 
@@ -62,7 +64,7 @@ class TestBounds:
 
     def test_symmetric_around_mean(self):
         ledger = ArmLedger(1, 0.1)
-        ledger.record_pulls(np.array([0]), np.array([0.5]))
+        ledger.record_pulls(np.array([0]), ledger.sums[[0]] + 0.5, 1)
         assert ledger.lcb[0] == pytest.approx(0.5 - 3.09990, abs=1e-4)
         assert ledger.ucb[0] == pytest.approx(0.5 + 3.09990, abs=1e-4)
 
@@ -70,21 +72,21 @@ class TestBounds:
         rng = np.random.default_rng(0)
         ledger = ArmLedger(1, 0.05)
         for x in rng.random(200):
-            ledger.record_pulls(np.array([0]), np.array([x]))
+            ledger.record_pulls(np.array([0]), ledger.sums[[0]] + x, 1)
             assert ledger.lcb[0] <= ledger.sums[0] / ledger.pulls[0] <= ledger.ucb[0]
 
     def test_running_mean_is_average(self):
         ledger = ArmLedger(1, 0.1)
         xs = [0.1, 0.9, 0.4, 0.4]
         for x in xs:
-            ledger.record_pulls(np.array([0]), np.array([x]))
+            ledger.record_pulls(np.array([0]), ledger.sums[[0]] + x, 1)
         assert ledger.sums[0] / ledger.pulls[0] == pytest.approx(np.mean(xs))
 
     def test_unpulled_arm_carries_sentinel_interval(self):
         # bounds are undefined before the first pull (the width rejects zero
         # pulls), so an unpulled arm's interval is the whole line
         ledger = ArmLedger(2, 0.1)
-        ledger.record_pulls(np.array([1]), np.array([0.3]))
+        ledger.record_pulls(np.array([1]), ledger.sums[[1]] + 0.3, 1)
         assert (ledger.lcb[0], ledger.ucb[0]) == (-np.inf, np.inf)
         assert ledger.sums[0] == 0.0 and ledger.pulls[0] == 0
         assert np.isfinite(ledger.lcb[1]) and np.isfinite(ledger.ucb[1])
@@ -105,6 +107,14 @@ class TestInvertWidth:
                 assert confidence_width(t, delta) < target
                 if t > 1:
                     assert confidence_width(t - 1, delta) >= target
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-3, 10.0), st.floats(1e-12, 0.3))
+    def test_first_crossing_exact_on_random_targets(self, target, delta):
+        # delta below 1/e keeps the width decreasing, so the crossing is unique
+        t = invert_width(target, delta)
+        assert confidence_width(t, delta) < target
+        assert t == 1 or confidence_width(t - 1, delta) >= target
 
     def test_halving_target_roughly_quadruples(self):
         t1 = invert_width(0.1, 0.01)

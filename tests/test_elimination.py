@@ -162,7 +162,7 @@ class TestNoisyElimination:
         history = []
         for _ in range(50):
             rewards = rng.random(3)
-            ledger.record_pulls(np.arange(3), rewards)
+            ledger.record_pulls(np.arange(3), ledger.sums + rewards, 1)
             history.append(rewards)
         means = np.mean(history, axis=0)
         width = confidence_width(50, 0.02)

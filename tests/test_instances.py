@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantile_bandits import (
     BanditInstance,
@@ -134,6 +136,53 @@ class TestPiecewiseLinear:
         for bad in (-1e-12, 1.0 + 1e-12, math.nan):
             with pytest.raises(ValueError):
                 spec.quantile_many(np.array([0.5, bad]))
+
+
+@st.composite
+def discrete_reservoirs(draw):
+    """Atoms on a 0.05 grid with masses in ninths, normalised (sums within ulps of 1)."""
+    means = sorted(set(draw(st.lists(st.integers(0, 20), min_size=1, max_size=6))))
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=len(means),
+                                     max_size=len(means))), dtype=float)
+    return DiscreteReservoir(tuple(m / 20 for m in means), tuple(weights / weights.sum()))
+
+
+@st.composite
+def piecewise_linear_reservoirs(draw):
+    """Breakpoints on a 0.05 grid; zero CDF steps give flats and a first step
+    above zero an initial atom."""
+    xs = sorted(set(draw(st.lists(st.integers(0, 20), min_size=2, max_size=6))))
+    if len(xs) < 2:
+        xs = [0, 20]
+    steps = draw(st.lists(st.integers(0, 4), min_size=len(xs), max_size=len(xs)))
+    if sum(steps[1:]) == 0:
+        steps[-1] = 1
+    ps = np.cumsum(steps) / sum(steps)
+    return PiecewiseLinearReservoir(tuple(x / 20 for x in xs), tuple(map(float, ps)))
+
+
+# p = 0 is left out: inf{mu : F(mu) >= 0} is -inf, and quantile(0) is the support's lower edge
+LEVELS = st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([0.25, 1 / 3, 0.5, 0.75, 1.0])
+
+
+class TestQuantileInvertsCdf:
+    @settings(max_examples=300, deadline=None)
+    @given(discrete_reservoirs(), LEVELS)
+    def test_discrete_exactly(self, spec, p):
+        q = spec.quantile(p)
+        assert spec.cdf(q) >= p
+        assert spec.cdf(np.nextafter(q, -np.inf)) < p
+
+    @settings(max_examples=300, deadline=None)
+    @given(piecewise_linear_reservoirs(), LEVELS)
+    def test_piecewise_linear_up_to_round_off(self, spec, p):
+        # a continuous CDF meets p between floats: interpolating the quantile
+        # and then the CDF can each round by an ulp, so "at q" allows 1e-12
+        # and "just below q" steps 1e-9, far more than any rounding moves and
+        # far less than the grid spacing
+        q = spec.quantile(p)
+        assert spec.cdf(q) >= p - 1e-12
+        assert spec.cdf(q - 1e-9) < p
 
 
 class TestSampleArm:
