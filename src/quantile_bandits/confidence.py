@@ -12,6 +12,7 @@ strictly decreasing in T.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -37,11 +38,13 @@ def confidence_width(pulls, delta: float):
     return float(out) if np.isscalar(pulls) or np.ndim(pulls) == 0 else out
 
 
+@functools.lru_cache
 def invert_width(target: float, delta_per_arm: float) -> int:
     """Smallest T with U(T, delta_per_arm) < target.
 
     Found by doubling then bisection; exact first crossing whenever the width
-    is decreasing in T (always the case for delta_per_arm < 1/e).
+    is decreasing in T (always the case for delta_per_arm < 1/e).  Memoized:
+    the elimination runs of one experiment epoch invert the same two widths.
     """
     if target <= 0.0:
         raise ValueError(f"target width must be positive, got {target}")

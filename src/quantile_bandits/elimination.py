@@ -26,6 +26,10 @@ that round's sums; the rounds after it are drawn again in the next block,
 with the reward generator rewound so it advances exactly as one draw per
 round would.  Sums accumulate row by row and quantiles are exact order
 statistics, so a block gives the same bits as its rounds run one at a time.
+A block works on row-major (K, live arms) copies of its running sums, one
+per candidate group, and divides by the round only the order statistics it
+needs; the sets, the tiled arm ids and each group's columns and frozen bounds
+are derived again only when a set changes.
 """
 
 from __future__ import annotations
@@ -93,16 +97,6 @@ class ArmLedger:
             grown = self._width_table.size * 2
             self._width_table = confidence_width(np.arange(1, grown + 1), self.delta_per_arm)
         return self._width_table[pulls - 1]
-
-    def running_sums(self, arm_ids: np.ndarray, rewards: np.ndarray,
-                     out: np.ndarray) -> np.ndarray:
-        """Reward sums of the listed arms after each row of a (k, m) reward
-        block, added row by row in pull order into ``out``; the ledger is not
-        changed.  Row i holds the sums after rounds 0..i, the same bits as
-        adding the rows one at a time."""
-        out[...] = rewards
-        out[0] += self.sums[arm_ids]
-        return np.cumsum(out, axis=0, out=out)
 
     def record_pulls(self, arm_ids: np.ndarray, sums: np.ndarray, count: int) -> None:
         """Record ``count`` more pulls of each listed arm, whose reward sums
@@ -254,8 +248,7 @@ class EliminationRun:
         self._t_star = invert_width(slack / 2.0, delta / n)
         self._max_block = max(1, BLOCK_ELEMENTS // n)
         self._block = self._max_block
-        self._sums = np.empty(self._max_block * n)
-        self._means = np.empty(self._max_block * n)
+        self._plan()
         self.equal_pull_ok = True
         self.shortcut_consistent = True
         # oracle-side telemetry
@@ -278,6 +271,23 @@ class EliminationRun:
         idx = self._idx[gid]
         return float(np.partition(values[idx], self._kq[gid])[self._kq[gid]])
 
+    def _plan(self) -> None:
+        """Store what every block reuses until the next set change: the active
+        arms tiled for the longest block and, per candidate group, its kth
+        index, its columns in ``active`` and its frozen arms' (lcb, ucb), which
+        never change (None for a group with no frozen arm)."""
+        st = self.state
+        led = self.ledger
+        is_active = np.zeros(led.pulls.size, dtype=bool)
+        is_active[st.active] = True
+        self._tiled = np.tile(st.active, self._max_block)
+        self._groups = []
+        for gid in st.candidates:
+            pool, idx = st.quantile_arms[gid], self._idx[gid]
+            frozen = idx[~is_active[idx]]
+            bounds = (led.lcb[frozen], led.ucb[frozen]) if frozen.size else None
+            self._groups.append((self._kq[gid], np.searchsorted(st.active, pool), bounds))
+
     def step(self) -> EliminationState:
         """Run one block of rounds and return the state after it.
 
@@ -287,13 +297,18 @@ class EliminationRun:
         and only in its last round.  Its length K is at most the block budget
         divided by the arm count and the rounds left to the round where 2*U(t)
         falls below the slack; K doubles after a full block and halves after
-        one cut short.  Active arms share the round's width w, and float
-        x - w and x + w keep the order of x, so a candidate group with no
-        frozen arm gets both quantiles of every round (kth - w, kth + w) from
-        one partition of its (K, live arms) means; a group with frozen arms
-        partitions its bounds beside the ledger's frozen ones, one side at a
-        time.  The row max and min of a group's means tell whether a round
-        drops one of its arms.
+        one cut short.
+
+        The drawn (K, m) rewards become the running reward sums in place, row
+        i after round t+i.  Active arms share each round's pull count n and
+        width w, and float x / n, x - w and x + w keep the order of x, so a
+        candidate group with no frozen arm gets both quantiles of every round,
+        kth / n -/+ w, and its row max and min from one partition of its
+        gathered (K, live arms) sums.  A group with frozen arms divides its
+        sums into means and partitions its bounds beside the frozen ones, one
+        side at a time.  The row max and min tell whether a round drops one of
+        the group's arms.  A block whose last round changes nothing keeps the
+        sets and the per-group plan as they are.
         """
         if self.should_stop():
             raise RuntimeError("step() called after the stopping condition was met")
@@ -306,37 +321,41 @@ class EliminationRun:
 
         # one draw for all k rounds; the start state rewinds a block cut short
         start = self.env.rng.bit_generator.state
-        rewards = self.env.pull(np.tile(active, k)).reshape(k, m)
+        sums = self.env.pull(self._tiled[:k * m]).reshape(k, m)
+        # row i += row i-1 is cumsum's own order of additions, and cheaper on
+        # wide blocks
+        sums[0] += led.sums[active]
+        if 32 * k < m:
+            for i in range(1, k):
+                sums[i] += sums[i - 1]
+        else:
+            np.cumsum(sums, axis=0, out=sums)
+        # every active arm has been pulled t-1 times: lockstep
         rounds = np.arange(t, t + k)
         width = led.width_at(rounds)
-        sums = led.running_sums(active, rewards, out=self._sums[:k * m].reshape(k, m))
-        # every active arm has been pulled t-1 times: lockstep
-        mean = np.divide(sums, rounds[:, None], out=self._means[:k * m].reshape(k, m))
 
         # quantile bands range over ALL of the group's arms (frozen bounds
         # included); membership filters the previous set, so elimination is
         # permanent and active arms stay in lockstep at t pulls
-        is_active = np.zeros(led.pulls.size, dtype=bool)
-        is_active[active] = True
         q_lcb = np.empty((k, len(st.candidates)))
         q_ucb = np.empty((k, len(st.candidates)))
         arm_exits = np.zeros(k, dtype=bool)
-        for c, gid in enumerate(st.candidates):
-            pool = st.quantile_arms[gid]
-            live = mean[:, np.searchsorted(active, pool)]
-            top, bottom = live.max(axis=1), live.min(axis=1)
-            idx = self._idx[gid]
-            kq = self._kq[gid]
-            if pool.size == idx.size:  # no frozen arm
+        for c, (kq, cols, frozen) in enumerate(self._groups):
+            live = np.take(sums, cols, axis=1)
+            if frozen is None:
                 live.partition(kq, axis=1)
-                q_lcb[:, c] = live[:, kq] - width
-                q_ucb[:, c] = live[:, kq] + width
+                kth = live[:, kq] / rounds
+                top = live[:, kq:].max(axis=1) / rounds
+                bottom = live[:, :kq + 1].min(axis=1) / rounds
+                q_lcb[:, c] = kth - width
+                q_ucb[:, c] = kth + width
             else:
-                frozen = idx[~is_active[idx]]
-                mat = np.empty((k, idx.size))
-                for bound, side, q in ((led.lcb, np.subtract, q_lcb), (led.ucb, np.add, q_ucb)):
-                    mat[:, :frozen.size] = bound[frozen]
-                    side(live, width[:, None], out=mat[:, frozen.size:])
+                np.divide(live, rounds[:, None], out=live)
+                top, bottom = live.max(axis=1), live.min(axis=1)
+                mat = np.empty((k, frozen[0].size + cols.size))
+                for bound, side, q in zip(frozen, (np.subtract, np.add), (q_lcb, q_ucb)):
+                    mat[:, :bound.size] = bound
+                    side(live, width[:, None], out=mat[:, bound.size:])
                     mat.partition(kq, axis=1)
                     q[:, c] = mat[:, kq]
             # an arm leaves once its interval misses the band: row extremes decide
@@ -352,40 +371,45 @@ class EliminationRun:
 
         if r < k - 1:  # leave the stream where one draw per round would
             self.env.rng.bit_generator.state = start
-            self.env.pull(np.tile(active, r + 1))
+            self.env.pull(self._tiled[:(r + 1) * m])
         led.record_pulls(active, sums[r], r + 1)
         self.total_pulls += m * (r + 1)
         if bool(np.any(led.pulls[active] != t + r)):
             self.equal_pull_ok = False
         if self._true_means is not None:
+            mean = sums[:r + 1] / rounds[:r + 1, None]
             w = width[:r + 1, None]
-            self._check_oracle(active, mean[:r + 1] - w, mean[:r + 1] + w, t)
+            self._check_oracle(active, mean - w, mean + w, t)
 
-        # the ledger now holds round r's bounds; quantile_arms is keyed in
-        # candidate order
-        kept = keep_group[r]
-        quantile_arms = {gid: pool[(led.lcb[pool] <= q_ucb[r, c]) & (led.ucb[pool] >= q_lcb[r, c])]
-                         for c, (gid, pool) in enumerate(st.quantile_arms.items()) if kept[c]}
-        new_candidates = tuple(quantile_arms)
-        new_active = (np.sort(np.concatenate([quantile_arms[g] for g in new_candidates]))
-                      if new_candidates else np.empty(0, dtype=np.int64))
-        if new_candidates and new_active.size == 0:
-            raise RuntimeError(
-                "all potential quantile arms eliminated while candidates remain; "
-                "confidence bounds must have failed catastrophically")
-
-        spread_r = float(q_ucb[r, kept].max() - q_lcb[r, kept].max()) if new_candidates else 0.0
-        spreads = np.append(spread[:r], spread_r)
-        if bool(np.any(np.abs(spreads - 2.0 * width[:r + 1]) > 1e-9)):
+        candidates, quantile_arms = st.candidates, st.quantile_arms
+        if event[r]:
+            # the ledger now holds round r's bounds; quantile_arms is keyed in
+            # candidate order
+            kept = keep_group[r]
+            quantile_arms = {gid: pool[(led.lcb[pool] <= q_ucb[r, c])
+                                       & (led.ucb[pool] >= q_lcb[r, c])]
+                             for c, (gid, pool) in enumerate(st.quantile_arms.items())
+                             if kept[c]}
+            candidates = tuple(quantile_arms)
+            active = (np.sort(np.concatenate([quantile_arms[g] for g in candidates]))
+                      if candidates else np.empty(0, dtype=np.int64))
+            if candidates and active.size == 0:
+                raise RuntimeError(
+                    "all potential quantile arms eliminated while candidates remain; "
+                    "confidence bounds must have failed catastrophically")
+            spread[r] = q_ucb[r, kept].max() - q_lcb[r, kept].max() if candidates else 0.0
+            if (self.best_group_retained is not None
+                    and self._profile.best_group not in candidates):
+                self.best_group_retained = False
+        if bool(np.any(np.abs(spread[:r + 1] - 2.0 * width[:r + 1]) > 1e-9)):
             self.shortcut_consistent = False
-
-        if self.best_group_retained is not None and self._profile.best_group not in new_candidates:
-            self.best_group_retained = False
 
         self._block = (min(2 * self._block, self._max_block) if r == k - 1
                        else max(1, self._block // 2))
-        self.state = EliminationState(t + r + 1, new_candidates, quantile_arms, new_active,
-                                      spread_r)
+        self.state = EliminationState(t + r + 1, candidates, quantile_arms, active,
+                                      float(spread[r]))
+        if event[r]:
+            self._plan()
         return self.state
 
     def _check_oracle(self, active: np.ndarray, lcb: np.ndarray, ucb: np.ndarray,

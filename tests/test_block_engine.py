@@ -23,8 +23,10 @@ FAMILIES = {"bernoulli": RewardFamily("bernoulli"), "gaussian": RewardFamily("ga
 def instances(draw):
     sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
     n = sum(sizes)
-    # shuffled ids, so a group's arms are not a contiguous range
-    ids = draw(st.permutations(range(n)))
+    # adjacent ranges, as sampled groups have, or shuffled ids, so a group's
+    # arms are scattered over the active set
+    contiguous = draw(st.booleans())
+    ids = list(range(n)) if contiguous else draw(st.permutations(range(n)))
     groups, start = [], 0
     for g, size in enumerate(sizes):
         groups.append(FiniteGroup(f"g{g}", tuple(ids[start:start + size])))
@@ -99,6 +101,39 @@ def test_shifted_order_statistics_are_exact(data):
         assert bits(np.partition(shifted, kq, axis=1)[:, kq]) == bits(side(kth, width))
         assert bits(shifted.max(axis=1)) == bits(side(means.max(axis=1), width))
         assert bits(shifted.min(axis=1)) == bits(side(means.min(axis=1), width))
+
+
+# running reward sums: integers with ties, or floats of either sign.  + 0.0
+# turns -0.0 into 0.0, as adding the ledger's zero-started sums does; a
+# subnormal sum, whose x / t could round to a zero of either sign, does not
+# arise from rewards
+SUMS = (st.integers(-50, 50).map(float)
+        | st.floats(-1e6, 1e6, allow_subnormal=False).map(lambda x: x + 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_order_statistics_of_sums_divide_exactly(data):
+    # the identity behind dividing only the order statistics: x / t keeps
+    # the order of x for t > 0, so kth, max and min of S / t are those of S,
+    # divided by t, bit for bit; after a partition at kq, the row max lies
+    # in [:, kq:] and the row min in [:, :kq + 1]
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+    sums = np.array(data.draw(st.lists(SUMS, min_size=rows * cols,
+                                       max_size=rows * cols))).reshape(rows, cols)
+    t = np.array(data.draw(st.lists(st.integers(1, 10**6), min_size=rows, max_size=rows)))
+    kq = data.draw(st.integers(0, cols - 1))
+    means = sums / t[:, None]
+    part = np.partition(sums, kq, axis=1)
+
+    def bits(x):
+        return x.view(np.int64).tolist()
+
+    assert bits(np.partition(means, kq, axis=1)[:, kq]) == bits(part[:, kq] / t)
+    assert bits(means.max(axis=1)) == bits(sums.max(axis=1) / t)
+    assert bits(means.min(axis=1)) == bits(sums.min(axis=1) / t)
+    assert bits(part[:, kq:].max(axis=1)) == bits(sums.max(axis=1))
+    assert bits(part[:, :kq + 1].min(axis=1)) == bits(sums.min(axis=1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,3 +224,38 @@ def test_frozen_and_frozen_free_groups_in_one_block():
         assert engine.mixed_blocks > 0
         assert_same_run({"groups": groups, "means": means, "family": family, "alpha": 0.5,
                          "slack": 0.1, "oracle": "true", "shared_rng": True, "seed": 11})
+
+
+class ShapeRun(BranchRun):
+    """Records, per block of two or more rounds, whether its running sums
+    came from ``np.cumsum`` or from the row-by-row loop; runs only while
+    ``np.cumsum`` is wrapped by a mock that counts its calls."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cumsum_used = []
+
+    def step(self):
+        k = max(1, min(self._block, self._t_star - self.state.round_index + 1))
+        calls = np.cumsum.call_count
+        after = super().step()
+        if k > 1:
+            self.cumsum_used.append(np.cumsum.call_count > calls)
+        return after
+
+
+def test_wide_blocks_sum_row_by_row():
+    # two groups of 150 adjacent arms spread over [0, 1]: a block budget of
+    # 8 rounds of all 300 arms makes wide blocks summed row by row, and as
+    # arms leave the blocks narrow until cumsum sums them
+    means = np.tile(np.linspace(0.0, 1.0, 150), 2)
+    groups = [FiniteGroup("a", tuple(range(150))), FiniteGroup("b", tuple(range(150, 300)))]
+    case = {"groups": groups, "means": means, "family": "bernoulli", "alpha": 0.5,
+            "slack": 0.25, "oracle": "true", "shared_rng": True, "seed": 5}
+    with mock.patch.object(elimination, "BLOCK_ELEMENTS", 8 * 300):
+        with mock.patch.object(np, "cumsum", wraps=np.cumsum):
+            env = RewardEnv(means, FAMILIES["bernoulli"], np.random.default_rng(5))
+            engine = ShapeRun(groups, 0.5, 0.25, 0.1, env, rng=env.rng, true_means=means)
+            engine.run()
+        assert set(engine.cumsum_used) == {True, False}
+        assert_same_run(case)
