@@ -30,6 +30,13 @@ A block works on row-major (K, live arms) copies of its running sums, one
 per candidate group, and divides by the round only the order statistics it
 needs; the sets, the tiled arm ids and each group's columns and frozen bounds
 are derived again only when a set changes.
+
+Write-back ledger: between set changes the run carries the active arms'
+running sums itself, with the count of rounds not yet committed, and writes
+the ledger once, at the round that changes a set or stops the loop.  The
+ledger is therefore current at every set change and after the stop, where
+the set filter, the per-group plan and the caller read it, and holds the
+same bits as a ledger written every round.
 """
 
 from __future__ import annotations
@@ -77,10 +84,12 @@ class FiniteGroup:
 class ArmLedger:
     """Per-arm pull counts, reward sums, and frozen/live confidence bounds.
 
-    Bounds are recomputed only for arms pulled this round, around the mean
-    ``sums / pulls``; unpulled arms keep their previous values, which is
+    Bounds are recomputed only for the arms a commit lists, around the mean
+    ``sums / pulls``; other arms keep their previous values, which is
     exactly the frozen-bound behaviour the elimination rules rely on.  Before
     the first pull an arm carries the sentinel interval (-inf, +inf).
+    :class:`EliminationRun` commits only at set changes and at the stop, so
+    mid-run its ledger is current only there.
     """
 
     def __init__(self, num_arms: int, delta_per_arm: float) -> None:
@@ -221,9 +230,12 @@ class EliminationRun:
             raise ValueError(f"quantile slack must be positive, got {slack}")
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        all_ids = sorted(i for g in groups for i in g.arm_ids)
-        n = len(all_ids)
-        if all_ids != list(range(n)):
+        self._idx = {g.group_id: np.asarray(g.arm_ids, dtype=np.int64) for g in groups}
+        if len(self._idx) != len(groups):
+            raise ValueError("group ids must be distinct")
+        all_ids = np.sort(np.concatenate(list(self._idx.values())))
+        n = all_ids.size
+        if not np.array_equal(all_ids, np.arange(n)):
             raise ValueError("groups must partition arm ids 0..n-1 disjointly")
         if env.num_arms != n:
             raise ValueError("environment arm count does not match the groups")
@@ -231,7 +243,6 @@ class EliminationRun:
         self.env = env
         self.rng = rng if rng is not None else np.random.default_rng()
         self.ledger = ArmLedger(n, delta / n)
-        self._idx = {g.group_id: np.asarray(g.arm_ids, dtype=np.int64) for g in groups}
         self._kq = {g.group_id: quantile_index(len(g.arm_ids), alpha) for g in groups}
         self.state = EliminationState(
             round_index=1,
@@ -273,11 +284,15 @@ class EliminationRun:
 
     def _plan(self) -> None:
         """Store what every block reuses until the next set change: the active
-        arms tiled for the longest block and, per candidate group, its kth
-        index, its columns in ``active`` and its frozen arms' (lcb, ucb), which
-        never change (None for a group with no frozen arm)."""
+        arms' running sums, seeded from the ledger, which is current here, with
+        no round pending; the active arms tiled for the longest block; and, per
+        candidate group, its kth index, its columns in ``active`` and its
+        frozen arms' (lcb, ucb), which never change (None for a group with no
+        frozen arm)."""
         st = self.state
         led = self.ledger
+        self._sums = led.sums[st.active]
+        self._pending = 0
         is_active = np.zeros(led.pulls.size, dtype=bool)
         is_active[st.active] = True
         self._tiled = np.tile(st.active, self._max_block)
@@ -309,6 +324,12 @@ class EliminationRun:
         side at a time.  The row max and min tell whether a round drops one of
         the group's arms.  A block whose last round changes nothing keeps the
         sets and the per-group plan as they are.
+
+        Row 0 starts from the active arms' running sums, which the run carries
+        across blocks.  Only a block whose last round changes a set or stops
+        the loop writes the ledger, committing every round since the last
+        commit in one call; any other block keeps its last row as the running
+        sums, so between set changes the ledger lags the rounds run.
         """
         if self.should_stop():
             raise RuntimeError("step() called after the stopping condition was met")
@@ -324,7 +345,7 @@ class EliminationRun:
         sums = self.env.pull(self._tiled[:k * m]).reshape(k, m)
         # row i += row i-1 is cumsum's own order of additions, and cheaper on
         # wide blocks
-        sums[0] += led.sums[active]
+        sums[0] += self._sums
         if 32 * k < m:
             for i in range(1, k):
                 sums[i] += sums[i - 1]
@@ -372,19 +393,23 @@ class EliminationRun:
         if r < k - 1:  # leave the stream where one draw per round would
             self.env.rng.bit_generator.state = start
             self.env.pull(self._tiled[:(r + 1) * m])
-        led.record_pulls(active, sums[r], r + 1)
         self.total_pulls += m * (r + 1)
-        if bool(np.any(led.pulls[active] != t + r)):
-            self.equal_pull_ok = False
         if self._true_means is not None:
             mean = sums[:r + 1] / rounds[:r + 1, None]
             w = width[:r + 1, None]
             self._check_oracle(active, mean - w, mean + w, t)
 
         candidates, quantile_arms = st.candidates, st.quantile_arms
-        if event[r]:
-            # the ledger now holds round r's bounds; quantile_arms is keyed in
-            # candidate order
+        if not event[r]:
+            self._sums = sums[r]
+            self._pending += r + 1
+        else:
+            # the set filter, _plan() and the caller read the ledger: commit
+            # every round since the last commit, so it holds round r's bounds
+            led.record_pulls(active, sums[r], self._pending + r + 1)
+            if bool(np.any(led.pulls[active] != t + r)):
+                self.equal_pull_ok = False
+            # quantile_arms is keyed in candidate order
             kept = keep_group[r]
             quantile_arms = {gid: pool[(led.lcb[pool] <= q_ucb[r, c])
                                        & (led.ucb[pool] >= q_lcb[r, c])]

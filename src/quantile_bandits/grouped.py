@@ -89,6 +89,12 @@ def _bucket_geometry(eps: float, alpha: float) -> tuple[int, np.ndarray, int]:
     return m, np.clip(b, 0.0, 1.0), level_steps
 
 
+def _bucket_of(m: int, bounds: np.ndarray, js) -> np.ndarray:
+    """Bucket 0..m of each hidden index in ``js``, for boundaries ``bounds``."""
+    edges = np.concatenate(([0.0], bounds, [1.0 + 1e-15]))  # upper edge closed at 1
+    return np.clip(np.searchsorted(edges, np.asarray(js, dtype=float), side="right") - 1, 0, m)
+
+
 def build_partition(eps: float, alpha: float, indices_by_group: dict[str, np.ndarray]) -> Partition:
     """Assign sampled arms to buckets by their hidden indices.
 
@@ -102,11 +108,9 @@ def build_partition(eps: float, alpha: float, indices_by_group: dict[str, np.nda
     if not 0.0 < eps < min(alpha, 1.0 - alpha):
         raise ValueError(f"eps must lie in (0, min(alpha, 1-alpha)), got {eps}")
     m, bounds, _ = _bucket_geometry(eps, alpha)
-    edges = np.concatenate(([0.0], bounds, [1.0 + 1e-15]))  # upper edge closed at 1
     buckets: dict[str, list[np.ndarray]] = {}
     for gid, js in indices_by_group.items():
-        js = np.asarray(js, dtype=float)
-        which = np.clip(np.searchsorted(edges, js, side="right") - 1, 0, m)
+        which = _bucket_of(m, bounds, js)
         buckets[gid] = [np.flatnonzero(which == i) for i in range(m + 1)]
     return Partition(m, bounds, buckets)
 
@@ -215,8 +219,11 @@ def _epoch_oracles(instance: BanditInstance, samples, alpha: float, eps: float):
         quantile_sandwiched(instance.reservoir(gid), mu, alpha, eps)
         for gid, (_, mu) in samples.items()
     )
-    part = build_partition(eps, alpha, {gid: js for gid, (js, _) in samples.items()})
-    return sandwiched, part.max_bucket_size()
+    # the partition's largest bucket, counted without building the partition
+    m, bounds, _ = _bucket_geometry(eps, alpha)
+    largest = max(int(np.bincount(_bucket_of(m, bounds, js), minlength=m + 1).max())
+                  for js, _ in samples.values())
+    return sandwiched, largest
 
 
 def _finite_success(groups, true_means, alpha: float, slack: float, chosen: str) -> bool:

@@ -2,18 +2,30 @@
 
 ``SequentialRun`` runs one round per ``step`` call, as the loop did before
 blocks.  On random small instances both must agree bit for bit: outcome,
-pull counts, final bounds, every telemetry flag and the position of the
-reward generator after the run.
+pull counts, final bounds, every telemetry flag, the ledger at every set
+change and the position of the reward generator after the run.  Whole
+multi-step trials on sampled reservoirs must agree too.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sequential_reference import SequentialRun
 
-from quantile_bandits import EliminationRun, FiniteGroup, RewardEnv, RewardFamily, elimination
+from quantile_bandits import (
+    BanditInstance,
+    DiscreteReservoir,
+    EliminationRun,
+    FiniteGroup,
+    PiecewiseLinearReservoir,
+    RewardEnv,
+    RewardFamily,
+    elimination,
+    run_multistep,
+)
 
 FAMILIES = {"bernoulli": RewardFamily("bernoulli"), "gaussian": RewardFamily("gaussian", 0.25),
             "noiseless": RewardFamily("bernoulli")}
@@ -47,9 +59,9 @@ def instances(draw):
     }
 
 
-def run(cls, case):
-    """Run ``cls`` on ``case``; return the result, the final bounds and the
-    states of the reward and tie-break generators."""
+def build(cls, case):
+    """An engine of class ``cls`` on ``case``, with its reward and tie-break
+    generators."""
     env_rng = np.random.default_rng(case["seed"])
     tie_rng = env_rng if case["shared_rng"] else np.random.default_rng(case["seed"] + 1)
     env = RewardEnv(case["means"], FAMILIES[case["family"]], env_rng,
@@ -57,6 +69,13 @@ def run(cls, case):
     oracle = {"none": None, "true": case["means"], "reversed": case["means"][::-1]}
     engine = cls(case["groups"], case["alpha"], case["slack"], 0.1, env, rng=tie_rng,
                  true_means=oracle[case["oracle"]])
+    return engine, env_rng, tie_rng
+
+
+def run(cls, case):
+    """Run ``cls`` on ``case``; return the result, the final bounds and the
+    states of the reward and tie-break generators."""
+    engine, env_rng, tie_rng = build(cls, case)
     res = engine.run()
     return (res, engine.ledger.lcb, engine.ledger.ucb,
             env_rng.bit_generator.state, tie_rng.bit_generator.state)
@@ -73,6 +92,7 @@ def assert_same_run(case):
              "stop_pull_violations", "best_group_retained")
     assert [getattr(got, f) for f in flags] == [getattr(ref, f) for f in flags]
     assert streams == ref_streams
+    return got
 
 
 # float values with many ties: a few repeated values beside arbitrary ones
@@ -139,7 +159,46 @@ def test_order_statistics_of_sums_divide_exactly(data):
 @settings(max_examples=60, deadline=None)
 @given(instances())
 def test_block_engine_matches_sequential_loop(case):
-    assert_same_run(case)
+    got = assert_same_run(case)
+    # active arms stay in lockstep and the spread is 2 * U(t) in every round
+    assert got.equal_pull_ok and got.shortcut_consistent
+
+
+def snapshotting(cls):
+    """``cls`` keeping a copy of its ledger's pulls, sums, lcb and ucb after
+    every step that changes a set, and after the stop, keyed by the round
+    just run."""
+
+    class Snapshots(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.snapshots = {}
+
+        def step(self):
+            before = self.state
+            after = super().step()
+            if (before.candidates != after.candidates
+                    or before.active.size != after.active.size or self.should_stop()):
+                led = self.ledger
+                self.snapshots[after.round_index - 1] = [
+                    a.copy() for a in (led.pulls, led.sums, led.lcb, led.ucb)]
+            return after
+
+    return Snapshots
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_ledger_is_current_at_every_set_change(case):
+    # the block engine writes its ledger only at set changes and the stop,
+    # where the set filter, the per-group plan and the caller read it
+    ref = build(snapshotting(SequentialRun), case)[0]
+    got = build(snapshotting(EliminationRun), case)[0]
+    ref.run()
+    got.run()
+    assert list(got.snapshots) == list(ref.snapshots)
+    for t, ledger in got.snapshots.items():
+        assert all(np.array_equal(a, b) for a, b in zip(ledger, ref.snapshots[t])), t
 
 
 @settings(max_examples=15, deadline=None)
@@ -259,3 +318,38 @@ def test_wide_blocks_sum_row_by_row():
             engine.run()
         assert set(engine.cumsum_used) == {True, False}
         assert_same_run(case)
+
+
+RESERVOIRS = {
+    # group quantiles 0.6 and 0.5: close enough that a coarse first epoch
+    # keeps both groups, so a second epoch runs
+    "discrete": (DiscreteReservoir((0.3, 0.6, 0.8), (0.3, 0.4, 0.3)),
+                 DiscreteReservoir((0.2, 0.5, 0.7), (0.4, 0.3, 0.3))),
+    "piecewise-linear": (PiecewiseLinearReservoir((0.3, 0.9), (0.0, 1.0)),
+                         PiecewiseLinearReservoir((0.1, 0.9), (0.0, 1.0))),
+}
+SCHEDULES = {1: ((0.25,), (0.3,)), 2: ((0.3, 0.2), (0.45, 0.3))}
+
+
+@pytest.mark.parametrize("epochs", sorted(SCHEDULES))
+@pytest.mark.parametrize("family", ["bernoulli", "gaussian"])
+@pytest.mark.parametrize("reservoirs", sorted(RESERVOIRS))
+def test_reservoir_trials_match_sequential_loop(reservoirs, family, epochs):
+    # whole trials: arms sampled from each reservoir, one elimination run per
+    # epoch on one generator, with every oracle check on
+    instance = BanditInstance((("hi", RESERVOIRS[reservoirs][0]),
+                               ("lo", RESERVOIRS[reservoirs][1])),
+                              FAMILIES[family], 0.5, reservoirs)
+    eps, gaps = SCHEDULES[epochs]
+
+    def trial(seed):
+        rng = np.random.default_rng(seed)
+        result = run_multistep(instance, eps, gaps, 0.1, rng, oracle_checks=True)
+        return result, rng.bit_generator.state
+
+    for seed in range(3):
+        got = trial(seed)
+        with mock.patch.object(elimination, "EliminationRun", SequentialRun):
+            ref = trial(seed)
+        assert got == ref
+        assert len(got[0].epoch_pulls) == epochs

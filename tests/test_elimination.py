@@ -247,6 +247,11 @@ class TestValidation:
             run_elimination([FiniteGroup("a", (0,)), FiniteGroup("b", (0,))], 0.5, 0.1, 0.1,
                             noiseless_env(np.array([0.5])))
 
+    def test_group_ids_must_be_distinct(self):
+        env = noiseless_env(np.array([0.2, 0.8]))
+        with pytest.raises(ValueError, match="group ids must be distinct"):
+            run_elimination([FiniteGroup("a", (0,)), FiniteGroup("a", (1,))], 0.5, 0.1, 0.1, env)
+
     def test_parameter_validation(self):
         env = noiseless_env(np.array([0.5]))
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from quantile_bandits import (
     reservoir_gap_bounds,
     run_multistep,
 )
+from quantile_bandits.grouped import _epoch_oracles
 from quantile_bandits.hardness import HardInstanceParams
 
 FAM = RewardFamily("bernoulli")
@@ -125,6 +126,17 @@ class TestBuildPartition:
             part = build_partition(eps, alpha, {"g": np.array([0.5])})
             assert part.bucket_count in (math.floor(1 / eps), math.ceil(1 / eps))
             assert part.bucket_count >= 3
+
+    def test_epoch_oracle_counts_the_largest_bucket(self):
+        # a trial reports the partition's largest bucket without building it
+        inst = make_instance([("a", DiscreteReservoir((0.2, 0.6), (0.5, 0.5))),
+                              ("b", DiscreteReservoir((0.4,), (1.0,)))])
+        rng = np.random.default_rng(8)
+        for eps, alpha in ((0.125, 0.5), (0.1, 0.3), (0.13, 0.37)):
+            js = {"a": rng.random(300), "b": np.array([0.0, 0.5, 1.0, 1.0])}
+            samples = {gid: (js[gid], inst.reservoir(gid).quantile_many(js[gid])) for gid in js}
+            largest = _epoch_oracles(inst, samples, alpha, eps)[1]
+            assert largest == build_partition(eps, alpha, js).max_bucket_size()
 
 
 class TestReservoirGapBounds:
