@@ -23,13 +23,14 @@ pull of the same arms, so :meth:`EliminationRun.step` evaluates a block of up
 to K rounds from one reward draw and its running sums.  The block ends at its
 first round that changes a set or meets the stopping condition and commits
 that round's sums; the rounds after it are drawn again in the next block,
-with the reward generator rewound so it advances exactly as one draw per
-round would.  Sums accumulate row by row and quantiles are exact order
-statistics, so a block gives the same bits as its rounds run one at a time.
-A block works on row-major (K, live arms) copies of its running sums, one
-per candidate group, and divides by the round only the order statistics it
-needs; the sets, the tiled arm ids and each group's columns and frozen bounds
-are derived again only when a set changes.
+with the reward generator rewound and skipped past the kept rounds, so it
+advances exactly as one draw per round would.  Sums accumulate row by row and
+quantiles are exact order statistics, so a block gives the same bits as its
+rounds run one at a time.  A block sorts each candidate group's row-major
+(K, live arms) copy of its running sums along rows once, reads the kth, the
+row max and the row min off the sorted columns, and divides only those by
+the round; the sets, the tiled arm ids and each group's columns and frozen
+bounds are derived again only when a set changes.
 
 Write-back ledger: between set changes the run carries the active arms'
 running sums itself, with the count of rounds not yet committed, and writes
@@ -41,6 +42,7 @@ same bits as a ledger written every round.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,6 +83,15 @@ class FiniteGroup:
             raise ValueError(f"group {self.group_id!r} repeats arm ids")
 
 
+@functools.lru_cache(maxsize=8)
+def _width_table(size: int, delta_per_arm: float) -> np.ndarray:
+    """Read-only widths U(1..size, delta_per_arm), shared by every ledger at
+    that confidence: each trial of an experiment epoch grows the same tables."""
+    table = confidence_width(np.arange(1, size + 1), delta_per_arm)
+    table.flags.writeable = False
+    return table
+
+
 class ArmLedger:
     """Per-arm pull counts, reward sums, and frozen/live confidence bounds.
 
@@ -98,13 +109,12 @@ class ArmLedger:
         self.sums = np.zeros(num_arms)
         self.lcb = np.full(num_arms, -np.inf)
         self.ucb = np.full(num_arms, np.inf)
-        self._width_table = confidence_width(np.arange(1, 1025), delta_per_arm)
+        self._width_table = _width_table(1024, delta_per_arm)
 
     def width_at(self, pulls: np.ndarray) -> np.ndarray:
         top = int(pulls.max(initial=0))
         while top > self._width_table.size:
-            grown = self._width_table.size * 2
-            self._width_table = confidence_width(np.arange(1, grown + 1), self.delta_per_arm)
+            self._width_table = _width_table(self._width_table.size * 2, self.delta_per_arm)
         return self._width_table[pulls - 1]
 
     def record_pulls(self, arm_ids: np.ndarray, sums: np.ndarray, count: int) -> None:
@@ -315,15 +325,17 @@ class EliminationRun:
         one cut short.
 
         The drawn (K, m) rewards become the running reward sums in place, row
-        i after round t+i.  Active arms share each round's pull count n and
-        width w, and float x / n, x - w and x + w keep the order of x, so a
-        candidate group with no frozen arm gets both quantiles of every round,
-        kth / n -/+ w, and its row max and min from one partition of its
-        gathered (K, live arms) sums.  A group with frozen arms divides its
-        sums into means and partitions its bounds beside the frozen ones, one
-        side at a time.  The row max and min tell whether a round drops one of
-        the group's arms.  A block whose last round changes nothing keeps the
-        sets and the per-group plan as they are.
+        i after round t+i.  Each candidate group sorts its gathered (K, live
+        arms) sums along rows once.  Active arms share each round's pull count
+        n and width w, and float x / n, x - w and x + w keep the order of x,
+        so the sorted columns give every round's row max and min, divided by
+        n, and, for a group with no frozen arm, both quantiles kth / n -/+ w.
+        A group with frozen arms divides its sorted sums into means and sorts
+        its bounds beside the frozen ones, one side at a time.  The row max
+        and min tell whether a round drops one of the group's arms.  A block
+        whose last round changes nothing keeps the sets and the per-group plan
+        as they are.  A block cut short rewinds the reward generator and
+        skips it past the rounds it keeps, without forming their rewards.
 
         Row 0 starts from the active arms' running sums, which the run carries
         across blocks.  Only a block whose last round changes a set or stops
@@ -363,21 +375,19 @@ class EliminationRun:
         arm_exits = np.zeros(k, dtype=bool)
         for c, (kq, cols, frozen) in enumerate(self._groups):
             live = np.take(sums, cols, axis=1)
+            live.sort(axis=1)
+            top, bottom = live[:, -1] / rounds, live[:, 0] / rounds
             if frozen is None:
-                live.partition(kq, axis=1)
                 kth = live[:, kq] / rounds
-                top = live[:, kq:].max(axis=1) / rounds
-                bottom = live[:, :kq + 1].min(axis=1) / rounds
                 q_lcb[:, c] = kth - width
                 q_ucb[:, c] = kth + width
             else:
                 np.divide(live, rounds[:, None], out=live)
-                top, bottom = live.max(axis=1), live.min(axis=1)
                 mat = np.empty((k, frozen[0].size + cols.size))
                 for bound, side, q in zip(frozen, (np.subtract, np.add), (q_lcb, q_ucb)):
                     mat[:, :bound.size] = bound
                     side(live, width[:, None], out=mat[:, bound.size:])
-                    mat.partition(kq, axis=1)
+                    mat.sort(axis=1)
                     q[:, c] = mat[:, kq]
             # an arm leaves once its interval misses the band: row extremes decide
             arm_exits |= (top - width > q_ucb[:, c]) | (bottom + width < q_lcb[:, c])
@@ -392,7 +402,7 @@ class EliminationRun:
 
         if r < k - 1:  # leave the stream where one draw per round would
             self.env.rng.bit_generator.state = start
-            self.env.pull(self._tiled[:(r + 1) * m])
+            self.env.skip((r + 1) * m)
         self.total_pulls += m * (r + 1)
         if self._true_means is not None:
             mean = sums[:r + 1] / rounds[:r + 1, None]

@@ -14,6 +14,7 @@ gaps, and the pull-count bound evaluators built from them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,7 +57,15 @@ def quantile_sandwiched(spec: Reservoir, sampled_means, alpha: float, eps: float
     """Whether the sample (1-alpha)-quantile lies inside the reservoir's
     quantile band at levels (1 - alpha -/+ eps)."""
     q = multiset_quantile(sampled_means, alpha)
-    return spec.quantile(1.0 - alpha - eps) <= q <= spec.quantile(1.0 - alpha + eps)
+    low, high = _quantile_band(spec, alpha, eps)
+    return low <= q <= high
+
+
+@functools.lru_cache
+def _quantile_band(spec: Reservoir, alpha: float, eps: float) -> tuple[float, float]:
+    """The reservoir's quantiles at levels (1 - alpha -/+ eps), computed once
+    per (reservoir, alpha, eps): every trial's event A checks the same band."""
+    return spec.quantile(1.0 - alpha - eps), spec.quantile(1.0 - alpha + eps)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ mean stay on the oracle side.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -202,8 +203,9 @@ class BanditInstance:
 class RewardEnv:
     """Vectorized pull interface over a fixed set of arms.
 
-    Algorithms only ever call :meth:`pull`; the true means are kept private so
-    elimination code cannot accidentally peek at them.
+    Algorithms draw rewards only through :meth:`pull`, and :meth:`skip`
+    moves the stream past draws they have already made; the true means are
+    kept private so elimination code cannot accidentally peek at them.
     """
 
     def __init__(self, means: np.ndarray, family: RewardFamily, rng: np.random.Generator,
@@ -237,6 +239,18 @@ class RewardEnv:
             return (self._rng.random(mu.size) < mu).astype(float)
         return self._rng.normal(mu, self._sigma)
 
+    def skip(self, count: int) -> None:
+        """Advance the generator exactly as a :meth:`pull` of ``count`` arms
+        would, without forming rewards: one uniform per Bernoulli draw, one
+        standard normal per Gaussian draw (``normal(mu, sigma)`` is
+        ``mu + sigma * z``), nothing when noiseless."""
+        if self._noiseless:
+            return
+        if self._family.kind == "bernoulli":
+            self._rng.random(count)
+        else:
+            self._rng.standard_normal(count)
+
 
 def relaxed_success_set(instance: BanditInstance, eps: float, gap: float) -> set[str]:
     """Ground-truth oracle for the doubly relaxed identification goal.
@@ -244,6 +258,13 @@ def relaxed_success_set(instance: BanditInstance, eps: float, gap: float) -> set
     A group G succeeds when its quantile at level (1 - alpha + eps) is within
     ``gap`` of the best quantile at level (1 - alpha - eps) across groups.
     """
+    return set(_relaxed_winners(instance, eps, gap))
+
+
+@functools.lru_cache
+def _relaxed_winners(instance: BanditInstance, eps: float, gap: float) -> frozenset[str]:
+    """:func:`relaxed_success_set`, computed once per (instance, eps, gap):
+    every trial of an experiment scores against the same set."""
     a = instance.alpha
     if not 0.0 < eps < min(a, 1.0 - a):
         raise ValueError(f"eps must lie in (0, min(alpha, 1-alpha)), got {eps}")
@@ -252,7 +273,7 @@ def relaxed_success_set(instance: BanditInstance, eps: float, gap: float) -> set
     lower = {gid: res.quantile(1.0 - a - eps) for gid, res in instance.groups}
     upper = {gid: res.quantile(1.0 - a + eps) for gid, res in instance.groups}
     best_low = max(lower.values())
-    return {gid for gid in instance.group_ids if upper[gid] >= best_low - gap}
+    return frozenset(gid for gid in instance.group_ids if upper[gid] >= best_low - gap)
 
 
 def instance_from_dict(data: dict, path: str = "instance") -> BanditInstance:

@@ -131,29 +131,56 @@ SUMS = (st.integers(-50, 50).map(float)
         | st.floats(-1e6, 1e6, allow_subnormal=False).map(lambda x: x + 0.0))
 
 
+def bits(x):
+    return np.asarray(x).view(np.int64).tolist()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_order_statistics_of_sums_divide_exactly(data):
     # the identity behind dividing only the order statistics: x / t keeps
-    # the order of x for t > 0, so kth, max and min of S / t are those of S,
-    # divided by t, bit for bit; after a partition at kq, the row max lies
-    # in [:, kq:] and the row min in [:, :kq + 1]
+    # the order of x for t > 0, so columns kq, -1 and 0 of the row-sorted
+    # sums, divided by t, are the kth, max and min of S / t, bit for bit
     rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
     sums = np.array(data.draw(st.lists(SUMS, min_size=rows * cols,
                                        max_size=rows * cols))).reshape(rows, cols)
     t = np.array(data.draw(st.lists(st.integers(1, 10**6), min_size=rows, max_size=rows)))
     kq = data.draw(st.integers(0, cols - 1))
     means = sums / t[:, None]
-    part = np.partition(sums, kq, axis=1)
+    ordered = np.sort(sums, axis=1)
 
-    def bits(x):
-        return x.view(np.int64).tolist()
+    assert bits(ordered[:, kq] / t) == bits(np.partition(means, kq, axis=1)[:, kq])
+    assert bits(ordered[:, -1] / t) == bits(means.max(axis=1))
+    assert bits(ordered[:, 0] / t) == bits(means.min(axis=1))
 
-    assert bits(np.partition(means, kq, axis=1)[:, kq]) == bits(part[:, kq] / t)
-    assert bits(means.max(axis=1)) == bits(sums.max(axis=1) / t)
-    assert bits(means.min(axis=1)) == bits(sums.min(axis=1) / t)
-    assert bits(part[:, kq:].max(axis=1)) == bits(sums.max(axis=1))
-    assert bits(part[:, :kq + 1].min(axis=1)) == bits(sums.min(axis=1))
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sorted_frozen_merge_gives_the_kth(data):
+    # a group with frozen arms: its bound matrix is [frozen | sorted means
+    # -/+ w], sorted again along rows; its column kq is the kth that a
+    # partition of [frozen | means -/+ w] finds, frozen values equal to live
+    # ones included
+    rows, live_n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 10))
+    means = np.array(data.draw(st.lists(VALUES, min_size=rows * live_n,
+                                        max_size=rows * live_n))).reshape(rows, live_n)
+    width = np.array(data.draw(st.lists(st.floats(1e-300, 1e3), min_size=rows,
+                                        max_size=rows)))
+    for side in (np.subtract, np.add):
+        shifted = side(means, width[:, None])
+        # frozen bounds, some equal to live ones; + 0.0 turns -0.0 into 0.0,
+        # since a bound mean -/+ w with w > 0 is never -0.0
+        frozen = np.array(data.draw(st.lists(
+            st.sampled_from(shifted[0].tolist()) | VALUES.map(lambda x: x + 0.0),
+            min_size=1, max_size=5)))
+        size = frozen.size + live_n
+        kq = data.draw(st.integers(0, size - 1))
+        mat = np.empty((rows, size))
+        mat[:, :frozen.size] = frozen
+        side(np.sort(means, axis=1), width[:, None], out=mat[:, frozen.size:])
+        mat.sort(axis=1)
+        unsorted = np.hstack([np.broadcast_to(frozen, (rows, frozen.size)), shifted])
+        assert bits(mat[:, kq]) == bits(np.partition(unsorted, kq, axis=1)[:, kq])
 
 
 @settings(max_examples=60, deadline=None)
@@ -212,11 +239,16 @@ def test_small_block_budgets_match_sequential_loop(case, budget):
 class CountingEnv(RewardEnv):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.calls = 0
+        self.pulls = 0
+        self.skips = 0
 
     def pull(self, arm_indices):
-        self.calls += 1
+        self.pulls += 1
         return super().pull(arm_indices)
+
+    def skip(self, count):
+        self.skips += 1
+        return super().skip(count)
 
 
 class CountingRun(EliminationRun):
@@ -232,8 +264,8 @@ class CountingRun(EliminationRun):
 def test_cut_blocks_rewind_the_stream():
     # arms spread around three distinct medians: sets change every few dozen
     # rounds, so blocks are cut short; a cut block rewinds the generator and
-    # draws its committed rounds again only to position the stream, since the
-    # ledger takes its sums from the first draw
+    # skips it past its committed rounds, since the ledger takes its sums from
+    # the one draw each block makes
     means = np.array([0.2, 0.5, 0.7, 0.9, 0.1, 0.3, 0.6, 0.8, 0.0, 0.1, 0.2, 0.4])
     groups = [FiniteGroup("a", (0, 1, 2, 3)), FiniteGroup("b", (4, 5, 6, 7)),
               FiniteGroup("c", (8, 9, 10, 11))]
@@ -241,7 +273,8 @@ def test_cut_blocks_rewind_the_stream():
         env = CountingEnv(means, FAMILIES[family], np.random.default_rng(3))
         engine = CountingRun(groups, 0.5, 0.1, 0.1, env, rng=env.rng, true_means=means)
         engine.run()
-        assert env.calls > engine.calls  # some block drew twice: it was cut and rewound
+        assert env.skips > 0  # some block was cut and rewound
+        assert env.pulls == engine.calls  # one draw per block
         assert_same_run({"groups": groups, "means": means, "family": family, "alpha": 0.5,
                          "slack": 0.1, "oracle": "reversed", "shared_rng": True, "seed": 3})
 

@@ -22,7 +22,7 @@ from quantile_bandits import (
     reservoir_gap_bounds,
     run_multistep,
 )
-from quantile_bandits.grouped import _epoch_oracles
+from quantile_bandits.grouped import _epoch_oracles, _quantile_band
 from quantile_bandits.hardness import HardInstanceParams
 
 FAM = RewardFamily("bernoulli")
@@ -269,6 +269,45 @@ class TestTwoStep:
         assert tr.stop_pull_violations == 0
         assert tr.max_bucket_size > 0
         assert tr.epoch_pulls == (tr.total_pulls,)
+
+
+class TestOracleConstantsPerConfig:
+    """The relaxed success set and each reservoir's sandwich band depend only
+    on the config, so they are computed once and shared by its trials."""
+
+    @staticmethod
+    def two_groups(low_mean):
+        return make_instance([("hi", DiscreteReservoir.from_atoms(((0.3, 0.5), (0.7, 0.5)))),
+                              ("lo", DiscreteReservoir.point_mass(low_mean))])
+
+    def test_equal_instances_give_equal_winners(self):
+        # best lower quantile 0.3, so a group wins when its upper one is >= 0.25
+        first, second = self.two_groups(0.2), self.two_groups(0.2)
+        assert first is not second and first == second
+        assert relaxed_success_set(first, 0.1, 0.05) == {"hi"}
+        assert relaxed_success_set(second, 0.1, 0.05) == {"hi"}
+        assert relaxed_success_set(self.two_groups(0.28), 0.1, 0.05) == {"hi", "lo"}
+
+    def test_equal_reservoirs_share_one_band(self):
+        spec = DiscreteReservoir.from_atoms(((0.3, 0.5), (0.7, 0.5)))
+        assert quantile_sandwiched(spec, [0.3, 0.7, 0.7], 0.5, 0.1)
+        misses = _quantile_band.cache_info().misses
+        again = DiscreteReservoir.from_atoms(((0.3, 0.5), (0.7, 0.5)))
+        assert quantile_sandwiched(again, [0.3, 0.7, 0.7], 0.5, 0.1)
+        assert not quantile_sandwiched(again, [0.1, 0.1, 0.1], 0.5, 0.1)
+        assert _quantile_band.cache_info().misses == misses
+
+    def test_mutating_a_returned_set_leaves_later_trials_alone(self):
+        inst = make_instance([("hi", DiscreteReservoir.point_mass(0.7)),
+                              ("lo", DiscreteReservoir.point_mass(0.3))])
+        before = run_multistep(inst, [0.2], [0.1], 0.1, np.random.default_rng(3), noiseless=True)
+        won = relaxed_success_set(inst, 0.2, 0.1)
+        assert won == {"hi"}
+        won.clear()
+        won.add("lo")
+        assert relaxed_success_set(inst, 0.2, 0.1) == {"hi"}
+        after = run_multistep(inst, [0.2], [0.1], 0.1, np.random.default_rng(3), noiseless=True)
+        assert after == before and after.success
 
 
 class TestMultistep:

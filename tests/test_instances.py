@@ -242,6 +242,20 @@ class TestSampleReward:
         assert abs(draws.mean() - 0.5) < 0.02
         assert abs(draws.var() - 0.25) < 0.02
 
+    @pytest.mark.parametrize("family, noiseless", [
+        (RewardFamily("bernoulli"), False), (RewardFamily("gaussian", 0.25), False),
+        (RewardFamily("gaussian", 1.0), False), (RewardFamily("bernoulli"), True)])
+    @pytest.mark.parametrize("count", [0, 1, 7, 1000])
+    def test_skip_advances_like_pull(self, family, noiseless, count):
+        # the cut-block rewind skips the stream past rounds already drawn;
+        # the next draws must be those a pull of the same count leaves
+        means = np.random.default_rng(9).random(count)
+        pulled, skipped = np.random.default_rng(4), np.random.default_rng(4)
+        RewardEnv(means if count else np.ones(1), family, pulled,
+                  noiseless=noiseless).pull(np.arange(count))
+        RewardEnv(np.ones(1), family, skipped, noiseless=noiseless).skip(count)
+        assert skipped.bit_generator.state == pulled.bit_generator.state
+
     def test_mean_out_of_range(self):
         with pytest.raises(ValueError):
             RewardEnv(np.array([0.5, 1.2]), RewardFamily("bernoulli"), np.random.default_rng(0))
