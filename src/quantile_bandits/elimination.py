@@ -12,6 +12,11 @@ each group (eliminated arms keep their last bounds frozen):
   pulls after round t);
 * active arms -- the union of potential quantile arms over candidate groups.
 
+Each group is a range of consecutive arm ids, and the groups tile 0..n-1 in
+group order.  The active set is the candidates' pools concatenated in that
+order, so a group's arms, and its live arms among the active ones, are read
+by slicing, never gathered.
+
 The loop stops once a single candidate remains or the spread between the most
 optimistic and most pessimistic achievable max-quantiles drops to the target
 slack.  The spread is always computed from its direct definition; the cheap
@@ -26,11 +31,11 @@ that round's sums; the rounds after it are drawn again in the next block,
 with the reward generator rewound and skipped past the kept rounds, so it
 advances exactly as one draw per round would.  Sums accumulate row by row and
 quantiles are exact order statistics, so a block gives the same bits as its
-rounds run one at a time.  A block sorts each candidate group's row-major
-(K, live arms) copy of its running sums along rows once, reads the kth, the
-row max and the row min off the sorted columns, and divides only those by
-the round; the sets, the tiled arm ids and each group's columns and frozen
-bounds are derived again only when a set changes.
+rounds run one at a time.  A block sorts each candidate group's slice of
+(K, live arms) running sums along rows once, reads the kth, the row max and
+the row min off the sorted columns, and divides only those by the round; the
+sets, the tiled arm ids and each group's column slice and frozen bounds are
+derived again only when a set changes.
 
 Write-back ledger: between set changes the run carries the active arms'
 running sums itself, with the count of rounds not yet committed, and writes
@@ -71,16 +76,26 @@ def multiset_quantile(values, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A named finite set of arm ids (indices into the reward environment)."""
+    """A named finite group of arms: a ``range`` of consecutive ids into the
+    reward environment.  Consecutive ids given as a tuple or list are stored as
+    the equal range; other ids are rejected.  ``columns`` slices the group's
+    arms out of any array indexed by arm id."""
 
     group_id: str
-    arm_ids: tuple[int, ...]
+    arm_ids: range
 
     def __post_init__(self) -> None:
-        if len(self.arm_ids) == 0:
+        ids = self.arm_ids
+        if len(ids) == 0:
             raise ValueError(f"group {self.group_id!r} has no arms")
-        if len(set(self.arm_ids)) != len(self.arm_ids):
-            raise ValueError(f"group {self.group_id!r} repeats arm ids")
+        run = range(ids[0], ids[0] + len(ids))
+        if not (ids == run if isinstance(ids, range) else tuple(ids) == tuple(run)):
+            raise ValueError(f"group {self.group_id!r} arm ids must be consecutive")
+        object.__setattr__(self, "arm_ids", run)
+
+    @property
+    def columns(self) -> slice:
+        return slice(self.arm_ids.start, self.arm_ids.stop)
 
 
 @functools.lru_cache(maxsize=8)
@@ -177,7 +192,7 @@ def gap_profile(groups: list[FiniteGroup], true_means: np.ndarray, alpha: float,
     group gap among the remaining groups (+inf when there is a single group).
     """
     true_means = np.asarray(true_means, dtype=float)
-    quants = {g.group_id: multiset_quantile(true_means[list(g.arm_ids)], alpha) for g in groups}
+    quants = {g.group_id: multiset_quantile(true_means[g.columns], alpha) for g in groups}
     best_val = max(quants.values())
     best_group = min(gid for gid, q in quants.items() if q == best_val)
     group_gaps = {gid: best_val - q for gid, q in quants.items()}
@@ -186,11 +201,11 @@ def gap_profile(groups: list[FiniteGroup], true_means: np.ndarray, alpha: float,
     arm_gaps = np.zeros(true_means.size)
     overall = np.zeros(true_means.size)
     for g in groups:
-        ids = np.asarray(g.arm_ids, dtype=np.int64)
-        arm_gaps[ids] = np.abs(true_means[ids] - quants[g.group_id])
-        overall[ids] = np.maximum(
+        cols = g.columns
+        arm_gaps[cols] = np.abs(true_means[cols] - quants[g.group_id])
+        overall[cols] = np.maximum(
             np.maximum(slack, group_gaps[g.group_id]),
-            np.maximum(uniqueness, arm_gaps[ids]),
+            np.maximum(uniqueness, arm_gaps[cols]),
         )
     return GapProfile(best_group, quants, group_gaps, uniqueness, arm_gaps, overall)
 
@@ -240,13 +255,14 @@ class EliminationRun:
             raise ValueError(f"quantile slack must be positive, got {slack}")
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        self._idx = {g.group_id: np.asarray(g.arm_ids, dtype=np.int64) for g in groups}
-        if len(self._idx) != len(groups):
+        self._columns = {g.group_id: g.columns for g in groups}
+        if len(self._columns) != len(groups):
             raise ValueError("group ids must be distinct")
-        all_ids = np.sort(np.concatenate(list(self._idx.values())))
-        n = all_ids.size
-        if not np.array_equal(all_ids, np.arange(n)):
-            raise ValueError("groups must partition arm ids 0..n-1 disjointly")
+        n = 0
+        for g in groups:
+            if g.arm_ids.start != n:
+                raise ValueError("groups must tile arm ids 0..n-1 in group order")
+            n = g.arm_ids.stop
         if env.num_arms != n:
             raise ValueError("environment arm count does not match the groups")
         self.slack = slack
@@ -257,7 +273,8 @@ class EliminationRun:
         self.state = EliminationState(
             round_index=1,
             candidates=tuple(g.group_id for g in groups),
-            quantile_arms={g.group_id: self._idx[g.group_id].copy() for g in groups},
+            quantile_arms={g.group_id: np.arange(g.arm_ids.start, g.arm_ids.stop)
+                           for g in groups},
             active=np.arange(n, dtype=np.int64),
             spread=math.inf,
         )
@@ -289,16 +306,16 @@ class EliminationRun:
         return len(self.state.candidates) == 1 or self.state.spread <= self.slack
 
     def _group_quantiles(self, values: np.ndarray, gid: str) -> float:
-        idx = self._idx[gid]
-        return float(np.partition(values[idx], self._kq[gid])[self._kq[gid]])
+        return float(np.partition(values[self._columns[gid]], self._kq[gid])[self._kq[gid]])
 
     def _plan(self) -> None:
         """Store what every block reuses until the next set change: the active
         arms' running sums, seeded from the ledger, which is current here, with
         no round pending; the active arms tiled for the longest block; and, per
-        candidate group, its kth index, its columns in ``active`` and its
-        frozen arms' (lcb, ucb), which never change (None for a group with no
-        frozen arm)."""
+        candidate group, its kth index, the slice of its columns in ``active``
+        and its frozen arms' (lcb, ucb), which never change (None for a group
+        with no frozen arm).  ``active`` is the candidates' pools concatenated
+        in candidate order, so each group's live arms are one run of columns."""
         st = self.state
         led = self.ledger
         self._sums = led.sums[st.active]
@@ -307,11 +324,13 @@ class EliminationRun:
         is_active[st.active] = True
         self._tiled = np.tile(st.active, self._max_block)
         self._groups = []
+        col = 0
         for gid in st.candidates:
-            pool, idx = st.quantile_arms[gid], self._idx[gid]
-            frozen = idx[~is_active[idx]]
-            bounds = (led.lcb[frozen], led.ucb[frozen]) if frozen.size else None
-            self._groups.append((self._kq[gid], np.searchsorted(st.active, pool), bounds))
+            cols, stop = self._columns[gid], col + st.quantile_arms[gid].size
+            frozen = ~is_active[cols]
+            bounds = (led.lcb[cols][frozen], led.ucb[cols][frozen]) if frozen.any() else None
+            self._groups.append((self._kq[gid], slice(col, stop), bounds))
+            col = stop
 
     def step(self) -> EliminationState:
         """Run one block of rounds and return the state after it.
@@ -325,8 +344,8 @@ class EliminationRun:
         one cut short.
 
         The drawn (K, m) rewards become the running reward sums in place, row
-        i after round t+i.  Each candidate group sorts its gathered (K, live
-        arms) sums along rows once.  Active arms share each round's pull count
+        i after round t+i.  Each candidate group sorts its slice of columns,
+        its (K, live arms) sums, along rows once.  Active arms share each round's pull count
         n and width w, and float x / n, x - w and x + w keep the order of x,
         so the sorted columns give every round's row max and min, divided by
         n, and, for a group with no frozen arm, both quantiles kth / n -/+ w.
@@ -374,8 +393,7 @@ class EliminationRun:
         q_ucb = np.empty((k, len(st.candidates)))
         arm_exits = np.zeros(k, dtype=bool)
         for c, (kq, cols, frozen) in enumerate(self._groups):
-            live = np.take(sums, cols, axis=1)
-            live.sort(axis=1)
+            live = np.sort(sums[:, cols], axis=1)
             top, bottom = live[:, -1] / rounds, live[:, 0] / rounds
             if frozen is None:
                 kth = live[:, kq] / rounds
@@ -383,7 +401,7 @@ class EliminationRun:
                 q_ucb[:, c] = kth + width
             else:
                 np.divide(live, rounds[:, None], out=live)
-                mat = np.empty((k, frozen[0].size + cols.size))
+                mat = np.empty((k, frozen[0].size + live.shape[1]))
                 for bound, side, q in zip(frozen, (np.subtract, np.add), (q_lcb, q_ucb)):
                     mat[:, :bound.size] = bound
                     side(live, width[:, None], out=mat[:, bound.size:])
@@ -419,14 +437,15 @@ class EliminationRun:
             led.record_pulls(active, sums[r], self._pending + r + 1)
             if bool(np.any(led.pulls[active] != t + r)):
                 self.equal_pull_ok = False
-            # quantile_arms is keyed in candidate order
+            # quantile_arms is keyed in candidate order, and the groups tile
+            # the ids in that order, so the pools concatenate in id order
             kept = keep_group[r]
             quantile_arms = {gid: pool[(led.lcb[pool] <= q_ucb[r, c])
                                        & (led.ucb[pool] >= q_lcb[r, c])]
                              for c, (gid, pool) in enumerate(st.quantile_arms.items())
                              if kept[c]}
             candidates = tuple(quantile_arms)
-            active = (np.sort(np.concatenate([quantile_arms[g] for g in candidates]))
+            active = (np.concatenate([quantile_arms[g] for g in candidates])
                       if candidates else np.empty(0, dtype=np.int64))
             if candidates and active.size == 0:
                 raise RuntimeError(

