@@ -18,11 +18,10 @@ from .confidence import confidence_width, invert_width
 from .elimination import (ArmLedger, EliminationResult, EliminationRun, EliminationState,
                           FiniteGroup, GapProfile, bound_pulls_finite, gap_profile,
                           multiset_quantile, run_elimination)
-from .grouped import (Partition, ReservoirGapBounds, TrialResult, build_partition,
-                      check_schedule, epochs_until_elimination, pull_bound_multistep,
-                      pull_bound_worst_case, quantile_sandwiched, required_arm_count,
-                      reservoir_gap_bounds, run_multistep)
-from .hardness import (DriftReport, HardInstanceParams, ScoreState, conditional_good_prob,
+from .grouped import (ReservoirGapBounds, TrialResult, check_schedule, epochs_until_elimination,
+                      pull_bound_multistep, pull_bound_worst_case, quantile_sandwiched,
+                      required_arm_count, reservoir_gap_bounds, run_multistep)
+from .hardness import (DriftReport, HardInstanceParams, conditional_good_prob,
                        expected_next_likelihood_ratio, likelihood_ratio,
                        make_worst_case_instances, success_scale, verify_drift)
 from .harness import (AggregateReport, ExperimentConfig, config_from_dict, config_from_file,

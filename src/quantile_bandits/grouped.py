@@ -7,21 +7,21 @@ The multi-step variant repeats this with a schedule of shrinking tolerances,
 permanently dropping groups the subroutine eliminated and discarding all
 previously requested arms between epochs.
 
-This module also houses the oracle-side analysis helpers: the hidden-index
-partition of a sampled group, reservoir-level lower bounds on the realized
-gaps, and the pull-count bound evaluators built from them.
+This module also houses the oracle-side analysis helpers: the eps-wide
+hidden-index buckets of sampled arms and their largest-bucket count,
+reservoir-level lower bounds on the realized gaps, and the pull-count bound
+evaluators built from them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elimination import FiniteGroup, gap_bound_sum, multiset_quantile, run_elimination
-from .instances import BanditInstance, Reservoir, RewardEnv, relaxed_success_set
+from .instances import BanditInstance, Reservoir, RewardEnv, quantile_band, relaxed_success_set
 
 _INT_TOL = 1e-9
 
@@ -57,41 +57,20 @@ def quantile_sandwiched(spec: Reservoir, sampled_means, alpha: float, eps: float
     """Whether the sample (1-alpha)-quantile lies inside the reservoir's
     quantile band at levels (1 - alpha -/+ eps)."""
     q = multiset_quantile(sampled_means, alpha)
-    low, high = _quantile_band(spec, alpha, eps)
+    low, high = quantile_band(spec, alpha, eps)
     return low <= q <= high
-
-
-@functools.lru_cache
-def _quantile_band(spec: Reservoir, alpha: float, eps: float) -> tuple[float, float]:
-    """The reservoir's quantiles at levels (1 - alpha -/+ eps), computed once
-    per (reservoir, alpha, eps): every trial's event A checks the same band."""
-    return spec.quantile(1.0 - alpha - eps), spec.quantile(1.0 - alpha + eps)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Hidden-index partition of sampled arms into quantile-level buckets.
-
-    Bucket 0 is [0, b_1); buckets 1..m-1 are [b_i, b_{i+1}); bucket m is
-    [b_m, 1].  Every interval has width at most eps and the level 1 - alpha
-    sits on a boundary, so bucket membership pins an arm's position relative
-    to the group quantile up to eps.
-    """
-
-    bucket_count: int
-    boundaries: np.ndarray
-    buckets: dict[str, list[np.ndarray]]
-
-    def bucket_sizes(self, group_id: str) -> np.ndarray:
-        return np.array([b.size for b in self.buckets[group_id]], dtype=np.int64)
-
-    def max_bucket_size(self) -> int:
-        return max(int(self.bucket_sizes(g).max()) for g in self.buckets)
 
 
 def _bucket_geometry(eps: float, alpha: float) -> tuple[int, np.ndarray, int]:
     """Bucket count m, boundaries b_1..b_m, and the quantile-level index
-    floor((1 - alpha) / eps) shared by the partition and the gap bounds."""
+    floor((1 - alpha) / eps) shared by the bucket count and the gap bounds.
+
+    The buckets split the hidden indices [0, 1]: bucket 0 is [0, b_1),
+    buckets 1..m-1 are [b_i, b_{i+1}) and bucket m is [b_m, 1].  Every
+    bucket is at most eps wide and the level 1 - alpha sits on a boundary,
+    so an arm's bucket pins its position relative to the group quantile up
+    to eps.  Callers check eps first.
+    """
     level_steps = math.floor((1.0 - alpha) / eps + _INT_TOL)
     m = math.ceil(alpha / eps + level_steps - _INT_TOL)
     b = (1.0 - alpha) - level_steps * eps + np.arange(m) * eps
@@ -102,26 +81,6 @@ def _bucket_of(m: int, bounds: np.ndarray, js) -> np.ndarray:
     """Bucket 0..m of each hidden index in ``js``, for boundaries ``bounds``."""
     edges = np.concatenate(([0.0], bounds, [1.0 + 1e-15]))  # upper edge closed at 1
     return np.clip(np.searchsorted(edges, np.asarray(js, dtype=float), side="right") - 1, 0, m)
-
-
-def build_partition(eps: float, alpha: float, indices_by_group: dict[str, np.ndarray]) -> Partition:
-    """Assign sampled arms to buckets by their hidden indices.
-
-    Parameters
-    ----------
-    indices_by_group : dict
-        Group id -> array of hidden indices (positions in [0, 1]) of the
-        sampled arms; the returned buckets hold positional indices into each
-        group's array.
-    """
-    if not 0.0 < eps < min(alpha, 1.0 - alpha):
-        raise ValueError(f"eps must lie in (0, min(alpha, 1-alpha)), got {eps}")
-    m, bounds, _ = _bucket_geometry(eps, alpha)
-    buckets: dict[str, list[np.ndarray]] = {}
-    for gid, js in indices_by_group.items():
-        which = _bucket_of(m, bounds, js)
-        buckets[gid] = [np.flatnonzero(which == i) for i in range(m + 1)]
-    return Partition(m, bounds, buckets)
 
 
 @dataclass(frozen=True)
@@ -148,9 +107,12 @@ def reservoir_gap_bounds(instance: BanditInstance, eps: float, gap: float) -> Re
     """Evaluate the gap lower bounds at tolerances (eps, gap) exactly from
     the reservoir quantiles."""
     a = instance.alpha
+    low, high = {}, {}
+    for gid, res in instance.groups:
+        low[gid], high[gid] = quantile_band(res, a, eps)
+    if gap <= 0.0:
+        raise ValueError(f"gap must be positive, got {gap}")
     m, bounds, level_steps = _bucket_geometry(eps, a)
-    low = {gid: res.quantile(1.0 - a - eps) for gid, res in instance.groups}
-    high = {gid: res.quantile(1.0 - a + eps) for gid, res in instance.groups}
     best_low = max(low.values())
     best_high = max(high.values())
     relaxed_best = min(gid for gid in instance.group_ids if high[gid] == best_high)
@@ -228,7 +190,6 @@ def _epoch_oracles(instance: BanditInstance, samples, alpha: float, eps: float):
         quantile_sandwiched(instance.reservoir(gid), mu, alpha, eps)
         for gid, (_, mu) in samples.items()
     )
-    # the partition's largest bucket, counted without building the partition
     m, bounds, _ = _bucket_geometry(eps, alpha)
     largest = max(int(np.bincount(_bucket_of(m, bounds, js), minlength=m + 1).max())
                   for js, _ in samples.values())

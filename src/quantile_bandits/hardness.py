@@ -16,7 +16,7 @@ checks both facts numerically on a parameter grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .instances import BanditInstance, DiscreteReservoir, RewardFamily
 
@@ -127,27 +127,6 @@ def expected_next_likelihood_ratio(d: int, params: HardInstanceParams, instance_
     pg = conditional_good_prob(d, params, instance_kind)
     p_one = params.good_mean * pg + params.bad_mean * (1.0 - pg)
     return p_one * likelihood_ratio(d + 1, params) + (1.0 - p_one) * likelihood_ratio(d - 1, params)
-
-
-@dataclass
-class ScoreState:
-    """Per-arm scores and the product likelihood-ratio statistic they induce."""
-
-    scores: dict[int, int] = field(default_factory=dict)
-
-    def update(self, arm: int, reward: float) -> None:
-        if reward not in (0.0, 1.0):
-            raise ValueError("scores are defined for Bernoulli rewards only")
-        self.scores[arm] = self.scores.get(arm, 0) + (1 if reward == 1.0 else -1)
-
-    def score(self, arm: int) -> int:
-        return self.scores.get(arm, 0)
-
-    def log_likelihood_ratio(self, params: HardInstanceParams) -> float:
-        return sum(math.log(likelihood_ratio(d, params)) for d in self.scores.values())
-
-    def likelihood_ratio(self, params: HardInstanceParams) -> float:
-        return math.exp(self.log_likelihood_ratio(params))
 
 
 @dataclass

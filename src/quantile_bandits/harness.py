@@ -270,7 +270,3 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         Path(config.out_summary).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     return report
 
-
-def read_trial_csv(path: str | Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))

@@ -265,15 +265,24 @@ def relaxed_success_set(instance: BanditInstance, eps: float, gap: float) -> set
 def _relaxed_winners(instance: BanditInstance, eps: float, gap: float) -> frozenset[str]:
     """:func:`relaxed_success_set`, computed once per (instance, eps, gap):
     every trial of an experiment scores against the same set."""
-    a = instance.alpha
-    if not 0.0 < eps < min(a, 1.0 - a):
-        raise ValueError(f"eps must lie in (0, min(alpha, 1-alpha)), got {eps}")
+    bands = {gid: quantile_band(res, instance.alpha, eps) for gid, res in instance.groups}
     if gap <= 0.0:
         raise ValueError(f"gap must be positive, got {gap}")
-    lower = {gid: res.quantile(1.0 - a - eps) for gid, res in instance.groups}
-    upper = {gid: res.quantile(1.0 - a + eps) for gid, res in instance.groups}
-    best_low = max(lower.values())
-    return frozenset(gid for gid in instance.group_ids if upper[gid] >= best_low - gap)
+    best_low = max(low for low, _ in bands.values())
+    return frozenset(gid for gid, (_, high) in bands.items() if high >= best_low - gap)
+
+
+@functools.lru_cache
+def quantile_band(spec: Reservoir, alpha: float, eps: float) -> tuple[float, float]:
+    """The reservoir's quantiles at levels (1 - alpha -/+ eps), for
+    0 < eps < min(alpha, 1 - alpha).
+
+    Computed once per (reservoir, alpha, eps): the sandwich event, the
+    relaxed success set and the reservoir gap bounds all read this band.
+    """
+    if not 0.0 < eps < min(alpha, 1.0 - alpha):
+        raise ValueError(f"eps must lie in (0, min(alpha, 1-alpha)), got {eps}")
+    return spec.quantile(1.0 - alpha - eps), spec.quantile(1.0 - alpha + eps)
 
 
 def instance_from_dict(data: dict, path: str = "instance") -> BanditInstance:

@@ -18,7 +18,6 @@ from quantile_bandits import (
     HardInstanceParams,
     RewardEnv,
     RewardFamily,
-    build_partition,
     confidence_width,
     expected_next_likelihood_ratio,
     likelihood_ratio,
@@ -31,6 +30,7 @@ from quantile_bandits import (
     run_multistep,
     verify_drift,
 )
+from quantile_bandits.grouped import _bucket_geometry
 
 FAM = RewardFamily("bernoulli")
 WORKERS = 2
@@ -94,8 +94,8 @@ def _resample_group_stats(inst, eps, delta, resamples, seed):
     rng = np.random.default_rng(seed)
     sandwiched = np.ones(resamples, dtype=bool)
     max_load = np.zeros(resamples, dtype=np.int64)
-    part = build_partition(eps, alpha, {"probe": np.array([0.5])})
-    edges = np.concatenate(([0.0], part.boundaries, [1.0 + 1e-15]))
+    bucket_count, boundaries, _ = _bucket_geometry(eps, alpha)
+    edges = np.concatenate(([0.0], boundaries, [1.0 + 1e-15]))
     k = math.ceil(n * (1.0 - alpha) - 1e-9) - 1
     for gid, res in inst.groups:
         js = rng.random((resamples, n))
@@ -104,8 +104,8 @@ def _resample_group_stats(inst, eps, delta, resamples, seed):
         lo = res.quantile(1.0 - alpha - eps)
         hi = res.quantile(1.0 - alpha + eps)
         sandwiched &= (sample_q >= lo) & (sample_q <= hi)
-        which = np.clip(np.searchsorted(edges, js, side="right") - 1, 0, part.bucket_count)
-        for i in range(part.bucket_count + 1):
+        which = np.clip(np.searchsorted(edges, js, side="right") - 1, 0, bucket_count)
+        for i in range(bucket_count + 1):
             max_load = np.maximum(max_load, (which == i).sum(axis=1))
     return sandwiched, max_load, n
 

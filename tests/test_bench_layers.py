@@ -27,7 +27,7 @@ from quantile_bandits import (
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 # public names removed on purpose; the benchmark still asks for them
-REMOVED = {"harness.run_two_step", "harness.pull_bound_grouped"}
+REMOVED = {"harness.run_two_step", "harness.pull_bound_grouped", "grouped.build_partition"}
 
 
 def load_tracing():

@@ -1,4 +1,4 @@
-"""Two-step/multi-step runners, partitions, reservoir gap bounds, and bounds."""
+"""Two-step/multi-step runners, hidden-index buckets, reservoir gap bounds, and bounds."""
 
 import math
 
@@ -9,7 +9,6 @@ from quantile_bandits import (
     BanditInstance,
     DiscreteReservoir,
     RewardFamily,
-    build_partition,
     check_schedule,
     epochs_until_elimination,
     gap_profile,
@@ -22,8 +21,9 @@ from quantile_bandits import (
     reservoir_gap_bounds,
     run_multistep,
 )
-from quantile_bandits.grouped import _epoch_oracles, _quantile_band
+from quantile_bandits.grouped import _bucket_geometry, _bucket_of, _epoch_oracles
 from quantile_bandits.hardness import HardInstanceParams
+from quantile_bandits.instances import quantile_band
 
 FAM = RewardFamily("bernoulli")
 
@@ -33,6 +33,16 @@ def make_instance(groups, alpha=0.5, name="test"):
 
 
 GOOD_PAIR = make_worst_case_instances(HardInstanceParams(0.2, 0.2))[1]
+
+
+def bucket_members(eps, alpha, js):
+    """Positions of ``js`` in each bucket, read off the edges 0, b_1..b_m, 1
+    one interval at a time: [edges[i], edges[i+1]), the last one closed at 1."""
+    m, bounds, _ = _bucket_geometry(eps, alpha)
+    js = np.asarray(js, dtype=float)
+    edges = np.concatenate(([0.0], bounds, [1.0]))
+    return [np.flatnonzero((edges[i] <= js) & ((js < edges[i + 1]) | (i == m)))
+            for i in range(m + 1)]
 
 
 class TestRequiredArmCount:
@@ -91,44 +101,50 @@ class TestQuantileSandwiched:
         assert hits / 1000 >= 0.95
 
 
-class TestBuildPartition:
+class TestBucketGeometry:
     def test_half_eighth_geometry(self):
-        part = build_partition(0.125, 0.5, {"g": np.array([0.0, 0.5, 0.99])})
-        assert part.bucket_count == 8
-        assert np.allclose(part.boundaries, np.arange(8) / 8)
-        assert part.buckets["g"][0].size == 0  # b_1 = 0 leaves bucket 0 empty
+        m, bounds, _ = _bucket_geometry(0.125, 0.5)
+        assert m == 8
+        assert np.allclose(bounds, np.arange(8) / 8)
+        # b_1 = 0 leaves bucket 0 empty
+        assert bucket_members(0.125, 0.5, [0.0, 0.5, 0.99])[0].size == 0
+        assert 0 not in _bucket_of(m, bounds, [0.0, 0.5, 0.99])
 
     def test_point_three_geometry(self):
-        part = build_partition(0.1, 0.3, {"g": np.array([0.05])})
-        assert part.bucket_count == 10
-        assert part.boundaries[0] == pytest.approx(0.0, abs=1e-12)
+        m, bounds, _ = _bucket_geometry(0.1, 0.3)
+        assert m == 10
+        assert bounds[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_uneven_geometry(self):
-        part = build_partition(0.15, 0.5, {"g": np.array([0.02])})
-        assert part.bucket_count == 7
-        assert part.boundaries[0] == pytest.approx(0.05)
-        assert part.buckets["g"][0].size == 1  # 0.02 < b_1
+        m, bounds, _ = _bucket_geometry(0.15, 0.5)
+        assert m == 7
+        assert bounds[0] == pytest.approx(0.05)
+        # 0.02 < b_1
+        assert bucket_members(0.15, 0.5, [0.02])[0].tolist() == [0]
+        assert _bucket_of(m, bounds, [0.02]).tolist() == [0]
 
     def test_buckets_cover_and_are_disjoint(self):
         rng = np.random.default_rng(3)
-        js = rng.random(500)
-        part = build_partition(0.13, 0.37, {"g": js})
-        sizes = part.bucket_sizes("g")
-        assert sizes.sum() == 500
-        all_idx = np.concatenate(part.buckets["g"])
-        assert np.array_equal(np.sort(all_idx), np.arange(500))
+        js = np.concatenate((rng.random(500), [0.0, 1.0]))
+        members = bucket_members(0.13, 0.37, js)
+        all_idx = np.concatenate(members)
+        assert np.array_equal(np.sort(all_idx), np.arange(js.size))
+        m, bounds, _ = _bucket_geometry(0.13, 0.37)
+        which = _bucket_of(m, bounds, js)
+        for i, bucket in enumerate(members):
+            assert np.array_equal(np.flatnonzero(which == i), bucket)
         # every bucket interval has width at most eps
-        edges = np.concatenate(([0.0], part.boundaries, [1.0]))
+        edges = np.concatenate(([0.0], bounds, [1.0]))
         assert np.all(np.diff(edges) <= 0.13 + 1e-12)
 
     def test_bucket_count_near_inverse_eps(self):
         for eps, alpha in ((0.125, 0.5), (0.1, 0.3), (0.15, 0.5), (0.07, 0.25)):
-            part = build_partition(eps, alpha, {"g": np.array([0.5])})
-            assert part.bucket_count in (math.floor(1 / eps), math.ceil(1 / eps))
-            assert part.bucket_count >= 3
+            m, bounds, _ = _bucket_geometry(eps, alpha)
+            assert m in (math.floor(1 / eps), math.ceil(1 / eps))
+            assert m >= 3
+            assert np.isclose(bounds, 1.0 - alpha).any()  # the level is a boundary
 
     def test_epoch_oracle_counts_the_largest_bucket(self):
-        # a trial reports the partition's largest bucket without building it
         inst = make_instance([("a", DiscreteReservoir((0.2, 0.6), (0.5, 0.5))),
                               ("b", DiscreteReservoir((0.4,), (1.0,)))])
         rng = np.random.default_rng(8)
@@ -136,7 +152,7 @@ class TestBuildPartition:
             js = {"a": rng.random(300), "b": np.array([0.0, 0.5, 1.0, 1.0])}
             samples = {gid: (js[gid], inst.reservoir(gid).quantile_many(js[gid])) for gid in js}
             largest = _epoch_oracles(inst, samples, alpha, eps)[1]
-            assert largest == build_partition(eps, alpha, js).max_bucket_size()
+            assert largest == max(b.size for g in js for b in bucket_members(eps, alpha, js[g]))
 
 
 class TestReservoirGapBounds:
@@ -195,15 +211,34 @@ class TestReservoirGapBounds:
                       for k, gid in enumerate(inst.group_ids)]
             means = np.concatenate([mus[gid] for gid in inst.group_ids])
             prof = gap_profile(groups, means, alpha, gap)
-            part = build_partition(eps, alpha, js)
             for gid in inst.group_ids:
                 assert prof.group_gaps[gid] >= gb.group_bound[gid] - 1e-12
                 offset = inst.group_ids.index(gid) * n
-                for i, bucket in enumerate(part.buckets[gid]):
+                for i, bucket in enumerate(bucket_members(eps, alpha, js[gid])):
                     for pos in bucket:
                         assert prof.arm_gaps[offset + pos] >= gb.bucket_bounds[gid][i] - 1e-12
             assert prof.uniqueness_gap >= gb.uniqueness_bound - 1e-12
         assert checked >= 40, "sandwich event should hold on most resamples"
+
+    @pytest.mark.parametrize("alpha,eps,gap,message", [
+        (0.5, 0.0, 0.1, "eps must lie in"),
+        (0.5, -0.1, 0.1, "eps must lie in"),
+        (0.5, 0.5, 0.1, "eps must lie in"),
+        (0.3, 0.35, 0.1, "eps must lie in"),
+        (0.5, 0.1, 0.0, "gap must be positive"),
+        (0.5, 0.1, -0.05, "gap must be positive"),
+    ])
+    def test_bad_tolerances_rejected(self, alpha, eps, gap, message):
+        # every reader of the quantile band checks the tolerances the same way
+        inst = make_instance([("a", DiscreteReservoir.from_atoms(((0.2, 0.5), (0.8, 0.5)))),
+                              ("b", DiscreteReservoir.point_mass(0.5))], alpha=alpha)
+        with pytest.raises(ValueError, match=message):
+            reservoir_gap_bounds(inst, eps, gap)
+        with pytest.raises(ValueError, match=message):
+            relaxed_success_set(inst, eps, gap)
+        if message.startswith("eps"):
+            with pytest.raises(ValueError, match=message):
+                quantile_sandwiched(inst.reservoir("a"), [0.5], alpha, eps)
 
 
 class TestPullBounds:
@@ -291,11 +326,15 @@ class TestOracleConstantsPerConfig:
     def test_equal_reservoirs_share_one_band(self):
         spec = DiscreteReservoir.from_atoms(((0.3, 0.5), (0.7, 0.5)))
         assert quantile_sandwiched(spec, [0.3, 0.7, 0.7], 0.5, 0.1)
-        misses = _quantile_band.cache_info().misses
+        misses = quantile_band.cache_info().misses
         again = DiscreteReservoir.from_atoms(((0.3, 0.5), (0.7, 0.5)))
         assert quantile_sandwiched(again, [0.3, 0.7, 0.7], 0.5, 0.1)
         assert not quantile_sandwiched(again, [0.1, 0.1, 0.1], 0.5, 0.1)
-        assert _quantile_band.cache_info().misses == misses
+        # the success set and the gap bounds read the same band
+        inst = make_instance([("only", again)], name="one-band")
+        assert relaxed_success_set(inst, 0.1, 0.05) == {"only"}
+        assert reservoir_gap_bounds(inst, 0.1, 0.05).group_bound["only"] == pytest.approx(-0.4)
+        assert quantile_band.cache_info().misses == misses
 
     def test_mutating_a_returned_set_leaves_later_trials_alone(self):
         inst = make_instance([("hi", DiscreteReservoir.point_mass(0.7)),

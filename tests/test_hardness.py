@@ -7,7 +7,6 @@ import pytest
 
 from quantile_bandits import (
     HardInstanceParams,
-    ScoreState,
     conditional_good_prob,
     expected_next_likelihood_ratio,
     likelihood_ratio,
@@ -89,6 +88,20 @@ class TestLikelihoodRatio:
         assert v == pytest.approx(P22.good_fraction / P22.bad_fraction)
         assert likelihood_ratio(-2000, P22) == pytest.approx(P22.bad_fraction / P22.good_fraction)
 
+    def test_product_statistic_is_martingale_under_low_fraction(self):
+        # simulate the mixture with the low good fraction; the mean of the
+        # product statistic stays near 1 (exact martingale, 3-sigma check)
+        rng = np.random.default_rng(8)
+        trials, pulls = 4000, 30
+        vals = np.empty(trials)
+        for t in range(trials):
+            good = rng.random() < P22.bad_fraction
+            mean = P22.good_mean if good else P22.bad_mean
+            d = int(2 * np.sum(rng.random(pulls) < mean) - pulls)
+            vals[t] = likelihood_ratio(d, P22)
+        err = abs(vals.mean() - 1.0)
+        assert err < 3 * vals.std() / math.sqrt(trials)
+
 
 class TestConditionalGoodProb:
     def test_priors_at_zero_score(self):
@@ -147,38 +160,3 @@ class TestVerifyDrift:
         assert not report.passed
         assert report.failures
         assert report.max_ratio > 1.0
-
-
-class TestScoreState:
-    def test_scores_track_reward_signs(self):
-        s = ScoreState()
-        for r in (1.0, 1.0, 0.0, 1.0):
-            s.update(7, r)
-        assert s.score(7) == 2
-        assert s.score(3) == 0
-
-    def test_product_statistic_matches_factor_product(self):
-        s = ScoreState()
-        rng = np.random.default_rng(0)
-        for arm in rng.integers(0, 5, size=60):
-            s.update(int(arm), float(rng.random() < 0.5))
-        expected = math.prod(likelihood_ratio(d, P22) for d in s.scores.values())
-        assert s.likelihood_ratio(P22) == pytest.approx(expected, rel=1e-9)
-
-    def test_product_statistic_is_martingale_under_low_fraction(self):
-        # simulate the mixture with the low good fraction; the mean of the
-        # product statistic stays near 1 (exact martingale, 3-sigma check)
-        rng = np.random.default_rng(8)
-        trials, pulls = 4000, 30
-        vals = np.empty(trials)
-        for t in range(trials):
-            good = rng.random() < P22.bad_fraction
-            mean = P22.good_mean if good else P22.bad_mean
-            d = int(2 * np.sum(rng.random(pulls) < mean) - pulls)
-            vals[t] = likelihood_ratio(d, P22)
-        err = abs(vals.mean() - 1.0)
-        assert err < 3 * vals.std() / math.sqrt(trials)
-
-    def test_rejects_non_bernoulli_rewards(self):
-        with pytest.raises(ValueError):
-            ScoreState().update(0, 0.5)

@@ -1,5 +1,6 @@
 """Experiment harness: configs, determinism, CSV artifacts, aggregation."""
 
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -16,9 +17,15 @@ from quantile_bandits import (
     run_experiment,
     run_trial,
 )
-from quantile_bandits.harness import CSV_COLUMNS, read_trial_csv
+from quantile_bandits.harness import CSV_COLUMNS
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
 
 INSTANCE = {
     "name": "pair",
@@ -166,7 +173,7 @@ class TestArtifacts:
     def test_csv_schema_and_row_count(self, tmp_path):
         cfg = small_config(tmp_path)
         run_experiment(cfg)
-        rows = read_trial_csv(tmp_path / "trials.csv")
+        rows = read_rows(tmp_path / "trials.csv")
         assert len(rows) == 8
         assert list(rows[0].keys()) == ["trial", "instance_id", "chosen_group", "success",
                                         "total_pulls", "rounds", "event_a", "max_bucket_size"]
@@ -177,7 +184,7 @@ class TestArtifacts:
         inst = dict(INSTANCE, name='p,q "r"', groups=[{"id": "hi,1", "atoms": [[0.7, 1.0]]},
                                                        {"id": "lo", "atoms": [[0.3, 1.0]]}])
         report = run_experiment(small_config(tmp_path, instance=inst, trials=2))
-        rows = read_trial_csv(tmp_path / "trials.csv")
+        rows = read_rows(tmp_path / "trials.csv")
         assert [list(r) for r in rows] == [list(CSV_COLUMNS)] * 2
         assert [(r["instance_id"], r["chosen_group"]) for r in rows] == [('p,q "r"', "hi,1")] * 2
         assert report.success_rate == 1.0
@@ -185,7 +192,7 @@ class TestArtifacts:
     def test_summary_recomputable_from_csv(self, tmp_path):
         cfg = small_config(tmp_path)
         report = run_experiment(cfg)
-        rows = read_trial_csv(tmp_path / "trials.csv")
+        rows = read_rows(tmp_path / "trials.csv")
         succ = np.mean([int(r["success"]) for r in rows])
         pulls = [int(r["total_pulls"]) for r in rows]
         assert report.success_rate == pytest.approx(succ)
