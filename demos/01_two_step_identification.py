@@ -51,6 +51,6 @@ for seed in range(3):
     print(f"\nseed {seed}: chose {trial.chosen_group!r} ({verdict}) "
           f"after {trial.total_pulls} pulls in {trial.rounds} rounds")
     print(f"  sample quantiles sandwiched: {trial.event_a}; "
-          f"subroutine met its finite-sample target: {trial.event_b}")
+          f"subroutine met its finite-sample target: {trial.checks.event_b}")
     print(f"  largest hidden-index bucket: {trial.max_bucket_size} "
           f"(cap 3*eps*N = {3 * eps * n_per:.1f})")

@@ -40,12 +40,11 @@ print(f"group B leaves at round {invert_width(0.05, per_arm_budget)} "
        "(width < quantile gap 0.1 / 2)")
 
 env = RewardEnv(means, RewardFamily("bernoulli"), np.random.default_rng(0), noiseless=True)
-result = run_elimination(groups, alpha, slack, delta, env,
-                         rng=np.random.default_rng(1), true_means=means)
+result = run_elimination(groups, alpha, slack, delta, env, true_means=means)
 
 print(f"\nchose {result.chosen!r} after {result.rounds} rounds, "
       f"{result.total_pulls} total pulls")
 print("observed per-arm pull counts:", result.pull_counts.tolist())
-print(f"every active arm pulled in lockstep: {result.equal_pull_ok}")
-print(f"cheap 2*width spread shortcut agreed every round: {result.shortcut_consistent}")
-print(f"no arm outlived its gap threshold: {result.stop_pull_violations == 0}")
+print(f"every active arm pulled in lockstep: {result.checks.equal_pull_ok}")
+print(f"cheap 2*width spread shortcut agreed every round: {result.checks.shortcut_consistent}")
+print(f"no arm outlived its gap threshold: {result.checks.stop_pull_violations == 0}")

@@ -16,7 +16,7 @@ per-arm pull counts, reward sums and confidence bounds.
 
 from .confidence import confidence_width, invert_width
 from .elimination import (ArmLedger, EliminationResult, EliminationRun, EliminationState,
-                          FiniteGroup, GapProfile, bound_pulls_finite, gap_profile,
+                          FiniteGroup, GapProfile, RunChecks, bound_pulls_finite, gap_profile,
                           multiset_quantile, run_elimination)
 from .grouped import (ReservoirGapBounds, TrialResult, check_schedule, epochs_until_elimination,
                       pull_bound_multistep, pull_bound_worst_case, quantile_sandwiched,

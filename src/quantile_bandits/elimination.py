@@ -21,7 +21,8 @@ The loop stops once a single candidate remains or the spread between the most
 optimistic and most pessimistic achievable max-quantiles drops to the target
 slack.  The spread is always computed from its direct definition; the cheap
 2*U(t, delta/n) shortcut is tracked as telemetry and flagged if it ever
-disagrees.
+disagrees.  Ties in the final recommendation draw from the reward stream,
+and a run's verdicts form one :class:`RunChecks` record.
 
 Block rounds: between set changes round t+1 repeats round t with one more
 pull of the same arms, so :meth:`EliminationRun.step` evaluates a block of up
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,17 +156,45 @@ class EliminationState:
 
 
 @dataclass
+class RunChecks:
+    """Verdicts of an elimination run: every active arm had t pulls after
+    round t, and the spread equalled 2*U(t) in every round.  Given the true
+    means (None without): every interval covered its mean, the pulls past
+    each arm's stop round (the first t with U(t) < overall gap / 4), the
+    best group stayed a candidate, and the chosen group is within the slack
+    of the best (event B).  ``a + b`` checks two runs in a row: a flag holds
+    only if it held in both, violations add up, unchecked in either is None.
+    """
+
+    equal_pull_ok: bool = True
+    shortcut_consistent: bool = True
+    bounds_valid: bool | None = None
+    stop_pull_violations: int | None = None
+    best_group_retained: bool | None = None
+    event_b: bool | None = None
+
+    def __add__(self, other: RunChecks) -> RunChecks:
+        def both(a, b, op=lambda x, y: x and y):
+            return None if a is None or b is None else op(a, b)
+
+        return RunChecks(
+            self.equal_pull_ok and other.equal_pull_ok,
+            self.shortcut_consistent and other.shortcut_consistent,
+            both(self.bounds_valid, other.bounds_valid),
+            both(self.stop_pull_violations, other.stop_pull_violations, operator.add),
+            both(self.best_group_retained, other.best_group_retained),
+            both(self.event_b, other.event_b),
+        )
+
+
+@dataclass
 class EliminationResult:
     chosen: str
     total_pulls: int
     rounds: int
     pull_counts: np.ndarray
     final_candidates: tuple[str, ...]
-    equal_pull_ok: bool
-    shortcut_consistent: bool
-    bounds_valid: bool | None = None
-    stop_pull_violations: int | None = None
-    best_group_retained: bool | None = None
+    checks: RunChecks
 
 
 @dataclass(frozen=True)
@@ -236,17 +266,14 @@ BLOCK_ELEMENTS = 16_384
 
 
 class EliminationRun:
-    """Driver object holding a single elimination run's state and telemetry.
-
-    ``true_means`` is optional oracle data: when provided, the run also tracks
-    whether every confidence interval covered its mean at every round, whether
-    the best group stayed a candidate, and whether any arm was pulled after its
-    width first fell below a quarter of its overall gap.
+    """Driver object holding a single elimination run's state and its
+    :class:`RunChecks` record, ``checks``.  ``env``'s generator draws the
+    rewards and breaks ties; the optional oracle data ``true_means`` turns
+    on the checks that need them.
     """
 
     def __init__(self, groups: list[FiniteGroup], alpha: float, slack: float, delta: float,
-                 env, rng: np.random.Generator | None = None,
-                 true_means: np.ndarray | None = None) -> None:
+                 env, true_means: np.ndarray | None = None) -> None:
         if not groups:
             raise ValueError("need at least one group")
         if not 0.0 < alpha < 1.0:
@@ -267,7 +294,6 @@ class EliminationRun:
             raise ValueError("environment arm count does not match the groups")
         self.slack = slack
         self.env = env
-        self.rng = rng if rng is not None else np.random.default_rng()
         self.ledger = ArmLedger(n, delta / n)
         self._kq = {g.group_id: quantile_index(len(g.arm_ids), alpha) for g in groups}
         self.state = EliminationState(
@@ -278,7 +304,6 @@ class EliminationRun:
             active=np.arange(n, dtype=np.int64),
             spread=math.inf,
         )
-        self.total_pulls = 0
         # widths vanish, so the loop provably stops; the cap is a loud guard
         # against the astronomically unlikely fully-frozen stall
         self._round_cap = 100 * invert_width(slack / 4.0, delta / n) + 10_000
@@ -287,20 +312,13 @@ class EliminationRun:
         self._max_block = max(1, BLOCK_ELEMENTS // n)
         self._block = self._max_block
         self._plan()
-        self.equal_pull_ok = True
-        self.shortcut_consistent = True
-        # oracle-side telemetry
-        self._true_means = None if true_means is None else np.asarray(true_means, dtype=float)
-        self.bounds_valid: bool | None = None
-        self.stop_pull_violations: int | None = None
-        self.best_group_retained: bool | None = None
-        self._stop_round = None
-        if self._true_means is not None:
+        self.checks = RunChecks()
+        # oracle side: run() fills in the stop-pull count and event B
+        self._true_means = self._profile = None
+        if true_means is not None:
+            self._true_means = np.asarray(true_means, dtype=float)
             self._profile = gap_profile(groups, self._true_means, alpha, slack)
-            self._stop_round = np.full(n, -1, dtype=np.int64)
-            self.bounds_valid = True
-            self.stop_pull_violations = 0
-            self.best_group_retained = True
+            self.checks.bounds_valid = self.checks.best_group_retained = True
 
     def should_stop(self) -> bool:
         return len(self.state.candidates) == 1 or self.state.spread <= self.slack
@@ -421,11 +439,12 @@ class EliminationRun:
         if r < k - 1:  # leave the stream where one draw per round would
             self.env.rng.bit_generator.state = start
             self.env.skip((r + 1) * m)
-        self.total_pulls += m * (r + 1)
-        if self._true_means is not None:
+        if self.checks.bounds_valid:  # None without true means
             mean = sums[:r + 1] / rounds[:r + 1, None]
             w = width[:r + 1, None]
-            self._check_oracle(active, mean - w, mean + w, t)
+            mu = self._true_means[active]
+            if bool(np.any((mean - w > mu) | (mean + w < mu))):
+                self.checks.bounds_valid = False
 
         candidates, quantile_arms = st.candidates, st.quantile_arms
         if not event[r]:
@@ -436,7 +455,7 @@ class EliminationRun:
             # every round since the last commit, so it holds round r's bounds
             led.record_pulls(active, sums[r], self._pending + r + 1)
             if bool(np.any(led.pulls[active] != t + r)):
-                self.equal_pull_ok = False
+                self.checks.equal_pull_ok = False
             # quantile_arms is keyed in candidate order, and the groups tile
             # the ids in that order, so the pools concatenate in id order
             kept = keep_group[r]
@@ -444,19 +463,18 @@ class EliminationRun:
                                        & (led.ucb[pool] >= q_lcb[r, c])]
                              for c, (gid, pool) in enumerate(st.quantile_arms.items())
                              if kept[c]}
+            # the largest q_lcb's group is kept (its q_ucb is no smaller), so
+            # candidates never empty and spread[r] is the kept groups' spread
             candidates = tuple(quantile_arms)
-            active = (np.concatenate([quantile_arms[g] for g in candidates])
-                      if candidates else np.empty(0, dtype=np.int64))
-            if candidates and active.size == 0:
+            active = np.concatenate([quantile_arms[g] for g in candidates])
+            if active.size == 0:
                 raise RuntimeError(
                     "all potential quantile arms eliminated while candidates remain; "
                     "confidence bounds must have failed catastrophically")
-            spread[r] = q_ucb[r, kept].max() - q_lcb[r, kept].max() if candidates else 0.0
-            if (self.best_group_retained is not None
-                    and self._profile.best_group not in candidates):
-                self.best_group_retained = False
+            if self.checks.best_group_retained and self._profile.best_group not in candidates:
+                self.checks.best_group_retained = False
         if bool(np.any(np.abs(spread[:r + 1] - 2.0 * width[:r + 1]) > 1e-9)):
-            self.shortcut_consistent = False
+            self.checks.shortcut_consistent = False
 
         self._block = (min(2 * self._block, self._max_block) if r == k - 1
                        else max(1, self._block // 2))
@@ -466,25 +484,9 @@ class EliminationRun:
             self._plan()
         return self.state
 
-    def _check_oracle(self, active: np.ndarray, lcb: np.ndarray, ucb: np.ndarray,
-                      t: int) -> None:
-        """Oracle telemetry of the committed rounds t.. of a block, one row each."""
-        mu = self._true_means[active]
-        if bool(np.any((lcb > mu) | (ucb < mu))):
-            self.bounds_valid = False
-        # an arm's stop round is its first with half-width < gap / 4; every
-        # later pull of it is a violation
-        small = ucb - lcb < self._profile.overall[active] / 2.0
-        stop = self._stop_round[active]
-        fresh = (stop == -1) & small.any(axis=0)
-        stop[fresh] = t + small[:, fresh].argmax(axis=0)
-        self._stop_round[active] = stop
-        last = t + lcb.shape[0] - 1
-        hit = stop[stop >= 1]
-        self.stop_pull_violations += int(np.sum(last - np.maximum(hit, t - 1)))
-
     def choose(self) -> str:
-        """Final recommendation: argmax of the pessimistic group quantiles."""
+        """Final recommendation: argmax of the pessimistic group quantiles,
+        ties broken by a draw from the reward environment's generator."""
         st = self.state
         if st.round_index == 1:
             if len(st.candidates) != 1:
@@ -495,7 +497,7 @@ class EliminationRun:
         ties = [gid for gid in st.candidates if scores[gid] == best]
         if len(ties) == 1:
             return ties[0]
-        return ties[int(self.rng.integers(len(ties)))]
+        return ties[int(self.env.rng.integers(len(ties)))]
 
     def run(self) -> EliminationResult:
         while not self.should_stop():
@@ -503,22 +505,22 @@ class EliminationRun:
                 raise RuntimeError(f"elimination failed to stop within {self._round_cap} rounds")
             self.step()
         chosen = self.choose()
-        return EliminationResult(
-            chosen=chosen,
-            total_pulls=self.total_pulls,
-            rounds=self.state.round_index - 1,
-            pull_counts=self.ledger.pulls.copy(),
-            final_candidates=self.state.candidates,
-            equal_pull_ok=self.equal_pull_ok,
-            shortcut_consistent=self.shortcut_consistent,
-            bounds_valid=self.bounds_valid,
-            stop_pull_violations=self.stop_pull_violations,
-            best_group_retained=self.best_group_retained,
-        )
+        # the ledger is committed at the stop
+        pulls = self.ledger.pulls.copy()
+        if self._profile is not None:
+            # every active arm has width U(t) after t pulls, so arm j stops at
+            # T_j, the first t with U(t) < overall_j / 4, and each pull past it
+            # is a violation; the widths decrease in t
+            widths = self.ledger.width_at(np.arange(1, pulls.max() + 1))
+            stop = np.searchsorted(-widths, -self._profile.overall / 4.0, side="right") + 1
+            self.checks.stop_pull_violations = int(np.maximum(pulls - stop, 0).sum())
+            q = self._profile.group_quantiles
+            self.checks.event_b = q[chosen] >= max(q.values()) - self.slack
+        return EliminationResult(chosen, int(pulls.sum()), self.state.round_index - 1, pulls,
+                                 self.state.candidates, self.checks)
 
 
 def run_elimination(groups: list[FiniteGroup], alpha: float, slack: float, delta: float,
-                    env, rng: np.random.Generator | None = None,
-                    true_means: np.ndarray | None = None) -> EliminationResult:
+                    env, true_means: np.ndarray | None = None) -> EliminationResult:
     """Run the elimination loop to completion and return the chosen group."""
-    return EliminationRun(groups, alpha, slack, delta, env, rng=rng, true_means=true_means).run()
+    return EliminationRun(groups, alpha, slack, delta, env, true_means=true_means).run()

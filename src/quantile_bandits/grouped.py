@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import FiniteGroup, gap_bound_sum, multiset_quantile, run_elimination
+from .elimination import FiniteGroup, RunChecks, gap_bound_sum, multiset_quantile, run_elimination
 from .instances import BanditInstance, Reservoir, RewardEnv, quantile_band, relaxed_success_set
 
 _INT_TOL = 1e-9
@@ -154,12 +154,7 @@ class TrialResult:
     event_a: bool
     max_bucket_size: int
     epoch_pulls: tuple[int, ...]
-    event_b: bool | None = None
-    equal_pull_ok: bool = True
-    shortcut_consistent: bool = True
-    bounds_valid: bool | None = None
-    stop_pull_violations: int | None = None
-    best_group_retained: bool | None = None
+    checks: RunChecks
 
 
 def _sample_finite_groups(instance: BanditInstance, group_ids: list[str], count: int,
@@ -196,12 +191,6 @@ def _epoch_oracles(instance: BanditInstance, samples, alpha: float, eps: float):
     return sandwiched, largest
 
 
-def _finite_success(groups, true_means, alpha: float, slack: float, chosen: str) -> bool:
-    """Whether the chosen finite group's quantile is within ``slack`` of best."""
-    quants = {g.group_id: multiset_quantile(true_means[g.columns], alpha) for g in groups}
-    return quants[chosen] >= max(quants.values()) - slack
-
-
 def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: float,
                   rng: np.random.Generator, noiseless: bool = False,
                   oracle_checks: bool = False) -> TrialResult:
@@ -211,9 +200,9 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
     elimination subroutine at that epoch's quantile slack, and permanently
     drops the groups it eliminated.  A schedule of length one is exactly the
     two-step algorithm.  The success flag is scored against the exact
-    reservoir oracle at the final epoch's (eps, gap); oracle checks
-    additionally score the finite-sample event and the elimination-internals
-    invariants.
+    reservoir oracle at the final epoch's (eps, gap).  The epochs'
+    :class:`RunChecks` add up to the trial's; ``oracle_checks`` passes the
+    true means to each epoch.  Arms, rewards and tie-breaks draw from ``rng``.
     """
     a = instance.alpha
     check_schedule(a, eps_schedule, gap_schedule, delta)
@@ -223,14 +212,9 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
     epoch_pulls: list[int] = []
     rounds = 0
     event_a = True
-    event_b: bool | None = True if oracle_checks else None
     max_bucket = 0
     chosen = surviving[0]
-    equal_pull_ok = True
-    shortcut_ok = True
-    bounds_valid: bool | None = True if oracle_checks else None
-    stop_viol: int | None = 0 if oracle_checks else None
-    retained: bool | None = True if oracle_checks else None
+    checks: RunChecks | None = None
 
     for eps, gap in zip(eps_schedule, gap_schedule):
         n_per = required_arm_count(eps, delta, num_groups)
@@ -239,18 +223,12 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
         event_a = event_a and sandwiched
         max_bucket = max(max_bucket, bucket)
         env = RewardEnv(means, instance.family, rng, noiseless=noiseless)
-        res = run_elimination(groups, a, gap, delta, env, rng=rng,
+        res = run_elimination(groups, a, gap, delta, env,
                               true_means=means if oracle_checks else None)
         epoch_pulls.append(res.total_pulls)
         rounds += res.rounds
         chosen = res.chosen
-        equal_pull_ok = equal_pull_ok and res.equal_pull_ok
-        shortcut_ok = shortcut_ok and res.shortcut_consistent
-        if oracle_checks:
-            bounds_valid = bounds_valid and bool(res.bounds_valid)
-            stop_viol += int(res.stop_pull_violations)
-            retained = retained and bool(res.best_group_retained)
-            event_b = event_b and _finite_success(groups, means, a, gap, res.chosen)
+        checks = res.checks if checks is None else checks + res.checks
         surviving = [gid for gid in surviving if gid in res.final_candidates]
         if len(surviving) == 1:
             break
@@ -259,10 +237,7 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
     return TrialResult(
         instance_id=instance.name, chosen_group=chosen, success=success,
         total_pulls=sum(epoch_pulls), rounds=rounds, event_a=event_a,
-        max_bucket_size=max_bucket, epoch_pulls=tuple(epoch_pulls), event_b=event_b,
-        equal_pull_ok=equal_pull_ok, shortcut_consistent=shortcut_ok,
-        bounds_valid=bounds_valid, stop_pull_violations=stop_viol,
-        best_group_retained=retained,
+        max_bucket_size=max_bucket, epoch_pulls=tuple(epoch_pulls), checks=checks,
     )
 
 

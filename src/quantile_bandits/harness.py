@@ -12,7 +12,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -197,19 +197,8 @@ class AggregateReport:
     wall_clock_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "success_rate": self.success_rate if self.success_rate is not None else "undefined",
-            "success_ci_3sigma": list(self.success_ci_3sigma) if self.success_ci_3sigma else "undefined",
-            "mean_pulls": self.mean_pulls if self.mean_pulls is not None else "undefined",
-            "median_pulls": self.median_pulls if self.median_pulls is not None else "undefined",
-            "max_pulls": self.max_pulls if self.max_pulls is not None else "undefined",
-            "event_a_rate": self.event_a_rate if self.event_a_rate is not None else "undefined",
-            "partition_bound_rate": self.partition_bound_rate if self.partition_bound_rate is not None else "undefined",
-            "bound_grouped": self.bound_grouped,
-            "bound_worst_case": self.bound_worst_case,
-            "wall_clock_s": self.wall_clock_s,
-        }
+        """The fields in order, "undefined" for None; JSON writes the tuple as a list."""
+        return {k: "undefined" if v is None else v for k, v in asdict(self).items()}
 
 
 def _write_csv(path: str, results: list[TrialResult]) -> None:

@@ -1,13 +1,24 @@
 """The elimination loop one round per call: the plain sequential reference
-that the block engine of ``EliminationRun.step`` must match bit for bit."""
+that the block engine of ``EliminationRun.step`` must match bit for bit.
+
+It counts stop-pull violations on its own, round by round: an arm's stop
+round is its first round with width U(t) < overall gap / 4, and every later
+round that pulls it is a violation.  ``run`` reports that count in place of
+the engine's closed form, so the two counts are compared, not shared.
+"""
 
 import numpy as np
 
-from quantile_bandits.elimination import EliminationRun, EliminationState
+from quantile_bandits.elimination import EliminationResult, EliminationRun, EliminationState
 
 
 class SequentialRun(EliminationRun):
     """``EliminationRun`` whose ``step`` runs exactly one round."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._stop_round = np.full(self.ledger.pulls.size, -1, dtype=np.int64)
+        self._stop_pulls = 0
 
     def step(self) -> EliminationState:
         if self.should_stop():
@@ -17,21 +28,18 @@ class SequentialRun(EliminationRun):
         t = st.round_index
         active = st.active
 
-        if self._stop_round is not None:
-            hit = self._stop_round[active]
-            self.stop_pull_violations += int(np.count_nonzero((hit >= 1) & (hit < t)))
+        hit = self._stop_round[active]
+        self._stop_pulls += int(np.count_nonzero((hit >= 1) & (hit < t)))
 
         led.record_pulls(active, led.sums[active] + self.env.pull(active), 1)
-        self.total_pulls += active.size
         if bool(np.any(led.pulls[active] != t)):
-            self.equal_pull_ok = False
+            self.checks.equal_pull_ok = False
 
         if self._true_means is not None:
             mu = self._true_means[active]
             if bool(np.any((led.lcb[active] > mu) | (led.ucb[active] < mu))):
-                self.bounds_valid = False
-            widths = led.ucb[active] - led.lcb[active]
-            small = widths < self._profile.overall[active] / 2.0  # half-width < gap/4
+                self.checks.bounds_valid = False
+            small = led.width_at(led.pulls[active]) < self._profile.overall[active] / 4.0
             fresh = small & (self._stop_round[active] == -1)
             if np.any(fresh):
                 self._stop_round[active[fresh]] = t
@@ -57,10 +65,16 @@ class SequentialRun(EliminationRun):
                   - max(q_lcb[g] for g in new_candidates)) if new_candidates else 0.0
         shortcut = 2.0 * float(self.ledger.width_at(np.asarray([t]))[0])
         if abs(spread - shortcut) > 1e-9:
-            self.shortcut_consistent = False
+            self.checks.shortcut_consistent = False
 
-        if self.best_group_retained is not None and self._profile.best_group not in new_candidates:
-            self.best_group_retained = False
+        if self._profile is not None and self._profile.best_group not in new_candidates:
+            self.checks.best_group_retained = False
 
         self.state = EliminationState(t + 1, new_candidates, quantile_arms, new_active, spread)
         return self.state
+
+    def run(self) -> EliminationResult:
+        result = super().run()
+        if self._profile is not None:
+            self.checks.stop_pull_violations = self._stop_pulls
+        return result

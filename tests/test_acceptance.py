@@ -167,9 +167,9 @@ class TestCriterion5StopPull:
             for i in range(reps):
                 rng = np.random.default_rng(mix_seed(5150, i))
                 tr = run_multistep(inst, (eps,), (gap,), delta, rng, oracle_checks=True)
-                if tr.bounds_valid:
+                if tr.checks.bounds_valid:
                     valid += 1
-                    violations += tr.stop_pull_violations
+                    violations += tr.checks.stop_pull_violations
                 else:
                     invalid += 1
         # direct finite-arm trajectories
@@ -178,10 +178,10 @@ class TestCriterion5StopPull:
         for i in range(20):
             rng = np.random.default_rng(mix_seed(777, i))
             env = RewardEnv(means, FAM, rng)
-            res = run_elimination(groups, 0.5, 0.05, 0.1, env, rng=rng, true_means=means)
-            if res.bounds_valid:
+            res = run_elimination(groups, 0.5, 0.05, 0.1, env, true_means=means)
+            if res.checks.bounds_valid:
                 valid += 1
-                violations += res.stop_pull_violations
+                violations += res.checks.stop_pull_violations
             else:
                 invalid += 1
         ok = violations == 0 and valid > 0
@@ -213,7 +213,7 @@ class TestCriterion6NoiselessOracle:
                     break
             oracle_best = quants[-1][1]
             env = RewardEnv(means_arr, FAM, np.random.default_rng(0), noiseless=True)
-            res = run_elimination(groups, 0.5, 0.04, 0.1, env, rng=np.random.default_rng(1))
+            res = run_elimination(groups, 0.5, 0.04, 0.1, env)
             agree += res.chosen == oracle_best
         ok = agree == cases
         announce(6, "noiseless oracle equivalence", ok, f"{agree}/{cases} agree")
@@ -254,7 +254,7 @@ class TestCriterion9GapScaling:
             for i in range(trials):
                 rng = np.random.default_rng(mix_seed(909, i))
                 env = RewardEnv(means, FAM, rng)
-                total += run_elimination(groups, 0.5, slack, 0.1, env, rng=rng).total_pulls
+                total += run_elimination(groups, 0.5, slack, 0.1, env).total_pulls
             means_pulls.append(total / trials)
         ratio = means_pulls[0] / means_pulls[1]
         ok = 2.5 <= ratio <= 6.0

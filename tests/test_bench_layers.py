@@ -82,7 +82,7 @@ def test_tracer_counts_each_set_change_once():
 
     def engine(cls):
         env = RewardEnv(means, RewardFamily("bernoulli"), np.random.default_rng(5))
-        return cls(groups, 0.5, 0.1, 0.1, env, rng=env.rng)
+        return cls(groups, 0.5, 0.1, 0.1, env)
 
     reference = engine(RecordingRun)
     ref = reference.run()

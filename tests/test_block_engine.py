@@ -52,44 +52,39 @@ def instances(draw):
         # oracle means other than the arms' own trip the bound-coverage and
         # stop-pull telemetry
         "oracle": draw(st.sampled_from(["none", "true", "reversed"])),
-        "shared_rng": draw(st.booleans()),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
 
 
 def build(cls, case):
-    """An engine of class ``cls`` on ``case``, with its reward and tie-break
-    generators."""
+    """An engine of class ``cls`` on ``case``, with its reward generator,
+    which also breaks ties."""
     env_rng = np.random.default_rng(case["seed"])
-    tie_rng = env_rng if case["shared_rng"] else np.random.default_rng(case["seed"] + 1)
     env = RewardEnv(case["means"], FAMILIES[case["family"]], env_rng,
                     noiseless=case["family"] == "noiseless")
     oracle = {"none": None, "true": case["means"], "reversed": case["means"][::-1]}
-    engine = cls(case["groups"], case["alpha"], case["slack"], 0.1, env, rng=tie_rng,
+    engine = cls(case["groups"], case["alpha"], case["slack"], 0.1, env,
                  true_means=oracle[case["oracle"]])
-    return engine, env_rng, tie_rng
+    return engine, env_rng
 
 
 def run(cls, case):
     """Run ``cls`` on ``case``; return the result, the final bounds and the
-    states of the reward and tie-break generators."""
-    engine, env_rng, tie_rng = build(cls, case)
+    state of the reward generator."""
+    engine, env_rng = build(cls, case)
     res = engine.run()
-    return (res, engine.ledger.lcb, engine.ledger.ucb,
-            env_rng.bit_generator.state, tie_rng.bit_generator.state)
+    return res, engine.ledger.lcb, engine.ledger.ucb, env_rng.bit_generator.state
 
 
 def assert_same_run(case):
-    ref, ref_lcb, ref_ucb, *ref_streams = run(SequentialRun, case)
-    got, lcb, ucb, *streams = run(EliminationRun, case)
+    ref, ref_lcb, ref_ucb, ref_stream = run(SequentialRun, case)
+    got, lcb, ucb, stream = run(EliminationRun, case)
     assert (got.chosen, got.rounds, got.total_pulls, got.final_candidates) == \
         (ref.chosen, ref.rounds, ref.total_pulls, ref.final_candidates)
     assert np.array_equal(got.pull_counts, ref.pull_counts)
     assert np.array_equal(lcb, ref_lcb) and np.array_equal(ucb, ref_ucb)
-    flags = ("equal_pull_ok", "shortcut_consistent", "bounds_valid",
-             "stop_pull_violations", "best_group_retained")
-    assert [getattr(got, f) for f in flags] == [getattr(ref, f) for f in flags]
-    assert streams == ref_streams
+    assert got.checks == ref.checks
+    assert stream == ref_stream
     return got
 
 
@@ -186,7 +181,7 @@ def test_sorted_frozen_merge_gives_the_kth(data):
 def test_block_engine_matches_sequential_loop(case):
     got = assert_same_run(case)
     # active arms stay in lockstep and the spread is 2 * U(t) in every round
-    assert got.equal_pull_ok and got.shortcut_consistent
+    assert got.checks.equal_pull_ok and got.checks.shortcut_consistent
 
 
 def snapshotting(cls):
@@ -269,12 +264,12 @@ def test_cut_blocks_rewind_the_stream():
               FiniteGroup("c", (8, 9, 10, 11))]
     for family in ("bernoulli", "gaussian"):
         env = CountingEnv(means, FAMILIES[family], np.random.default_rng(3))
-        engine = CountingRun(groups, 0.5, 0.1, 0.1, env, rng=env.rng, true_means=means)
+        engine = CountingRun(groups, 0.5, 0.1, 0.1, env, true_means=means)
         engine.run()
         assert env.skips > 0  # some block was cut and rewound
         assert env.pulls == engine.calls  # one draw per block
         assert_same_run({"groups": groups, "means": means, "family": family, "alpha": 0.5,
-                         "slack": 0.1, "oracle": "reversed", "shared_rng": True, "seed": 3})
+                         "slack": 0.1, "oracle": "reversed", "seed": 3})
 
 
 class BranchRun(EliminationRun):
@@ -309,11 +304,11 @@ def test_frozen_and_frozen_free_groups_in_one_block():
     for family in ("noiseless", "bernoulli", "gaussian"):
         env = RewardEnv(means, FAMILIES[family], np.random.default_rng(11),
                         noiseless=family == "noiseless")
-        engine = BranchRun(groups, 0.5, 0.1, 0.1, env, rng=env.rng, true_means=means)
+        engine = BranchRun(groups, 0.5, 0.1, 0.1, env, true_means=means)
         engine.run()
         assert engine.mixed_blocks > 0
         assert_same_run({"groups": groups, "means": means, "family": family, "alpha": 0.5,
-                         "slack": 0.1, "oracle": "true", "shared_rng": True, "seed": 11})
+                         "slack": 0.1, "oracle": "true", "seed": 11})
 
 
 class ShapeRun(BranchRun):
@@ -341,11 +336,11 @@ def test_wide_blocks_sum_row_by_row():
     means = np.tile(np.linspace(0.0, 1.0, 150), 2)
     groups = [FiniteGroup("a", tuple(range(150))), FiniteGroup("b", tuple(range(150, 300)))]
     case = {"groups": groups, "means": means, "family": "bernoulli", "alpha": 0.5,
-            "slack": 0.25, "oracle": "true", "shared_rng": True, "seed": 5}
+            "slack": 0.25, "oracle": "true", "seed": 5}
     with mock.patch.object(elimination, "BLOCK_ELEMENTS", 8 * 300):
         with mock.patch.object(np, "cumsum", wraps=np.cumsum):
             env = RewardEnv(means, FAMILIES["bernoulli"], np.random.default_rng(5))
-            engine = ShapeRun(groups, 0.5, 0.25, 0.1, env, rng=env.rng, true_means=means)
+            engine = ShapeRun(groups, 0.5, 0.25, 0.1, env, true_means=means)
             engine.run()
         assert set(engine.cumsum_used) == {True, False}
         assert_same_run(case)

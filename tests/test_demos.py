@@ -1,4 +1,8 @@
-"""Every demo script runs to completion and prints its walkthrough."""
+"""Every demo script runs to completion and prints its walkthrough, byte for
+byte the output committed in ``tests/demo_output/<script stem>.txt``.
+
+The demos are seeded, so their output is a behavioural contract: a change
+that moves it must regenerate those files on purpose."""
 
 import os
 import subprocess
@@ -9,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = Path(__file__).resolve().parent / "demo_output"
 
 
 def test_demos_are_found():
@@ -24,3 +29,4 @@ def test_demo_runs(script):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert proc.stdout == (EXPECTED / f"{script.stem}.txt").read_text()

@@ -10,6 +10,7 @@ from quantile_bandits import (
     FiniteGroup,
     RewardEnv,
     RewardFamily,
+    RunChecks,
     bound_pulls_finite,
     confidence_width,
     gap_profile,
@@ -68,7 +69,7 @@ class TestNoiselessElimination:
         # quantiles 0.4 vs 0.3: B is eliminated at the first round with
         # width < half the quantile gap
         env = noiseless_env(AB_MEANS)
-        res = run_elimination(AB_GROUPS, 0.5, 0.01, 0.1, env, rng=np.random.default_rng(1))
+        res = run_elimination(AB_GROUPS, 0.5, 0.01, 0.1, env)
         t_star = invert_width(0.05, 0.1 / 8)
         assert res.chosen == "A"
         # the loop stops as soon as one candidate is left, so B stayed a
@@ -79,7 +80,7 @@ class TestNoiselessElimination:
     def test_arm_pull_counts_match_gap_thresholds(self):
         # arms quit at width < arm-gap / 2; quantile arms run to the end
         env = noiseless_env(AB_MEANS)
-        res = run_elimination(AB_GROUPS, 0.5, 0.01, 0.1, env, rng=np.random.default_rng(1))
+        res = run_elimination(AB_GROUPS, 0.5, 0.01, 0.1, env)
         t_far = invert_width(0.2, 0.1 / 8)    # arms 0.8 and 0.7 (gap 0.4)
         t_near = invert_width(0.1, 0.1 / 8)   # arms at distance 0.2 from the quantile
         t_star = invert_width(0.05, 0.1 / 8)
@@ -90,7 +91,7 @@ class TestNoiselessElimination:
     def test_identical_groups_stop_on_spread(self):
         means = np.array([0.2, 0.4, 0.6, 0.8] * 2)
         env = noiseless_env(means)
-        res = run_elimination(AB_GROUPS, 0.5, 0.1, 0.1, env, rng=np.random.default_rng(2))
+        res = run_elimination(AB_GROUPS, 0.5, 0.1, 0.1, env)
         assert res.rounds == invert_width(0.05, 0.1 / 8)
         assert set(res.final_candidates) == {"A", "B"}
         assert res.chosen in {"A", "B"}
@@ -111,13 +112,53 @@ class TestNoiselessElimination:
 
     def test_telemetry_clean_on_noiseless_run(self):
         env = noiseless_env(AB_MEANS)
-        res = run_elimination(AB_GROUPS, 0.5, 0.01, 0.1, env,
-                              rng=np.random.default_rng(3), true_means=AB_MEANS)
-        assert res.equal_pull_ok
-        assert res.shortcut_consistent
-        assert res.bounds_valid
-        assert res.stop_pull_violations == 0
-        assert res.best_group_retained
+        res = run_elimination(AB_GROUPS, 0.5, 0.01, 0.1, env, true_means=AB_MEANS)
+        assert res.checks.equal_pull_ok
+        assert res.checks.shortcut_consistent
+        assert res.checks.bounds_valid
+        assert res.checks.stop_pull_violations == 0
+        assert res.checks.best_group_retained
+
+
+    def test_ties_break_reproducibly_from_the_reward_stream(self):
+        # two equal arms tie to the end; the tie-break draws from the env's
+        # generator, so every run from env seed 0 picks the same group
+        tied = [FiniteGroup("a", (0,)), FiniteGroup("b", (1,))]
+        chosen = {run_elimination(tied, 0.5, 0.1, 0.1, noiseless_env(np.array([0.5, 0.5]))).chosen
+                  for _ in range(8)}
+        assert len(chosen) == 1
+
+
+class TestRunChecks:
+    ORACLE = ("bounds_valid", "stop_pull_violations", "best_group_retained", "event_b")
+
+    def test_sum_ands_flags_and_adds_violations(self):
+        a = RunChecks(True, True, True, 2, True, True)
+        b = RunChecks(False, True, False, 3, True, False)
+        assert a + b == b + a == RunChecks(False, True, False, 5, True, False)
+        assert a + a == RunChecks(True, True, True, 4, True, True)
+        assert (a + RunChecks(True, False)).shortcut_consistent is False
+
+    def test_oracle_fields_stay_none_without_true_means(self):
+        checks = run_elimination(AB_GROUPS, 0.5, 0.01, 0.1, noiseless_env(AB_MEANS)).checks
+        oracle = RunChecks(True, True, True, 0, True, True)
+        for total in (checks, checks + checks, checks + oracle, oracle + checks):
+            assert [getattr(total, f) for f in self.ORACLE] == [None] * 4
+            assert total.equal_pull_ok and total.shortcut_consistent
+
+    def test_stop_pull_violations_match_inverted_widths(self):
+        # reversed oracle means give arms overall gaps they do not have, so
+        # some arms outlive their stop round; the count must equal the
+        # scalar inversion's sum of max(0, pulls_j - T_j)
+        means = np.array([0.1, 0.5, 0.9, 0.3, 0.4, 0.5])
+        groups = [FiniteGroup("A", (0, 1, 2)), FiniteGroup("B", (3, 4, 5))]
+        oracle = means[::-1]
+        res = run_elimination(groups, 0.5, 0.05, 0.1, noiseless_env(means), true_means=oracle)
+        overall = gap_profile(groups, oracle, 0.5, 0.05).overall
+        stop = [invert_width(gap / 4.0, 0.1 / means.size) for gap in overall]
+        expected = sum(max(0, int(p) - s) for p, s in zip(res.pull_counts, stop))
+        assert expected > 0
+        assert res.checks.stop_pull_violations == expected
 
 
 class TestNoisyElimination:
@@ -126,7 +167,7 @@ class TestNoisyElimination:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             env = RewardEnv(AB_MEANS, FAM, rng)
-            res = run_elimination(AB_GROUPS, 0.5, 0.05, 0.1, env, rng=rng)
+            res = run_elimination(AB_GROUPS, 0.5, 0.05, 0.1, env)
             assert res.chosen == "A"
 
     @pytest.mark.slow
@@ -138,7 +179,7 @@ class TestNoisyElimination:
         for seed in range(trials):
             rng = np.random.default_rng(10_000 + seed)
             env = RewardEnv(AB_MEANS, FAM, rng)
-            wins += run_elimination(AB_GROUPS, 0.5, 0.05, delta, env, rng=rng).chosen == "A"
+            wins += run_elimination(AB_GROUPS, 0.5, 0.05, delta, env).chosen == "A"
         rate = wins / trials
         floor = 1.0 - delta
         assert rate >= floor - 3.0 * math.sqrt(floor * (1 - floor) / trials)
@@ -147,13 +188,12 @@ class TestNoisyElimination:
         for seed in (0, 7, 19):
             rng = np.random.default_rng(seed)
             env = RewardEnv(AB_MEANS, FAM, rng)
-            res = run_elimination(AB_GROUPS, 0.5, 0.05, 0.1, env, rng=rng,
-                                  true_means=AB_MEANS)
-            assert res.equal_pull_ok
-            assert res.shortcut_consistent
-            if res.bounds_valid:
-                assert res.stop_pull_violations == 0
-                assert res.best_group_retained
+            res = run_elimination(AB_GROUPS, 0.5, 0.05, 0.1, env, true_means=AB_MEANS)
+            assert res.checks.equal_pull_ok
+            assert res.checks.shortcut_consistent
+            if res.checks.bounds_valid:
+                assert res.checks.stop_pull_violations == 0
+                assert res.checks.best_group_retained
 
     def test_ledger_bounds_match_width_around_mean(self):
         from quantile_bandits.elimination import ArmLedger

@@ -299,9 +299,9 @@ class TestTwoStep:
     def test_oracle_telemetry_populated(self):
         tr = run_multistep(GOOD_PAIR, [0.2], [0.2], 0.1, np.random.default_rng(4),
                            oracle_checks=True)
-        assert tr.event_b is not None
-        assert tr.bounds_valid is not None
-        assert tr.stop_pull_violations == 0
+        assert tr.checks.event_b is not None
+        assert tr.checks.bounds_valid is not None
+        assert tr.checks.stop_pull_violations == 0
         assert tr.max_bucket_size > 0
         assert tr.epoch_pulls == (tr.total_pulls,)
 
