@@ -32,11 +32,13 @@ that round's sums; the rounds after it are drawn again in the next block,
 with the reward generator rewound and skipped past the kept rounds, so it
 advances exactly as one draw per round would.  Sums accumulate row by row and
 quantiles are exact order statistics, so a block gives the same bits as its
-rounds run one at a time.  A block sorts each candidate group's slice of
-(K, live arms) running sums along rows once, reads the kth, the row max and
-the row min off the sorted columns, and divides only those by the round; the
-sets, the tiled arm ids and each group's column slice and frozen bounds are
-derived again only when a set changes.
+rounds run one at a time.  Taller blocks accumulate two columns at once, as
+one complex column, whose parts add as floats.  A block sorts each candidate
+group's slice of (K, live arms) running sums along rows once, reads the kth,
+the row max and the row min off the sorted columns, and divides only those by
+the round; each group's quantile band over the K rounds is one row of a
+(groups, K) array.  The sets, the tiled arm ids and each group's column slice
+and frozen bounds are derived again only when a set changes.
 
 Write-back ledger: between set changes the run carries the active arms'
 running sums itself, with the count of rounds not yet committed, and writes
@@ -265,6 +267,28 @@ def bound_pulls_finite(profile: GapProfile, num_arms: int, delta: float) -> floa
 BLOCK_ELEMENTS = 16_384
 
 
+def _running_sums(block: np.ndarray, carried: np.ndarray) -> None:
+    """Turn a (k, m) block of rewards into running sums in place: row i
+    becomes ``carried`` + rows 0..i, added one row at a time in that order.
+
+    Row i += row i-1 is cumsum's own order of additions, and cheaper on wide
+    blocks.  Otherwise cumsum runs on each pair of columns viewed as one
+    complex column, and on an odd last column alone: complex addition adds
+    the two parts as floats, so every sum keeps its bits in half the loop's
+    iterations.
+    """
+    k, m = block.shape
+    block[0] += carried
+    if 20 * k < m:
+        for i in range(1, k):
+            block[i] += block[i - 1]
+    else:
+        pairs = block[:, :m - m % 2].view(np.complex128)
+        np.cumsum(pairs, axis=0, out=pairs)
+        if m % 2:
+            np.cumsum(block[:, -1], out=block[:, -1])
+
+
 class EliminationRun:
     """Driver object holding a single elimination run's state and its
     :class:`RunChecks` record, ``checks``.  ``env``'s generator draws the
@@ -362,17 +386,21 @@ class EliminationRun:
         one cut short.
 
         The drawn (K, m) rewards become the running reward sums in place, row
-        i after round t+i.  Each candidate group sorts its slice of columns,
-        its (K, live arms) sums, along rows once.  Active arms share each round's pull count
+        i after round t+i: wide blocks add row by row, taller ones run cumsum
+        over column pairs viewed as complex numbers (:func:`_running_sums`).
+        Each candidate group sorts its slice of columns, its (K, live arms)
+        sums, along rows once.  Active arms share each round's pull count
         n and width w, and float x / n, x - w and x + w keep the order of x,
         so the sorted columns give every round's row max and min, divided by
         n, and, for a group with no frozen arm, both quantiles kth / n -/+ w.
         A group with frozen arms divides its sorted sums into means and sorts
-        its bounds beside the frozen ones, one side at a time.  The row max
-        and min tell whether a round drops one of the group's arms.  A block
-        whose last round changes nothing keeps the sets and the per-group plan
-        as they are.  A block cut short rewinds the reward generator and
-        skips it past the rounds it keeps, without forming their rewards.
+        its bounds beside the frozen ones, one side at a time.  Group c's
+        quantiles fill row c of the (groups, K) bands, so the candidate and
+        stop tests reduce over axis 0.  The row max and min tell whether a
+        round drops one of the group's arms.  A block whose last round
+        changes nothing keeps the sets and the per-group plan as they are.
+        A block cut short rewinds the reward generator and skips it past the
+        rounds it keeps, without forming their rewards.
 
         Row 0 starts from the active arms' running sums, which the run carries
         across blocks.  Only a block whose last round changes a set or stops
@@ -392,14 +420,7 @@ class EliminationRun:
         # one draw for all k rounds; the start state rewinds a block cut short
         start = self.env.rng.bit_generator.state
         sums = self.env.pull(self._tiled[:k * m]).reshape(k, m)
-        # row i += row i-1 is cumsum's own order of additions, and cheaper on
-        # wide blocks
-        sums[0] += self._sums
-        if 32 * k < m:
-            for i in range(1, k):
-                sums[i] += sums[i - 1]
-        else:
-            np.cumsum(sums, axis=0, out=sums)
+        _running_sums(sums, self._sums)
         # every active arm has been pulled t-1 times: lockstep
         rounds = np.arange(t, t + k)
         width = led.width_at(rounds)
@@ -407,16 +428,16 @@ class EliminationRun:
         # quantile bands range over ALL of the group's arms (frozen bounds
         # included); membership filters the previous set, so elimination is
         # permanent and active arms stay in lockstep at t pulls
-        q_lcb = np.empty((k, len(st.candidates)))
-        q_ucb = np.empty((k, len(st.candidates)))
+        q_lcb = np.empty((len(st.candidates), k))
+        q_ucb = np.empty((len(st.candidates), k))
         arm_exits = np.zeros(k, dtype=bool)
         for c, (kq, cols, frozen) in enumerate(self._groups):
             live = np.sort(sums[:, cols], axis=1)
             top, bottom = live[:, -1] / rounds, live[:, 0] / rounds
             if frozen is None:
                 kth = live[:, kq] / rounds
-                q_lcb[:, c] = kth - width
-                q_ucb[:, c] = kth + width
+                np.subtract(kth, width, out=q_lcb[c])
+                np.add(kth, width, out=q_ucb[c])
             else:
                 np.divide(live, rounds[:, None], out=live)
                 mat = np.empty((k, frozen[0].size + live.shape[1]))
@@ -424,16 +445,16 @@ class EliminationRun:
                     mat[:, :bound.size] = bound
                     side(live, width[:, None], out=mat[:, bound.size:])
                     mat.sort(axis=1)
-                    q[:, c] = mat[:, kq]
+                    q[c] = mat[:, kq]
             # an arm leaves once its interval misses the band: row extremes decide
-            arm_exits |= (top - width > q_ucb[:, c]) | (bottom + width < q_lcb[:, c])
+            arm_exits |= (top - width > q_ucb[c]) | (bottom + width < q_lcb[c])
 
         # the first round that would drop a candidate or a quantile arm, or
         # stop the loop, ends the block; the rounds before it change nothing
-        threshold = q_lcb.max(axis=1)
-        keep_group = q_ucb >= threshold[:, None]
-        spread = q_ucb.max(axis=1) - threshold
-        event = ~keep_group.all(axis=1) | arm_exits | (spread <= self.slack)
+        threshold = q_lcb.max(axis=0)
+        keep_group = q_ucb >= threshold
+        spread = q_ucb.max(axis=0) - threshold
+        event = ~keep_group.all(axis=0) | arm_exits | (spread <= self.slack)
         r = int(event.argmax()) if event.any() else k - 1
 
         if r < k - 1:  # leave the stream where one draw per round would
@@ -443,7 +464,7 @@ class EliminationRun:
             mean = sums[:r + 1] / rounds[:r + 1, None]
             w = width[:r + 1, None]
             mu = self._true_means[active]
-            if bool(np.any((mean - w > mu) | (mean + w < mu))):
+            if ((mean - w > mu) | (mean + w < mu)).any():
                 self.checks.bounds_valid = False
 
         candidates, quantile_arms = st.candidates, st.quantile_arms
@@ -454,13 +475,13 @@ class EliminationRun:
             # the set filter, _plan() and the caller read the ledger: commit
             # every round since the last commit, so it holds round r's bounds
             led.record_pulls(active, sums[r], self._pending + r + 1)
-            if bool(np.any(led.pulls[active] != t + r)):
+            if (led.pulls[active] != t + r).any():
                 self.checks.equal_pull_ok = False
             # quantile_arms is keyed in candidate order, and the groups tile
             # the ids in that order, so the pools concatenate in id order
-            kept = keep_group[r]
-            quantile_arms = {gid: pool[(led.lcb[pool] <= q_ucb[r, c])
-                                       & (led.ucb[pool] >= q_lcb[r, c])]
+            kept = keep_group[:, r]
+            quantile_arms = {gid: pool[(led.lcb[pool] <= q_ucb[c, r])
+                                       & (led.ucb[pool] >= q_lcb[c, r])]
                              for c, (gid, pool) in enumerate(st.quantile_arms.items())
                              if kept[c]}
             # the largest q_lcb's group is kept (its q_ucb is no smaller), so
@@ -473,7 +494,7 @@ class EliminationRun:
                     "confidence bounds must have failed catastrophically")
             if self.checks.best_group_retained and self._profile.best_group not in candidates:
                 self.checks.best_group_retained = False
-        if bool(np.any(np.abs(spread[:r + 1] - 2.0 * width[:r + 1]) > 1e-9)):
+        if (np.abs(spread[:r + 1] - 2.0 * width[:r + 1]) > 1e-9).any():
             self.checks.shortcut_consistent = False
 
         self._block = (min(2 * self._block, self._max_block) if r == k - 1

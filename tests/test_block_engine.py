@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sequential_reference import SequentialRun
 
@@ -174,6 +174,36 @@ def test_sorted_frozen_merge_gives_the_kth(data):
         mat.sort(axis=1)
         unsorted = np.hstack([np.broadcast_to(frozen, (rows, frozen.size)), shifted])
         assert bits(mat[:, kq]) == bits(np.partition(unsorted, kq, axis=1)[:, kq])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 128), st.integers(1, 300), st.sampled_from(sorted(FAMILIES)),
+       st.integers(0, 2**32 - 1))
+@example(1, 1, "noiseless", 0)
+@example(128, 1, "gaussian", 0)
+@example(99, 164, "bernoulli", 0)
+@example(60, 47, "noiseless", 0)
+def test_running_sums_match_cumsum(k, m, family, seed):
+    # a block's rewards and the running sums carried into it from t0 earlier
+    # rounds; the pair accumulate adds two columns as one complex number and
+    # an odd last column on its own, and must keep every bit of cumsum's sums
+    rng = np.random.default_rng(seed)
+    means = rng.random(m)
+    t0 = int(rng.integers(1, 10**4))
+    if family == "bernoulli":
+        rewards = (rng.random((k, m)) < means).astype(float)
+        carried = rng.binomial(t0, means) + 1.0
+    elif family == "gaussian":
+        rewards = rng.normal(means, 0.5, (k, m))
+        carried = rng.normal(means * t0, 0.5 * t0**0.5)
+    else:
+        rewards = np.tile(means, (k, 1))
+        carried = means * t0
+    expected = rewards.copy()
+    expected[0] += carried
+    np.cumsum(expected, axis=0, out=expected)
+    elimination._running_sums(rewards, carried)
+    assert np.array_equal(rewards.view(np.int64), expected.view(np.int64))
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quantile_bandits import (
     EliminationRun,
@@ -119,6 +121,27 @@ class TestNoiselessElimination:
         assert res.checks.stop_pull_violations == 0
         assert res.checks.best_group_retained
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([0.3, 0.5, 0.7]), st.sampled_from([0.04, 0.1]),
+           st.lists(st.lists(st.integers(1, 19), min_size=1, max_size=9),
+                    min_size=2, max_size=4))
+    def test_noiseless_runs_choose_the_brute_force_best_group(self, alpha, slack, grid):
+        # random small instances, means on a 0.05 grid; noiseless intervals
+        # always cover, so once the best group leads the rest by more than
+        # the slack the run must choose it.  Odd active counts with
+        # non-integer sums run through the pair accumulate
+        groups, start = [], 0
+        for g, cells in enumerate(grid):
+            groups.append(FiniteGroup(f"g{g}", range(start, start + len(cells))))
+            start += len(cells)
+        means = np.concatenate(grid) * 0.05
+        quants = sorted((brute_force_multiset_quantile(means[g.columns].tolist(), alpha),
+                         g.group_id) for g in groups)
+        assume(quants[-1][0] - quants[-2][0] >= 2 * slack)
+        res = run_elimination(groups, alpha, slack, 0.1, noiseless_env(means),
+                              true_means=means)
+        assert res.chosen == quants[-1][1]
+        assert res.checks.bounds_valid and res.checks.event_b
 
     def test_ties_break_reproducibly_from_the_reward_stream(self):
         # two equal arms tie to the end; the tie-break draws from the env's
