@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,28 +25,20 @@ def _parse_floats(text: str) -> list[float]:
 
 def _load_config(args) -> ExperimentConfig:
     cfg = config_from_file(args.config)
-    overrides: dict = {}
-    for key in ("trials", "seed", "threads", "delta"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
+    overrides = {key: getattr(args, key) for key in ("trials", "seed", "threads", "delta")
+                 if getattr(args, key, None) is not None}
     if getattr(args, "eps", None) is not None:
         overrides["eps_schedule"] = (args.eps,)
     if getattr(args, "delta_gap", None) is not None:
         overrides["gap_schedule"] = (args.delta_gap,)
-    if getattr(args, "noiseless", False):
+    if args.noiseless:
         overrides["noiseless"] = True
-    if getattr(args, "out", None):
+    if args.out:
         overrides["out_csv"] = str(Path(args.out) / "trials.csv")
         overrides["out_summary"] = str(Path(args.out) / "summary.json")
-    if getattr(args, "alpha", None) is not None:
-        from .instances import BanditInstance
-        inst = cfg.instance
-        overrides["instance"] = BanditInstance(inst.groups, inst.family, args.alpha, inst.name)
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
-    return cfg
+    if args.alpha is not None:
+        overrides["instance"] = replace(cfg.instance, alpha=args.alpha)
+    return replace(cfg, **overrides)
 
 
 def _cmd_run(args) -> int:
@@ -64,7 +57,6 @@ def _cmd_sweep(args) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["eps,delta_gap,delta,trials,success_rate,mean_pulls,median_pulls,event_a_rate"]
-    from dataclasses import replace
     for eps in eps_grid:
         for gap in gap_grid:
             for delta in delta_grid:
@@ -97,7 +89,7 @@ def _cmd_bound(args) -> int:
         return 0
     n_per = required_arm_count(cfg.final_eps, cfg.delta, num_groups)
     rng = np.random.default_rng(mix_seed(cfg.seed, 0))
-    groups, means, _ = _sample_finite_groups(inst, list(inst.group_ids), n_per, rng)
+    groups, _, means = _sample_finite_groups(inst, list(inst.group_ids), n_per, rng)
     profile = gap_profile(groups, means, inst.alpha, cfg.final_gap)
     finite = bound_pulls_finite(profile, means.size, cfg.delta)
     print(f"arms requested per group: {n_per}")

@@ -123,12 +123,10 @@ def reservoir_gap_bounds(instance: BanditInstance, eps: float, gap: float) -> Re
     bucket_bounds: dict[str, np.ndarray] = {}
     combined: dict[str, np.ndarray] = {}
     for gid, res in instance.groups:
+        # bucket i lies in [bounds[i-1], bounds[i]); the three around the level stay 0
         vals = np.zeros(m + 1)
-        for i in range(m + 1):
-            if i < level_steps - 1:
-                vals[i] = low[gid] - res.quantile(float(bounds[i]))  # b_{i+1} has index i
-            elif i > level_steps + 1:
-                vals[i] = res.quantile(float(bounds[i - 1])) - high[gid]
+        vals[:level_steps - 1] = low[gid] - res.quantile_many(bounds[:level_steps - 1])
+        vals[level_steps + 2:] = res.quantile_many(bounds[level_steps + 1:m]) - high[gid]
         bucket_bounds[gid] = vals
         combined[gid] = np.maximum(gap, np.maximum(group_bound[gid], np.maximum(uniq, vals)))
     return ReservoirGapBounds(m, bounds, relaxed_best, group_bound, uniq, bucket_bounds, combined)
@@ -161,33 +159,27 @@ def _sample_finite_groups(instance: BanditInstance, group_ids: list[str], count:
                           rng: np.random.Generator):
     """Request ``count`` fresh arms from each listed group.
 
-    Returns finite groups with arm ids 0..n-1 in group order, the flat array
-    of true means, and per-group hidden-index/mean arrays for the oracles.
+    Group i holds arm ids i*count .. (i+1)*count - 1.  Returns the groups and
+    the flat hidden indices (one draw per epoch) and true means, which each
+    group reads through its ``columns``.
     """
-    groups: list[FiniteGroup] = []
-    means: list[np.ndarray] = []
-    samples: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    start = 0
-    for gid in group_ids:
-        res = instance.reservoir(gid)
-        js = rng.random(count)
-        mu = res.quantile_many(js)
-        groups.append(FiniteGroup(gid, range(start, start + count)))
-        means.append(mu)
-        samples[gid] = (js, mu)
-        start += count
-    return groups, np.concatenate(means), samples
+    groups = [FiniteGroup(gid, range(i * count, (i + 1) * count))
+              for i, gid in enumerate(group_ids)]
+    js = rng.random(len(group_ids) * count)
+    means = np.concatenate([instance.reservoir(g.group_id).quantile_many(js[g.columns])
+                            for g in groups])
+    return groups, js, means
 
 
-def _epoch_oracles(instance: BanditInstance, samples, alpha: float, eps: float):
-    """Event-A flag and max bucket size for one epoch's samples."""
+def _epoch_oracles(instance: BanditInstance, groups, js, means, alpha: float, eps: float):
+    """Event-A flag and max bucket size for one epoch's sampled groups."""
     sandwiched = all(
-        quantile_sandwiched(instance.reservoir(gid), mu, alpha, eps)
-        for gid, (_, mu) in samples.items()
+        quantile_sandwiched(instance.reservoir(g.group_id), means[g.columns], alpha, eps)
+        for g in groups
     )
     m, bounds, _ = _bucket_geometry(eps, alpha)
-    largest = max(int(np.bincount(_bucket_of(m, bounds, js), minlength=m + 1).max())
-                  for js, _ in samples.values())
+    largest = max(int(np.bincount(_bucket_of(m, bounds, js[g.columns]), minlength=m + 1).max())
+                  for g in groups)
     return sandwiched, largest
 
 
@@ -218,8 +210,8 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
 
     for eps, gap in zip(eps_schedule, gap_schedule):
         n_per = required_arm_count(eps, delta, num_groups)
-        groups, means, samples = _sample_finite_groups(instance, surviving, n_per, rng)
-        sandwiched, bucket = _epoch_oracles(instance, samples, a, eps)
+        groups, js, means = _sample_finite_groups(instance, surviving, n_per, rng)
+        sandwiched, bucket = _epoch_oracles(instance, groups, js, means, a, eps)
         event_a = event_a and sandwiched
         max_bucket = max(max_bucket, bucket)
         env = RewardEnv(means, instance.family, rng, noiseless=noiseless)

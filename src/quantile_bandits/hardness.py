@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .instances import BanditInstance, DiscreteReservoir, RewardFamily
 
 KINDS = ("good", "bad")
+MARTINGALE_TOL = 1e-12  # largest |E[f(d')] - f(d)| the verifier accepts under the low mixture
 
 
 @dataclass(frozen=True)
@@ -153,28 +154,29 @@ class DriftReport:
 
 
 def verify_drift(eps_values=(0.05, 0.1, 0.2), gap_values=(0.05, 0.1, 0.2),
-                 d_values=range(-20, 21), ratio_limit: float = 16.0,
-                 martingale_tol: float = 1e-12) -> DriftReport:
+                 d_values=range(-20, 21), ratio_limit: float = 16.0) -> DriftReport:
     """Check, over the parameter grid, that the one-step statistic is an exact
     martingale under the low-fraction mixture and drifts upward by at most
-    ``ratio_limit * (gap * eps)^2`` under the high-fraction mixture."""
+    ``ratio_limit * (gap * eps)^2`` under the high-fraction mixture.  An
+    empty grid is an error: it would check nothing and pass."""
     rows = []
     failures = []
     max_ratio = -math.inf
     argmax = (math.nan, math.nan, 0)
     mart_err = 0.0
-    for e in eps_values:
-        for g in gap_values:
-            params = HardInstanceParams(float(e), float(g))
-            scale = (float(g) * float(e)) ** 2
-            for d in d_values:
+    for e in map(float, eps_values):
+        for g in map(float, gap_values):
+            params = HardInstanceParams(e, g)
+            for d in map(int, d_values):
                 f_d = likelihood_ratio(d, params)
                 mart_err = max(mart_err, abs(expected_next_likelihood_ratio(d, params, "bad") - f_d))
-                ratio = (expected_next_likelihood_ratio(d, params, "good") - f_d) / scale
-                rows.append((float(e), float(g), int(d), ratio))
+                ratio = (expected_next_likelihood_ratio(d, params, "good") - f_d) / (g * e) ** 2
+                rows.append((e, g, d, ratio))
                 if ratio > max_ratio:
-                    max_ratio, argmax = ratio, (float(e), float(g), int(d))
+                    max_ratio, argmax = ratio, (e, g, d)
                 if not -1e-9 <= ratio <= ratio_limit:
-                    failures.append((float(e), float(g), int(d), ratio))
-    passed = not failures and mart_err < martingale_tol
+                    failures.append((e, g, d, ratio))
+    if not rows:
+        raise ValueError("verify_drift: the eps, gap and d grids must all be nonempty")
+    passed = not failures and mart_err < MARTINGALE_TOL
     return DriftReport(rows, max_ratio, argmax, mart_err, ratio_limit, passed, failures)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .grouped import (TrialResult, check_schedule, pull_bound_multistep, pull_bound_worst_case,
                       required_arm_count, run_multistep)
-from .instances import BanditInstance, instance_from_dict
+from .instances import BanditInstance, _check_keys, _number, _numbers, instance_from_dict
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -73,26 +73,7 @@ class ExperimentConfig:
         return self.gap_schedule[-1]
 
 
-def _number(value, field: str, kind=float):
-    """``kind(value)``; a value that does not convert, a boolean, or a
-    non-integral number for an integer field names its field."""
-    expected = "an integer" if kind is int else "a number"
-    if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                   and not value.is_integer()):
-        raise ValueError(f"{field}: expected {expected}, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field}: expected {expected}, got {value!r}") from None
-
-
-def _numbers(values, field: str) -> tuple[float, ...]:
-    if not isinstance(values, list) or not values:
-        raise ValueError(f"{field}: expected a nonempty list of numbers, got {values!r}")
-    return tuple(_number(v, f"{field}[{i}]") for i, v in enumerate(values))
-
-
-_CONFIG_KEYS = ("instance", "instance_file", "alpha", "schedule", "eps", "delta_gap", "delta",
+_CONFIG_KEYS = ("instance", "instance_file", "schedule", "eps", "delta_gap", "delta",
                 "trials", "seed", "threads", "noiseless", "out_csv", "out_summary")
 
 
@@ -105,11 +86,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "conf
     field would override (``eps`` beside ``schedule``, ``instance_file``
     beside ``instance``).
     """
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected an object")
-    for key in data:
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}.{key}: unknown field")
+    _check_keys(data, _CONFIG_KEYS, path)
     if "instance" in data and "instance_file" in data:
         raise ValueError(f"{path}.instance_file: not allowed beside {path}.instance")
     if "instance" in data:
@@ -123,19 +100,11 @@ def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "conf
         inst = instance_from_dict(json.loads(ref.read_text()), path=f"{path}.instance_file")
     else:
         raise ValueError(f"{path}.instance: required (inline object or instance_file)")
-    if "alpha" in data:
-        alpha = _number(data["alpha"], f"{path}.alpha")
-        try:
-            inst = BanditInstance(inst.groups, inst.family, alpha, inst.name)
-        except ValueError as exc:
-            raise ValueError(f"{path}.alpha: {exc}") from None
     sched = data.get("schedule")
     if sched is not None:
-        if not isinstance(sched, dict):
-            raise ValueError(
-                f"{path}.schedule: expected an object with 'eps' and 'delta_gap' lists")
-        eps_schedule = _numbers(sched.get("eps"), f"{path}.schedule.eps")
-        gap_schedule = _numbers(sched.get("delta_gap"), f"{path}.schedule.delta_gap")
+        _check_keys(sched, ("eps", "delta_gap"), f"{path}.schedule")
+        eps_schedule, gap_schedule = (_numbers(sched.get(key), f"{path}.schedule.{key}")
+                                      for key in ("eps", "delta_gap"))
         for key in ("eps", "delta_gap"):
             if key in data:
                 raise ValueError(f"{path}.{key}: not allowed beside {path}.schedule")
@@ -143,8 +112,8 @@ def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "conf
         for key in ("eps", "delta_gap"):
             if key not in data:
                 raise ValueError(f"{path}.{key}: required when no schedule is given")
-        eps_schedule = (_number(data["eps"], f"{path}.eps"),)
-        gap_schedule = (_number(data["delta_gap"], f"{path}.delta_gap"),)
+        eps_schedule, gap_schedule = ((_number(data[key], f"{path}.{key}"),)
+                                      for key in ("eps", "delta_gap"))
     numbers = {key: _number(data.get(key, default), f"{path}.{key}", kind)
                for key, default, kind in (("delta", 0.1, float), ("trials", 100, int),
                                           ("seed", 0, int), ("threads", 1, int))}
@@ -155,13 +124,9 @@ def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "conf
         if data.get(key) is not None and not isinstance(data[key], str):
             raise ValueError(f"{path}.{key}: expected a path string, got {data[key]!r}")
     try:
-        return ExperimentConfig(
-            instance=inst, eps_schedule=eps_schedule, gap_schedule=gap_schedule,
-            noiseless=noiseless,
-            out_csv=data.get("out_csv"),
-            out_summary=data.get("out_summary"),
-            **numbers,
-        )
+        return ExperimentConfig(inst, eps_schedule, gap_schedule, noiseless=noiseless,
+                                out_csv=data.get("out_csv"), out_summary=data.get("out_summary"),
+                                **numbers)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -219,10 +184,12 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     """
     start = time.perf_counter()
     indices = list(range(config.trials))
-    if config.threads > 1 and config.trials > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+    # under fork the pool starts all its workers at the first submit: no more than trials
+    workers = min(config.threads, config.trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_trial, [config] * len(indices), indices,
-                                    chunksize=max(1, len(indices) // (4 * config.threads))))
+                                    chunksize=max(1, len(indices) // (4 * workers))))
     else:
         results = [run_trial(config, i) for i in indices]
 

@@ -285,39 +285,85 @@ def quantile_band(spec: Reservoir, alpha: float, eps: float) -> tuple[float, flo
     return spec.quantile(1.0 - alpha - eps), spec.quantile(1.0 - alpha + eps)
 
 
-def instance_from_dict(data: dict, path: str = "instance") -> BanditInstance:
-    """Build an instance from a plain-dict config; errors carry field paths."""
+def _check_keys(data, allowed: tuple[str, ...], path: str) -> None:
+    """Reject a non-object and, so no misspelling falls back to a default, unknown keys."""
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected an object")
-    fam = data.get("family", {"kind": "bernoulli"})
-    if not isinstance(fam, dict) or "kind" not in fam:
-        raise ValueError(f"{path}.family: expected an object with a 'kind'")
+    for key in data:
+        if key not in allowed:
+            raise ValueError(f"{path}.{key}: unknown field")
+
+
+def _number(value, field: str, kind=float):
+    """``kind(value)``; a value that does not convert, a boolean, or a
+    non-integral number for an integer field names its field."""
+    expected = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"{field}: expected {expected}, got {value!r}")
     try:
-        family = RewardFamily(kind=fam["kind"], sigma2=float(fam.get("sigma2", 1.0)))
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field}: expected {expected}, got {value!r}") from None
+
+
+def _numbers(values, field: str, size: int | None = None) -> tuple[float, ...]:
+    if not isinstance(values, list) or not values or len(values) != (size or len(values)):
+        what = f"{size} numbers" if size else "a nonempty list of numbers"
+        raise ValueError(f"{field}: expected {what}, got {values!r}")
+    return tuple(_number(v, f"{field}[{i}]") for i, v in enumerate(values))
+
+
+# make-lb writes the success_* tolerances beside the instance; loading ignores them
+_INSTANCE_KEYS = ("name", "alpha", "family", "groups", "success_eps", "success_delta_gap")
+
+
+def _reservoir_from_dict(g: dict, path: str) -> Reservoir:
+    """One group's reservoir, from exactly one of ``atoms`` and ``cdf``."""
+    if ("atoms" in g) == ("cdf" in g):
+        raise ValueError(f"{path}: needs exactly one of 'atoms' and 'cdf'")
+    if "atoms" in g:
+        atoms = g["atoms"]
+        if not isinstance(atoms, list) or not atoms:
+            raise ValueError(f"{path}.atoms: expected a nonempty list of [mean, mass] pairs")
+        cls = DiscreteReservoir
+        fields = zip(*(_numbers(pair, f"{path}.atoms[{k}]", 2) for k, pair in enumerate(atoms)))
+    else:
+        _check_keys(g["cdf"], ("x", "p"), f"{path}.cdf")
+        cls = PiecewiseLinearReservoir
+        fields = [_numbers(g["cdf"].get(key), f"{path}.cdf.{key}") for key in ("x", "p")]
+    try:
+        return cls(*fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def instance_from_dict(data: dict, path: str = "instance") -> BanditInstance:
+    """Build an instance from a plain-dict config; errors carry field paths.
+    Numbers read as config numbers do, and unknown keys are rejected."""
+    _check_keys(data, _INSTANCE_KEYS, path)
+    fam = data.get("family", {"kind": "bernoulli"})
+    _check_keys(fam, ("kind", "sigma2"), f"{path}.family")
+    sigma2 = _number(fam.get("sigma2", 1.0), f"{path}.family.sigma2")
+    try:
+        family = RewardFamily(fam.get("kind"), sigma2)
     except ValueError as exc:
         raise ValueError(f"{path}.family: {exc}") from None
     if "alpha" not in data:
         raise ValueError(f"{path}.alpha: required")
+    alpha = _number(data["alpha"], f"{path}.alpha")
     raw_groups = data.get("groups")
     if not isinstance(raw_groups, list) or not raw_groups:
         raise ValueError(f"{path}.groups: expected a nonempty list")
     groups: list[tuple[str, Reservoir]] = []
     for i, g in enumerate(raw_groups):
         gpath = f"{path}.groups[{i}]"
-        if not isinstance(g, dict) or "id" not in g:
-            raise ValueError(f"{gpath}: expected an object with an 'id'")
-        try:
-            if "atoms" in g:
-                res: Reservoir = DiscreteReservoir.from_atoms([(float(m), float(w)) for m, w in g["atoms"]])
-            elif "cdf" in g:
-                res = PiecewiseLinearReservoir(tuple(map(float, g["cdf"]["x"])), tuple(map(float, g["cdf"]["p"])))
-            else:
-                raise ValueError("needs 'atoms' or 'cdf'")
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"{gpath}: {exc}") from None
-        groups.append((str(g["id"]), res))
+        _check_keys(g, ("id", "atoms", "cdf"), gpath)
+        if "id" not in g:
+            raise ValueError(f"{gpath}.id: required")
+        groups.append((str(g["id"]), _reservoir_from_dict(g, gpath)))
     try:
-        return BanditInstance(tuple(groups), family, float(data["alpha"]), str(data.get("name", "instance")))
+        return BanditInstance(tuple(groups), family, alpha, str(data.get("name", "instance")))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -78,6 +78,24 @@ class TestRun:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["trials"] == 2
 
+    def test_noiseless_flag_matches_noiseless_config(self, config_path, tmp_path, capsys):
+        quiet = tmp_path / "quiet.json"
+        quiet.write_text(json.dumps(dict(json.loads(config_path.read_text()), noiseless=True)))
+        assert main(["run", "--config", str(config_path), "--noiseless",
+                     "--out", str(tmp_path / "flag")]) == 0
+        assert main(["run", "--config", str(quiet), "--out", str(tmp_path / "file")]) == 0
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "noisy")]) == 0
+        flag, config, noisy = ((tmp_path / d / "trials.csv").read_bytes()
+                               for d in ("flag", "file", "noisy"))
+        assert flag == config != noisy
+
+    def test_bad_alpha_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"instance": dict(INSTANCE, alpha=[0.5]),
+                                    "eps": 0.2, "delta_gap": 0.2}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "error: config.instance.alpha: expected a number" in capsys.readouterr().err
+
 
 class TestBound:
     def test_prints_bound_values(self, config_path, capsys):
@@ -106,6 +124,12 @@ class TestVerifyLb:
         code = main(["verify-lb", "--eps", "0.2", "--delta-gap", "0.2"])
         assert code == 0
 
+    @pytest.mark.parametrize("args", [["--eps", ","], ["--delta-gap", ","], ["--d-range", "-1"]])
+    def test_empty_grid_is_an_error(self, args, capsys):
+        assert main(["verify-lb", *args]) == 2
+        captured = capsys.readouterr()
+        assert "must all be nonempty" in captured.err and "PASS" not in captured.out
+
     def test_impossible_limit_fails(self, capsys):
         code = main(["verify-lb", "--eps", "0.2", "--delta-gap", "0.2",
                      "--drift-limit", "0.5"])
@@ -124,6 +148,15 @@ class TestMakeLb:
         assert payload["alpha"] == 0.5
         assert payload["success_eps"] == pytest.approx(0.05)
         assert len(payload["groups"]) == 3
+
+    def test_emitted_file_loads_as_instance_file(self, tmp_path, capsys):
+        assert main(["make-lb", "--eps", "0.2", "--delta-gap", "0.2", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"instance_file": "hard2.json", "eps": 0.2, "delta_gap": 0.2,
+                                    "delta": 0.1, "trials": 1}))
+        capsys.readouterr()
+        assert main(["bound", "--config", str(path)]) == 0
+        assert "grouped reservoir bound" in capsys.readouterr().out
 
     def test_bad_params_rejected(self, tmp_path, capsys):
         code = main(["make-lb", "--eps", "0.3", "--delta-gap", "0.2",

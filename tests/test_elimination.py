@@ -356,3 +356,13 @@ class TestValidation:
             run_elimination([FiniteGroup("a", (0,))], 1.5, 0.1, 0.1, env)
         with pytest.raises(ValueError):
             run_elimination([FiniteGroup("a", (0,))], 0.5, -0.1, 0.1, env)
+
+    @pytest.mark.parametrize("groups, delta, arms, message", [
+        ([], 0.1, 8, "at least one group"),
+        (AB_GROUPS, 0.0, 8, r"delta must lie in \(0, 1\)"),
+        (AB_GROUPS, 1.0, 8, r"delta must lie in \(0, 1\)"),
+        (AB_GROUPS, 0.1, 7, "arm count does not match"),
+    ])
+    def test_run_rejects_invalid(self, groups, delta, arms, message):
+        with pytest.raises(ValueError, match=message):
+            EliminationRun(groups, 0.5, 0.1, delta, noiseless_env(AB_MEANS[:arms]))

@@ -8,6 +8,8 @@ import pytest
 from quantile_bandits import (
     BanditInstance,
     DiscreteReservoir,
+    FiniteGroup,
+    PiecewiseLinearReservoir,
     RewardFamily,
     check_schedule,
     epochs_until_elimination,
@@ -150,8 +152,10 @@ class TestBucketGeometry:
         rng = np.random.default_rng(8)
         for eps, alpha in ((0.125, 0.5), (0.1, 0.3), (0.13, 0.37)):
             js = {"a": rng.random(300), "b": np.array([0.0, 0.5, 1.0, 1.0])}
-            samples = {gid: (js[gid], inst.reservoir(gid).quantile_many(js[gid])) for gid in js}
-            largest = _epoch_oracles(inst, samples, alpha, eps)[1]
+            groups = [FiniteGroup("a", range(300)), FiniteGroup("b", range(300, 304))]
+            flat = np.concatenate((js["a"], js["b"]))
+            means = np.concatenate([inst.reservoir(gid).quantile_many(js[gid]) for gid in js])
+            largest = _epoch_oracles(inst, groups, flat, means, alpha, eps)[1]
             assert largest == max(b.size for g in js for b in bucket_members(eps, alpha, js[g]))
 
 
@@ -219,6 +223,24 @@ class TestReservoirGapBounds:
                         assert prof.arm_gaps[offset + pos] >= gb.bucket_bounds[gid][i] - 1e-12
             assert prof.uniqueness_gap >= gb.uniqueness_bound - 1e-12
         assert checked >= 40, "sandwich event should hold on most resamples"
+
+    @pytest.mark.parametrize("alpha, eps", [(0.5, 0.1), (0.3, 0.07), (0.37, 0.13), (0.75, 0.2),
+                                            (0.2, 0.19)])
+    def test_bucket_bounds_match_per_bucket_quantiles(self, alpha, eps):
+        # reference: each bucket below the level band reads the reservoir at its
+        # upper edge b_{i+1}, each bucket above it at its lower edge b_i
+        inst = make_instance([
+            ("a", DiscreteReservoir.from_atoms(((0.1, 0.3), (0.45, 0.2), (0.7, 0.1), (0.9, 0.4)))),
+            ("b", PiecewiseLinearReservoir((0.0, 0.35, 0.6, 1.0), (0.1, 0.2, 0.8, 1.0))),
+        ], alpha=alpha)
+        gb = reservoir_gap_bounds(inst, eps, 0.05)
+        m, bounds, level = _bucket_geometry(eps, alpha)
+        for gid, res in inst.groups:
+            low, high = quantile_band(res, alpha, eps)
+            ref = [low - res.quantile(float(bounds[i])) if i < level - 1
+                   else res.quantile(float(bounds[i - 1])) - high if i > level + 1
+                   else 0.0 for i in range(m + 1)]
+            assert gb.bucket_bounds[gid].tolist() == ref
 
     @pytest.mark.parametrize("alpha,eps,gap,message", [
         (0.5, 0.0, 0.1, "eps must lie in"),

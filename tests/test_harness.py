@@ -17,6 +17,7 @@ from quantile_bandits import (
     run_experiment,
     run_trial,
 )
+from quantile_bandits import harness
 from quantile_bandits.harness import CSV_COLUMNS
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -104,7 +105,7 @@ class TestConfigValidation:
 
     def test_unknown_fields_rejected(self):
         base = {"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1}
-        for key, value in (("trails", 3), ("c", 2.0)):
+        for key, value in (("trails", 3), ("c", 2.0), ("alpha", 0.3)):
             with pytest.raises(ValueError, match=rf"config\.{key}: unknown field"):
                 config_from_dict(dict(base, **{key: value}))
 
@@ -137,6 +138,25 @@ class TestConfigValidation:
         with pytest.raises(FileNotFoundError, match="nope.json"):
             config_from_file(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda inst: ExperimentConfig(inst, (0.2,), (0.1,), trials=-1),
+         "trials must be nonnegative"),
+        (lambda inst: ExperimentConfig(inst, (0.2,), (0.1,), threads=0),
+         "threads must be at least 1"),
+        (lambda inst: config_from_dict({"instance_file": "missing.json", "eps": 0.2,
+                                        "delta_gap": 0.1}),
+         r"config\.instance_file: no such file"),
+        (lambda inst: config_from_dict({"instance": INSTANCE, "schedule": [0.2, 0.1]}),
+         r"config\.schedule: expected an object"),
+        (lambda inst: config_from_dict({"instance": INSTANCE, "schedule": {
+            "eps": [0.2], "delta_gap": [0.1], "delta": 0.05}}),
+         r"config\.schedule\.delta: unknown field"),
+    ])
+    def test_rejects_invalid(self, build, message):
+        inst = config_from_dict({"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1}).instance
+        with pytest.raises(ValueError, match=message):
+            build(inst)
+
     def test_instance_file_reference(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         inst_path.write_text(json.dumps(INSTANCE))
@@ -167,6 +187,42 @@ class TestDeterminism:
         again = run_trial(cfg, 5)
         assert direct.total_pulls == again.total_pulls
         assert direct.chosen_group == again.chosen_group
+
+
+class _RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+class TestPool:
+    @pytest.mark.parametrize("threads, trials, size", [(64, 2, 2), (2, 8, 2), (3, 3, 3)])
+    def test_never_more_workers_than_trials(self, tmp_path, monkeypatch, threads, trials, size):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        run_experiment(small_config(tmp_path / "pool", threads=threads, trials=trials))
+        assert _RecordingPool.sizes == [size]
+        run_experiment(small_config(tmp_path / "serial", trials=trials))
+        assert ((tmp_path / "pool" / "trials.csv").read_bytes()
+                == (tmp_path / "serial" / "trials.csv").read_bytes())
+
+    def test_one_trial_runs_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        run_experiment(small_config(tmp_path, threads=64, trials=1))
+        assert _RecordingPool.sizes == []
 
 
 class TestArtifacts:

@@ -341,3 +341,93 @@ class TestConfigRoundTrip:
         back = pickle.loads(pickle.dumps(inst))
         assert back.reservoir("a").quantile(0.5) == 0.4
         assert back.reservoir("b").quantile(0.25) == pytest.approx(0.25)
+
+    def test_gaussian_round_trip_keeps_sigma2(self):
+        inst = BanditInstance((("a", DiscreteReservoir.point_mass(0.5)),),
+                              RewardFamily("gaussian", 0.25), 0.5, "noisy")
+        payload = instance_to_dict(inst)
+        assert payload["family"] == {"kind": "gaussian", "sigma2": 0.25}
+        assert instance_from_dict(payload) == inst
+
+
+def _instance_dict(**over):
+    data = {"name": "pair", "alpha": 0.5, "family": {"kind": "bernoulli"},
+            "groups": [{"id": "a", "atoms": [[0.3, 0.5], [0.7, 0.5]]},
+                       {"id": "b", "cdf": {"x": [0.0, 1.0], "p": [0.0, 1.0]}}]}
+    data.update(over)
+    return data
+
+
+def _with_group(i, group):
+    groups = _instance_dict()["groups"]
+    groups[i] = group
+    return _instance_dict(groups=groups)
+
+
+class TestInstanceConfigFields:
+    @pytest.mark.parametrize("data, field", [
+        (_instance_dict(alpha=[0.5]), r"instance\.alpha: expected a number"),
+        (_instance_dict(alpha=True), r"instance\.alpha: expected a number"),
+        (_instance_dict(family={"kind": "gaussian", "sigma2": [0.5]}),
+         r"instance\.family\.sigma2: expected a number"),
+        (_instance_dict(family={"kind": "gaussian", "sigma2": False}),
+         r"instance\.family\.sigma2: expected a number"),
+        (_with_group(0, {"id": "a", "atoms": [[True, 1.0]]}),
+         r"instance\.groups\[0\]\.atoms\[0\]\[0\]: expected a number"),
+        (_with_group(0, {"id": "a", "atoms": [[0.5, None]]}),
+         r"instance\.groups\[0\]\.atoms\[0\]\[1\]: expected a number"),
+        (_with_group(0, {"id": "a", "atoms": [[0.5]]}),
+         r"instance\.groups\[0\]\.atoms\[0\]: expected 2 numbers"),
+        (_with_group(0, {"id": "a", "atoms": 0.5}),
+         r"instance\.groups\[0\]\.atoms: expected a nonempty list"),
+        (_with_group(1, {"id": "b", "cdf": {"x": [0.0, True], "p": [0.0, 1.0]}}),
+         r"instance\.groups\[1\]\.cdf\.x\[1\]: expected a number"),
+        (_with_group(1, {"id": "b", "cdf": {"x": [0.0, 1.0], "p": "01"}}),
+         r"instance\.groups\[1\]\.cdf\.p: expected a nonempty list"),
+        (_with_group(1, {"id": "b", "cdf": [[0.0, 1.0], [0.0, 1.0]]}),
+         r"instance\.groups\[1\]\.cdf: expected an object"),
+        (_instance_dict(family={"kind": "gaussian", "sigma": 0.25}),
+         r"instance\.family\.sigma: unknown field"),
+        (_with_group(0, {"id": "a", "atoms": [[0.5, 1.0]], "weight": 2}),
+         r"instance\.groups\[0\]\.weight: unknown field"),
+        (_with_group(1, {"id": "b", "cdf": {"x": [0.0, 1.0], "p": [0.0, 1.0], "q": [1]}}),
+         r"instance\.groups\[1\]\.cdf\.q: unknown field"),
+        (_with_group(0, {"id": "a", "atoms": [[0.5, 1.0]],
+                         "cdf": {"x": [0.0, 1.0], "p": [0.0, 1.0]}}),
+         r"instance\.groups\[0\]: needs exactly one of 'atoms' and 'cdf'"),
+        (_instance_dict(eps=0.1), r"instance\.eps: unknown field"),
+        (_instance_dict(family={"sigma2": 0.5}), r"instance\.family: unknown reward family None"),
+        (_with_group(0, {"atoms": [[0.5, 1.0]]}), r"instance\.groups\[0\]\.id: required"),
+    ])
+    def test_bad_field_named(self, data, field):
+        with pytest.raises(ValueError, match=field):
+            instance_from_dict(data)
+
+    def test_success_annotations_accepted(self):
+        inst = instance_from_dict(_instance_dict(success_eps=0.05, success_delta_gap=0.05))
+        assert inst == instance_from_dict(_instance_dict())
+
+
+def _env(means):
+    return RewardEnv(means, RewardFamily("bernoulli"), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _env(np.zeros((2, 2))), "nonempty 1-D"),
+    (lambda: _env(np.array([])), "nonempty 1-D"),
+    (lambda: _env(0.5), "nonempty 1-D"),
+    (lambda: make_instance([("a", DiscreteReservoir.point_mass(0.5)),
+                            ("a", DiscreteReservoir.point_mass(0.6))]), "unique"),
+    (lambda: make_instance([("a", DiscreteReservoir.point_mass(0.5))], alpha=0.0), "alpha"),
+    (lambda: make_instance([("a", DiscreteReservoir.point_mass(0.5))], alpha=1.0), "alpha"),
+    (lambda: PiecewiseLinearReservoir((0.5,), (1.0,)), ">= 2 matching breakpoints"),
+    (lambda: PiecewiseLinearReservoir((-0.1, 1.0), (0.0, 1.0)), r"lie in \[0, 1\]"),
+    (lambda: PiecewiseLinearReservoir((0.0, 1.2), (0.0, 1.0)), r"lie in \[0, 1\]"),
+    (lambda: PiecewiseLinearReservoir((0.5, 0.5), (0.0, 1.0)), "strictly increasing"),
+    (lambda: PiecewiseLinearReservoir((0.0, 1.0), (0.0, 0.9)), "reach 1"),
+    (lambda: DiscreteReservoir((0.2, 0.8), (1.5, -0.5)), r"masses must lie in \(0, 1\]"),
+    (lambda: DiscreteReservoir((0.2, 0.8), (0.0, 1.0)), r"masses must lie in \(0, 1\]"),
+])
+def test_constructors_reject_invalid(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
