@@ -32,13 +32,16 @@ that round's sums; the rounds after it are drawn again in the next block,
 with the reward generator rewound and skipped past the kept rounds, so it
 advances exactly as one draw per round would.  Sums accumulate row by row and
 quantiles are exact order statistics, so a block gives the same bits as its
-rounds run one at a time.  Taller blocks accumulate two columns at once, as
-one complex column, whose parts add as floats.  A block sorts each candidate
-group's slice of (K, live arms) running sums along rows once, reads the kth,
-the row max and the row min off the sorted columns, and divides only those by
-the round; each group's quantile band over the K rounds is one row of a
-(groups, K) array.  The sets, the tiled arm ids and each group's column slice
-and frozen bounds are derived again only when a set changes.
+rounds run one at a time.  Bernoulli rewards are 0/1 and their sums exact
+integers, so a Bernoulli block draws, sums and sorts int32; Gaussian and
+noiseless blocks do the same on float64.  Taller blocks accumulate two columns
+at once, as one int64 (int32 sums) or complex (float64 sums) column whose two
+halves add on their own.  A block sorts each candidate group's slice of
+(K, live arms) running sums along rows once, reads the kth, the row max and
+the row min off the sorted columns, and divides only those by the round,
+which gives float64 means; each group's quantile band over the K rounds is
+one row of a (groups, K) array.  The sets, the tiled arm ids and each group's
+column slice and frozen bounds are derived again only when a set changes.
 
 Write-back ledger: between set changes the run carries the active arms'
 running sums itself, with the count of rounds not yet committed, and writes
@@ -262,9 +265,13 @@ def bound_pulls_finite(profile: GapProfile, num_arms: int, delta: float) -> floa
     return gap_bound_sum(gaps, num_arms / delta)
 
 
-# float64 elements per (rounds, arms) block array; a block runs
+# elements per (rounds, arms) block array; a block runs
 # BLOCK_ELEMENTS // num_arms rounds at most
 BLOCK_ELEMENTS = 16_384
+
+# an arm's running sum of 0/1 rewards is at most its pull count, which the
+# round cap bounds: int32 sums hold while the cap is below this
+_INT32_ROUNDS = 2**31
 
 
 def _running_sums(block: np.ndarray, carried: np.ndarray) -> None:
@@ -273,9 +280,10 @@ def _running_sums(block: np.ndarray, carried: np.ndarray) -> None:
 
     Row i += row i-1 is cumsum's own order of additions, and cheaper on wide
     blocks.  Otherwise cumsum runs on each pair of columns viewed as one
-    complex column, and on an odd last column alone: complex addition adds
-    the two parts as floats, so every sum keeps its bits in half the loop's
-    iterations.
+    wider column, and on an odd last column alone, so every sum keeps its
+    bits in half the loop's iterations.  A float64 pair is one complex
+    number, whose parts add as floats.  An int32 pair is one int64 whose
+    lanes add without a carry, since every sum is nonnegative and below 2**31.
     """
     k, m = block.shape
     block[0] += carried
@@ -283,7 +291,8 @@ def _running_sums(block: np.ndarray, carried: np.ndarray) -> None:
         for i in range(1, k):
             block[i] += block[i - 1]
     else:
-        pairs = block[:, :m - m % 2].view(np.complex128)
+        pairs = block[:, :m - m % 2].view(np.int64 if block.dtype == np.int32
+                                          else np.complex128)
         np.cumsum(pairs, axis=0, out=pairs)
         if m % 2:
             np.cumsum(block[:, -1], out=block[:, -1])
@@ -331,6 +340,10 @@ class EliminationRun:
         # widths vanish, so the loop provably stops; the cap is a loud guard
         # against the astronomically unlikely fully-frozen stall
         self._round_cap = 100 * invert_width(slack / 4.0, delta / n) + 10_000
+        # the running sums take the rewards' dtype while int32 holds them,
+        # and are float64, as Gaussian sums are, beyond that
+        self._dtype = (env.reward_dtype if self._round_cap < _INT32_ROUNDS
+                       else np.dtype(np.float64))
         # the round from which 2*U(t) < slack, where the spread meets the stop
         self._t_star = invert_width(slack / 2.0, delta / n)
         self._max_block = max(1, BLOCK_ELEMENTS // n)
@@ -360,7 +373,7 @@ class EliminationRun:
         in candidate order, so each group's live arms are one run of columns."""
         st = self.state
         led = self.ledger
-        self._sums = led.sums[st.active]
+        self._sums = led.sums[st.active].astype(self._dtype, copy=False)
         self._pending = 0
         is_active = np.zeros(led.pulls.size, dtype=bool)
         is_active[st.active] = True
@@ -387,18 +400,21 @@ class EliminationRun:
 
         The drawn (K, m) rewards become the running reward sums in place, row
         i after round t+i: wide blocks add row by row, taller ones run cumsum
-        over column pairs viewed as complex numbers (:func:`_running_sums`).
-        Each candidate group sorts its slice of columns, its (K, live arms)
-        sums, along rows once.  Active arms share each round's pull count
-        n and width w, and float x / n, x - w and x + w keep the order of x,
+        over column pairs viewed as one wider number (:func:`_running_sums`).
+        The sums have the rewards' dtype, int32 for Bernoulli rewards and
+        float64 otherwise; past an int32 round cap they are float64.  Each
+        candidate group sorts its slice of columns, its (K, live arms) sums,
+        along rows once.  Active arms share each round's pull count n and
+        width w, and x / n, then float x - w and x + w, keep the order of x,
         so the sorted columns give every round's row max and min, divided by
-        n, and, for a group with no frozen arm, both quantiles kth / n -/+ w.
-        A group with frozen arms divides its sorted sums into means and sorts
-        its bounds beside the frozen ones, one side at a time.  Group c's
-        quantiles fill row c of the (groups, K) bands, so the candidate and
-        stop tests reduce over axis 0.  The row max and min tell whether a
-        round drops one of the group's arms.  A block whose last round
-        changes nothing keeps the sets and the per-group plan as they are.
+        n into float64, and, for a group with no frozen arm, both quantiles
+        kth / n -/+ w.  A group with frozen arms divides its sorted sums into
+        means and sorts its bounds beside the frozen ones, one side at a
+        time.  Group c's quantiles fill row c of the (groups, K) bands, so the
+        candidate and stop tests reduce over axis 0.  The row max and min
+        tell whether a round drops one of the group's arms.  A block whose
+        last round changes nothing keeps the sets and the per-group plan as
+        they are.
         A block cut short rewinds the reward generator and skips it past the
         rounds it keeps, without forming their rewards.
 
@@ -419,11 +435,11 @@ class EliminationRun:
 
         # one draw for all k rounds; the start state rewinds a block cut short
         start = self.env.rng.bit_generator.state
-        sums = self.env.pull(self._tiled[:k * m]).reshape(k, m)
+        sums = self.env.pull(self._tiled[:k * m]).astype(self._dtype, copy=False).reshape(k, m)
         _running_sums(sums, self._sums)
         # every active arm has been pulled t-1 times: lockstep
-        rounds = np.arange(t, t + k)
-        width = led.width_at(rounds)
+        width = led.width_at(np.arange(t, t + k))
+        rounds = np.arange(t, t + k, dtype=np.float64)  # sums / rounds: float64 means
 
         # quantile bands range over ALL of the group's arms (frozen bounds
         # included); membership filters the previous set, so elimination is
@@ -439,7 +455,7 @@ class EliminationRun:
                 np.subtract(kth, width, out=q_lcb[c])
                 np.add(kth, width, out=q_ucb[c])
             else:
-                np.divide(live, rounds[:, None], out=live)
+                live = live / rounds[:, None]
                 mat = np.empty((k, frozen[0].size + live.shape[1]))
                 for bound, side, q in zip(frozen, (np.subtract, np.add), (q_lcb, q_ucb)):
                     mat[:, :bound.size] = bound

@@ -87,6 +87,9 @@ def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "conf
     beside ``instance``).
     """
     _check_keys(data, _CONFIG_KEYS, path)
+    if "instance_file" in data and not isinstance(data["instance_file"], str):
+        raise ValueError(f"{path}.instance_file: expected a path string, "
+                         f"got {data['instance_file']!r}")
     if "instance" in data and "instance_file" in data:
         raise ValueError(f"{path}.instance_file: not allowed beside {path}.instance")
     if "instance" in data:

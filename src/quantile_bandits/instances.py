@@ -230,13 +230,23 @@ class RewardEnv:
         """The generator rewards are drawn from (read-only)."""
         return self._rng
 
+    @property
+    def reward_dtype(self) -> np.dtype:
+        """The dtype :meth:`pull` returns: int32 for 0/1 Bernoulli rewards,
+        float64 for Gaussian and noiseless ones."""
+        if self._family.kind == "bernoulli" and not self._noiseless:
+            return np.dtype(np.int32)
+        return np.dtype(np.float64)
+
     def pull(self, arm_indices: np.ndarray) -> np.ndarray:
-        """Pull each listed arm once and return the rewards in order."""
+        """Pull each listed arm once and return the rewards in order, as
+        :attr:`reward_dtype`.  A Bernoulli reward is ``uniform < mean``,
+        written as 0 or 1 straight into an int32 array."""
         mu = self._means[arm_indices]
         if self._noiseless:
             return mu.copy()
         if self._family.kind == "bernoulli":
-            return (self._rng.random(mu.size) < mu).astype(float)
+            return np.less(self._rng.random(mu.size), mu, out=np.empty(mu.size, np.int32))
         return self._rng.normal(mu, self._sigma)
 
     def skip(self, count: int) -> None:
@@ -295,15 +305,16 @@ def _check_keys(data, allowed: tuple[str, ...], path: str) -> None:
 
 
 def _number(value, field: str, kind=float):
-    """``kind(value)``; a value that does not convert, a boolean, or a
-    non-integral number for an integer field names its field."""
+    """``kind(value)`` of a JSON number; anything else (a string, a boolean,
+    null, a list) or a non-integral number for an integer field names its
+    field."""
     expected = "an integer" if kind is int else "a number"
-    if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                   and not value.is_integer()):
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"{field}: expected {expected}, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except OverflowError:  # an integer too large for a float
         raise ValueError(f"{field}: expected {expected}, got {value!r}") from None
 
 

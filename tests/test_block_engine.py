@@ -206,6 +206,71 @@ def test_running_sums_match_cumsum(k, m, family, seed):
     assert np.array_equal(rewards.view(np.int64), expected.view(np.int64))
 
 
+# Bernoulli means at the edges of the comparison: 0 and 1, where every
+# reward is sure, 0.5, a dyadic uniform, and the doubles next to each
+EDGE_MEANS = [m for x in (0.0, 0.5, 1.0)
+              for m in (np.nextafter(x, -1.0), x, np.nextafter(x, 2.0)) if 0.0 <= m <= 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(EDGE_MEANS) | st.floats(0.0, 1.0), min_size=1, max_size=40),
+       st.integers(1, 120), st.integers(0, 2**32 - 1))
+@example(EDGE_MEANS, 120, 0)
+def test_bernoulli_pull_is_the_float_comparison(means, count, seed):
+    # int32 0/1 rewards are the float comparison's rewards, and the draw
+    # leaves the generator where the float comparison leaves its twin
+    means = np.array(means)
+    arms = np.random.default_rng(seed).integers(means.size, size=count)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    env = RewardEnv(means, FAMILIES["bernoulli"], rng)
+    rewards = env.pull(arms)
+    assert rewards.dtype == env.reward_dtype == np.int32
+    assert np.array_equal(rewards, (twin.random(count) < means[arms]).astype(float))
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("k, m", [(1, 40), (1, 41), (3, 80), (2, 81),  # row loop: 20k < m
+                                  (1, 1), (4, 80), (5, 81), (99, 164), (60, 47), (128, 1)])
+def test_int32_running_sums_match_float_sums(k, m):
+    # the int64 view of int32 column pairs adds each lane on its own: the
+    # sums equal float64 sums of the same 0/1 rewards, on both branches,
+    # up to the largest int32
+    rng = np.random.default_rng(k * 1000 + m)
+    means = rng.random(m)
+    rewards = (rng.random((k, m)) < means).astype(np.int32)
+    carried = rng.integers(0, 2**31 - k, m, endpoint=True).astype(np.int32)
+    expected = rewards.astype(float)
+    elimination._running_sums(expected, carried.astype(float))
+    elimination._running_sums(rewards, carried)
+    assert rewards.dtype == np.int32
+    assert np.array_equal(rewards.astype(float), expected)
+
+
+def test_running_sum_dtype_follows_rewards_and_round_cap():
+    # Bernoulli sums are int32 while the round cap fits in int32 and float64
+    # beyond it; Gaussian and noiseless sums are float64 throughout.  The
+    # runs are only built, never run
+    groups = [FiniteGroup("a", range(2)), FiniteGroup("b", range(2, 4))]
+    means = np.full(4, 0.5)
+    for family, noiseless, wide in (("bernoulli", False, np.int32),
+                                    ("bernoulli", True, np.float64),
+                                    ("gaussian", False, np.float64)):
+        env = RewardEnv(means, FAMILIES[family], np.random.default_rng(0), noiseless=noiseless)
+        for slack, dtype in ((0.1, wide), (1e-3, np.float64)):
+            engine = EliminationRun(groups, 0.5, slack, 0.1, env)
+            assert (engine._round_cap < 2**31) == (slack == 0.1)
+            assert engine._dtype == dtype
+            assert engine._sums.dtype == dtype
+
+
+@settings(max_examples=15, deadline=None)
+@given(instances())
+def test_float_sums_of_int32_rewards_match_sequential_loop(case):
+    # past the int32 round cap a Bernoulli run sums its 0/1 rewards as float64
+    with mock.patch.object(elimination, "_INT32_ROUNDS", 0):
+        assert_same_run(case)
+
+
 @settings(max_examples=60, deadline=None)
 @given(instances())
 def test_block_engine_matches_sequential_loop(case):

@@ -96,6 +96,22 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         assert "error: config.instance.alpha: expected a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, message", [
+        ({"instance_file": 5}, "error: config.instance_file: expected a path string, got 5"),
+        ({"instance": INSTANCE, "eps": "0.2"}, "error: config.eps: expected a number, got '0.2'"),
+    ])
+    def test_mistyped_field_exits_2(self, tmp_path, capsys, config, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict({"eps": 0.2, "delta_gap": 0.2}, **config)))
+        assert main(["run", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_numeric_flags_still_parse_from_strings(self, config_path, capsys):
+        # argparse converts the flags; only JSON values go through the number check
+        assert main(["run", "--config", str(config_path), "--eps", "0.2", "--delta", "0.1",
+                     "--delta-gap", "0.2", "--alpha", "0.5", "--trials", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["trials"] == 2
+
 
 class TestBound:
     def test_prints_bound_values(self, config_path, capsys):

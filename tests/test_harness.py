@@ -78,7 +78,14 @@ class TestConfigValidation:
 
     def test_malformed_values_name_their_field(self):
         base = {"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1}
+        string_mean = dict(INSTANCE, groups=[{"id": "hi", "atoms": [["0.7", 1.0]]}])
         for over, field in (({"eps": "x"}, r"config\.eps:"),
+                            ({"eps": "0.2"}, r"config\.eps: expected a number, got '0\.2'"),
+                            ({"instance": string_mean},
+                             r"config\.instance\.groups\[0\]\.atoms\[0\]\[0\]: "
+                             r"expected a number"),
+                            ({"instance_file": 5},
+                             r"config\.instance_file: expected a path string, got 5"),
                             ({"trials": "many"}, r"config\.trials:"),
                             ({"delta": None}, r"config\.delta:"),
                             ({"schedule": {"eps": 0.2, "delta_gap": [0.1]}},
@@ -93,6 +100,7 @@ class TestConfigValidation:
                             ({"seed": 1.5}, r"config\.seed: expected an integer"),
                             ({"threads": False}, r"config\.threads: expected an integer"),
                             ({"delta": True}, r"config\.delta: expected a number"),
+                            ({"delta": 10**400}, r"config\.delta: expected a number"),
                             ({"out_csv": 5}, r"config\.out_csv: expected a path string"),
                             ({"out_summary": ["s.json"]},
                              r"config\.out_summary: expected a path string"),
