@@ -31,11 +31,13 @@ print("group medians:", {g: f"{q:.2f}" for g, q in profile.group_quantiles.items
 print("per-arm overall gaps:", np.round(profile.overall, 2).tolist())
 
 print("\npredicted departure rounds (width < distance from quantile / 2):")
+# an arm at the quantile (distance 0) never leaves on its own
+leaves = profile.arm_gaps > 0
+pred = np.zeros(means.size, dtype=np.int64)
+pred[leaves] = invert_width(profile.arm_gaps[leaves] / 2, per_arm_budget)
 for arm, mu in enumerate(means):
-    dist = profile.arm_gaps[arm]
-    pred = invert_width(dist / 2, per_arm_budget) if dist > 0 else None
     print(f"  arm {arm} (mean {mu:.1f}): "
-          f"{'stays to the end' if pred is None else f'round {pred}'}")
+          f"{f'round {pred[arm]}' if leaves[arm] else 'stays to the end'}")
 print(f"group B leaves at round {invert_width(0.05, per_arm_budget)} "
        "(width < quantile gap 0.1 / 2)")
 

@@ -24,43 +24,31 @@ slack.  The spread is always computed from its direct definition; the cheap
 disagrees.  Ties in the final recommendation draw from the reward stream,
 and a run's verdicts form one :class:`RunChecks` record.
 
+Widths come from :mod:`.confidence`: the ledger reads the shared width table,
+and the round t* where 2*U(t) meets the slack, the round cap and each arm's
+stop round T_j are first crossings found by one ``invert_width``.
+
 Block rounds: between set changes round t+1 repeats round t with one more
 pull of the same arms, so :meth:`EliminationRun.step` evaluates a block of up
-to K rounds from one reward draw and its running sums.  The block ends at its
-first round that changes a set or meets the stopping condition and commits
-that round's sums; the rounds after it are drawn again in the next block,
-with the reward generator rewound and skipped past the kept rounds, so it
-advances exactly as one draw per round would.  Sums accumulate row by row and
-quantiles are exact order statistics, so a block gives the same bits as its
-rounds run one at a time.  Bernoulli rewards are 0/1 and their sums exact
-integers, so a Bernoulli block draws, sums and sorts int32; Gaussian and
-noiseless blocks do the same on float64.  Taller blocks accumulate two columns
-at once, as one int64 (int32 sums) or complex (float64 sums) column whose two
-halves add on their own.  A block sorts each candidate group's slice of
-(K, live arms) running sums along rows once, reads the kth, the row max and
-the row min off the sorted columns, and divides only those by the round,
-which gives float64 means; each group's quantile band over the K rounds is
-one row of a (groups, K) array.  The sets, the tiled arm ids and each group's
-column slice and frozen bounds are derived again only when a set changes.
-
-Write-back ledger: between set changes the run carries the active arms'
-running sums itself, with the count of rounds not yet committed, and writes
-the ledger once, at the round that changes a set or stops the loop.  The
-ledger is therefore current at every set change and after the stop, where
-the set filter, the per-group plan and the caller read it, and holds the
-same bits as a ledger written every round.
+to K rounds from one reward draw and its running sums, and ends it at the
+first round that changes a set or meets the stopping condition.  The reward
+generator advances exactly as one draw per round would, sums accumulate row
+by row and quantiles are exact order statistics, so a block gives the same
+bits as its rounds run one at a time.  Between set changes the run carries
+the running sums itself and writes the ledger only at the round that changes
+a set or stops the loop, where the set filter, the per-group plan and the
+caller read it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import confidence_width, invert_width
+from .confidence import invert_width, width_table
 
 
 def quantile_index(n: int, alpha: float) -> int:
@@ -105,15 +93,6 @@ class FiniteGroup:
         return slice(self.arm_ids.start, self.arm_ids.stop)
 
 
-@functools.lru_cache(maxsize=8)
-def _width_table(size: int, delta_per_arm: float) -> np.ndarray:
-    """Read-only widths U(1..size, delta_per_arm), shared by every ledger at
-    that confidence: each trial of an experiment epoch grows the same tables."""
-    table = confidence_width(np.arange(1, size + 1), delta_per_arm)
-    table.flags.writeable = False
-    return table
-
-
 class ArmLedger:
     """Per-arm pull counts, reward sums, and frozen/live confidence bounds.
 
@@ -131,13 +110,13 @@ class ArmLedger:
         self.sums = np.zeros(num_arms)
         self.lcb = np.full(num_arms, -np.inf)
         self.ucb = np.full(num_arms, np.inf)
-        self._width_table = _width_table(1024, delta_per_arm)
+        self._widths = width_table(1, delta_per_arm)
 
     def width_at(self, pulls: np.ndarray) -> np.ndarray:
         top = int(pulls.max(initial=0))
-        while top > self._width_table.size:
-            self._width_table = _width_table(self._width_table.size * 2, self.delta_per_arm)
-        return self._width_table[pulls - 1]
+        if top > self._widths.size:
+            self._widths = width_table(top, self.delta_per_arm)
+        return self._widths[pulls - 1]
 
     def record_pulls(self, arm_ids: np.ndarray, sums: np.ndarray, count: int) -> None:
         """Record ``count`` more pulls of each listed arm, whose reward sums
@@ -311,8 +290,8 @@ class EliminationRun:
             raise ValueError("need at least one group")
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        if slack <= 0.0:
-            raise ValueError(f"quantile slack must be positive, got {slack}")
+        if not 0.0 < slack < math.inf:
+            raise ValueError(f"quantile slack must be positive and finite, got {slack}")
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
         self._columns = {g.group_id: g.columns for g in groups}
@@ -413,16 +392,13 @@ class EliminationRun:
         time.  Group c's quantiles fill row c of the (groups, K) bands, so the
         candidate and stop tests reduce over axis 0.  The row max and min
         tell whether a round drops one of the group's arms.  A block whose
-        last round changes nothing keeps the sets and the per-group plan as
-        they are.
-        A block cut short rewinds the reward generator and skips it past the
-        rounds it keeps, without forming their rewards.
+        last round changes nothing keeps the sets and the per-group plan; one
+        cut short rewinds the reward generator and skips it past the rounds
+        it keeps, without forming their rewards.
 
-        Row 0 starts from the active arms' running sums, which the run carries
-        across blocks.  Only a block whose last round changes a set or stops
-        the loop writes the ledger, committing every round since the last
-        commit in one call; any other block keeps its last row as the running
-        sums, so between set changes the ledger lags the rounds run.
+        Row 0 starts from the running sums the run carries across blocks.  A
+        block ending in a set change or the stop commits every round since the
+        last commit to the ledger; any other keeps its last row as the sums.
         """
         if self.should_stop():
             raise RuntimeError("step() called after the stopping condition was met")
@@ -547,9 +523,8 @@ class EliminationRun:
         if self._profile is not None:
             # every active arm has width U(t) after t pulls, so arm j stops at
             # T_j, the first t with U(t) < overall_j / 4, and each pull past it
-            # is a violation; the widths decrease in t
-            widths = self.ledger.width_at(np.arange(1, pulls.max() + 1))
-            stop = np.searchsorted(-widths, -self._profile.overall / 4.0, side="right") + 1
+            # is a violation
+            stop = invert_width(self._profile.overall / 4.0, self.ledger.delta_per_arm)
             self.checks.stop_pull_violations = int(np.maximum(pulls - stop, 0).sum())
             q = self._profile.group_quantiles
             self.checks.event_b = q[chosen] >= max(q.values()) - self.slack

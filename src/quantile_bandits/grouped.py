@@ -42,8 +42,8 @@ def check_schedule(alpha: float, eps_schedule, gap_schedule, delta: float) -> No
         if not delta < eps < min(alpha, 1.0 - alpha):
             raise ValueError(f"schedule[{k}]: need delta < eps < min(alpha, 1-alpha); "
                              f"got delta={delta}, eps={eps}, alpha={alpha}")
-        if gap <= 0.0:
-            raise ValueError(f"schedule[{k}]: gap must be positive, got {gap}")
+        if not 0.0 < gap < math.inf:
+            raise ValueError(f"schedule[{k}]: gap must be positive and finite, got {gap}")
 
 
 def required_arm_count(eps: float, delta: float, num_groups: int) -> int:

@@ -91,11 +91,11 @@ class DiscreteReservoir(Reservoir):
             raise ValueError("reservoir needs equally many means and masses, at least one atom")
         mu = np.asarray(self.means, dtype=float)
         w = np.asarray(self.masses, dtype=float)
-        if np.any(mu < 0.0) or np.any(mu > 1.0):
+        if not np.all((mu >= 0.0) & (mu <= 1.0)):  # NaN fails too
             raise ValueError("reservoir means must lie in [0, 1]")
         if np.any(np.diff(mu) <= 0.0):
             raise ValueError("reservoir means must be strictly increasing")
-        if np.any(w <= 0.0) or np.any(w > 1.0):
+        if not np.all((w > 0.0) & (w <= 1.0)):
             raise ValueError("reservoir masses must lie in (0, 1]")
         if abs(float(w.sum()) - 1.0) > MASS_TOL:
             raise ValueError(f"reservoir masses must sum to 1 within {MASS_TOL}, got {w.sum()!r}")
@@ -142,11 +142,11 @@ class PiecewiseLinearReservoir(Reservoir):
             raise ValueError("piecewise-linear CDF needs >= 2 matching breakpoints")
         x = np.asarray(self.xs, dtype=float)
         p = np.asarray(self.ps, dtype=float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
+        if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails too
             raise ValueError("support breakpoints must lie in [0, 1]")
         if np.any(np.diff(x) <= 0.0):
             raise ValueError("support breakpoints must be strictly increasing")
-        if np.any(np.diff(p) < 0.0) or np.any(p < 0.0):
+        if not (np.all(np.diff(p) >= 0.0) and np.all(p >= 0.0)):
             raise ValueError("CDF values must be nondecreasing and nonnegative")
         if abs(float(p[-1]) - 1.0) > MASS_TOL:
             raise ValueError("CDF must reach 1 at the last breakpoint")
@@ -305,13 +305,15 @@ def _check_keys(data, allowed: tuple[str, ...], path: str) -> None:
 
 
 def _number(value, field: str, kind=float):
-    """``kind(value)`` of a JSON number; anything else (a string, a boolean,
-    null, a list) or a non-integral number for an integer field names its
-    field."""
+    """``kind(value)`` of a finite JSON number; anything else (a string, a
+    boolean, null, a list, NaN or an infinity) or a non-integral number for an
+    integer field names its field."""
     expected = "an integer" if kind is int else "a number"
     if (not isinstance(value, (int, float)) or isinstance(value, bool)
             or (kind is int and isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"{field}: expected {expected}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{field}: expected a finite number, got {value!r}")
     try:
         return kind(value)
     except OverflowError:  # an integer too large for a float

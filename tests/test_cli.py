@@ -99,12 +99,19 @@ class TestRun:
     @pytest.mark.parametrize("config, message", [
         ({"instance_file": 5}, "error: config.instance_file: expected a path string, got 5"),
         ({"instance": INSTANCE, "eps": "0.2"}, "error: config.eps: expected a number, got '0.2'"),
+        ({"instance": INSTANCE, "delta_gap": float("nan")},
+         "error: config.delta_gap: expected a finite number, got nan"),
     ])
     def test_mistyped_field_exits_2(self, tmp_path, capsys, config, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(dict({"eps": 0.2, "delta_gap": 0.2}, **config)))
         assert main(["run", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_delta_gap_flag_exits_2(self, config_path, capsys, value):
+        assert main(["run", "--config", str(config_path), "--delta-gap", value]) == 2
+        assert "gap must be positive and finite" in capsys.readouterr().err
 
     def test_numeric_flags_still_parse_from_strings(self, config_path, capsys):
         # argparse converts the flags; only JSON values go through the number check

@@ -1,13 +1,17 @@
-"""Anytime confidence widths, the ledger's interval bounds, and width inversion."""
+"""Anytime confidence widths, the shared width table, the ledger's interval
+bounds, and the first-crossing search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quantile_bandits import ArmLedger, confidence_width, invert_width
+from quantile_bandits.confidence import width_table
 
 
 def width_by_hand(pulls, delta):
@@ -57,6 +61,17 @@ class TestWidth:
             confidence_width(0, 0.1)
         with pytest.raises(ValueError):
             confidence_width(10, 1.5)
+
+    def test_width_tables_are_shared_and_read_only(self):
+        first, second = ArmLedger(3, 0.02), ArmLedger(5, 0.02)
+        widths = first.width_at(np.array([1, 3000]))
+        later = second.width_at(np.array([2500]))
+        table = width_table(3000, 0.02)
+        assert table is width_table(2500, 0.02) and table.size == 4096
+        assert not table.flags.writeable
+        assert np.array_equal(table, confidence_width(np.arange(1, table.size + 1), 0.02))
+        assert np.array_equal(widths, table[[0, 2999]])
+        assert np.array_equal(later, table[[2499]])
 
 
 class TestBounds:
@@ -122,5 +137,52 @@ class TestInvertWidth:
         assert 0.8 * 4 <= t2 / t1 <= 1.2 * 4
 
     def test_rejects_nonpositive_target(self):
-        with pytest.raises(ValueError):
-            invert_width(0.0, 0.1)
+        for target in (0.0, -1.0, math.nan, np.array([0.1, math.nan])):
+            with pytest.raises(ValueError, match="target width must be positive"):
+                invert_width(target, 0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(1e-3, 10.0)),
+           st.floats(1e-12, 0.3))
+    def test_array_targets_match_scalar_first_crossings(self, targets, delta):
+        crossings = invert_width(targets, delta)
+        assert crossings.shape == targets.shape
+        assert crossings.tolist() == [invert_width(float(t), delta) for t in targets]
+        assert np.all(confidence_width(crossings, delta) < targets)
+        after_one = crossings > 1
+        assert np.all(confidence_width(crossings[after_one] - 1, delta)
+                      >= targets[after_one])
+
+    def test_exact_table_values_cross_one_round_later(self):
+        for delta in (0.1, 0.003, 1e-9):
+            table = width_table(5000, delta)
+            rounds = np.array([1, 2, 3, 17, 1024, 1025, 4999])
+            assert invert_width(table[rounds - 1], delta).tolist() == (rounds + 1).tolist()
+            assert all(invert_width(float(table[t - 1]), delta) == t + 1 for t in rounds)
+
+    def test_first_crossing_where_the_width_rises(self):
+        # at delta = 0.5 the width rises from T = 1 to T = 2, so the power-of-
+        # two widths are not sorted; the crossing is still the first T
+        assert confidence_width(1, 0.5) < 1.2 < confidence_width(2, 0.5)
+        assert invert_width(1.2, 0.5) == 1
+        assert invert_width(np.array([1.2, 5.0]), 0.5).tolist() == [1, 1]
+
+    def test_zero_dimensional_target_is_a_scalar(self):
+        crossing = invert_width(np.array(0.05), 0.01)
+        assert crossing == invert_width(0.05, 0.01) and isinstance(crossing, int)
+
+    def test_rejects_a_target_not_crossed_by_2_to_62(self):
+        with pytest.raises(ValueError, match="not crossed"):
+            invert_width(np.array([0.1, 1e-12]), 0.1)
+
+    def test_large_crossings_build_no_table(self):
+        # slack 1e-3 at delta/n = 0.0125: t* and the round cap's crossing lie
+        # past 10**8, where a width table would take gigabytes
+        tracemalloc.start()
+        try:
+            crossings = invert_width(np.array([5e-4, 2.5e-4]), 0.0125)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert crossings.min() > 10**8
+        assert peak < 64 * 1024

@@ -234,17 +234,6 @@ class TestNoisyElimination:
         np.testing.assert_allclose(ledger.lcb, means - width, rtol=1e-12)
         np.testing.assert_allclose(ledger.ucb, means + width, rtol=1e-12)
 
-    def test_width_tables_are_shared_and_read_only(self):
-        from quantile_bandits.elimination import ArmLedger
-        first, second = ArmLedger(3, 0.02), ArmLedger(5, 0.02)
-        widths = first.width_at(np.array([1, 3000]))
-        second.width_at(np.array([2500]))
-        assert second._width_table is first._width_table
-        assert not first._width_table.flags.writeable
-        table = confidence_width(np.arange(1, first._width_table.size + 1), 0.02)
-        assert np.array_equal(first._width_table, table)
-        assert np.array_equal(widths, table[[0, 2999]])
-
 
 class TestGapProfile:
     def test_ab_instance_values(self):
@@ -356,6 +345,9 @@ class TestValidation:
             run_elimination([FiniteGroup("a", (0,))], 1.5, 0.1, 0.1, env)
         with pytest.raises(ValueError):
             run_elimination([FiniteGroup("a", (0,))], 0.5, -0.1, 0.1, env)
+        for slack in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="slack must be positive and finite"):
+                EliminationRun([FiniteGroup("a", (0,))], 0.5, slack, 0.1, env)
 
     @pytest.mark.parametrize("groups, delta, arms, message", [
         ([], 0.1, 8, "at least one group"),

@@ -72,8 +72,9 @@ class TestCheckSchedule:
             check_schedule(0.5, [0.6], [0.1], 0.05)  # eps > min(alpha, 1-alpha)
         with pytest.raises(ValueError, match=r"schedule\[0\]: need delta < eps"):
             check_schedule(0.3, [0.35], [0.1], 0.05)  # eps > alpha
-        with pytest.raises(ValueError, match=r"schedule\[0\]: gap must be positive"):
-            check_schedule(0.5, [0.2], [0.0], 0.05)
+        for gap in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"schedule\[0\]: gap must be positive"):
+                check_schedule(0.5, [0.2], [gap], 0.05)
         with pytest.raises(ValueError, match="delta must lie in"):
             check_schedule(0.5, [0.2], [0.1], -0.05)
         with pytest.raises(ValueError, match="eps and delta_gap schedules"):

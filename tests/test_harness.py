@@ -110,6 +110,24 @@ class TestConfigValidation:
                              r"config\.instance_file: not allowed beside config\.instance")):
             with pytest.raises(ValueError, match=field):
                 config_from_dict(dict(base, **over))
+        # JSON text may spell NaN and the infinities; none passes as a number
+        instance = json.dumps(INSTANCE)
+        nan_mean = instance.replace("[[0.7, 1.0]]", "[[NaN, 1.0]]")
+        inf_mass = instance.replace("[[0.3, 1.0]]", "[[0.3, Infinity]]")
+        for inst, rest, field in (
+                (instance, '"eps": 0.2, "delta_gap": NaN', r"config\.delta_gap"),
+                (instance, '"eps": 0.2, "delta_gap": Infinity', r"config\.delta_gap"),
+                (instance, '"eps": -Infinity, "delta_gap": 0.1', r"config\.eps"),
+                (instance, '"eps": 0.2, "delta_gap": 0.1, "delta": NaN', r"config\.delta"),
+                (instance, '"schedule": {"eps": [0.2], "delta_gap": [NaN]}',
+                 r"config\.schedule\.delta_gap\[0\]"),
+                (nan_mean, '"eps": 0.2, "delta_gap": 0.1',
+                 r"config\.instance\.groups\[0\]\.atoms\[0\]\[0\]"),
+                (inf_mass, '"eps": 0.2, "delta_gap": 0.1',
+                 r"config\.instance\.groups\[1\]\.atoms\[0\]\[1\]")):
+            data = json.loads(f'{{"instance": {inst}, {rest}}}')
+            with pytest.raises(ValueError, match=field + ": expected a finite number, got "):
+                config_from_dict(data)
 
     def test_unknown_fields_rejected(self):
         base = {"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1}

@@ -427,6 +427,12 @@ def _env(means):
     (lambda: PiecewiseLinearReservoir((0.0, 1.0), (0.0, 0.9)), "reach 1"),
     (lambda: DiscreteReservoir((0.2, 0.8), (1.5, -0.5)), r"masses must lie in \(0, 1\]"),
     (lambda: DiscreteReservoir((0.2, 0.8), (0.0, 1.0)), r"masses must lie in \(0, 1\]"),
+    (lambda: DiscreteReservoir((math.nan,), (1.0,)), r"means must lie in \[0, 1\]"),
+    (lambda: DiscreteReservoir((0.2, math.inf), (0.5, 0.5)), r"means must lie in \[0, 1\]"),
+    (lambda: DiscreteReservoir((0.2, 0.8), (math.nan, 1.0)), r"masses must lie in \(0, 1\]"),
+    (lambda: PiecewiseLinearReservoir((0.0, math.nan), (0.0, 1.0)), r"lie in \[0, 1\]"),
+    (lambda: PiecewiseLinearReservoir((0.0, 1.0), (math.nan, 1.0)), "nondecreasing"),
+    (lambda: PiecewiseLinearReservoir((0.0, 1.0), (0.0, math.inf)), "CDF must reach 1"),
 ])
 def test_constructors_reject_invalid(build, message):
     with pytest.raises(ValueError, match=message):
