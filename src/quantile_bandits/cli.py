@@ -4,6 +4,7 @@ hard-instance verifier."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -23,21 +24,28 @@ def _parse_floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def _load_config(args) -> ExperimentConfig:
-    cfg = config_from_file(args.config)
-    overrides = {key: getattr(args, key) for key in ("trials", "seed", "threads", "delta")
-                 if getattr(args, key, None) is not None}
-    if getattr(args, "eps", None) is not None:
-        overrides["eps_schedule"] = (args.eps,)
-    if getattr(args, "delta_gap", None) is not None:
-        overrides["gap_schedule"] = (args.delta_gap,)
-    if args.noiseless:
+def _load_config(args, **point) -> ExperimentConfig:
+    """The config file with every given flag applied; ``point`` holds a sweep
+    grid point's values, applied as if they were flags.
+
+    Each given flag replaces its field, and ``--eps``/``--delta-gap`` each
+    replace their schedule with one epoch.  A flag the subcommand lacks, or a
+    grid axis the sweep lacks (None), leaves the config's own value.
+    """
+    flags = dict(vars(args), **point)
+    cfg = config_from_file(flags["config"])
+    overrides = {key: flags[key] for key in ("trials", "seed", "threads", "delta")
+                 if flags.get(key) is not None}
+    for flag, field in (("eps", "eps_schedule"), ("delta_gap", "gap_schedule")):
+        if flags.get(flag) is not None:
+            overrides[field] = (flags[flag],)
+    if flags.get("noiseless"):
         overrides["noiseless"] = True
-    if args.out:
-        overrides["out_csv"] = str(Path(args.out) / "trials.csv")
-        overrides["out_summary"] = str(Path(args.out) / "summary.json")
-    if args.alpha is not None:
-        overrides["instance"] = replace(cfg.instance, alpha=args.alpha)
+    if flags.get("out") is not None:
+        overrides["out_csv"] = str(Path(flags["out"]) / "trials.csv")
+        overrides["out_summary"] = str(Path(flags["out"]) / "summary.json")
+    if flags.get("alpha") is not None:
+        overrides["instance"] = replace(cfg.instance, alpha=flags["alpha"])
     return replace(cfg, **overrides)
 
 
@@ -49,50 +57,46 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base = _load_config(args)
-    eps_grid = _parse_floats(args.eps_grid) if args.eps_grid else [base.final_eps]
-    gap_grid = _parse_floats(args.gap_grid) if args.gap_grid else [base.final_gap]
-    delta_grid = _parse_floats(args.delta_grid) if args.delta_grid else [base.delta]
+    """Run each grid point as ``run`` with those flags; a missing grid is the
+    config's own value.  Point files go to ``--out`` under their grid tag."""
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
+    grids = [[None] if grid is None else grid for grid in (args.eps, args.delta_gap, args.delta)]
     rows = ["eps,delta_gap,delta,trials,success_rate,mean_pulls,median_pulls,event_a_rate"]
-    for eps in eps_grid:
-        for gap in gap_grid:
-            for delta in delta_grid:
-                tag = f"eps{eps:g}_gap{gap:g}_delta{delta:g}"
-                cfg = replace(base, eps_schedule=(eps,), gap_schedule=(gap,), delta=delta,
-                              out_csv=str(out_dir / f"trials_{tag}.csv") if out_dir else None,
-                              out_summary=str(out_dir / f"summary_{tag}.json") if out_dir else None)
-                rep = run_experiment(cfg)
-                if rep.trials:
-                    rows.append(f"{eps:g},{gap:g},{delta:g},{rep.trials},"
-                                f"{rep.success_rate:.6f},{rep.mean_pulls:.3f},"
-                                f"{rep.median_pulls:.3f},{rep.event_a_rate:.6f}")
-                else:
-                    rows.append(f"{eps:g},{gap:g},{delta:g},0,nan,nan,nan,nan")
-                print(rows[-1])
+    for eps, gap, delta in itertools.product(*grids):
+        cfg = _load_config(args, eps=eps, delta_gap=gap, delta=delta, out=None)
+        label = f"{cfg.final_eps:g},{cfg.final_gap:g},{cfg.delta:g}"
+        if out_dir:
+            tag = f"eps{cfg.final_eps:g}_gap{cfg.final_gap:g}_delta{cfg.delta:g}"
+            cfg = replace(cfg, out_csv=str(out_dir / f"trials_{tag}.csv"),
+                          out_summary=str(out_dir / f"summary_{tag}.json"))
+        rep = run_experiment(cfg)
+        if rep.trials:
+            rows.append(f"{label},{rep.trials},{rep.success_rate:.6f},{rep.mean_pulls:.3f},"
+                        f"{rep.median_pulls:.3f},{rep.event_a_rate:.6f}")
+        else:
+            rows.append(f"{label},0,nan,nan,nan,nan")
+        print(rows[-1])
     if out_dir:
         (out_dir / "sweep.csv").write_text("\n".join(rows) + "\n")
     return 0
 
 
 def _cmd_bound(args) -> int:
+    """The same four lines for every schedule; the finite-arm bound scores
+    trial 0's first-epoch draw, the one ``run_trial`` makes."""
     cfg = _load_config(args)
     inst = cfg.instance
     num_groups = len(inst.groups)
+    counts = [required_arm_count(eps, cfg.delta, num_groups) for eps in cfg.eps_schedule]
+    rng = np.random.default_rng(mix_seed(cfg.seed, 0))
+    groups, _, means = _sample_finite_groups(inst, list(inst.group_ids), counts[0], rng)
+    profile = gap_profile(groups, means, inst.alpha, cfg.gap_schedule[0])
+    finite = bound_pulls_finite(profile, means.size, cfg.delta)
     total = pull_bound_multistep(inst, cfg.eps_schedule, cfg.gap_schedule, cfg.delta)
     worst = pull_bound_worst_case(num_groups, cfg.final_eps, cfg.final_gap, cfg.delta)
-    if len(cfg.eps_schedule) > 1:
-        print(f"multi-step schedule bound: {total:.6g}")
-        print(f"worst-case bound at final tolerances: {worst:.6g}")
-        return 0
-    n_per = required_arm_count(cfg.final_eps, cfg.delta, num_groups)
-    rng = np.random.default_rng(mix_seed(cfg.seed, 0))
-    groups, _, means = _sample_finite_groups(inst, list(inst.group_ids), n_per, rng)
-    profile = gap_profile(groups, means, inst.alpha, cfg.final_gap)
-    finite = bound_pulls_finite(profile, means.size, cfg.delta)
-    print(f"arms requested per group: {n_per}")
+    print(f"arms requested per group: {', '.join(map(str, counts))}")
     print(f"finite-arm gap bound (one sampled draw, seed {cfg.seed}): {finite:.6g}")
     print(f"grouped reservoir bound: {total:.6g}")
     print(f"worst-case bound: {worst:.6g}")
@@ -113,7 +117,7 @@ def _cmd_make_lb(args) -> int:
     params = HardInstanceParams(args.eps, args.delta_gap, args.groups)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    eps_s, gap_s = success_scale(params, args.scale)
+    eps_s, gap_s = success_scale(params)
     paths = []
     for inst in make_worst_case_instances(params):
         payload = instance_to_dict(inst)
@@ -132,37 +136,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Grouped max-quantile bandit experiments, bounds, and verifiers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def config_flags(p, kind=float, note=""):
+        """Flags read by ``_load_config``; sweep takes its tolerances as lists."""
         p.add_argument("--config", required=True, help="experiment config (JSON)")
-        p.add_argument("--trials", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--alpha", type=float, default=None)
+        p.add_argument("--eps", type=kind, default=None, help=f"quantile-level tolerance{note}")
+        p.add_argument("--delta", type=kind, default=None, help=f"failure probability{note}")
+        p.add_argument("--delta-gap", type=kind, default=None, dest="delta_gap",
+                       help=f"quantile-value slack{note}")
+
+    def trial_flags(p):
+        p.add_argument("--trials", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--noiseless", action="store_true")
 
     p_run = sub.add_parser("run", help="run a Monte Carlo experiment from a config")
-    common(p_run)
-    p_run.add_argument("--eps", type=float, default=None)
-    p_run.add_argument("--delta", type=float, default=None, help="failure probability")
-    p_run.add_argument("--delta-gap", type=float, default=None, dest="delta_gap",
-                       help="quantile-value slack")
+    config_flags(p_run)
+    trial_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="grid over eps, delta-gap, delta")
-    common(p_sweep)
-    # grid flags get their own dests so _load_config does not read them as overrides
-    p_sweep.add_argument("--eps", default=None, dest="eps_grid", help="comma list")
-    p_sweep.add_argument("--delta", default=None, dest="delta_grid",
-                         help="comma list of failure probabilities")
-    p_sweep.add_argument("--delta-gap", default=None, dest="gap_grid", help="comma list")
+    config_flags(p_sweep, _parse_floats, " (comma list)")
+    trial_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_bound = sub.add_parser("bound", help="evaluate the pull-count bound expressions")
-    common(p_bound)
-    p_bound.add_argument("--eps", type=float, default=None)
-    p_bound.add_argument("--delta", type=float, default=None, help="failure probability")
-    p_bound.add_argument("--delta-gap", type=float, default=None, dest="delta_gap")
+    config_flags(p_bound)
     p_bound.set_defaults(func=_cmd_bound)
 
     p_verify = sub.add_parser("verify-lb", help="verify the score-statistic lemmas on a grid")
@@ -177,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_make.add_argument("--eps", type=float, required=True)
     p_make.add_argument("--delta-gap", type=float, required=True, dest="delta_gap")
     p_make.add_argument("--groups", type=int, default=2)
-    p_make.add_argument("--scale", type=float, default=4.0,
-                        help="tolerance shrink factor for the success oracle")
     p_make.add_argument("--out", required=True, help="output directory")
     p_make.set_defaults(func=_cmd_make_lb)
 

@@ -77,10 +77,10 @@ def _bucket_geometry(eps: float, alpha: float) -> tuple[int, np.ndarray, int]:
     return m, np.clip(b, 0.0, 1.0), level_steps
 
 
-def _bucket_of(m: int, bounds: np.ndarray, js) -> np.ndarray:
-    """Bucket 0..m of each hidden index in ``js``, for boundaries ``bounds``."""
-    edges = np.concatenate(([0.0], bounds, [1.0 + 1e-15]))  # upper edge closed at 1
-    return np.clip(np.searchsorted(edges, np.asarray(js, dtype=float), side="right") - 1, 0, m)
+def _bucket_of(bounds: np.ndarray, js) -> np.ndarray:
+    """Bucket 0..m of each hidden index in ``js``: the count of boundaries
+    ``bounds`` at or below it."""
+    return np.searchsorted(bounds, js, side="right")
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,8 @@ def reservoir_gap_bounds(instance: BanditInstance, eps: float, gap: float) -> Re
     low, high = {}, {}
     for gid, res in instance.groups:
         low[gid], high[gid] = quantile_band(res, a, eps)
-    if gap <= 0.0:
-        raise ValueError(f"gap must be positive, got {gap}")
+    if not 0.0 < gap < math.inf:
+        raise ValueError(f"gap must be positive and finite, got {gap}")
     m, bounds, level_steps = _bucket_geometry(eps, a)
     best_low = max(low.values())
     best_high = max(high.values())
@@ -178,7 +178,7 @@ def _epoch_oracles(instance: BanditInstance, groups, js, means, alpha: float, ep
         for g in groups
     )
     m, bounds, _ = _bucket_geometry(eps, alpha)
-    largest = max(int(np.bincount(_bucket_of(m, bounds, js[g.columns]), minlength=m + 1).max())
+    largest = max(int(np.bincount(_bucket_of(bounds, js[g.columns]), minlength=m + 1).max())
                   for g in groups)
     return sandwiched, largest
 

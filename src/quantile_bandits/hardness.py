@@ -81,16 +81,14 @@ def make_worst_case_instances(params: HardInstanceParams) -> list[BanditInstance
     return out
 
 
-def success_scale(params: HardInstanceParams, scale: float = 4.0) -> tuple[float, float]:
-    """Tolerances (eps/scale, gap/scale) under which only the planted optimal
-    group of each hard instance passes the relaxed success oracle.
+def success_scale(params: HardInstanceParams) -> tuple[float, float]:
+    """Tolerances (eps/4, gap/4) under which only the planted optimal group
+    of each hard instance passes the relaxed success oracle.
 
     The construction only separates the groups after shrinking both
-    tolerances by a constant factor; 4 is a safe default here.
+    tolerances by a constant factor; 4 is a safe one.
     """
-    if scale <= 1.0:
-        raise ValueError(f"scale must exceed 1, got {scale}")
-    return params.eps / scale, params.gap / scale
+    return params.eps / 4.0, params.gap / 4.0
 
 
 def _stable_ratio_terms(d: int, params: HardInstanceParams) -> tuple[float, float, float]:

@@ -117,19 +117,18 @@ def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "conf
                 raise ValueError(f"{path}.{key}: required when no schedule is given")
         eps_schedule, gap_schedule = ((_number(data[key], f"{path}.{key}"),)
                                       for key in ("eps", "delta_gap"))
-    numbers = {key: _number(data.get(key, default), f"{path}.{key}", kind)
-               for key, default, kind in (("delta", 0.1, float), ("trials", 100, int),
-                                          ("seed", 0, int), ("threads", 1, int))}
-    noiseless = data.get("noiseless", False)
-    if not isinstance(noiseless, bool):
-        raise ValueError(f"{path}.noiseless: expected true or false, got {noiseless!r}")
+    # only the given keys: each default lives on ExperimentConfig
+    fields = {key: _number(data[key], f"{path}.{key}", kind)
+              for key, kind in (("delta", float), ("trials", int), ("seed", int), ("threads", int))
+              if key in data}
+    if not isinstance(data.get("noiseless", False), bool):
+        raise ValueError(f"{path}.noiseless: expected true or false, got {data['noiseless']!r}")
     for key in ("out_csv", "out_summary"):
         if data.get(key) is not None and not isinstance(data[key], str):
             raise ValueError(f"{path}.{key}: expected a path string, got {data[key]!r}")
+    fields.update((key, data[key]) for key in ("noiseless", "out_csv", "out_summary") if key in data)
     try:
-        return ExperimentConfig(inst, eps_schedule, gap_schedule, noiseless=noiseless,
-                                out_csv=data.get("out_csv"), out_summary=data.get("out_summary"),
-                                **numbers)
+        return ExperimentConfig(inst, eps_schedule, gap_schedule, **fields)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -182,8 +181,9 @@ def _write_csv(path: str, results: list[TrialResult]) -> None:
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
     """Run all trials (optionally across processes), write CSV and summary.
 
-    Results are collected in any order and sorted by trial index before
-    writing, so the artifacts do not depend on scheduling.
+    Results come back in trial-index order whatever the worker count:
+    ``pool.map`` yields them in submission order, so the artifacts do not
+    depend on scheduling.
     """
     start = time.perf_counter()
     indices = list(range(config.trials))

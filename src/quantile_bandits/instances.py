@@ -276,8 +276,8 @@ def _relaxed_winners(instance: BanditInstance, eps: float, gap: float) -> frozen
     """:func:`relaxed_success_set`, computed once per (instance, eps, gap):
     every trial of an experiment scores against the same set."""
     bands = {gid: quantile_band(res, instance.alpha, eps) for gid, res in instance.groups}
-    if gap <= 0.0:
-        raise ValueError(f"gap must be positive, got {gap}")
+    if not 0.0 < gap < math.inf:
+        raise ValueError(f"gap must be positive and finite, got {gap}")
     best_low = max(low for low, _ in bands.values())
     return frozenset(gid for gid, (_, high) in bands.items() if high >= best_low - gap)
 

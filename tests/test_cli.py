@@ -1,10 +1,17 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
-from quantile_bandits.cli import main
+from quantile_bandits.cli import build_parser, main
+
+SCHEDULE = Path(__file__).resolve().parent / "contract" / "gaussian-pwl-schedule.json"
+
+CONFIG_FLAGS = {"--config", "--seed", "--alpha", "--eps", "--delta", "--delta-gap"}
+TRIAL_FLAGS = {"--trials", "--out", "--threads", "--noiseless"}
 
 INSTANCE = {
     "name": "pair",
@@ -130,10 +137,46 @@ class TestBound:
         assert "worst-case bound" in out
 
     def test_schedule_config_prints_schedule_bound(self, schedule_path, capsys):
+        # the same four lines as a one-epoch config, with one arm count per epoch
         assert main(["bound", "--config", str(schedule_path)]) == 0
-        out = capsys.readouterr().out
-        assert "multi-step schedule bound" in out
-        assert "worst-case bound at final tolerances" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "arms requested per group", "finite-arm gap bound (one sampled draw, seed 3)",
+            "grouped reservoir bound", "worst-case bound"]
+        assert lines[0] == "arms requested per group: 47, 82"
+
+    def test_finite_bound_scores_the_first_epoch_draw(self, capsys):
+        # trial 0's first epoch is the one-epoch run at the schedule's first tolerances
+        assert main(["bound", "--config", str(SCHEDULE)]) == 0
+        schedule = capsys.readouterr().out.splitlines()
+        assert main(["bound", "--config", str(SCHEDULE), "--eps", "0.25", "--delta-gap", "0.3"]) == 0
+        first = capsys.readouterr().out.splitlines()
+        assert schedule[0] == "arms requested per group: 39, 60"
+        assert first[0] == "arms requested per group: 39"
+        assert schedule[1] == first[1] == "finite-arm gap bound (one sampled draw, seed 7): 9276.53"
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+             for name, sub in subparsers.choices.items()}
+    assert flags == {
+        "run": CONFIG_FLAGS | TRIAL_FLAGS,
+        "sweep": CONFIG_FLAGS | TRIAL_FLAGS,
+        "bound": CONFIG_FLAGS,
+        "verify-lb": {"--eps", "--delta-gap", "--d-range", "--drift-limit"},
+        "make-lb": {"--eps", "--delta-gap", "--groups", "--out"},
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--config", "exp.json", "--out", "x"],
+    ["make-lb", "--eps", "0.2", "--delta-gap", "0.2", "--out", "x", "--scale", "4"],
+])
+def test_flags_a_subcommand_does_not_read_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVerifyLb:
@@ -213,3 +256,22 @@ class TestSweep:
         assert main(["sweep", "--config", str(path), "--alpha", "0.3"]) == 0
         sweep_pulls = capsys.readouterr().out.strip().split(",")[5]
         assert sweep_pulls == f"{run_pulls:.3f}"
+
+    @pytest.mark.parametrize("grid", [[], ["--delta", "0.05,0.1"]], ids=["no-grid", "delta-grid"])
+    def test_point_is_the_run_with_the_same_flags(self, tmp_path, capsys, grid):
+        # a missing grid keeps the config's own two-epoch schedule
+        sweep = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(SCHEDULE), "--trials", "2", *grid,
+                     "--out", str(sweep)]) == 0
+        points = [["--delta", delta] for delta in grid[1].split(",")] if grid else [[]]
+        for flags in points:
+            run = tmp_path / "run"
+            assert main(["run", "--config", str(SCHEDULE), "--trials", "2", *flags,
+                         "--out", str(run)]) == 0
+            tag = f"eps0.2_gap0.2_delta{flags[1] if flags else '0.05'}"
+            assert (sweep / f"trials_{tag}.csv").read_bytes() == (run / "trials.csv").read_bytes()
+
+    def test_eps_grid_on_schedule_config_is_an_error(self, schedule_path, capsys):
+        # as with run --eps, one eps beside a two-epoch delta_gap schedule
+        assert main(["sweep", "--config", str(schedule_path), "--eps", "0.2,0.15"]) == 2
+        assert "got 1 and 2 epochs" in capsys.readouterr().err

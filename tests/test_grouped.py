@@ -111,7 +111,7 @@ class TestBucketGeometry:
         assert np.allclose(bounds, np.arange(8) / 8)
         # b_1 = 0 leaves bucket 0 empty
         assert bucket_members(0.125, 0.5, [0.0, 0.5, 0.99])[0].size == 0
-        assert 0 not in _bucket_of(m, bounds, [0.0, 0.5, 0.99])
+        assert 0 not in _bucket_of(bounds, [0.0, 0.5, 0.99])
 
     def test_point_three_geometry(self):
         m, bounds, _ = _bucket_geometry(0.1, 0.3)
@@ -124,7 +124,21 @@ class TestBucketGeometry:
         assert bounds[0] == pytest.approx(0.05)
         # 0.02 < b_1
         assert bucket_members(0.15, 0.5, [0.02])[0].tolist() == [0]
-        assert _bucket_of(m, bounds, [0.02]).tolist() == [0]
+        assert _bucket_of(bounds, [0.02]).tolist() == [0]
+
+    @pytest.mark.parametrize("eps, alpha", [(0.125, 0.5), (0.15, 0.5), (0.1, 0.3),
+                                            (0.13, 0.37), (0.07, 0.61)])
+    def test_each_boundary_and_its_neighbouring_floats(self, eps, alpha):
+        # a boundary opens its bucket; one ulp below it is still in the bucket before
+        m, bounds, _ = _bucket_geometry(eps, alpha)
+        js = np.clip(np.concatenate((bounds, np.nextafter(bounds, -1.0), np.nextafter(bounds, 2.0),
+                                     [0.0, 1.0])), 0.0, 1.0)
+        which = _bucket_of(bounds, js)
+        for i, bucket in enumerate(bucket_members(eps, alpha, js)):
+            assert np.array_equal(np.flatnonzero(which == i), bucket)
+        inner = np.flatnonzero(bounds > 0.0)
+        assert _bucket_of(bounds, bounds[inner]).tolist() == (inner + 1).tolist()
+        assert _bucket_of(bounds, np.nextafter(bounds[inner], -1.0)).tolist() == inner.tolist()
 
     def test_buckets_cover_and_are_disjoint(self):
         rng = np.random.default_rng(3)
@@ -133,7 +147,7 @@ class TestBucketGeometry:
         all_idx = np.concatenate(members)
         assert np.array_equal(np.sort(all_idx), np.arange(js.size))
         m, bounds, _ = _bucket_geometry(0.13, 0.37)
-        which = _bucket_of(m, bounds, js)
+        which = _bucket_of(bounds, js)
         for i, bucket in enumerate(members):
             assert np.array_equal(np.flatnonzero(which == i), bucket)
         # every bucket interval has width at most eps
@@ -250,6 +264,9 @@ class TestReservoirGapBounds:
         (0.3, 0.35, 0.1, "eps must lie in"),
         (0.5, 0.1, 0.0, "gap must be positive"),
         (0.5, 0.1, -0.05, "gap must be positive"),
+        (0.5, 0.1, float("nan"), "gap must be positive and finite"),
+        (0.5, 0.1, float("inf"), "gap must be positive and finite"),
+        (0.5, 0.1, -float("inf"), "gap must be positive and finite"),
     ])
     def test_bad_tolerances_rejected(self, alpha, eps, gap, message):
         # every reader of the quantile band checks the tolerances the same way

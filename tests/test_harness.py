@@ -141,6 +141,11 @@ class TestConfigValidation:
         assert cfg.trials == 3 and isinstance(cfg.trials, int)
         assert cfg.noiseless is True
 
+    def test_omitted_fields_take_the_dataclass_defaults(self):
+        inst = config_from_dict({"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1}).instance
+        assert config_from_dict({"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1}) == \
+            ExperimentConfig(inst, (0.2,), (0.1,))
+
     def test_scalar_tolerances_are_a_one_epoch_schedule(self):
         cfg = config_from_dict({"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1})
         assert (cfg.eps_schedule, cfg.gap_schedule) == ((0.2,), (0.1,))

@@ -307,6 +307,13 @@ class TestRelaxedSuccessSet:
             assert base <= relaxed_success_set(inst, 0.2, 0.05)
             assert base <= relaxed_success_set(inst, 0.1, 0.2)
 
+    @pytest.mark.parametrize("gap", [0.0, float("nan"), float("inf"), -float("inf")])
+    def test_gap_must_be_positive_and_finite(self, gap):
+        inst = make_instance([("a", DiscreteReservoir.point_mass(0.6)),
+                              ("b", DiscreteReservoir.point_mass(0.4))])
+        with pytest.raises(ValueError, match="gap must be positive and finite"):
+            relaxed_success_set(inst, 0.2, gap)
+
     def test_eps_out_of_range(self):
         inst = make_instance([("a", DiscreteReservoir.point_mass(0.5))])
         with pytest.raises(ValueError):
