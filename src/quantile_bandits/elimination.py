@@ -37,7 +37,11 @@ by row and quantiles are exact order statistics, so a block gives the same
 bits as its rounds run one at a time.  Between set changes the run carries
 the running sums itself and writes the ledger only at the round that changes
 a set or stops the loop, where the set filter, the per-group plan and the
-caller read it.
+caller read it.  Most blocks change nothing, and a screen proves that from
+the block's first and last rows of sums alone, without forming the rest:
+it runs when the sums are int32 (0/1 rewards, so no sum decreases), no
+candidate group has a frozen arm, and 2*U stays above the slack by a
+rounding allowance through the block's last round (:func:`_quiet_block`).
 """
 
 from __future__ import annotations
@@ -113,6 +117,10 @@ class ArmLedger:
         self._widths = width_table(1, delta_per_arm)
 
     def width_at(self, pulls: np.ndarray) -> np.ndarray:
+        """Widths U(pulls, delta_per_arm) read off the shared table; a pull
+        count below 1 raises ValueError, as ``confidence_width`` does."""
+        if pulls.min(initial=1) < 1:
+            raise ValueError("confidence width needs at least one pull")
         top = int(pulls.max(initial=0))
         if top > self._widths.size:
             self._widths = width_table(top, self.delta_per_arm)
@@ -253,6 +261,68 @@ BLOCK_ELEMENTS = 16_384
 _INT32_ROUNDS = 2**31
 
 
+# the screen's rounding allowance.  The per-row path compares band edges
+# fl(fl(s / n) -/+ w) with s / n in [0, 1], each within 2u(1 + w) of its
+# exact value (u = 2**-53), and no finite width reaches 40 (U(1) is 38 at
+# delta = 1e-308).  So the screen gives up n * 1e-12, over ten times what two
+# edges and their difference can lose, and a 1e-12 share of n * w for the
+# few ulps by which the width table and its own products miss
+_ROUNDING = 1e-12
+
+
+def _quiet_block(block: np.ndarray, carried: np.ndarray, width: np.ndarray, t: int,
+                 groups: list, slack: float, mu: np.ndarray | None = None):
+    """Certify from a block's first and last rows of running sums that none
+    of its rounds drops an arm, drops a candidate or meets the stop; return
+    (last row, spread of the last round) if so, else None.
+
+    ``block`` holds the (k, m) int32 0/1 rewards of rounds t..t+k-1, whose
+    running sums start from ``carried``, and ``width`` their widths; no group
+    in ``groups`` has a frozen arm, so its bands are kth/n -/+ w.  Row 0 of
+    the sums is ``carried`` + ``block[0]`` and row k-1 is ``carried`` plus
+    the column sums, the integers cumsum's last row holds.  Sums never
+    decrease, so every order statistic of a middle row lies between its
+    values in rows 0 and k-1, and each difference an event needs, top - kth
+    and kth - bottom within a group and one group's kth minus another's, is
+    at most its row k-1 term minus its row 0 term.  Round i has no event
+    while each is at most 2 * n_i * w_i and 2 * w_i exceeds the slack.
+    n * U(n) rises with n, and U(n) falls or first rises and then falls, so
+    row 0 has the least n_i * w_i and row 0 or k-1 the least w_i.  Both
+    tests give up a rounding allowance, so they hold for the float
+    expressions the per-row path evaluates.  Given the true means ``mu``,
+    each arm's sum minus mu * n_i must also stay within n_i * w_i on both
+    sides, or the block is left to the per-row path, which checks coverage.
+    The spread is (x + w) - (x - w) with x the largest kth over n, the
+    per-row path's own expression at the last round.
+    """
+    k = block.shape[0]
+    n = t + k - 1
+    w0, w = float(width[0]), width[-1]
+    if 2.0 * (min(w0, float(w)) * (1.0 - _ROUNDING) - _ROUNDING) <= slack:
+        return None
+    room = t * w0 * (1.0 - _ROUNDING) - n * _ROUNDING
+    ends = np.empty((2, carried.size), dtype=carried.dtype)
+    np.add(carried, block[0], out=ends[0])
+    np.add.reduce(block, axis=0, out=ends[1])
+    ends[1] += carried
+    lowest, highest, worst = math.inf, -math.inf, 0
+    for kq, cols, _ in groups:
+        live = np.sort(ends[:, cols], axis=1)
+        low, high = int(live[0, kq]), int(live[1, kq])
+        worst = max(worst, int(live[1, -1]) - low, high - int(live[0, 0]))
+        lowest, highest = min(lowest, low), max(highest, high)
+    if max(worst, highest - lowest) > 2.0 * room:
+        return None
+    if mu is not None:
+        # sum - mu * n is linear in n: its extremes are at n = t and n
+        near, far = mu * t, mu * n
+        if (np.maximum(ends[1] - np.minimum(near, far), np.maximum(near, far) - ends[0])
+                > room).any():
+            return None
+    x = highest / n
+    return ends[1], float((x + w) - (x - w))
+
+
 def _running_sums(block: np.ndarray, carried: np.ndarray) -> None:
     """Turn a (k, m) block of rewards into running sums in place: row i
     becomes ``carried`` + rows 0..i, added one row at a time in that order.
@@ -348,8 +418,10 @@ class EliminationRun:
         no round pending; the active arms tiled for the longest block; and, per
         candidate group, its kth index, the slice of its columns in ``active``
         and its frozen arms' (lcb, ucb), which never change (None for a group
-        with no frozen arm).  ``active`` is the candidates' pools concatenated
-        in candidate order, so each group's live arms are one run of columns."""
+        with no frozen arm); and whether blocks go to the screen, which needs
+        int32 sums and no frozen arm in any group.  ``active`` is the
+        candidates' pools concatenated in candidate order, so each group's
+        live arms are one run of columns."""
         st = self.state
         led = self.ledger
         self._sums = led.sums[st.active].astype(self._dtype, copy=False)
@@ -365,6 +437,7 @@ class EliminationRun:
             bounds = (led.lcb[cols][frozen], led.ucb[cols][frozen]) if frozen.any() else None
             self._groups.append((self._kq[gid], slice(col, stop), bounds))
             col = stop
+        self._screen = self._dtype == np.int32 and all(g[2] is None for g in self._groups)
 
     def step(self) -> EliminationState:
         """Run one block of rounds and return the state after it.
@@ -399,6 +472,21 @@ class EliminationRun:
         Row 0 starts from the running sums the run carries across blocks.  A
         block ending in a set change or the stop commits every round since the
         last commit to the ledger; any other keeps its last row as the sums.
+
+        Before any of that, a block is screened when three things hold: its
+        sums are int32, so rewards are 0/1 and no sum decreases; no
+        candidate group has a frozen arm (the plan records this); and 2*w
+        stays above the slack by a rounding allowance through its last
+        round.  :func:`_quiet_block` then sorts only rows 0 and K-1 of each
+        group and certifies, in O(groups) scalar tests, that no round drops
+        an arm, drops a candidate or, given true means, uncovers one.  A
+        certified block carries row K-1 as the sums, takes the per-row
+        path's spread of its last round, bit for bit, and doubles K; it
+        forms no running sums, row sorts or per-row bands.  The spread check
+        is not evaluated on it: with no frozen arm the spread is
+        (x + w) - (x - w), a few ulps from 2*w, far inside the check's 1e-9,
+        so the verdict cannot change.  A block the screen refuses runs the
+        path above unchanged.
         """
         if self.should_stop():
             raise RuntimeError("step() called after the stopping condition was met")
@@ -412,9 +500,19 @@ class EliminationRun:
         # one draw for all k rounds; the start state rewinds a block cut short
         start = self.env.rng.bit_generator.state
         sums = self.env.pull(self._tiled[:k * m]).astype(self._dtype, copy=False).reshape(k, m)
-        _running_sums(sums, self._sums)
         # every active arm has been pulled t-1 times: lockstep
         width = led.width_at(np.arange(t, t + k))
+        if self._screen:
+            quiet = _quiet_block(sums, self._sums, width, t, self._groups, self.slack,
+                                 self._true_means[active] if self.checks.bounds_valid else None)
+            if quiet is not None:
+                self._sums, spread = quiet
+                self._pending += k
+                self._block = min(2 * self._block, self._max_block)
+                self.state = EliminationState(t + k, st.candidates, st.quantile_arms, active,
+                                              spread)
+                return self.state
+        _running_sums(sums, self._sums)
         rounds = np.arange(t, t + k, dtype=np.float64)  # sums / rounds: float64 means
 
         # quantile bands range over ALL of the group's arms (frozen bounds

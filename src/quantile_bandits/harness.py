@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -190,9 +189,17 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     # under fork the pool starts all its workers at the first submit: no more than trials
     workers = min(config.threads, config.trials)
     if workers > 1:
+        # imported here: a one-process run, and importing the package, skip
+        # loading the process pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
+        # about 32 chunks a worker: the pool hands chunks out as workers free
+        # up, so the last one's run is all that one worker can idle behind
+        # another; at 4 a worker that idle was a fifth of a run's wall and
+        # changed from one run to the next
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_trial, [config] * len(indices), indices,
-                                    chunksize=max(1, len(indices) // (4 * workers))))
+                                    chunksize=max(1, len(indices) // (32 * workers))))
     else:
         results = [run_trial(config, i) for i in indices]
 

@@ -23,6 +23,7 @@ from quantile_bandits import (
     PiecewiseLinearReservoir,
     RewardEnv,
     RewardFamily,
+    confidence_width,
     elimination,
     run_multistep,
 )
@@ -407,9 +408,10 @@ def test_frozen_and_frozen_free_groups_in_one_block():
 
 
 class ShapeRun(BranchRun):
-    """Records, per block of two or more rounds, whether its running sums
-    came from ``np.cumsum`` or from the row-by-row loop; runs only while
-    ``np.cumsum`` is wrapped by a mock that counts its calls."""
+    """Records, per block of two or more rounds that forms running sums (one
+    the screen certifies does not), whether they came from ``np.cumsum`` or
+    from the row-by-row loop; runs only while ``np.cumsum`` and
+    ``elimination._running_sums`` are wrapped by mocks that count calls."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -417,9 +419,9 @@ class ShapeRun(BranchRun):
 
     def step(self):
         k = max(1, min(self._block, self._t_star - self.state.round_index + 1))
-        calls = np.cumsum.call_count
+        calls, formed = np.cumsum.call_count, elimination._running_sums.call_count
         after = super().step()
-        if k > 1:
+        if k > 1 and elimination._running_sums.call_count > formed:
             self.cumsum_used.append(np.cumsum.call_count > calls)
         return after
 
@@ -433,12 +435,163 @@ def test_wide_blocks_sum_row_by_row():
     case = {"groups": groups, "means": means, "family": "bernoulli", "alpha": 0.5,
             "slack": 0.25, "oracle": "true", "seed": 5}
     with mock.patch.object(elimination, "BLOCK_ELEMENTS", 8 * 300):
-        with mock.patch.object(np, "cumsum", wraps=np.cumsum):
+        with mock.patch.object(np, "cumsum", wraps=np.cumsum), \
+                mock.patch.object(elimination, "_running_sums", wraps=elimination._running_sums):
             env = RewardEnv(means, FAMILIES["bernoulli"], np.random.default_rng(5))
             engine = ShapeRun(groups, 0.5, 0.25, 0.1, env, true_means=means)
             engine.run()
         assert set(engine.cumsum_used) == {True, False}
         assert_same_run(case)
+
+
+def per_row_events(sums, width, t, groups, slack, mu=None):
+    """The one-round loop's tests on each row of running sums ``sums`` of
+    rounds t, t+1, ..., for groups with no frozen arm: whether a round drops
+    an arm or a candidate, meets the stop or, given ``mu``, has an interval
+    that misses its mean; and each round's spread."""
+    rounds = np.arange(t, t + sums.shape[0], dtype=np.float64)[:, None]
+    lcb, ucb = sums / rounds - width[:, None], sums / rounds + width[:, None]
+    q_lcb = np.array([np.partition(lcb[:, cols], kq, axis=1)[:, kq] for kq, cols, _ in groups])
+    q_ucb = np.array([np.partition(ucb[:, cols], kq, axis=1)[:, kq] for kq, cols, _ in groups])
+    event = (q_ucb < q_lcb.max(axis=0)).any(axis=0)
+    for c, (_, cols, _) in enumerate(groups):
+        event |= ((lcb[:, cols] > q_ucb[c, :, None]) | (ucb[:, cols] < q_lcb[c, :, None])).any(1)
+    spread = q_ucb.max(axis=0) - q_lcb.max(axis=0)
+    event |= spread <= slack
+    if mu is not None:
+        event |= ((lcb > mu) | (ucb < mu)).any(axis=1)
+    return event, spread
+
+
+@settings(max_examples=600, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=2, max_size=3),
+       kqs=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+       t=st.integers(1, 3000), k=st.integers(1, 40), delta=st.sampled_from([0.49, 0.1, 1e-6]),
+       near=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
+       reach=st.sampled_from([0.0, 0.5, 0.9, 1.0, 1.1]),
+       slack=st.sampled_from([0.5, 0.999999, 1.000001]),
+       edge=st.sampled_from([None, 0.0, 0.5, 0.9, 1.0, 1.1]), seed=st.integers(0, 2**32 - 1))
+@example(sizes=[1, 5, 4], kqs=[0, 1, 0], t=707, k=2, delta=1e-6, near=0.3, reach=0.5, slack=0.5,
+         edge=None, seed=16384)
+@example(sizes=[1, 6], kqs=[0, 5, 0], t=28, k=31, delta=0.1, near=0.7, reach=0.5, slack=0.5,
+         edge=None, seed=1)
+@example(sizes=[2, 1], kqs=[0, 0, 0], t=24, k=2, delta=0.49, near=0.0, reach=1.0, slack=0.5,
+         edge=None, seed=0)
+@example(sizes=[1, 6], kqs=[0, 1, 0], t=27, k=2, delta=0.49, near=0.5, reach=0.5, slack=0.5,
+         edge=None, seed=0)
+@example(sizes=[1, 1], kqs=[0, 0, 0], t=1, k=2, delta=0.49, near=0.0, reach=0.0, slack=1.000001,
+         edge=None, seed=0)
+@example(sizes=[1, 1], kqs=[0, 0, 0], t=22, k=36, delta=1e-6, near=0.0, reach=0.0, slack=0.5,
+         edge=0.9, seed=1)
+@example(sizes=[5, 1], kqs=[0, 0, 0], t=21, k=5, delta=0.49, near=0.5, reach=0.5, slack=0.5,
+         edge=None, seed=133588)
+@example(sizes=[1, 1], kqs=[0, 0, 0], t=5, k=1, delta=0.49, near=0.0, reach=0.5, slack=0.5,
+         edge=None, seed=0)
+def test_screen_passes_no_block_with_an_event(sizes, kqs, t, k, delta, near, reach, slack,
+                                              edge, seed):
+    # int32 blocks of near ties: each arm's sum is a common level, or that
+    # level -/+ ``reach`` times about 2 * t * w, so that top - kth, kth -
+    # bottom and the gaps between groups' kths sit near the band width;
+    # slacks near 2w, and true means ``edge`` band widths off the arms'
+    # means.  The certificate may refuse a quiet block, but never passes one
+    # in which any round has an event, and it leaves the block as it found
+    # it.  A run with one candidate has stopped, so a block has two or more
+    # groups; at delta 0.49 the width first rises with t, then falls.  Each
+    # example is a block that a weakened certificate once passed in error
+    m = sum(sizes)
+    width = confidence_width(np.arange(t, t + k), delta)
+    rng = np.random.default_rng(seed)
+    offset = rng.integers(-1, 1, m, endpoint=True) * reach * 2.0 * width[0] * t
+    carried = np.clip(np.round(near * (t - 1) + offset * rng.uniform(0.95, 1.05, m)), 0, t - 1)
+    chance = np.clip(near + rng.uniform(-1.0, 1.0, m), 0.0, 1.0)
+    block = (rng.random((k, m)) < chance).astype(np.int32)
+    slack *= 2.0 * width.min()
+    mu = None
+    if edge is not None:
+        edge *= rng.choice([-1.0, 1.0], m) * width[0] * rng.uniform(0.95, 1.05, m)
+        mu = np.clip(carried / max(t - 1, 1) + edge, 0.0, 1.0)
+    groups, start = [], 0
+    for size, kq in zip(sizes, kqs):
+        groups.append((kq % size, slice(start, start + size), None))
+        start += size
+    carried = carried.astype(np.int32)
+    sums = np.cumsum(block, axis=0) + carried
+    event, spread = per_row_events(sums, width, t, groups, slack, mu)
+
+    drawn = block.copy()
+    quiet = elimination._quiet_block(block, carried, width, t, groups, slack, mu)
+    assert np.array_equal(block, drawn)
+    if quiet is not None:
+        assert not event.any()
+        last, last_spread = quiet
+        assert last.dtype == np.int32 and np.array_equal(last, sums[-1])
+        assert bits(last_spread) == bits(spread[-1])
+
+
+def test_hard_instance_blocks_are_screened():
+    # the lower-bound instance's shape: group a's arms all at 0.5, group b's
+    # at 0.45 and 0.55, so the sets rarely change and most blocks are quiet.
+    # A budget of 40 rounds of 12 arms keeps blocks near the 99 rounds of the
+    # 164-arm benchmark instance; 1365-round blocks drift too far to certify
+    means = np.array([0.5] * 6 + [0.45] * 3 + [0.55] * 3)
+    groups = [FiniteGroup("a", range(6)), FiniteGroup("b", range(6, 12))]
+    for oracle in ("none", "true"):
+        case = {"groups": groups, "means": means, "family": "bernoulli", "alpha": 0.5,
+                "slack": 0.2, "oracle": oracle, "seed": 2}
+        verdicts = []  # True for each block the certificate passed
+
+        def screen(*args, certify=elimination._quiet_block):
+            quiet = certify(*args)
+            verdicts.append(quiet is not None)
+            return quiet
+
+        with mock.patch.object(elimination, "_quiet_block", screen), \
+                mock.patch.object(elimination, "BLOCK_ELEMENTS", 12 * 40):
+            got = assert_same_run(case)
+        assert any(verdicts) and not all(verdicts), oracle
+        assert got.checks.bounds_valid is (True if oracle == "true" else None)
+
+
+class ScreenRun(EliminationRun):
+    """Records, per block, whether a candidate group had frozen arms and
+    whether the block went to the certificate."""
+
+    def __init__(self, groups, *args, **kwargs):
+        super().__init__(groups, *args, **kwargs)
+        self._sizes = {g.group_id: len(g.arm_ids) for g in groups}
+        self.blocks = []
+
+    def step(self):
+        st = self.state
+        frozen = any(st.quantile_arms[g].size < self._sizes[g] for g in st.candidates)
+        calls = elimination._quiet_block.call_count
+        after = super().step()
+        self.blocks.append((frozen, elimination._quiet_block.call_count > calls))
+        return after
+
+
+@pytest.mark.parametrize("family", ["bernoulli", "float-sums", "noiseless", "gaussian"])
+def test_only_frozen_free_int32_blocks_enter_the_screen(family):
+    # the instance of the frozen-and-frozen-free test: group a's outer arms
+    # freeze early, group b's never do.  Float sums, of Gaussian or noiseless
+    # rewards or of Bernoulli rewards past an int32 round cap, and blocks
+    # with a frozen arm go straight to the per-row path
+    means = np.array([0.1, 0.5, 0.5, 0.9, 0.5, 0.5])
+    groups = [FiniteGroup("a", (0, 1, 2, 3)), FiniteGroup("b", (4, 5))]
+    rewards = "bernoulli" if family == "float-sums" else family
+    env = RewardEnv(means, FAMILIES[rewards], np.random.default_rng(11),
+                    noiseless=family == "noiseless")
+    cap = 0 if family == "float-sums" else elimination._INT32_ROUNDS
+    with mock.patch.object(elimination, "_INT32_ROUNDS", cap), \
+            mock.patch.object(elimination, "_quiet_block", wraps=elimination._quiet_block):
+        engine = ScreenRun(groups, 0.5, 0.1, 0.1, env, true_means=means)
+        engine.run()
+    screened = [entered for _, entered in engine.blocks]
+    assert any(frozen for frozen, _ in engine.blocks)
+    if family == "bernoulli":
+        assert screened == [not frozen for frozen, _ in engine.blocks]
+    else:
+        assert not any(screened)
 
 
 RESERVOIRS = {

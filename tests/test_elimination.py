@@ -234,6 +234,19 @@ class TestNoisyElimination:
         np.testing.assert_allclose(ledger.lcb, means - width, rtol=1e-12)
         np.testing.assert_allclose(ledger.ucb, means + width, rtol=1e-12)
 
+    def test_width_at_rejects_a_zero_pull_count(self):
+        # index pulls - 1 would read the table's last entry for a zero count
+        from quantile_bandits.elimination import ArmLedger
+        ledger = ArmLedger(3, 0.02)
+        with pytest.raises(ValueError, match="at least one pull") as raised:
+            ledger.width_at(np.array([0, 1, 2]))
+        with pytest.raises(ValueError) as direct:
+            confidence_width(np.array([0, 1, 2]), 0.02)
+        assert str(raised.value) == str(direct.value)
+        assert np.array_equal(ledger.width_at(np.array([1, 2])),
+                              confidence_width(np.array([1, 2]), 0.02))
+        assert ledger.width_at(np.array([], dtype=np.int64)).size == 0
+
 
 class TestGapProfile:
     def test_ab_instance_values(self):

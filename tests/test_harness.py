@@ -1,7 +1,11 @@
 """Experiment harness: configs, determinism, CSV artifacts, aggregation."""
 
+import concurrent.futures
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -241,7 +245,7 @@ class _RecordingPool:
 class TestPool:
     @pytest.mark.parametrize("threads, trials, size", [(64, 2, 2), (2, 8, 2), (3, 3, 3)])
     def test_never_more_workers_than_trials(self, tmp_path, monkeypatch, threads, trials, size):
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         run_experiment(small_config(tmp_path / "pool", threads=threads, trials=trials))
         assert _RecordingPool.sizes == [size]
@@ -250,10 +254,21 @@ class TestPool:
                 == (tmp_path / "serial" / "trials.csv").read_bytes())
 
     def test_one_trial_runs_in_process(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         run_experiment(small_config(tmp_path, threads=64, trials=1))
         assert _RecordingPool.sizes == []
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # the pool's modules load only when a run starts more than one worker
+    env = dict(os.environ)
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, quantile_bandits; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestArtifacts:
