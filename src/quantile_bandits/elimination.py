@@ -116,15 +116,23 @@ class ArmLedger:
         self.ucb = np.full(num_arms, np.inf)
         self._widths = width_table(1, delta_per_arm)
 
-    def width_at(self, pulls: np.ndarray) -> np.ndarray:
-        """Widths U(pulls, delta_per_arm) read off the shared table; a pull
-        count below 1 raises ValueError, as ``confidence_width`` does."""
-        if pulls.min(initial=1) < 1:
+    def width_at(self, pulls: np.ndarray | range) -> np.ndarray:
+        """Widths U(pulls, delta_per_arm) read off the shared table.  An array
+        of pull counts is gathered; a ``range`` of consecutive counts, a
+        block's rounds, is one read-only slice of the table.  A pull count
+        below 1 raises ValueError, as ``confidence_width`` does."""
+        if isinstance(pulls, range):
+            if pulls.step != 1:
+                raise ValueError("a range of pull counts must have step 1")
+            low, top = pulls.start if pulls else 1, pulls.stop - 1
+            index = slice(pulls.start - 1, top)
+        else:
+            low, top, index = pulls.min(initial=1), int(pulls.max(initial=0)), pulls - 1
+        if low < 1:
             raise ValueError("confidence width needs at least one pull")
-        top = int(pulls.max(initial=0))
         if top > self._widths.size:
             self._widths = width_table(top, self.delta_per_arm)
-        return self._widths[pulls - 1]
+        return self._widths[index]
 
     def record_pulls(self, arm_ids: np.ndarray, sums: np.ndarray, count: int) -> None:
         """Record ``count`` more pulls of each listed arm, whose reward sums
@@ -397,7 +405,6 @@ class EliminationRun:
         self._t_star = invert_width(slack / 2.0, delta / n)
         self._max_block = max(1, BLOCK_ELEMENTS // n)
         self._block = self._max_block
-        self._plan()
         self.checks = RunChecks()
         # oracle side: run() fills in the stop-pull count and event B
         self._true_means = self._profile = None
@@ -405,6 +412,7 @@ class EliminationRun:
             self._true_means = np.asarray(true_means, dtype=float)
             self._profile = gap_profile(groups, self._true_means, alpha, slack)
             self.checks.bounds_valid = self.checks.best_group_retained = True
+        self._plan()
 
     def should_stop(self) -> bool:
         return len(self.state.candidates) == 1 or self.state.spread <= self.slack
@@ -415,20 +423,23 @@ class EliminationRun:
     def _plan(self) -> None:
         """Store what every block reuses until the next set change: the active
         arms' running sums, seeded from the ledger, which is current here, with
-        no round pending; the active arms tiled for the longest block; and, per
-        candidate group, its kth index, the slice of its columns in ``active``
-        and its frozen arms' (lcb, ucb), which never change (None for a group
-        with no frozen arm); and whether blocks go to the screen, which needs
-        int32 sums and no frozen arm in any group.  ``active`` is the
-        candidates' pools concatenated in candidate order, so each group's
-        live arms are one run of columns."""
+        no round pending; the reward index of the longest block, the active
+        arms broadcast to (max block, m) without a copy, whose first k rows
+        :meth:`RewardEnv.pull` reads as one row of means; the active arms'
+        true means, given them; and, per candidate group, its kth index, the
+        slice of its columns in ``active`` and its frozen arms' (lcb, ucb),
+        which never change (None for a group with no frozen arm); and whether
+        blocks go to the screen, which needs int32 sums and no frozen arm in
+        any group.  ``active`` is the candidates' pools concatenated in
+        candidate order, so each group's live arms are one run of columns."""
         st = self.state
         led = self.ledger
         self._sums = led.sums[st.active].astype(self._dtype, copy=False)
         self._pending = 0
         is_active = np.zeros(led.pulls.size, dtype=bool)
         is_active[st.active] = True
-        self._tiled = np.tile(st.active, self._max_block)
+        self._index = np.broadcast_to(st.active, (self._max_block, st.active.size))
+        self._mu = None if self._true_means is None else self._true_means[st.active]
         self._groups = []
         col = 0
         for gid in st.candidates:
@@ -450,9 +461,14 @@ class EliminationRun:
         falls below the slack; K doubles after a full block and halves after
         one cut short.
 
-        The drawn (K, m) rewards become the running reward sums in place, row
-        i after round t+i: wide blocks add row by row, taller ones run cumsum
-        over column pairs viewed as one wider number (:func:`_running_sums`).
+        The block reads its per-plan inputs without gathering them: one
+        :meth:`RewardEnv.pull` of the plan's broadcast index, cut to K rows,
+        draws the (K, m) rewards against one row of the active arms' means,
+        and the widths U(t..t+K-1) are one slice of the shared width table
+        (``width_at`` of a range).  The rewards become the running reward
+        sums in place, row i after round t+i: wide blocks add row by row,
+        taller ones run cumsum over column pairs viewed as one wider number
+        (:func:`_running_sums`).
         The sums have the rewards' dtype, int32 for Bernoulli rewards and
         float64 otherwise; past an int32 round cap they are float64.  Each
         candidate group sorts its slice of columns, its (K, live arms) sums,
@@ -499,12 +515,12 @@ class EliminationRun:
 
         # one draw for all k rounds; the start state rewinds a block cut short
         start = self.env.rng.bit_generator.state
-        sums = self.env.pull(self._tiled[:k * m]).astype(self._dtype, copy=False).reshape(k, m)
+        sums = self.env.pull(self._index[:k]).astype(self._dtype, copy=False)
         # every active arm has been pulled t-1 times: lockstep
-        width = led.width_at(np.arange(t, t + k))
+        width = led.width_at(range(t, t + k))
         if self._screen:
             quiet = _quiet_block(sums, self._sums, width, t, self._groups, self.slack,
-                                 self._true_means[active] if self.checks.bounds_valid else None)
+                                 self._mu if self.checks.bounds_valid else None)
             if quiet is not None:
                 self._sums, spread = quiet
                 self._pending += k
@@ -553,8 +569,7 @@ class EliminationRun:
         if self.checks.bounds_valid:  # None without true means
             mean = sums[:r + 1] / rounds[:r + 1, None]
             w = width[:r + 1, None]
-            mu = self._true_means[active]
-            if ((mean - w > mu) | (mean + w < mu)).any():
+            if ((mean - w > self._mu) | (mean + w < self._mu)).any():
                 self.checks.bounds_valid = False
 
         candidates, quantile_arms = st.candidates, st.quantile_arms

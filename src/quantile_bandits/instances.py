@@ -203,9 +203,11 @@ class BanditInstance:
 class RewardEnv:
     """Vectorized pull interface over a fixed set of arms.
 
-    Algorithms draw rewards only through :meth:`pull`, and :meth:`skip`
-    moves the stream past draws they have already made; the true means are
-    kept private so elimination code cannot accidentally peek at them.
+    Algorithms draw rewards only through :meth:`pull`, whose index may have
+    any shape (a block of rounds is a (rounds, arms) index that repeats one
+    row), and :meth:`skip` moves the stream past draws they have already
+    made; the true means are kept private so elimination code cannot
+    accidentally peek at them.
     """
 
     def __init__(self, means: np.ndarray, family: RewardFamily, rng: np.random.Generator,
@@ -239,15 +241,22 @@ class RewardEnv:
         return np.dtype(np.float64)
 
     def pull(self, arm_indices: np.ndarray) -> np.ndarray:
-        """Pull each listed arm once and return the rewards in order, as
-        :attr:`reward_dtype`.  A Bernoulli reward is ``uniform < mean``,
-        written as 0 or 1 straight into an int32 array."""
-        mu = self._means[arm_indices]
+        """Pull each listed arm once and return the rewards in C order, as
+        :attr:`reward_dtype`, in the index's shape; the generator advances
+        as one pull of the flattened index would.  A Bernoulli reward is
+        ``uniform < mean``, written as 0 or 1 straight into an int32 array.
+
+        An index whose first axis has stride 0, such as
+        ``np.broadcast_to(active, (k, m))``, repeats one row, so only that
+        row's means are read and broadcast over the draw."""
+        arms = np.asarray(arm_indices)
+        shape = arms.shape
+        mu = self._means[arms[0] if arms.ndim > 1 and arms.strides[0] == 0 else arms]
         if self._noiseless:
-            return mu.copy()
+            return np.broadcast_to(mu, shape).copy()
         if self._family.kind == "bernoulli":
-            return np.less(self._rng.random(mu.size), mu, out=np.empty(mu.size, np.int32))
-        return self._rng.normal(mu, self._sigma)
+            return np.less(self._rng.random(shape), mu, out=np.empty(shape, np.int32))
+        return self._rng.normal(mu, self._sigma, size=shape)
 
     def skip(self, count: int) -> None:
         """Advance the generator exactly as a :meth:`pull` of ``count`` arms

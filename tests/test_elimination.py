@@ -246,6 +246,23 @@ class TestNoisyElimination:
         assert np.array_equal(ledger.width_at(np.array([1, 2])),
                               confidence_width(np.array([1, 2]), 0.02))
         assert ledger.width_at(np.array([], dtype=np.int64)).size == 0
+        for pulls in (range(0, 3), range(-2, 1), range(0, 1)):
+            with pytest.raises(ValueError, match="at least one pull"):
+                ledger.width_at(pulls)
+        with pytest.raises(ValueError, match="step 1"):
+            ledger.width_at(range(1, 9, 2))
+
+    @pytest.mark.parametrize("t, k", [(1, 1), (1, 99), (900, 124), (1000, 60), (1024, 1),
+                                      (1025, 3), (3000, 2000), (7, 0)])
+    def test_width_at_range_is_the_gathered_widths(self, t, k):
+        # a block's rounds read one slice of the table, and a range past its
+        # end grows it as the gathered form does
+        from quantile_bandits.elimination import ArmLedger
+        sliced, gathered = ArmLedger(3, 0.02), ArmLedger(3, 0.02)
+        widths = sliced.width_at(range(t, t + k))
+        assert np.array_equal(widths, gathered.width_at(np.arange(t, t + k)))
+        assert widths.shape == (k,)
+        assert sliced._widths.size == gathered._widths.size >= t + k - 1
 
 
 class TestGapProfile:

@@ -256,6 +256,42 @@ class TestSampleReward:
         RewardEnv(np.ones(1), family, skipped, noiseless=noiseless).skip(count)
         assert skipped.bit_generator.state == pulled.bit_generator.state
 
+    @pytest.mark.parametrize("family, noiseless", [
+        (RewardFamily("bernoulli"), False), (RewardFamily("gaussian", 0.25), False),
+        (RewardFamily("bernoulli"), True)])
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_broadcast_block_draws_the_flat_tile(self, family, noiseless, k):
+        # a block's index repeats one row with stride 0, and pull reads that
+        # row's means once: the rewards and the stream are the tiled pull's
+        means = np.random.default_rng(7).random(12)
+        active = np.array([0, 3, 4, 5, 9, 11])
+        rng, twin = np.random.default_rng(k), np.random.default_rng(k)
+        block = np.broadcast_to(active, (16, active.size))[:k]
+        assert block.strides[0] == 0
+        rewards = RewardEnv(means, family, rng, noiseless=noiseless).pull(block)
+        flat = RewardEnv(means, family, twin, noiseless=noiseless).pull(np.tile(active, k))
+        assert rewards.shape == (k, active.size) and rewards.dtype == flat.dtype
+        assert rewards.flags.c_contiguous and rewards.flags.writeable
+        assert np.array_equal(rewards.ravel(), flat)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("family, noiseless", [
+        (RewardFamily("bernoulli"), False), (RewardFamily("gaussian", 0.25), False),
+        (RewardFamily("bernoulli"), True)])
+    def test_two_dimensional_index_reads_every_mean(self, family, noiseless):
+        # rows that differ, a transposed view and a broadcast second axis all
+        # have a first-axis stride other than 0, so each element's own mean
+        # is read; the first row's means would give other rewards
+        means = np.array([0.0, 1.0, 0.0, 1.0, 0.5, 0.25])
+        rows = np.array([[0, 1, 2], [1, 3, 5], [4, 0, 3]])
+        for index in (rows, rows.T, np.broadcast_to(np.array([[0], [1], [4]]), (3, 4))):
+            rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+            rewards = RewardEnv(means, family, rng, noiseless=noiseless).pull(index)
+            flat = RewardEnv(means, family, twin, noiseless=noiseless).pull(index.ravel())
+            assert rewards.shape == index.shape
+            assert np.array_equal(rewards.ravel(), flat)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_mean_out_of_range(self):
         with pytest.raises(ValueError):
             RewardEnv(np.array([0.5, 1.2]), RewardFamily("bernoulli"), np.random.default_rng(0))
