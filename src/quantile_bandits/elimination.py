@@ -40,8 +40,9 @@ a set or stops the loop, where the set filter, the per-group plan and the
 caller read it.  Most blocks change nothing, and a screen proves that from
 the block's first and last rows of sums alone, without forming the rest:
 it runs when the sums are int32 (0/1 rewards, so no sum decreases), no
-candidate group has a frozen arm, and 2*U stays above the slack by a
-rounding allowance through the block's last round (:func:`_quiet_block`).
+true means were given, no candidate group has a frozen arm, and 2*U stays
+above the slack by a rounding allowance through the block's last round
+(:func:`_quiet_block`).
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ _ROUNDING = 1e-12
 
 
 def _quiet_block(block: np.ndarray, carried: np.ndarray, width: np.ndarray, t: int,
-                 groups: list, slack: float, mu: np.ndarray | None = None):
+                 groups: list, slack: float):
     """Certify from a block's first and last rows of running sums that none
     of its rounds drops an arm, drops a candidate or meets the stop; return
     (last row, spread of the last round) if so, else None.
@@ -297,11 +298,9 @@ def _quiet_block(block: np.ndarray, carried: np.ndarray, width: np.ndarray, t: i
     n * U(n) rises with n, and U(n) falls or first rises and then falls, so
     row 0 has the least n_i * w_i and row 0 or k-1 the least w_i.  Both
     tests give up a rounding allowance, so they hold for the float
-    expressions the per-row path evaluates.  Given the true means ``mu``,
-    each arm's sum minus mu * n_i must also stay within n_i * w_i on both
-    sides, or the block is left to the per-row path, which checks coverage.
-    The spread is (x + w) - (x - w) with x the largest kth over n, the
-    per-row path's own expression at the last round.
+    expressions the per-row path evaluates.  The spread is (x + w) - (x - w)
+    with x the largest kth over n, the per-row path's own expression at the
+    last round.
     """
     k = block.shape[0]
     n = t + k - 1
@@ -321,12 +320,6 @@ def _quiet_block(block: np.ndarray, carried: np.ndarray, width: np.ndarray, t: i
         lowest, highest = min(lowest, low), max(highest, high)
     if max(worst, highest - lowest) > 2.0 * room:
         return None
-    if mu is not None:
-        # sum - mu * n is linear in n: its extremes are at n = t and n
-        near, far = mu * t, mu * n
-        if (np.maximum(ends[1] - np.minimum(near, far), np.maximum(near, far) - ends[0])
-                > room).any():
-            return None
     x = highest / n
     return ends[1], float((x + w) - (x - w))
 
@@ -429,8 +422,8 @@ class EliminationRun:
         true means, given them; and, per candidate group, its kth index, the
         slice of its columns in ``active`` and its frozen arms' (lcb, ucb),
         which never change (None for a group with no frozen arm); and whether
-        blocks go to the screen, which needs int32 sums and no frozen arm in
-        any group.  ``active`` is the candidates' pools concatenated in
+        blocks go to the screen, which needs int32 sums, no true means and no
+        frozen arm in any group.  ``active`` is the candidates' pools in
         candidate order, so each group's live arms are one run of columns."""
         st = self.state
         led = self.ledger
@@ -448,7 +441,8 @@ class EliminationRun:
             bounds = (led.lcb[cols][frozen], led.ucb[cols][frozen]) if frozen.any() else None
             self._groups.append((self._kq[gid], slice(col, stop), bounds))
             col = stop
-        self._screen = self._dtype == np.int32 and all(g[2] is None for g in self._groups)
+        self._screen = (self._dtype == np.int32 and self._mu is None
+                        and all(g[2] is None for g in self._groups))
 
     def step(self) -> EliminationState:
         """Run one block of rounds and return the state after it.
@@ -482,20 +476,20 @@ class EliminationRun:
         candidate and stop tests reduce over axis 0.  The row max and min
         tell whether a round drops one of the group's arms.  A block whose
         last round changes nothing keeps the sets and the per-group plan; one
-        cut short rewinds the reward generator and skips it past the rounds
-        it keeps, without forming their rewards.
+        cut short calls :meth:`RewardEnv.keep` with the rewards of the rounds
+        it keeps, so the stream stands where one pull per round leaves it.
 
         Row 0 starts from the running sums the run carries across blocks.  A
         block ending in a set change or the stop commits every round since the
         last commit to the ledger; any other keeps its last row as the sums.
 
-        Before any of that, a block is screened when three things hold: its
-        sums are int32, so rewards are 0/1 and no sum decreases; no
-        candidate group has a frozen arm (the plan records this); and 2*w
-        stays above the slack by a rounding allowance through its last
-        round.  :func:`_quiet_block` then sorts only rows 0 and K-1 of each
-        group and certifies, in O(groups) scalar tests, that no round drops
-        an arm, drops a candidate or, given true means, uncovers one.  A
+        Before any of that, a block is screened when its sums are int32, so
+        rewards are 0/1 and no sum decreases; no true means were given, so no
+        coverage check is due; no candidate group has a frozen arm (the plan
+        records both); and 2*w stays above the slack by a rounding allowance
+        through its last round.  :func:`_quiet_block` then sorts only rows 0
+        and K-1 of each group and certifies, in O(groups) scalar tests, that
+        no round drops an arm, drops a candidate or meets the stop.  A
         certified block carries row K-1 as the sums, takes the per-row
         path's spread of its last round, bit for bit, and doubles K; it
         forms no running sums, row sorts or per-row bands.  The spread check
@@ -510,17 +504,14 @@ class EliminationRun:
         led = self.ledger
         t = st.round_index
         active = st.active
-        m = active.size
         k = max(1, min(self._block, self._t_star - t + 1))
 
-        # one draw for all k rounds; the start state rewinds a block cut short
-        start = self.env.rng.bit_generator.state
+        # one draw for all k rounds; a block cut short keeps its rounds' rewards
         sums = self.env.pull(self._index[:k]).astype(self._dtype, copy=False)
         # every active arm has been pulled t-1 times: lockstep
         width = led.width_at(range(t, t + k))
         if self._screen:
-            quiet = _quiet_block(sums, self._sums, width, t, self._groups, self.slack,
-                                 self._mu if self.checks.bounds_valid else None)
+            quiet = _quiet_block(sums, self._sums, width, t, self._groups, self.slack)
             if quiet is not None:
                 self._sums, spread = quiet
                 self._pending += k
@@ -564,8 +555,7 @@ class EliminationRun:
         r = int(event.argmax()) if event.any() else k - 1
 
         if r < k - 1:  # leave the stream where one draw per round would
-            self.env.rng.bit_generator.state = start
-            self.env.skip((r + 1) * m)
+            self.env.keep((r + 1) * active.size)
         if self.checks.bounds_valid:  # None without true means
             mean = sums[:r + 1] / rounds[:r + 1, None]
             w = width[:r + 1, None]

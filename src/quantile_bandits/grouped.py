@@ -195,6 +195,11 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
     reservoir oracle at the final epoch's (eps, gap).  The epochs'
     :class:`RunChecks` add up to the trial's; ``oracle_checks`` passes the
     true means to each epoch.  Arms, rewards and tie-breaks draw from ``rng``.
+
+    Every epoch spends the full ``delta`` on each of its three events (the
+    sandwich, the bucket loads, the elimination run): K epochs succeed with
+    probability at least 1 - 3 * K * delta.  ``required_arm_count`` counts
+    all groups in every epoch, not only the survivors.
     """
     a = instance.alpha
     check_schedule(a, eps_schedule, gap_schedule, delta)

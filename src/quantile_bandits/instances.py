@@ -205,9 +205,10 @@ class RewardEnv:
 
     Algorithms draw rewards only through :meth:`pull`, whose index may have
     any shape (a block of rounds is a (rounds, arms) index that repeats one
-    row), and :meth:`skip` moves the stream past draws they have already
-    made; the true means are kept private so elimination code cannot
-    accidentally peek at them.
+    row), and :meth:`keep` cuts the last pull back to its first rewards; the
+    true means are kept private so elimination code cannot peek at them.
+    Each family draws one variate per reward: a uniform for Bernoulli, a
+    standard normal for Gaussian, none when noiseless.
     """
 
     def __init__(self, means: np.ndarray, family: RewardFamily, rng: np.random.Generator,
@@ -215,13 +216,15 @@ class RewardEnv:
         means = np.asarray(means, dtype=float)
         if means.ndim != 1 or means.size == 0:
             raise ValueError("means must be a nonempty 1-D array")
-        if np.any(means < 0.0) or np.any(means > 1.0):
+        if not np.all((means >= 0.0) & (means <= 1.0)):  # NaN fails too
             raise ValueError("arm means must lie in [0, 1]")
         self._means = means
         self._family = family
         self._rng = rng
-        self._noiseless = noiseless
         self._sigma = math.sqrt(family.sigma2) if family.kind == "gaussian" else 0.0
+        self._draw = (None if noiseless
+                      else rng.random if family.kind == "bernoulli" else rng.standard_normal)
+        self._start = None  # the generator state the last pull started from
 
     @property
     def num_arms(self) -> int:
@@ -236,7 +239,7 @@ class RewardEnv:
     def reward_dtype(self) -> np.dtype:
         """The dtype :meth:`pull` returns: int32 for 0/1 Bernoulli rewards,
         float64 for Gaussian and noiseless ones."""
-        if self._family.kind == "bernoulli" and not self._noiseless:
+        if self._family.kind == "bernoulli" and self._draw is not None:
             return np.dtype(np.int32)
         return np.dtype(np.float64)
 
@@ -244,7 +247,9 @@ class RewardEnv:
         """Pull each listed arm once and return the rewards in C order, as
         :attr:`reward_dtype`, in the index's shape; the generator advances
         as one pull of the flattened index would.  A Bernoulli reward is
-        ``uniform < mean``, written as 0 or 1 straight into an int32 array.
+        ``uniform < mean``, written as 0 or 1 straight into an int32 array;
+        a Gaussian one is ``z * sigma + mean`` in the normals' own array, the
+        bits of the generator's ``normal(mean, sigma)``.
 
         An index whose first axis has stride 0, such as
         ``np.broadcast_to(active, (k, m))``, repeats one row, so only that
@@ -252,23 +257,23 @@ class RewardEnv:
         arms = np.asarray(arm_indices)
         shape = arms.shape
         mu = self._means[arms[0] if arms.ndim > 1 and arms.strides[0] == 0 else arms]
-        if self._noiseless:
+        if self._draw is None:
             return np.broadcast_to(mu, shape).copy()
+        self._start = self._rng.bit_generator.state
+        draws = self._draw(shape)
         if self._family.kind == "bernoulli":
-            return np.less(self._rng.random(shape), mu, out=np.empty(shape, np.int32))
-        return self._rng.normal(mu, self._sigma, size=shape)
+            return np.less(draws, mu, out=np.empty(shape, np.int32))
+        draws *= self._sigma
+        draws += mu
+        return draws
 
-    def skip(self, count: int) -> None:
-        """Advance the generator exactly as a :meth:`pull` of ``count`` arms
-        would, without forming rewards: one uniform per Bernoulli draw, one
-        standard normal per Gaussian draw (``normal(mu, sigma)`` is
-        ``mu + sigma * z``), nothing when noiseless."""
-        if self._noiseless:
-            return
-        if self._family.kind == "bernoulli":
-            self._rng.random(count)
-        else:
-            self._rng.standard_normal(count)
+    def keep(self, count: int) -> None:
+        """Keep the first ``count`` rewards of the last :meth:`pull`, in C
+        order: the generator is left where a pull of ``count`` arms from
+        the same start would leave it."""
+        if self._draw is not None:
+            self._rng.bit_generator.state = self._start
+            self._draw(count)
 
 
 def relaxed_success_set(instance: BanditInstance, eps: float, gap: float) -> set[str]:

@@ -67,6 +67,13 @@ CORRECTNESS_SETUPS = [
     (THREE_GROUP, 0.15, 0.15, 0.1),
 ]
 
+# (instance, eps schedule, delta) of multi-epoch runs: each epoch's gap is
+# its eps, and every epoch spends the full delta on each of its three events
+SCHEDULE_SETUPS = [
+    (THREE_GROUP, (0.3, 0.2, 0.15), 0.03),
+    (GOOD_PAIR, (0.3, 0.25, 0.2), 0.03),
+]
+
 
 @pytest.mark.slow
 class TestCriterion1Correctness:
@@ -84,6 +91,24 @@ class TestCriterion1Correctness:
         announce(1, f"correctness on {inst.name}", ok,
                  f"success {report.success_rate:.3f} >= {threshold:.3f} "
                  f"(guarantee {floor:.2f}, {trials} trials)")
+        assert ok
+
+    @pytest.mark.parametrize("inst,schedule,delta", SCHEDULE_SETUPS,
+                             ids=[s[0].name for s in SCHEDULE_SETUPS])
+    def test_schedule_success_rate_meets_guarantee(self, inst, schedule, delta):
+        # K epochs each spend delta on the sandwich, the bucket loads and the
+        # elimination run, so the union bound is 1 - 3 * K * delta
+        trials = 200
+        cfg = ExperimentConfig(instance=inst, eps_schedule=schedule, gap_schedule=schedule,
+                               delta=delta, trials=trials, seed=20260808, threads=WORKERS)
+        report = run_experiment(cfg)
+        floor = 1.0 - 3.0 * len(schedule) * delta
+        threshold = floor - three_sigma(floor, trials)
+        ok = report.success_rate >= threshold
+        announce(1, f"correctness of schedule {schedule} on {inst.name}", ok,
+                 f"success {report.success_rate:.3f} >= {threshold:.3f} "
+                 f"(guarantee {floor:.2f}, event A {report.event_a_rate:.3f}, "
+                 f"{trials} trials)")
         assert ok
 
 

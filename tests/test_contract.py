@@ -7,11 +7,17 @@ configs: Gaussian and noiseless rewards on the three-group instance, and a
 two-epoch Gaussian schedule on piecewise-linear reservoirs run on two workers.
 A change that moves these files must regenerate them on purpose, with
 ``quantile-bandits run --config tests/contract/<name>.json --out <dir>``.
+
+Those bytes also rest on numpy's generator streams: ``numpy-stream.txt``
+pins the first uniforms and standard normals of ``default_rng(0)``, so a
+numpy release that changes a stream fails here, by name, before the byte
+comparisons do.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quantile_bandits.cli import main
@@ -20,12 +26,38 @@ CONTRACT = Path(__file__).resolve().parent / "contract"
 CONFIGS = sorted(p for p in CONTRACT.glob("*.json") if not p.name.endswith(".summary.json"))
 
 
+def check_numpy_streams(path=CONTRACT / "numpy-stream.txt"):
+    """Fail, naming the numpy version, when ``default_rng(0)`` draws other
+    values than the fingerprint pins."""
+    lines = path.read_text().splitlines()
+    pinned = [line.split() for line in lines if line and not line.startswith("#")]
+    assert [draw for draw, *_ in pinned] == ["random", "standard_normal"]
+    for draw, *values in pinned:
+        got = [float(x).hex() for x in getattr(np.random.default_rng(0), draw)(len(values))]
+        assert got == values, (
+            f"numpy {np.__version__} draws other default_rng(0).{draw} values than the ones "
+            "the contract bytes were made with; the numpy version, not this package, moved "
+            "the stream")
+
+
+def test_numpy_streams_match_the_fingerprint():
+    check_numpy_streams()
+
+
+def test_a_moved_stream_names_numpy(tmp_path):
+    moved = tmp_path / "numpy-stream.txt"
+    moved.write_text((CONTRACT / "numpy-stream.txt").read_text().replace("0x1.4", "0x1.5", 1))
+    with pytest.raises(AssertionError, match=f"numpy {np.__version__} draws other"):
+        check_numpy_streams(moved)
+
+
 def test_contract_configs_are_found():
     assert len(CONFIGS) == 3
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_run_reproduces_reference(config, tmp_path, capsys):
+    check_numpy_streams()  # a moved stream is numpy's doing: say so before the bytes differ
     assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     csv_ref = CONTRACT / f"{config.stem}.trials.csv"

@@ -247,14 +247,35 @@ class TestSampleReward:
         (RewardFamily("gaussian", 1.0), False), (RewardFamily("bernoulli"), True)])
     @pytest.mark.parametrize("count", [0, 1, 7, 1000])
     def test_skip_advances_like_pull(self, family, noiseless, count):
-        # the cut-block rewind skips the stream past rounds already drawn;
-        # the next draws must be those a pull of the same count leaves
-        means = np.random.default_rng(9).random(count)
-        pulled, skipped = np.random.default_rng(4), np.random.default_rng(4)
-        RewardEnv(means if count else np.ones(1), family, pulled,
-                  noiseless=noiseless).pull(np.arange(count))
-        RewardEnv(np.ones(1), family, skipped, noiseless=noiseless).skip(count)
-        assert skipped.bit_generator.state == pulled.bit_generator.state
+        # the cut-block rewind keeps the rounds already drawn and skips the
+        # rest; the next draws must be those a pull of the same count leaves
+        means = np.random.default_rng(9).random(count + 3)
+        pulled, cut = np.random.default_rng(4), np.random.default_rng(4)
+        RewardEnv(means, family, pulled, noiseless=noiseless).pull(np.arange(count))
+        env = RewardEnv(means, family, cut, noiseless=noiseless)
+        env.pull(np.arange(count + 3))
+        env.keep(count)
+        assert cut.bit_generator.state == pulled.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["bernoulli", "gaussian", "noiseless"]),
+           st.sampled_from([0.25, 0.81, 1.0]), st.integers(1, 9), st.integers(1, 20),
+           st.integers(0, 2**32 - 1))
+    def test_keep_leaves_the_stream_where_a_shorter_pull_does(self, kind, sigma2, k, m, seed):
+        # a block cut after its first j of k rounds keeps j * m rewards; the
+        # generator must stand where a pull of those j rows alone leaves it
+        family = (RewardFamily("gaussian", sigma2) if kind == "gaussian"
+                  else RewardFamily("bernoulli"))
+        means = np.random.default_rng(seed).random(m)
+        block = np.broadcast_to(np.arange(m), (k, m))
+        for j in range(k + 1):
+            cut, short = np.random.default_rng(seed), np.random.default_rng(seed)
+            env = RewardEnv(means, family, cut, noiseless=kind == "noiseless")
+            env.pull(block)
+            env.keep(j * m)
+            if j:
+                RewardEnv(means, family, short, noiseless=kind == "noiseless").pull(block[:j])
+            assert cut.bit_generator.state == short.bit_generator.state
 
     @pytest.mark.parametrize("family, noiseless", [
         (RewardFamily("bernoulli"), False), (RewardFamily("gaussian", 0.25), False),
@@ -293,8 +314,11 @@ class TestSampleReward:
             assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_mean_out_of_range(self):
-        with pytest.raises(ValueError):
-            RewardEnv(np.array([0.5, 1.2]), RewardFamily("bernoulli"), np.random.default_rng(0))
+        # NaN fails both comparisons with the range's ends, so it is tested too
+        for bad in (1.2, -0.1, math.nan):
+            for family in (RewardFamily("bernoulli"), RewardFamily("gaussian", 0.25)):
+                with pytest.raises(ValueError):
+                    RewardEnv(np.array([0.5, bad]), family, np.random.default_rng(0))
 
     def test_bad_family(self):
         with pytest.raises(ValueError):
