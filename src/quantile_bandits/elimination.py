@@ -31,18 +31,21 @@ stop round T_j are first crossings found by one ``invert_width``.
 Block rounds: between set changes round t+1 repeats round t with one more
 pull of the same arms, so :meth:`EliminationRun.step` evaluates a block of up
 to K rounds from one reward draw and its running sums, and ends it at the
-first round that changes a set or meets the stopping condition.  The reward
+first round that changes a set or meets the stopping condition.  K is at
+most the block budget over the run's starting arm count (not the active
+count) and the rounds left to t*; it doubles after a full block and halves
+after a cut one, but not below a quarter of the budget.  The reward
 generator advances exactly as one draw per round would, sums accumulate row
 by row and quantiles are exact order statistics, so a block gives the same
-bits as its rounds run one at a time.  Between set changes the run carries
-the running sums itself and writes the ledger only at the round that changes
-a set or stops the loop, where the set filter, the per-group plan and the
-caller read it.  Most blocks change nothing, and a screen proves that from
-the block's first and last rows of sums alone, without forming the rest:
-it runs when the sums are int32 (0/1 rewards, so no sum decreases), no
-true means were given, no candidate group has a frozen arm, and 2*U stays
-above the slack by a rounding allowance through the block's last round
-(:func:`_quiet_block`).
+bits as its rounds run one at a time.  A group with frozen arms finds its
+quantile among the live bounds at a rank shifted by the frozen bounds below
+them, and sorts frozen and live bounds together only when a frozen bound
+lies among the live ones (:func:`_live_rank`).  Between set changes the run
+carries the running sums and writes the ledger only at a set change or the
+stop.  Most blocks change nothing, and a screen proves that from their first
+and last rows of sums alone, when the sums are int32, no true means were
+given, no candidate group has a frozen arm, and 2*U stays above the slack
+through the block (:func:`_quiet_block`).
 """
 
 from __future__ import annotations
@@ -324,6 +327,22 @@ def _quiet_block(block: np.ndarray, carried: np.ndarray, width: np.ndarray, t: i
     return ends[1], float((x + w) - (x - w))
 
 
+def _live_rank(kq: int, frozen: tuple, extremes: tuple, live: int) -> int | None:
+    """Rank kq - s among every row's live bounds of a group's kth bound over
+    frozen and live ones, or None.  ``frozen`` holds the sorted frozen (lcb,
+    ucb), ``extremes`` per side each row's least and largest live bound.  With
+    no frozen bound of a side in [least, largest) over the block, s of them
+    lie below the least, so each row merges as frozen[:s], live, frozen[s:].
+    If both sides give one s and kq - s is a live rank, that live bound is the
+    float a sort of the merged row picks (a frozen bound tied with the largest
+    is the same float)."""
+    (lcb, ucb), ((lcb_least, lcb_largest), (ucb_least, ucb_largest)) = frozen, extremes
+    s = lcb.searchsorted((lcb_least.min(), lcb_largest.max()))
+    u = ucb.searchsorted((ucb_least.min(), ucb_largest.max()))
+    rank = kq - int(s[0])
+    return rank if s[0] == s[1] == u[0] == u[1] and 0 <= rank < live else None
+
+
 def _running_sums(block: np.ndarray, carried: np.ndarray) -> None:
     """Turn a (k, m) block of rewards into running sums in place: row i
     becomes ``carried`` + rows 0..i, added one row at a time in that order.
@@ -421,10 +440,11 @@ class EliminationRun:
         :meth:`RewardEnv.pull` reads as one row of means; the active arms'
         true means, given them; and, per candidate group, its kth index, the
         slice of its columns in ``active`` and its frozen arms' (lcb, ucb),
-        which never change (None for a group with no frozen arm); and whether
-        blocks go to the screen, which needs int32 sums, no true means and no
-        frozen arm in any group.  ``active`` is the candidates' pools in
-        candidate order, so each group's live arms are one run of columns."""
+        each sorted, which never change (None for a group with no frozen
+        arm); and whether blocks go to the screen, which needs int32 sums, no
+        true means and no frozen arm in any group.  ``active`` is the
+        candidates' pools in candidate order, so each group's live arms are
+        one run of columns."""
         st = self.state
         led = self.ledger
         self._sums = led.sums[st.active].astype(self._dtype, copy=False)
@@ -438,7 +458,8 @@ class EliminationRun:
         for gid in st.candidates:
             cols, stop = self._columns[gid], col + st.quantile_arms[gid].size
             frozen = ~is_active[cols]
-            bounds = (led.lcb[cols][frozen], led.ucb[cols][frozen]) if frozen.any() else None
+            bounds = ((np.sort(led.lcb[cols][frozen]), np.sort(led.ucb[cols][frozen]))
+                      if frozen.any() else None)
             self._groups.append((self._kq[gid], slice(col, stop), bounds))
             col = stop
         self._screen = (self._dtype == np.int32 and self._mu is None
@@ -451,33 +472,35 @@ class EliminationRun:
         round that changes the candidates or the quantile arms, or that meets
         the stopping condition, so one call crosses at most one set change,
         and only in its last round.  Its length K is at most the block budget
-        divided by the arm count and the rounds left to the round where 2*U(t)
-        falls below the slack; K doubles after a full block and halves after
-        one cut short.
+        divided by the run's starting arm count, not the active count, and the
+        rounds left to t*, where 2*U(t) falls below the slack.  K doubles after
+        a full block; after one cut short it halves, but not below a quarter of
+        the budget, so a run of clustered set changes keeps blocks of that size.
 
         The block reads its per-plan inputs without gathering them: one
         :meth:`RewardEnv.pull` of the plan's broadcast index, cut to K rows,
         draws the (K, m) rewards against one row of the active arms' means,
-        and the widths U(t..t+K-1) are one slice of the shared width table
-        (``width_at`` of a range).  The rewards become the running reward
-        sums in place, row i after round t+i: wide blocks add row by row,
-        taller ones run cumsum over column pairs viewed as one wider number
-        (:func:`_running_sums`).
-        The sums have the rewards' dtype, int32 for Bernoulli rewards and
-        float64 otherwise; past an int32 round cap they are float64.  Each
-        candidate group sorts its slice of columns, its (K, live arms) sums,
-        along rows once.  Active arms share each round's pull count n and
-        width w, and x / n, then float x - w and x + w, keep the order of x,
-        so the sorted columns give every round's row max and min, divided by
-        n into float64, and, for a group with no frozen arm, both quantiles
-        kth / n -/+ w.  A group with frozen arms divides its sorted sums into
-        means and sorts its bounds beside the frozen ones, one side at a
-        time.  Group c's quantiles fill row c of the (groups, K) bands, so the
-        candidate and stop tests reduce over axis 0.  The row max and min
-        tell whether a round drops one of the group's arms.  A block whose
-        last round changes nothing keeps the sets and the per-group plan; one
-        cut short calls :meth:`RewardEnv.keep` with the rewards of the rounds
-        it keeps, so the stream stands where one pull per round leaves it.
+        and the widths U(t..t+K-1) are one slice of the shared width table.
+        The rewards become the running sums in place, row i after round t+i
+        (:func:`_running_sums`), int32 for Bernoulli rewards below an int32
+        round cap and float64 otherwise.  Each candidate group sorts its
+        (K, live arms) slice of columns along rows once.  Active arms share
+        each round's pull count n and width w, and x / n, then float x - w
+        and x + w, keep the order of x, so the sorted columns give every
+        round's row max and min, divided by n into float64, and both quantile
+        bounds kth / n -/+ w of a group with no frozen arm.  A group with
+        frozen arms reads them the same way at live rank kq - s when
+        :func:`_live_rank`, given the block's extreme live bounds, bottom and
+        top over n -/+ w, finds no frozen bound among them and s below on
+        both sides.  Otherwise a frozen bound straddles the live ones, and
+        the group divides its sorted sums into means and sorts its bounds
+        beside the frozen ones, one side at a time.  Group c's bounds fill
+        row c of the (groups, K) bands, so the candidate and stop tests
+        reduce over axis 0; the row max and min tell whether a round drops
+        one of the group's arms.  A block whose last round changes nothing
+        keeps the sets and the per-group plan; one cut short calls
+        :meth:`RewardEnv.keep` with the rewards of the rounds it keeps, so
+        the stream stands where one pull per round leaves it.
 
         Row 0 starts from the running sums the run carries across blocks.  A
         block ending in a set change or the stop commits every round since the
@@ -491,12 +514,10 @@ class EliminationRun:
         and K-1 of each group and certifies, in O(groups) scalar tests, that
         no round drops an arm, drops a candidate or meets the stop.  A
         certified block carries row K-1 as the sums, takes the per-row
-        path's spread of its last round, bit for bit, and doubles K; it
-        forms no running sums, row sorts or per-row bands.  The spread check
-        is not evaluated on it: with no frozen arm the spread is
-        (x + w) - (x - w), a few ulps from 2*w, far inside the check's 1e-9,
-        so the verdict cannot change.  A block the screen refuses runs the
-        path above unchanged.
+        path's spread of its last round, bit for bit, and doubles K.  The
+        spread check is not evaluated on it: with no frozen arm the spread is
+        (x + w) - (x - w), a few ulps from 2*w, far inside the check's 1e-9.
+        A block the screen refuses runs the path above unchanged.
         """
         if self.should_stop():
             raise RuntimeError("step() called after the stopping condition was met")
@@ -531,11 +552,16 @@ class EliminationRun:
         for c, (kq, cols, frozen) in enumerate(self._groups):
             live = np.sort(sums[:, cols], axis=1)
             top, bottom = live[:, -1] / rounds, live[:, 0] / rounds
-            if frozen is None:
-                kth = live[:, kq] / rounds
+            # an arm leaves once its interval misses the band: row extremes decide
+            top_lcb, bottom_ucb = top - width, bottom + width
+            rank = kq if frozen is None else _live_rank(
+                kq, frozen, ((bottom - width, top_lcb), (bottom_ucb, top + width)),
+                live.shape[1])
+            if rank is not None:
+                kth = live[:, rank] / rounds
                 np.subtract(kth, width, out=q_lcb[c])
                 np.add(kth, width, out=q_ucb[c])
-            else:
+            else:  # a frozen bound straddles the live ones: sort them together
                 live = live / rounds[:, None]
                 mat = np.empty((k, frozen[0].size + live.shape[1]))
                 for bound, side, q in zip(frozen, (np.subtract, np.add), (q_lcb, q_ucb)):
@@ -543,8 +569,7 @@ class EliminationRun:
                     side(live, width[:, None], out=mat[:, bound.size:])
                     mat.sort(axis=1)
                     q[c] = mat[:, kq]
-            # an arm leaves once its interval misses the band: row extremes decide
-            arm_exits |= (top - width > q_ucb[c]) | (bottom + width < q_lcb[c])
+            arm_exits |= (top_lcb > q_ucb[c]) | (bottom_ucb < q_lcb[c])
 
         # the first round that would drop a candidate or a quantile arm, or
         # stop the loop, ends the block; the rounds before it change nothing
@@ -593,7 +618,7 @@ class EliminationRun:
             self.checks.shortcut_consistent = False
 
         self._block = (min(2 * self._block, self._max_block) if r == k - 1
-                       else max(1, self._block // 2))
+                       else max(1, self._max_block // 4, self._block // 2))
         self.state = EliminationState(t + r + 1, candidates, quantile_arms, active,
                                       float(spread[r]))
         if event[r]:

@@ -177,6 +177,59 @@ def test_sorted_frozen_merge_gives_the_kth(data):
         assert bits(mat[:, kq]) == bits(np.partition(unsorted, kq, axis=1)[:, kq])
 
 
+def frozen_bounds(anchors):
+    """Sorted frozen bounds of one side: a row's live extreme, the double
+    next to it on either side, or a value far from the live ones.  + 0.0
+    turns -0.0 into 0.0, since a bound mean -/+ w with w > 0 is never -0.0."""
+    near = st.sampled_from(anchors).flatmap(lambda x: st.sampled_from(
+        [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]))
+    far = st.sampled_from([-1e3, -1.0, 2.0, 1e3]) | st.floats(-1e3, 1e3)
+    return st.lists((near | far).map(lambda x: float(x) + 0.0),
+                    min_size=1, max_size=3).map(np.sort)
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.data())
+def test_live_rank_band_is_the_sorted_band(data):
+    # a group with frozen arms.  _live_rank gives a rank exactly when no
+    # frozen bound of either side lies in [least, largest) of the block's
+    # live bounds, both sides count the same s frozen bounds below them and
+    # kq - s is a live rank; the rank is then kq - s, and that column of the
+    # row-sorted sums over n, -/+ w, is the kth of frozen and live bounds
+    # sorted together, bit for bit
+    rows, live_n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+    t = data.draw(st.integers(1, 10**4))
+    sums = np.sort(np.array(data.draw(st.lists(
+        st.integers(0, t), min_size=rows * live_n, max_size=rows * live_n)),
+        dtype=np.int32).reshape(rows, live_n), axis=1)
+    width = np.array(data.draw(st.lists(st.floats(1e-9, 2.0) | st.sampled_from([0.05, 0.5]),
+                                        min_size=rows, max_size=rows)))
+    rounds = np.arange(t, t + rows, dtype=np.float64)
+    means = sums / rounds[:, None]
+    lcbs, ucbs = means - width[:, None], means + width[:, None]
+    extremes = ((lcbs[:, 0], lcbs[:, -1]), (ucbs[:, 0], ucbs[:, -1]))
+    frozen = tuple(data.draw(frozen_bounds(np.concatenate(side))) for side in extremes)
+    # kth positions around the frozen bounds below the live lcbs: the first
+    # and last live rank, just inside the frozen bounds on either side, or
+    # anywhere
+    below = [int((bound < least.min()).sum()) for bound, (least, _) in zip(frozen, extremes)]
+    size = frozen[0].size + live_n
+    kq = data.draw(st.sampled_from([below[0], below[0] + live_n - 1, below[0] - 1,
+                                    below[0] + live_n, below[1]]) | st.integers(0, size - 1))
+    kq = min(max(kq, 0), size - 1)
+
+    rank = elimination._live_rank(kq, frozen, extremes, live_n)
+    counts = {int((bound < edge).sum()) for bound, (least, largest) in zip(frozen, extremes)
+              for edge in (least.min(), largest.max())}
+    shifts = len(counts) == 1 and 0 <= kq - below[0] < live_n
+    assert rank == (kq - below[0] if shifts else None)
+    if rank is not None:
+        kth = sums[:, rank] / rounds
+        for bound, live, band in ((frozen[0], lcbs, kth - width), (frozen[1], ucbs, kth + width)):
+            merged = np.hstack([np.broadcast_to(bound, (rows, bound.size)), live])
+            assert bits(band) == bits(np.partition(merged, kq, axis=1)[:, kq])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 128), st.integers(1, 300), st.sampled_from(sorted(FAMILIES)),
        st.integers(0, 2**32 - 1))
@@ -414,18 +467,62 @@ class BranchRun(EliminationRun):
         return after
 
 
+# two groups with the same median, 0.5; group a's outer arms leave and
+# freeze, group b's never do
+FROZEN_CASE = (np.array([0.1, 0.1, 0.5, 0.5, 0.9, 0.9, 0.5, 0.5]),
+               [FiniteGroup("a", range(6)), FiniteGroup("b", range(6, 8))])
+
+
+class BandRun(BranchRun):
+    """Records, per frozen group and block, whether the rank shift found its
+    band (True) or the sort did (False), and after every block cut short,
+    the next block's length and the rounds left to t*; runs only while
+    ``elimination._live_rank`` is replaced by a recording wrapper."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.shifted = []
+        self.after_cut = []
+
+    def planned(self):
+        left = self._t_star - self.state.round_index + 1
+        return max(1, min(self._block, left)), left
+
+    def step(self):
+        t, (k, _) = self.state.round_index, self.planned()
+        after = super().step()
+        if after.round_index - t < k:
+            self.after_cut.append(self.planned())
+        return after
+
+
 def test_frozen_and_frozen_free_groups_in_one_block():
     # in group a the arms at 0.1 and 0.9 leave once w falls below about 0.2
     # and freeze; group b's two equal arms never leave.  Both medians are 0.5,
-    # so both groups stay candidates until the spread 2w meets the slack
-    means = np.array([0.1, 0.5, 0.5, 0.9, 0.5, 0.5])
-    groups = [FiniteGroup("a", (0, 1, 2, 3)), FiniteGroup("b", (4, 5))]
+    # so both groups stay candidates until the spread 2w meets the slack.
+    # Group a's band comes from the rank shift while its frozen bounds lie
+    # outside the live ones, and from the sort when one straddles them: with
+    # noise, one of two equal outer arms can leave while the other's bounds
+    # pass the frozen ones, but noiseless equal arms leave together.  A block
+    # cut short halves K, but not below a quarter of the budget
+    means, groups = FROZEN_CASE
     for family in ("noiseless", "bernoulli", "gaussian"):
         env = RewardEnv(means, FAMILIES[family], np.random.default_rng(11),
                         noiseless=family == "noiseless")
-        engine = BranchRun(groups, 0.5, 0.1, 0.1, env, true_means=means)
-        engine.run()
+        engine = BandRun(groups, 0.5, 0.1, 0.1, env, true_means=means)
+
+        def live_rank(*args, rank=elimination._live_rank):
+            got = rank(*args)
+            engine.shifted.append(got is not None)
+            return got
+
+        with mock.patch.object(elimination, "_live_rank", live_rank):
+            engine.run()
         assert engine.mixed_blocks > 0
+        assert set(engine.shifted) == ({True} if family == "noiseless" else {True, False})
+        assert engine.after_cut
+        for k, left in engine.after_cut:
+            assert k >= max(1, min(engine._max_block // 4, left))
         assert_same_run({"groups": groups, "means": means, "family": family, "alpha": 0.5,
                          "slack": 0.1, "oracle": "true", "seed": 11})
 
@@ -594,8 +691,7 @@ def test_only_frozen_free_int32_blocks_enter_the_screen(family):
     # sums, of Gaussian or noiseless rewards or of Bernoulli rewards past an
     # int32 round cap, and blocks with a frozen arm go straight to the
     # per-row path
-    means = np.array([0.1, 0.5, 0.5, 0.9, 0.5, 0.5])
-    groups = [FiniteGroup("a", (0, 1, 2, 3)), FiniteGroup("b", (4, 5))]
+    means, groups = FROZEN_CASE
     rewards = "bernoulli" if family == "float-sums" else family
     env = RewardEnv(means, FAMILIES[rewards], np.random.default_rng(11),
                     noiseless=family == "noiseless")
