@@ -41,7 +41,7 @@ for arm, mu in enumerate(means):
 print(f"group B leaves at round {invert_width(0.05, per_arm_budget)} "
        "(width < quantile gap 0.1 / 2)")
 
-env = RewardEnv(means, RewardFamily("bernoulli"), np.random.default_rng(0), noiseless=True)
+env = RewardEnv(means, RewardFamily("noiseless"), np.random.default_rng(0))
 result = run_elimination(groups, alpha, slack, delta, env, true_means=means)
 
 print(f"\nchose {result.chosen!r} after {result.rounds} rounds, "

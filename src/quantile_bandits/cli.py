@@ -39,8 +39,6 @@ def _load_config(args, **point) -> ExperimentConfig:
     for flag, field in (("eps", "eps_schedule"), ("delta_gap", "gap_schedule")):
         if flags.get(flag) is not None:
             overrides[field] = (flags[flag],)
-    if flags.get("noiseless"):
-        overrides["noiseless"] = True
     if flags.get("out") is not None:
         overrides["out_csv"] = str(Path(flags["out"]) / "trials.csv")
         overrides["out_summary"] = str(Path(flags["out"]) / "summary.json")
@@ -150,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--noiseless", action="store_true")
 
     p_run = sub.add_parser("run", help="run a Monte Carlo experiment from a config")
     config_flags(p_run)

@@ -629,10 +629,8 @@ class EliminationRun:
         """Final recommendation: argmax of the pessimistic group quantiles,
         ties broken by a draw from the reward environment's generator."""
         st = self.state
-        if st.round_index == 1:
-            if len(st.candidates) != 1:
-                raise RuntimeError("no rounds ran yet there are multiple candidates")
-            return st.candidates[0]
+        if st.round_index == 1 and len(st.candidates) != 1:
+            raise RuntimeError("no rounds ran yet there are multiple candidates")
         scores = {gid: self._group_quantiles(self.ledger.lcb, gid) for gid in st.candidates}
         best = max(scores.values())
         ties = [gid for gid in st.candidates if scores[gid] == best]

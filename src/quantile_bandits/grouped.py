@@ -142,7 +142,8 @@ def pull_bound_worst_case(num_groups: int, eps: float, gap: float, delta: float)
 
 @dataclass
 class TrialResult:
-    """Outcome and telemetry of one identification trial."""
+    """Outcome and telemetry of one identification trial; ``buckets_within_cap``
+    says that every epoch's largest bucket load is within its own 3 * eps_k * n_k."""
 
     instance_id: str
     chosen_group: str
@@ -151,6 +152,7 @@ class TrialResult:
     rounds: int
     event_a: bool
     max_bucket_size: int
+    buckets_within_cap: bool
     epoch_pulls: tuple[int, ...]
     checks: RunChecks
 
@@ -184,8 +186,7 @@ def _epoch_oracles(instance: BanditInstance, groups, js, means, alpha: float, ep
 
 
 def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: float,
-                  rng: np.random.Generator, noiseless: bool = False,
-                  oracle_checks: bool = False) -> TrialResult:
+                  rng: np.random.Generator, oracle_checks: bool = False) -> TrialResult:
     """Run the epoch schedule of shrinking tolerances.
 
     Each epoch requests fresh arms for the surviving groups, runs the
@@ -194,7 +195,8 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
     two-step algorithm.  The success flag is scored against the exact
     reservoir oracle at the final epoch's (eps, gap).  The epochs'
     :class:`RunChecks` add up to the trial's; ``oracle_checks`` passes the
-    true means to each epoch.  Arms, rewards and tie-breaks draw from ``rng``.
+    true means to each epoch.  Arms, rewards (as the instance's family draws
+    them; a noiseless one draws none) and tie-breaks draw from ``rng``.
 
     Every epoch spends the full ``delta`` on each of its three events (the
     sandwich, the bucket loads, the elimination run): K epochs succeed with
@@ -210,6 +212,7 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
     rounds = 0
     event_a = True
     max_bucket = 0
+    within_cap = True
     chosen = surviving[0]
     checks: RunChecks | None = None
 
@@ -219,7 +222,8 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
         sandwiched, bucket = _epoch_oracles(instance, groups, js, means, a, eps)
         event_a = event_a and sandwiched
         max_bucket = max(max_bucket, bucket)
-        env = RewardEnv(means, instance.family, rng, noiseless=noiseless)
+        within_cap = within_cap and bucket <= 3.0 * eps * n_per
+        env = RewardEnv(means, instance.family, rng)
         res = run_elimination(groups, a, gap, delta, env,
                               true_means=means if oracle_checks else None)
         epoch_pulls.append(res.total_pulls)
@@ -234,7 +238,8 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
     return TrialResult(
         instance_id=instance.name, chosen_group=chosen, success=success,
         total_pulls=sum(epoch_pulls), rounds=rounds, event_a=event_a,
-        max_bucket_size=max_bucket, epoch_pulls=tuple(epoch_pulls), checks=checks,
+        max_bucket_size=max_bucket, buckets_within_cap=within_cap,
+        epoch_pulls=tuple(epoch_pulls), checks=checks,
     )
 
 

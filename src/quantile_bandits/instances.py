@@ -18,7 +18,7 @@ import numpy as np
 
 MASS_TOL = 1e-12
 
-_FAMILIES = ("bernoulli", "gaussian")
+_FAMILIES = ("bernoulli", "gaussian", "noiseless")
 
 
 @dataclass(frozen=True)
@@ -27,15 +27,20 @@ class RewardFamily:
 
     ``bernoulli`` rewards are in {0, 1}; ``gaussian`` rewards are normal with
     fixed variance ``sigma2`` (at most 1, so the sub-Gaussian confidence
-    machinery applies unchanged).
+    machinery applies unchanged, and 1 when not given); a ``noiseless``
+    reward is the mean itself.  Only a Gaussian family takes ``sigma2``.
     """
 
     kind: str
-    sigma2: float = 1.0
+    sigma2: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _FAMILIES:
             raise ValueError(f"unknown reward family {self.kind!r}; expected one of {_FAMILIES}")
+        if self.kind != "gaussian" and self.sigma2 is not None:
+            raise ValueError(f"only a gaussian family takes sigma2, not {self.kind!r}")
+        if self.kind == "gaussian" and self.sigma2 is None:
+            object.__setattr__(self, "sigma2", 1.0)
         if self.kind == "gaussian" and not (0.0 < self.sigma2 <= 1.0):
             raise ValueError(f"gaussian sigma2 must lie in (0, 1], got {self.sigma2}")
 
@@ -207,12 +212,11 @@ class RewardEnv:
     any shape (a block of rounds is a (rounds, arms) index that repeats one
     row), and :meth:`keep` cuts the last pull back to its first rewards; the
     true means are kept private so elimination code cannot peek at them.
-    Each family draws one variate per reward: a uniform for Bernoulli, a
-    standard normal for Gaussian, none when noiseless.
+    The family alone picks the draw, one variate per reward: a uniform for
+    Bernoulli, a standard normal for Gaussian, none for noiseless.
     """
 
-    def __init__(self, means: np.ndarray, family: RewardFamily, rng: np.random.Generator,
-                 noiseless: bool = False) -> None:
+    def __init__(self, means: np.ndarray, family: RewardFamily, rng: np.random.Generator) -> None:
         means = np.asarray(means, dtype=float)
         if means.ndim != 1 or means.size == 0:
             raise ValueError("means must be a nonempty 1-D array")
@@ -222,8 +226,7 @@ class RewardEnv:
         self._family = family
         self._rng = rng
         self._sigma = math.sqrt(family.sigma2) if family.kind == "gaussian" else 0.0
-        self._draw = (None if noiseless
-                      else rng.random if family.kind == "bernoulli" else rng.standard_normal)
+        self._draw = {"bernoulli": rng.random, "gaussian": rng.standard_normal}.get(family.kind)
         self._start = None  # the generator state the last pull started from
 
     @property
@@ -239,9 +242,7 @@ class RewardEnv:
     def reward_dtype(self) -> np.dtype:
         """The dtype :meth:`pull` returns: int32 for 0/1 Bernoulli rewards,
         float64 for Gaussian and noiseless ones."""
-        if self._family.kind == "bernoulli" and self._draw is not None:
-            return np.dtype(np.int32)
-        return np.dtype(np.float64)
+        return np.dtype(np.int32 if self._family.kind == "bernoulli" else np.float64)
 
     def pull(self, arm_indices: np.ndarray) -> np.ndarray:
         """Pull each listed arm once and return the rewards in C order, as
@@ -371,11 +372,13 @@ def instance_from_dict(data: dict, path: str = "instance") -> BanditInstance:
     _check_keys(data, _INSTANCE_KEYS, path)
     fam = data.get("family", {"kind": "bernoulli"})
     _check_keys(fam, ("kind", "sigma2"), f"{path}.family")
-    sigma2 = _number(fam.get("sigma2", 1.0), f"{path}.family.sigma2")
+    kind = fam.get("kind")
+    sigma2 = _number(fam["sigma2"], f"{path}.family.sigma2") if "sigma2" in fam else None
     try:
-        family = RewardFamily(fam.get("kind"), sigma2)
-    except ValueError as exc:
-        raise ValueError(f"{path}.family: {exc}") from None
+        family = RewardFamily(kind, sigma2)
+    except ValueError as exc:  # with a known kind, sigma2 is at fault
+        field = f"{path}.family.sigma2" if kind in _FAMILIES else f"{path}.family"
+        raise ValueError(f"{field}: {exc}") from None
     if "alpha" not in data:
         raise ValueError(f"{path}.alpha: required")
     alpha = _number(data["alpha"], f"{path}.alpha")

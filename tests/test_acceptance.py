@@ -237,7 +237,7 @@ class TestCriterion6NoiselessOracle:
                 if len(quants) > 1 and quants[-1][0] - quants[-2][0] >= 0.1:
                     break
             oracle_best = quants[-1][1]
-            env = RewardEnv(means_arr, FAM, np.random.default_rng(0), noiseless=True)
+            env = RewardEnv(means_arr, RewardFamily("noiseless"), np.random.default_rng(0))
             res = run_elimination(groups, 0.5, 0.04, 0.1, env)
             agree += res.chosen == oracle_best
         ok = agree == cases

@@ -29,7 +29,7 @@ from quantile_bandits import (
 )
 
 FAMILIES = {"bernoulli": RewardFamily("bernoulli"), "gaussian": RewardFamily("gaussian", 0.25),
-            "noiseless": RewardFamily("bernoulli")}
+            "noiseless": RewardFamily("noiseless")}
 
 
 @st.composite
@@ -61,8 +61,7 @@ def build(cls, case):
     """An engine of class ``cls`` on ``case``, with its reward generator,
     which also breaks ties."""
     env_rng = np.random.default_rng(case["seed"])
-    env = RewardEnv(case["means"], FAMILIES[case["family"]], env_rng,
-                    noiseless=case["family"] == "noiseless")
+    env = RewardEnv(case["means"], FAMILIES[case["family"]], env_rng)
     oracle = {"none": None, "true": case["means"], "reversed": case["means"][::-1]}
     engine = cls(case["groups"], case["alpha"], case["slack"], 0.1, env,
                  true_means=oracle[case["oracle"]])
@@ -329,10 +328,9 @@ def test_running_sum_dtype_follows_rewards_and_round_cap():
     # runs are only built, never run
     groups = [FiniteGroup("a", range(2)), FiniteGroup("b", range(2, 4))]
     means = np.full(4, 0.5)
-    for family, noiseless, wide in (("bernoulli", False, np.int32),
-                                    ("bernoulli", True, np.float64),
-                                    ("gaussian", False, np.float64)):
-        env = RewardEnv(means, FAMILIES[family], np.random.default_rng(0), noiseless=noiseless)
+    for family, wide in (("bernoulli", np.int32), ("noiseless", np.float64),
+                         ("gaussian", np.float64)):
+        env = RewardEnv(means, FAMILIES[family], np.random.default_rng(0))
         for slack, dtype in ((0.1, wide), (1e-3, np.float64)):
             engine = EliminationRun(groups, 0.5, slack, 0.1, env)
             assert (engine._round_cap < 2**31) == (slack == 0.1)
@@ -507,8 +505,7 @@ def test_frozen_and_frozen_free_groups_in_one_block():
     # cut short halves K, but not below a quarter of the budget
     means, groups = FROZEN_CASE
     for family in ("noiseless", "bernoulli", "gaussian"):
-        env = RewardEnv(means, FAMILIES[family], np.random.default_rng(11),
-                        noiseless=family == "noiseless")
+        env = RewardEnv(means, FAMILIES[family], np.random.default_rng(11))
         engine = BandRun(groups, 0.5, 0.1, 0.1, env, true_means=means)
 
         def live_rank(*args, rank=elimination._live_rank):
@@ -693,8 +690,7 @@ def test_only_frozen_free_int32_blocks_enter_the_screen(family):
     # per-row path
     means, groups = FROZEN_CASE
     rewards = "bernoulli" if family == "float-sums" else family
-    env = RewardEnv(means, FAMILIES[rewards], np.random.default_rng(11),
-                    noiseless=family == "noiseless")
+    env = RewardEnv(means, FAMILIES[rewards], np.random.default_rng(11))
     cap = 0 if family == "float-sums" else elimination._INT32_ROUNDS
     with mock.patch.object(elimination, "_INT32_ROUNDS", cap), \
             mock.patch.object(elimination, "_quiet_block", wraps=elimination._quiet_block):

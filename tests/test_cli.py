@@ -11,7 +11,7 @@ from quantile_bandits.cli import build_parser, main
 SCHEDULE = Path(__file__).resolve().parent / "contract" / "gaussian-pwl-schedule.json"
 
 CONFIG_FLAGS = {"--config", "--seed", "--alpha", "--eps", "--delta", "--delta-gap"}
-TRIAL_FLAGS = {"--trials", "--out", "--threads", "--noiseless"}
+TRIAL_FLAGS = {"--trials", "--out", "--threads"}
 
 INSTANCE = {
     "name": "pair",
@@ -85,16 +85,19 @@ class TestRun:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["trials"] == 2
 
-    def test_noiseless_flag_matches_noiseless_config(self, config_path, tmp_path, capsys):
-        quiet = tmp_path / "quiet.json"
-        quiet.write_text(json.dumps(dict(json.loads(config_path.read_text()), noiseless=True)))
-        assert main(["run", "--config", str(config_path), "--noiseless",
-                     "--out", str(tmp_path / "flag")]) == 0
-        assert main(["run", "--config", str(quiet), "--out", str(tmp_path / "file")]) == 0
+    def test_noiseless_is_a_family_not_a_flag(self, config_path, tmp_path, capsys):
+        data = json.loads(config_path.read_text())
+        flagged, quiet = tmp_path / "flagged.json", tmp_path / "quiet.json"
+        flagged.write_text(json.dumps(dict(data, noiseless=True)))
+        noiseless = dict(INSTANCE, family={"kind": "noiseless"})
+        quiet.write_text(json.dumps(dict(data, instance=noiseless)))
+        assert main(["run", "--config", str(flagged)]) == 2
+        assert "error: config.noiseless: unknown field" in capsys.readouterr().err
+        assert main(["run", "--config", str(quiet), "--out", str(tmp_path / "quiet")]) == 0
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "noisy")]) == 0
-        flag, config, noisy = ((tmp_path / d / "trials.csv").read_bytes()
-                               for d in ("flag", "file", "noisy"))
-        assert flag == config != noisy
+        quiet_csv, noisy_csv = ((tmp_path / d / "trials.csv").read_bytes()
+                                for d in ("quiet", "noisy"))
+        assert quiet_csv != noisy_csv
 
     def test_bad_alpha_is_an_error_not_a_traceback(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -173,6 +176,8 @@ def test_each_subcommand_takes_exactly_its_flags():
 @pytest.mark.parametrize("argv", [
     ["bound", "--config", "exp.json", "--out", "x"],
     ["make-lb", "--eps", "0.2", "--delta-gap", "0.2", "--out", "x", "--scale", "4"],
+    ["run", "--config", "exp.json", "--noiseless"],
+    ["sweep", "--config", "exp.json", "--noiseless"],
 ])
 def test_flags_a_subcommand_does_not_read_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -241,6 +246,10 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].startswith("eps,delta_gap,delta")
         assert len(lines) == 3  # header + 2 grid points
+
+    def test_zero_trial_point_reports_nan(self, config_path, capsys):
+        assert main(["sweep", "--config", str(config_path), "--trials", "0"]) == 0
+        assert capsys.readouterr().out == "0.2,0.2,0.1,0,nan,nan,nan,nan\n"
 
     def test_alpha_override_matches_run(self, tmp_path, capsys):
         # at alpha 0.3 the groups' 0.7-quantiles are 0.8 and 0.6; at 0.5

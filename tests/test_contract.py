@@ -1,12 +1,13 @@
 """Seeded runs reproduce their committed artifacts byte for byte.
 
 For a fixed seed, ``trials.csv`` and ``summary.json`` (without
-``wall_clock_s``) are the behavioural contract.  The benchmark workloads are
-pinned by ``bench/reference``; ``tests/contract/<name>.json`` pins three more
-configs: Gaussian and noiseless rewards on the three-group instance, and a
-two-epoch Gaussian schedule on piecewise-linear reservoirs run on two workers.
-A change that moves these files must regenerate them on purpose, with
-``quantile-bandits run --config tests/contract/<name>.json --out <dir>``.
+``wall_clock_s``) are the behavioural contract.  Each benchmark workload
+``bench/workloads/<w>.json`` is pinned by ``bench/reference/<w>.csv`` and
+``tests/contract/<w>.summary.json``; ``tests/contract/<name>.json`` pins three
+more configs: Gaussian and noiseless rewards on the three-group instance, and
+a two-epoch Gaussian schedule on piecewise-linear reservoirs run on two
+workers.  A change that moves these files must regenerate them on purpose,
+with ``quantile-bandits run --config <config> --out <dir>``.
 
 Those bytes also rest on numpy's generator streams: ``numpy-stream.txt``
 pins the first uniforms and standard normals of ``default_rng(0)``, so a
@@ -24,6 +25,8 @@ from quantile_bandits.cli import main
 
 CONTRACT = Path(__file__).resolve().parent / "contract"
 CONFIGS = sorted(p for p in CONTRACT.glob("*.json") if not p.name.endswith(".summary.json"))
+BENCH = CONTRACT.parent.parent / "bench"
+WORKLOADS = sorted((BENCH / "workloads").glob("*.json"))
 
 
 def check_numpy_streams(path=CONTRACT / "numpy-stream.txt"):
@@ -53,15 +56,27 @@ def test_a_moved_stream_names_numpy(tmp_path):
 
 def test_contract_configs_are_found():
     assert len(CONFIGS) == 3
+    assert [p.stem for p in WORKLOADS] == ["hard2-fine", "pwl-wide-pool", "three-group"]
+
+
+def assert_run_reproduces(config, csv_ref, summary_ref, out):
+    """``run`` on ``config`` writes ``csv_ref``'s bytes and ``summary_ref``'s
+    summary, without ``wall_clock_s``."""
+    check_numpy_streams()  # a moved stream is numpy's doing: say so before the bytes differ
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "trials.csv").read_bytes() == csv_ref.read_bytes()
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["wall_clock_s"]
+    assert summary == json.loads(summary_ref.read_text())
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_run_reproduces_reference(config, tmp_path, capsys):
-    check_numpy_streams()  # a moved stream is numpy's doing: say so before the bytes differ
-    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    csv_ref = CONTRACT / f"{config.stem}.trials.csv"
-    assert (tmp_path / "trials.csv").read_bytes() == csv_ref.read_bytes()
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    del summary["wall_clock_s"]
-    assert summary == json.loads((CONTRACT / f"{config.stem}.summary.json").read_text())
+    assert_run_reproduces(config, CONTRACT / f"{config.stem}.trials.csv",
+                          CONTRACT / f"{config.stem}.summary.json", tmp_path)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS, ids=[p.stem for p in WORKLOADS])
+def test_benchmark_workload_reproduces_reference(workload, tmp_path, capsys):
+    assert_run_reproduces(workload, BENCH / "reference" / f"{workload.stem}.csv",
+                          CONTRACT / f"{workload.stem}.summary.json", tmp_path)

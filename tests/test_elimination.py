@@ -1,6 +1,7 @@
 """Finite-arm successive elimination: quantiles, rounds, gaps, and bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def brute_force_multiset_quantile(values, alpha):
 
 
 def noiseless_env(means, seed=0):
-    return RewardEnv(means, FAM, np.random.default_rng(seed), noiseless=True)
+    return RewardEnv(means, RewardFamily("noiseless"), np.random.default_rng(seed))
 
 
 class TestMultisetQuantile:
@@ -104,6 +105,11 @@ class TestNoiselessElimination:
         assert res.chosen == "only"
         assert res.total_pulls == 0
         assert res.rounds == 0
+
+    def test_choice_before_any_round_needs_one_candidate(self):
+        run = EliminationRun(AB_GROUPS, 0.5, 0.1, 0.1, noiseless_env(AB_MEANS))
+        with pytest.raises(RuntimeError, match="no rounds ran yet there are multiple candidates"):
+            run.choose()
 
     def test_step_rejected_after_stop(self):
         env = noiseless_env(np.array([0.3, 0.5]))
@@ -314,6 +320,12 @@ class TestFiniteBound:
         got = bound_pulls_finite(prof, 8, 0.1)
         assert got == pytest.approx(bound_by_hand(prof.overall, 8, 0.1), rel=1e-12)
 
+    def test_nonpositive_gap_rejected(self):
+        prof = gap_profile(AB_GROUPS, AB_MEANS, 0.5, 0.05)
+        for gap in (0.0, -0.1):
+            with pytest.raises(ValueError, match="all overall gaps must be positive"):
+                bound_pulls_finite(replace(prof, overall=np.append(prof.overall[1:], gap)), 8, 0.1)
+
     def test_doubling_gaps_quarters_leading_term(self):
         gaps1 = np.full(4, 0.1)
         gaps2 = np.full(4, 0.2)
@@ -339,6 +351,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_elimination([FiniteGroup("a", (0,)), FiniteGroup("b", (0,))], 0.5, 0.1, 0.1,
                             noiseless_env(np.array([0.5])))
+
+    def test_group_needs_an_arm(self):
+        with pytest.raises(ValueError, match="group 'none' has no arms"):
+            FiniteGroup("none", ())
 
     @pytest.mark.parametrize("ids", [(0, 2), (1, 0), (3, 3), [4, 5, 7], range(0, 6, 2)])
     def test_group_arm_ids_must_be_consecutive(self, ids):

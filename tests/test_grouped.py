@@ -28,10 +28,11 @@ from quantile_bandits.hardness import HardInstanceParams
 from quantile_bandits.instances import quantile_band
 
 FAM = RewardFamily("bernoulli")
+NOISELESS = RewardFamily("noiseless")
 
 
-def make_instance(groups, alpha=0.5, name="test"):
-    return BanditInstance(tuple(groups), FAM, alpha, name)
+def make_instance(groups, alpha=0.5, name="test", family=FAM):
+    return BanditInstance(tuple(groups), family, alpha, name)
 
 
 GOOD_PAIR = make_worst_case_instances(HardInstanceParams(0.2, 0.2))[1]
@@ -329,10 +330,9 @@ class TestTwoStep:
         inst = make_instance([
             ("hi", DiscreteReservoir.point_mass(0.7)),
             ("lo", DiscreteReservoir.point_mass(0.3)),
-        ])
+        ], family=NOISELESS)
         for seed in range(5):
-            tr = run_multistep(inst, [0.2], [0.1], 0.1, np.random.default_rng(seed),
-                               noiseless=True)
+            tr = run_multistep(inst, [0.2], [0.1], 0.1, np.random.default_rng(seed))
             assert tr.chosen_group == "hi"
             assert tr.success
 
@@ -378,14 +378,14 @@ class TestOracleConstantsPerConfig:
 
     def test_mutating_a_returned_set_leaves_later_trials_alone(self):
         inst = make_instance([("hi", DiscreteReservoir.point_mass(0.7)),
-                              ("lo", DiscreteReservoir.point_mass(0.3))])
-        before = run_multistep(inst, [0.2], [0.1], 0.1, np.random.default_rng(3), noiseless=True)
+                              ("lo", DiscreteReservoir.point_mass(0.3))], family=NOISELESS)
+        before = run_multistep(inst, [0.2], [0.1], 0.1, np.random.default_rng(3))
         won = relaxed_success_set(inst, 0.2, 0.1)
         assert won == {"hi"}
         won.clear()
         won.add("lo")
         assert relaxed_success_set(inst, 0.2, 0.1) == {"hi"}
-        after = run_multistep(inst, [0.2], [0.1], 0.1, np.random.default_rng(3), noiseless=True)
+        after = run_multistep(inst, [0.2], [0.1], 0.1, np.random.default_rng(3))
         assert after == before and after.success
 
 
@@ -403,9 +403,8 @@ class TestMultistep:
             ("best", DiscreteReservoir.point_mass(0.7)),
             ("near", DiscreteReservoir.point_mass(0.55)),
             ("far", DiscreteReservoir.point_mass(0.2)),
-        ])
-        tr = run_multistep(inst, [0.2, 0.1], [0.2, 0.1], 0.05,
-                           np.random.default_rng(1), noiseless=True)
+        ], family=NOISELESS)
+        tr = run_multistep(inst, [0.2, 0.1], [0.2, 0.1], 0.05, np.random.default_rng(1))
         assert tr.chosen_group == "best"
         assert len(tr.epoch_pulls) == 2
         # epoch 2 runs without the far group: at eps=0.1 it requests arms for

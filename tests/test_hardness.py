@@ -58,6 +58,8 @@ class TestInstances:
     def test_params_validated(self):
         with pytest.raises(ValueError):
             HardInstanceParams(0.3, 0.1)
+        with pytest.raises(ValueError, match=r"gap must lie in \(0, 1/4\)"):
+            HardInstanceParams(0.1, 0.25)
         with pytest.raises(ValueError):
             HardInstanceParams(0.1, 0.1, num_groups=1)
 

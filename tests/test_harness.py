@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +22,8 @@ from quantile_bandits import (
     run_experiment,
     run_trial,
 )
-from quantile_bandits import harness
+from quantile_bandits import grouped, harness
+from quantile_bandits.grouped import required_arm_count
 from quantile_bandits.harness import CSV_COLUMNS
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -96,9 +98,6 @@ class TestConfigValidation:
                              r"config\.schedule\.eps:"),
                             ({"schedule": {"eps": [0.2], "delta_gap": ["y"]}},
                              r"config\.schedule\.delta_gap\[0\]:"),
-                            ({"noiseless": "false"},
-                             r"config\.noiseless: expected true or false"),
-                            ({"noiseless": 0}, r"config\.noiseless: expected true or false"),
                             ({"trials": 2.9}, r"config\.trials: expected an integer"),
                             ({"trials": True}, r"config\.trials: expected an integer"),
                             ({"seed": 1.5}, r"config\.seed: expected an integer"),
@@ -135,15 +134,15 @@ class TestConfigValidation:
 
     def test_unknown_fields_rejected(self):
         base = {"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1}
-        for key, value in (("trails", 3), ("c", 2.0), ("alpha", 0.3)):
+        for key, value in (("trails", 3), ("c", 2.0), ("alpha", 0.3), ("noiseless", True)):
             with pytest.raises(ValueError, match=rf"config\.{key}: unknown field"):
                 config_from_dict(dict(base, **{key: value}))
 
-    def test_integral_numbers_and_booleans_accepted(self):
+    def test_integral_numbers_accepted(self):
         cfg = config_from_dict({"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1,
-                                "trials": 3.0, "noiseless": True})
+                                "trials": 3.0, "seed": 7.0})
         assert cfg.trials == 3 and isinstance(cfg.trials, int)
-        assert cfg.noiseless is True
+        assert cfg.seed == 7 and isinstance(cfg.seed, int)
 
     def test_omitted_fields_take_the_dataclass_defaults(self):
         inst = config_from_dict({"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1}).instance
@@ -354,3 +353,27 @@ class TestArtifacts:
         assert 0.0 <= report.event_a_rate <= 1.0
         assert 0.0 <= report.partition_bound_rate <= 1.0
         assert report.wall_clock_s > 0
+
+    @pytest.mark.parametrize("overflowing_epoch, rate", [(None, 1.0), (0, 0.0), (1, 0.0)])
+    def test_each_epoch_load_meets_its_own_cap(self, monkeypatch, overflowing_epoch, rate):
+        # the cap 3 * eps * n grows as eps shrinks, so a coarse first epoch
+        # whose largest bucket overflows its own cap can still fit the last
+        # epoch's; the trial must count as outside the bound all the same
+        # equal groups: both survive the first epoch, so the second one runs
+        twins = dict(INSTANCE, groups=[{"id": "a", "atoms": [[0.5, 1.0]]},
+                                       {"id": "b", "atoms": [[0.5, 1.0]]}])
+        cfg = config_from_dict({"instance": twins, "delta": 0.1, "trials": 3,
+                                "schedule": {"eps": [0.3, 0.15], "delta_gap": [0.3, 0.3]}})
+        caps = [3.0 * eps * required_arm_count(eps, cfg.delta, 2) for eps in cfg.eps_schedule]
+        assert math.floor(caps[0]) + 1 <= caps[1]
+        epochs, oracles = [], grouped._epoch_oracles
+
+        def overflow(instance, groups, js, means, alpha, eps):
+            sandwiched, largest = oracles(instance, groups, js, means, alpha, eps)
+            k = cfg.eps_schedule.index(eps)
+            epochs.append(k)
+            return sandwiched, math.floor(caps[k]) + 1 if k == overflowing_epoch else largest
+
+        monkeypatch.setattr(grouped, "_epoch_oracles", overflow)
+        assert run_experiment(cfg).partition_bound_rate == rate
+        assert epochs == [0, 1] * 3

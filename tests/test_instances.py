@@ -11,6 +11,7 @@ from quantile_bandits import (
     BanditInstance,
     DiscreteReservoir,
     PiecewiseLinearReservoir,
+    Reservoir,
     RewardEnv,
     RewardFamily,
     instance_from_dict,
@@ -231,9 +232,12 @@ class TestSampleReward:
         assert abs(draws.mean() - 0.6) < 0.01
 
     def test_noiseless_returns_mean(self):
-        env = RewardEnv(np.array([0.42, 0.7]), RewardFamily("bernoulli"),
-                        np.random.default_rng(0), noiseless=True)
-        assert env.pull(np.array([1, 0, 0])).tolist() == [0.7, 0.42, 0.42]
+        rng = np.random.default_rng(0)
+        env = RewardEnv(np.array([0.42, 0.7]), RewardFamily("noiseless"), rng)
+        before = rng.bit_generator.state
+        rewards = env.pull(np.array([1, 0, 0]))
+        assert rewards.tolist() == [0.7, 0.42, 0.42] and rewards.dtype == env.reward_dtype
+        assert env.reward_dtype == np.float64 and rng.bit_generator.state == before
 
     def test_gaussian_mean_and_var(self):
         env = RewardEnv(np.array([0.5]), RewardFamily("gaussian", sigma2=0.25),
@@ -242,20 +246,22 @@ class TestSampleReward:
         assert abs(draws.mean() - 0.5) < 0.02
         assert abs(draws.var() - 0.25) < 0.02
 
-    @pytest.mark.parametrize("family, noiseless", [
+    @pytest.mark.parametrize("family, draws_nothing", [
         (RewardFamily("bernoulli"), False), (RewardFamily("gaussian", 0.25), False),
-        (RewardFamily("gaussian", 1.0), False), (RewardFamily("bernoulli"), True)])
+        (RewardFamily("gaussian", 1.0), False), (RewardFamily("noiseless"), True)])
     @pytest.mark.parametrize("count", [0, 1, 7, 1000])
-    def test_skip_advances_like_pull(self, family, noiseless, count):
+    def test_skip_advances_like_pull(self, family, draws_nothing, count):
         # the cut-block rewind keeps the rounds already drawn and skips the
         # rest; the next draws must be those a pull of the same count leaves
         means = np.random.default_rng(9).random(count + 3)
         pulled, cut = np.random.default_rng(4), np.random.default_rng(4)
-        RewardEnv(means, family, pulled, noiseless=noiseless).pull(np.arange(count))
-        env = RewardEnv(means, family, cut, noiseless=noiseless)
+        RewardEnv(means, family, pulled).pull(np.arange(count))
+        env = RewardEnv(means, family, cut)
         env.pull(np.arange(count + 3))
         env.keep(count)
         assert cut.bit_generator.state == pulled.bit_generator.state
+        untouched = pulled.bit_generator.state == np.random.default_rng(4).bit_generator.state
+        assert untouched == (draws_nothing or count == 0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["bernoulli", "gaussian", "noiseless"]),
@@ -264,24 +270,23 @@ class TestSampleReward:
     def test_keep_leaves_the_stream_where_a_shorter_pull_does(self, kind, sigma2, k, m, seed):
         # a block cut after its first j of k rounds keeps j * m rewards; the
         # generator must stand where a pull of those j rows alone leaves it
-        family = (RewardFamily("gaussian", sigma2) if kind == "gaussian"
-                  else RewardFamily("bernoulli"))
+        family = RewardFamily(kind, sigma2 if kind == "gaussian" else None)
         means = np.random.default_rng(seed).random(m)
         block = np.broadcast_to(np.arange(m), (k, m))
         for j in range(k + 1):
             cut, short = np.random.default_rng(seed), np.random.default_rng(seed)
-            env = RewardEnv(means, family, cut, noiseless=kind == "noiseless")
+            env = RewardEnv(means, family, cut)
             env.pull(block)
             env.keep(j * m)
             if j:
-                RewardEnv(means, family, short, noiseless=kind == "noiseless").pull(block[:j])
+                RewardEnv(means, family, short).pull(block[:j])
             assert cut.bit_generator.state == short.bit_generator.state
 
-    @pytest.mark.parametrize("family, noiseless", [
+    @pytest.mark.parametrize("family, draws_nothing", [
         (RewardFamily("bernoulli"), False), (RewardFamily("gaussian", 0.25), False),
-        (RewardFamily("bernoulli"), True)])
+        (RewardFamily("noiseless"), True)])
     @pytest.mark.parametrize("k", [1, 2, 9])
-    def test_broadcast_block_draws_the_flat_tile(self, family, noiseless, k):
+    def test_broadcast_block_draws_the_flat_tile(self, family, draws_nothing, k):
         # a block's index repeats one row with stride 0, and pull reads that
         # row's means once: the rewards and the stream are the tiled pull's
         means = np.random.default_rng(7).random(12)
@@ -289,17 +294,19 @@ class TestSampleReward:
         rng, twin = np.random.default_rng(k), np.random.default_rng(k)
         block = np.broadcast_to(active, (16, active.size))[:k]
         assert block.strides[0] == 0
-        rewards = RewardEnv(means, family, rng, noiseless=noiseless).pull(block)
-        flat = RewardEnv(means, family, twin, noiseless=noiseless).pull(np.tile(active, k))
+        rewards = RewardEnv(means, family, rng).pull(block)
+        flat = RewardEnv(means, family, twin).pull(np.tile(active, k))
         assert rewards.shape == (k, active.size) and rewards.dtype == flat.dtype
         assert rewards.flags.c_contiguous and rewards.flags.writeable
         assert np.array_equal(rewards.ravel(), flat)
         assert rng.bit_generator.state == twin.bit_generator.state
+        fresh = np.random.default_rng(k).bit_generator.state
+        assert (rng.bit_generator.state == fresh) == draws_nothing
 
-    @pytest.mark.parametrize("family, noiseless", [
+    @pytest.mark.parametrize("family, draws_nothing", [
         (RewardFamily("bernoulli"), False), (RewardFamily("gaussian", 0.25), False),
-        (RewardFamily("bernoulli"), True)])
-    def test_two_dimensional_index_reads_every_mean(self, family, noiseless):
+        (RewardFamily("noiseless"), True)])
+    def test_two_dimensional_index_reads_every_mean(self, family, draws_nothing):
         # rows that differ, a transposed view and a broadcast second axis all
         # have a first-axis stride other than 0, so each element's own mean
         # is read; the first row's means would give other rewards
@@ -307,11 +314,13 @@ class TestSampleReward:
         rows = np.array([[0, 1, 2], [1, 3, 5], [4, 0, 3]])
         for index in (rows, rows.T, np.broadcast_to(np.array([[0], [1], [4]]), (3, 4))):
             rng, twin = np.random.default_rng(3), np.random.default_rng(3)
-            rewards = RewardEnv(means, family, rng, noiseless=noiseless).pull(index)
-            flat = RewardEnv(means, family, twin, noiseless=noiseless).pull(index.ravel())
+            rewards = RewardEnv(means, family, rng).pull(index)
+            flat = RewardEnv(means, family, twin).pull(index.ravel())
             assert rewards.shape == index.shape
             assert np.array_equal(rewards.ravel(), flat)
             assert rng.bit_generator.state == twin.bit_generator.state
+            fresh = np.random.default_rng(3).bit_generator.state
+            assert (rng.bit_generator.state == fresh) == draws_nothing
 
     def test_mean_out_of_range(self):
         # NaN fails both comparisons with the range's ends, so it is tested too
@@ -416,6 +425,26 @@ class TestConfigRoundTrip:
         assert payload["family"] == {"kind": "gaussian", "sigma2": 0.25}
         assert instance_from_dict(payload) == inst
 
+    def test_noiseless_round_trip_has_no_sigma2(self):
+        inst = BanditInstance((("a", DiscreteReservoir.point_mass(0.5)),),
+                              RewardFamily("noiseless"), 0.5, "quiet")
+        payload = instance_to_dict(inst)
+        assert payload["family"] == {"kind": "noiseless"}
+        assert instance_from_dict(payload) == inst
+        assert RewardFamily("gaussian") == RewardFamily("gaussian", 1.0)
+
+    def test_unknown_reservoir_type_is_not_serialized(self):
+        class Uniform(Reservoir):
+            def _inverse(self, levels):
+                return levels
+
+        inst = make_instance([("a", Uniform())])
+        assert inst.reservoir("a").quantile(0.25) == 0.25
+        with pytest.raises(KeyError):
+            inst.reservoir("b")
+        with pytest.raises(TypeError, match="cannot serialize reservoir type Uniform"):
+            instance_to_dict(inst)
+
 
 def _instance_dict(**over):
     data = {"name": "pair", "alpha": 0.5, "family": {"kind": "bernoulli"},
@@ -465,6 +494,16 @@ class TestInstanceConfigFields:
         (_instance_dict(eps=0.1), r"instance\.eps: unknown field"),
         (_instance_dict(family={"sigma2": 0.5}), r"instance\.family: unknown reward family None"),
         (_with_group(0, {"atoms": [[0.5, 1.0]]}), r"instance\.groups\[0\]\.id: required"),
+        ({key: value for key, value in _instance_dict().items() if key != "alpha"},
+         r"instance\.alpha: required"),
+        (_instance_dict(alpha=1.5), r"instance: alpha must lie in \(0, 1\)"),
+        (_with_group(1, {"id": "a", "atoms": [[0.5, 1.0]]}), r"instance: group ids must be unique"),
+        (_instance_dict(family={"kind": "bernoulli", "sigma2": 7.0}),
+         r"instance\.family\.sigma2: only a gaussian family takes sigma2, not 'bernoulli'"),
+        (_instance_dict(family={"kind": "noiseless", "sigma2": 1.0}),
+         r"instance\.family\.sigma2: only a gaussian family takes sigma2, not 'noiseless'"),
+        (_instance_dict(family={"kind": "gaussian", "sigma2": 1.5}),
+         r"instance\.family\.sigma2: gaussian sigma2 must lie in \(0, 1\]"),
     ])
     def test_bad_field_named(self, data, field):
         with pytest.raises(ValueError, match=field):
@@ -500,6 +539,10 @@ def _env(means):
     (lambda: PiecewiseLinearReservoir((0.0, math.nan), (0.0, 1.0)), r"lie in \[0, 1\]"),
     (lambda: PiecewiseLinearReservoir((0.0, 1.0), (math.nan, 1.0)), "nondecreasing"),
     (lambda: PiecewiseLinearReservoir((0.0, 1.0), (0.0, math.inf)), "CDF must reach 1"),
+    (lambda: DiscreteReservoir((0.2, 0.8), (1.0,)), "equally many means and masses"),
+    (lambda: make_instance([]), "at least one group"),
+    (lambda: RewardFamily("bernoulli", 7.0), "only a gaussian family takes sigma2"),
+    (lambda: RewardFamily("noiseless", 1.0), "only a gaussian family takes sigma2"),
 ])
 def test_constructors_reject_invalid(build, message):
     with pytest.raises(ValueError, match=message):
