@@ -1,10 +1,10 @@
-"""Command-line front end: run experiments, sweeps, bound evaluations, and the
-hard-instance verifier."""
+"""Command-line front end: run experiments, bound evaluations, and the
+hard-instance verifier and generator.  A grid over tolerances is a loop over
+``run``."""
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from dataclasses import replace
@@ -24,15 +24,14 @@ def _parse_floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def _load_config(args, **point) -> ExperimentConfig:
-    """The config file with every given flag applied; ``point`` holds a sweep
-    grid point's values, applied as if they were flags.
+def _load_config(args) -> ExperimentConfig:
+    """The config file with every given flag applied.
 
     Each given flag replaces its field, and ``--eps``/``--delta-gap`` each
-    replace their schedule with one epoch.  A flag the subcommand lacks, or a
-    grid axis the sweep lacks (None), leaves the config's own value.
+    replace their schedule with one epoch.  A flag the subcommand lacks
+    leaves the config's own value.
     """
-    flags = dict(vars(args), **point)
+    flags = vars(args)
     cfg = config_from_file(flags["config"])
     overrides = {key: flags[key] for key in ("trials", "seed", "threads", "delta")
                  if flags.get(key) is not None}
@@ -51,33 +50,6 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args)
     report = run_experiment(cfg)
     print(json.dumps(report.to_dict(), indent=2))
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    """Run each grid point as ``run`` with those flags; a missing grid is the
-    config's own value.  Point files go to ``--out`` under their grid tag."""
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    grids = [[None] if grid is None else grid for grid in (args.eps, args.delta_gap, args.delta)]
-    rows = ["eps,delta_gap,delta,trials,success_rate,mean_pulls,median_pulls,event_a_rate"]
-    for eps, gap, delta in itertools.product(*grids):
-        cfg = _load_config(args, eps=eps, delta_gap=gap, delta=delta, out=None)
-        label = f"{cfg.final_eps:g},{cfg.final_gap:g},{cfg.delta:g}"
-        if out_dir:
-            tag = f"eps{cfg.final_eps:g}_gap{cfg.final_gap:g}_delta{cfg.delta:g}"
-            cfg = replace(cfg, out_csv=str(out_dir / f"trials_{tag}.csv"),
-                          out_summary=str(out_dir / f"summary_{tag}.json"))
-        rep = run_experiment(cfg)
-        if rep.trials:
-            rows.append(f"{label},{rep.trials},{rep.success_rate:.6f},{rep.mean_pulls:.3f},"
-                        f"{rep.median_pulls:.3f},{rep.event_a_rate:.6f}")
-        else:
-            rows.append(f"{label},0,nan,nan,nan,nan")
-        print(rows[-1])
-    if out_dir:
-        (out_dir / "sweep.csv").write_text("\n".join(rows) + "\n")
     return 0
 
 
@@ -105,8 +77,7 @@ def _cmd_verify_lb(args) -> int:
     eps_values = _parse_floats(args.eps) if args.eps else [0.05, 0.1, 0.2]
     gap_values = _parse_floats(args.delta_gap) if args.delta_gap else [0.05, 0.1, 0.2]
     report = verify_drift(eps_values, gap_values,
-                          d_values=range(-args.d_range, args.d_range + 1),
-                          ratio_limit=args.drift_limit)
+                          d_values=range(-args.d_range, args.d_range + 1))
     print(report.format_table())
     return 0 if report.passed else 1
 
@@ -134,30 +105,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Grouped max-quantile bandit experiments, bounds, and verifiers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def config_flags(p, kind=float, note=""):
-        """Flags read by ``_load_config``; sweep takes its tolerances as lists."""
+    def config_flags(p):
+        """Flags read by ``_load_config``."""
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--eps", type=kind, default=None, help=f"quantile-level tolerance{note}")
-        p.add_argument("--delta", type=kind, default=None, help=f"failure probability{note}")
-        p.add_argument("--delta-gap", type=kind, default=None, dest="delta_gap",
-                       help=f"quantile-value slack{note}")
-
-    def trial_flags(p):
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--eps", type=float, default=None, help="quantile-level tolerance")
+        p.add_argument("--delta", type=float, default=None, help="failure probability")
+        p.add_argument("--delta-gap", type=float, default=None, dest="delta_gap",
+                       help="quantile-value slack")
 
     p_run = sub.add_parser("run", help="run a Monte Carlo experiment from a config")
     config_flags(p_run)
-    trial_flags(p_run)
+    p_run.add_argument("--trials", type=int, default=None)
+    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("--threads", type=int, default=None)
     p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="grid over eps, delta-gap, delta")
-    config_flags(p_sweep, _parse_floats, " (comma list)")
-    trial_flags(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_bound = sub.add_parser("bound", help="evaluate the pull-count bound expressions")
     config_flags(p_bound)
@@ -168,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--delta-gap", default=None, dest="delta_gap",
                           help="comma list (default 0.05,0.1,0.2)")
     p_verify.add_argument("--d-range", type=int, default=20, dest="d_range")
-    p_verify.add_argument("--drift-limit", type=float, default=16.0, dest="drift_limit")
     p_verify.set_defaults(func=_cmd_verify_lb)
 
     p_make = sub.add_parser("make-lb", help="emit the worst-case instance configs")

@@ -22,6 +22,7 @@ from .instances import BanditInstance, DiscreteReservoir, RewardFamily
 
 KINDS = ("good", "bad")
 MARTINGALE_TOL = 1e-12  # largest |E[f(d')] - f(d)| the verifier accepts under the low mixture
+DRIFT_LIMIT = 16.0  # the drift lemma's constant: largest drift / (gap * eps)^2 the verifier accepts
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,6 @@ class DriftReport:
     max_ratio: float
     argmax: tuple[float, float, int]
     martingale_max_error: float
-    ratio_limit: float
     passed: bool
     failures: list[tuple[float, float, int, float]]
 
@@ -145,17 +145,17 @@ class DriftReport:
         shown = sorted(self.rows, key=lambda r: -r[3])[:max_rows]
         lines += [f"{e:6.3f} {g:6.3f} {d:4d} {r:18.6f}" for e, g, d, r in shown]
         lines.append(f"max drift ratio {self.max_ratio:.6f} at eps={self.argmax[0]}, "
-                     f"gap={self.argmax[1]}, d={self.argmax[2]} (limit {self.ratio_limit})")
+                     f"gap={self.argmax[1]}, d={self.argmax[2]} (limit {DRIFT_LIMIT})")
         lines.append(f"martingale max |error| {self.martingale_max_error:.3e}")
         lines.append("PASS" if self.passed else f"FAIL ({len(self.failures)} offending points)")
         return "\n".join(lines)
 
 
 def verify_drift(eps_values=(0.05, 0.1, 0.2), gap_values=(0.05, 0.1, 0.2),
-                 d_values=range(-20, 21), ratio_limit: float = 16.0) -> DriftReport:
+                 d_values=range(-20, 21)) -> DriftReport:
     """Check, over the parameter grid, that the one-step statistic is an exact
     martingale under the low-fraction mixture and drifts upward by at most
-    ``ratio_limit * (gap * eps)^2`` under the high-fraction mixture.  An
+    ``DRIFT_LIMIT * (gap * eps)^2`` under the high-fraction mixture.  An
     empty grid is an error: it would check nothing and pass."""
     rows = []
     failures = []
@@ -172,9 +172,9 @@ def verify_drift(eps_values=(0.05, 0.1, 0.2), gap_values=(0.05, 0.1, 0.2),
                 rows.append((e, g, d, ratio))
                 if ratio > max_ratio:
                     max_ratio, argmax = ratio, (e, g, d)
-                if not -1e-9 <= ratio <= ratio_limit:
+                if not -1e-9 <= ratio <= DRIFT_LIMIT:
                     failures.append((e, g, d, ratio))
     if not rows:
         raise ValueError("verify_drift: the eps, gap and d grids must all be nonempty")
     passed = not failures and mart_err < MARTINGALE_TOL
-    return DriftReport(rows, max_ratio, argmax, mart_err, ratio_limit, passed, failures)
+    return DriftReport(rows, max_ratio, argmax, mart_err, passed, failures)

@@ -96,7 +96,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "conf
         ref = Path(data["instance_file"])
         if base_dir is not None and not ref.is_absolute():
             ref = base_dir / ref
-        if not ref.exists():
+        if not ref.is_file():
             raise ValueError(f"{path}.instance_file: no such file: {ref}")
         inst = instance_from_dict(json.loads(ref.read_text()), path=f"{path}.instance_file")
     else:
@@ -131,7 +131,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "conf
 
 def config_from_file(path: str | Path) -> ExperimentConfig:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise FileNotFoundError(f"config file not found: {p}")
     return config_from_dict(json.loads(p.read_text()), base_dir=p.parent)
 

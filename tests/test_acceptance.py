@@ -31,6 +31,7 @@ from quantile_bandits import (
     verify_drift,
 )
 from quantile_bandits.grouped import _bucket_geometry
+from quantile_bandits.hardness import DRIFT_LIMIT
 
 FAM = RewardFamily("bernoulli")
 WORKERS = 2
@@ -256,11 +257,11 @@ class TestCriterion7Martingale:
 
 class TestCriterion8Drift:
     def test_bounded_ratio_and_anchor_point(self):
-        report = verify_drift(ratio_limit=16.0)
+        report = verify_drift()
         anchor = expected_next_likelihood_ratio(0, HardInstanceParams(0.2, 0.2), "good") \
             - likelihood_ratio(0, HardInstanceParams(0.2, 0.2))
         anchor_ratio = anchor / (0.2 * 0.2) ** 2
-        ok = report.passed and abs(anchor_ratio - 4.006) <= 0.01
+        ok = report.passed and DRIFT_LIMIT == 16.0 and abs(anchor_ratio - 4.006) <= 0.01
         announce(8, "drift bound", ok,
                  f"max ratio {report.max_ratio:.3f} <= 16, anchor {anchor_ratio:.4f} = 4.006 +/- 0.01")
         assert ok

@@ -2,13 +2,16 @@
 
 import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from quantile_bandits import hardness
 from quantile_bandits.cli import build_parser, main
 
 SCHEDULE = Path(__file__).resolve().parent / "contract" / "gaussian-pwl-schedule.json"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 CONFIG_FLAGS = {"--config", "--seed", "--alpha", "--eps", "--delta", "--delta-gap"}
 TRIAL_FLAGS = {"--trials", "--out", "--threads"}
@@ -54,14 +57,17 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert payload["trials"] == 4
 
-    def test_missing_config_names_path(self, capsys):
-        code = main(["run", "--config", "does/not/exist.json"])
-        assert code != 0
-        assert "does/not/exist.json" in capsys.readouterr().err
+    def test_missing_config_names_path(self, tmp_path, capsys):
+        # a directory is no config file either
+        for path in ("does/not/exist.json", str(tmp_path)):
+            assert main(["run", "--config", path]) == 2
+            assert f"error: config file not found: {path}" in capsys.readouterr().err
 
     def test_unknown_subcommand_nonzero(self, capsys):
-        code = main(["frobnicate"])
-        assert code != 0
+        assert main(["frobnicate"]) != 0
+        # a grid over tolerances is a loop over run
+        assert main(["sweep", "--config", "exp.json"]) == 2
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
 
     def test_flag_overrides(self, config_path, capsys):
         code = main(["run", "--config", str(config_path), "--trials", "2", "--seed", "5"])
@@ -111,6 +117,7 @@ class TestRun:
         ({"instance": INSTANCE, "eps": "0.2"}, "error: config.eps: expected a number, got '0.2'"),
         ({"instance": INSTANCE, "delta_gap": float("nan")},
          "error: config.delta_gap: expected a finite number, got nan"),
+        ({"instance_file": "."}, "error: config.instance_file: no such file: "),
     ])
     def test_mistyped_field_exits_2(self, tmp_path, capsys, config, message):
         path = tmp_path / "bad.json"
@@ -128,6 +135,23 @@ class TestRun:
         assert main(["run", "--config", str(config_path), "--eps", "0.2", "--delta", "0.1",
                      "--delta-gap", "0.2", "--alpha", "0.5", "--trials", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["trials"] == 2
+
+    def test_alpha_flag_is_the_config_alpha(self, tmp_path, capsys):
+        # at alpha 0.3 the groups' 0.7-quantiles are 0.8 and 0.6; at 0.5
+        # their medians are 0.3 and 0.4
+        instance = dict(INSTANCE, groups=[
+            {"id": "hi", "atoms": [[0.3, 0.5], [0.8, 0.5]]},
+            {"id": "lo", "atoms": [[0.4, 0.5], [0.6, 0.5]]}])
+        config = {"eps": 0.1, "delta_gap": 0.1, "delta": 0.05, "trials": 2, "seed": 5}
+        runs = {}
+        for name, alpha, flags in (("flag", 0.5, ["--alpha", "0.3"]), ("file", 0.3, []),
+                                   ("half", 0.5, [])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(dict(config, instance=dict(instance, alpha=alpha))))
+            out = tmp_path / name
+            assert main(["run", "--config", str(path), *flags, "--out", str(out)]) == 0
+            runs[name] = (out / "trials.csv").read_bytes()
+        assert runs["flag"] == runs["file"] != runs["half"]
 
 
 class TestBound:
@@ -159,25 +183,43 @@ class TestBound:
         assert schedule[1] == first[1] == "finite-arm gap bound (one sampled draw, seed 7): 9276.53"
 
 
-def test_each_subcommand_takes_exactly_its_flags():
+def parser_flags():
+    """Each subcommand's option strings, without help."""
     subparsers = next(action for action in build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
-    flags = {name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
-             for name, sub in subparsers.choices.items()}
-    assert flags == {
+    return {name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+            for name, sub in subparsers.choices.items()}
+
+
+def readme_flags(text):
+    """The README's ``| subcommand | flags |`` table as {subcommand: flags}."""
+    table = text.split("| subcommand | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    flags = {}
+    for row in table.splitlines():
+        names, options = row.strip("|").split("|")
+        for name in re.findall(r"`([^`]+)`", names):
+            flags[name] = set(options.strip().strip("`").split())
+    return flags
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    assert parser_flags() == {
         "run": CONFIG_FLAGS | TRIAL_FLAGS,
-        "sweep": CONFIG_FLAGS | TRIAL_FLAGS,
         "bound": CONFIG_FLAGS,
-        "verify-lb": {"--eps", "--delta-gap", "--d-range", "--drift-limit"},
+        "verify-lb": {"--eps", "--delta-gap", "--d-range"},
         "make-lb": {"--eps", "--delta-gap", "--groups", "--out"},
     }
+
+
+def test_readme_flag_table_is_the_parser():
+    assert readme_flags(README.read_text()) == parser_flags()
 
 
 @pytest.mark.parametrize("argv", [
     ["bound", "--config", "exp.json", "--out", "x"],
     ["make-lb", "--eps", "0.2", "--delta-gap", "0.2", "--out", "x", "--scale", "4"],
     ["run", "--config", "exp.json", "--noiseless"],
-    ["sweep", "--config", "exp.json", "--noiseless"],
+    ["verify-lb", "--drift-limit", "0.5"],
 ])
 def test_flags_a_subcommand_does_not_read_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -201,10 +243,11 @@ class TestVerifyLb:
         captured = capsys.readouterr()
         assert "must all be nonempty" in captured.err and "PASS" not in captured.out
 
-    def test_impossible_limit_fails(self, capsys):
-        code = main(["verify-lb", "--eps", "0.2", "--delta-gap", "0.2",
-                     "--drift-limit", "0.5"])
-        assert code == 1
+    def test_impossible_limit_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(hardness, "DRIFT_LIMIT", 0.5)
+        assert main(["verify-lb", "--eps", "0.2", "--delta-gap", "0.2"]) == 1
+        out = capsys.readouterr().out
+        assert "(limit 0.5)" in out and "FAIL" in out
 
 
 class TestMakeLb:
@@ -234,53 +277,3 @@ class TestMakeLb:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "eps" in capsys.readouterr().err
-
-
-class TestSweep:
-    def test_grid_runs_and_writes(self, config_path, tmp_path, capsys):
-        out = tmp_path / "sweep"
-        code = main(["sweep", "--config", str(config_path),
-                     "--eps", "0.2,0.15", "--delta-gap", "0.2",
-                     "--trials", "2", "--out", str(out)])
-        assert code == 0
-        lines = (out / "sweep.csv").read_text().strip().splitlines()
-        assert lines[0].startswith("eps,delta_gap,delta")
-        assert len(lines) == 3  # header + 2 grid points
-
-    def test_zero_trial_point_reports_nan(self, config_path, capsys):
-        assert main(["sweep", "--config", str(config_path), "--trials", "0"]) == 0
-        assert capsys.readouterr().out == "0.2,0.2,0.1,0,nan,nan,nan,nan\n"
-
-    def test_alpha_override_matches_run(self, tmp_path, capsys):
-        # at alpha 0.3 the groups' 0.7-quantiles are 0.8 and 0.6; at 0.5
-        # their medians are 0.3 and 0.4
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps({
-            "instance": dict(INSTANCE, groups=[
-                {"id": "hi", "atoms": [[0.3, 0.5], [0.8, 0.5]]},
-                {"id": "lo", "atoms": [[0.4, 0.5], [0.6, 0.5]]}]),
-            "eps": 0.1, "delta_gap": 0.1, "delta": 0.05, "trials": 2, "seed": 5}))
-        assert main(["run", "--config", str(path), "--alpha", "0.3"]) == 0
-        run_pulls = json.loads(capsys.readouterr().out)["mean_pulls"]
-        assert main(["sweep", "--config", str(path), "--alpha", "0.3"]) == 0
-        sweep_pulls = capsys.readouterr().out.strip().split(",")[5]
-        assert sweep_pulls == f"{run_pulls:.3f}"
-
-    @pytest.mark.parametrize("grid", [[], ["--delta", "0.05,0.1"]], ids=["no-grid", "delta-grid"])
-    def test_point_is_the_run_with_the_same_flags(self, tmp_path, capsys, grid):
-        # a missing grid keeps the config's own two-epoch schedule
-        sweep = tmp_path / "sweep"
-        assert main(["sweep", "--config", str(SCHEDULE), "--trials", "2", *grid,
-                     "--out", str(sweep)]) == 0
-        points = [["--delta", delta] for delta in grid[1].split(",")] if grid else [[]]
-        for flags in points:
-            run = tmp_path / "run"
-            assert main(["run", "--config", str(SCHEDULE), "--trials", "2", *flags,
-                         "--out", str(run)]) == 0
-            tag = f"eps0.2_gap0.2_delta{flags[1] if flags else '0.05'}"
-            assert (sweep / f"trials_{tag}.csv").read_bytes() == (run / "trials.csv").read_bytes()
-
-    def test_eps_grid_on_schedule_config_is_an_error(self, schedule_path, capsys):
-        # as with run --eps, one eps beside a two-epoch delta_gap schedule
-        assert main(["sweep", "--config", str(schedule_path), "--eps", "0.2,0.15"]) == 2
-        assert "got 1 and 2 epochs" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from quantile_bandits import (
     success_scale,
     verify_drift,
 )
+from quantile_bandits import hardness
 
 P22 = HardInstanceParams(0.2, 0.2)
 
@@ -156,9 +157,9 @@ class TestVerifyDrift:
         assert "PASS" in table
         assert "max drift ratio" in table
 
-    def test_tight_limit_fails_and_names_offender(self):
-        report = verify_drift(eps_values=(0.2,), gap_values=(0.2,), d_values=range(-2, 3),
-                              ratio_limit=1.0)
+    def test_tight_limit_fails_and_names_offender(self, monkeypatch):
+        monkeypatch.setattr(hardness, "DRIFT_LIMIT", 1.0)
+        report = verify_drift(eps_values=(0.2,), gap_values=(0.2,), d_values=range(-2, 3))
         assert not report.passed
         assert report.failures
         assert report.max_ratio > 1.0

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -171,6 +172,8 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope.json"):
             config_from_file(tmp_path / "nope.json")
+        with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path))):
+            config_from_file(tmp_path)  # a directory
 
     @pytest.mark.parametrize("build, message", [
         (lambda inst: ExperimentConfig(inst, (0.2,), (0.1,), trials=-1),
@@ -180,6 +183,8 @@ class TestConfigValidation:
         (lambda inst: config_from_dict({"instance_file": "missing.json", "eps": 0.2,
                                         "delta_gap": 0.1}),
          r"config\.instance_file: no such file"),
+        (lambda inst: config_from_dict({"instance_file": ".", "eps": 0.2, "delta_gap": 0.1}),
+         r"config\.instance_file: no such file: \.$"),
         (lambda inst: config_from_dict({"instance": INSTANCE, "schedule": [0.2, 0.1]}),
          r"config\.schedule: expected an object"),
         (lambda inst: config_from_dict({"instance": INSTANCE, "schedule": {
