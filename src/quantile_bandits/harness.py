@@ -71,18 +71,17 @@ class ExperimentConfig:
         return self.gap_schedule[-1]
 
 
-_CONFIG_KEYS = ("instance", "instance_file", "schedule", "eps", "delta_gap", "delta",
-                "trials", "seed", "threads", "out_csv", "out_summary")
+_CONFIG_KEYS = ("instance", "instance_file", "eps", "delta_gap", "delta", "trials", "seed",
+                "threads", "out_csv", "out_summary")
 
 
 def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "config") -> ExperimentConfig:
     """Build a config from a plain dict; validation errors carry field paths.
 
-    Scalar ``eps``/``delta_gap`` give a one-epoch schedule; ``schedule``
-    gives the epoch lists.  Unknown keys are rejected, so a misspelt field
-    cannot silently fall back to its default, and so are fields that another
-    field would override (``eps`` beside ``schedule``, ``instance_file``
-    beside ``instance``).
+    ``eps`` and ``delta_gap`` each take a number (one epoch) or a list (one
+    value per epoch).  Unknown keys are rejected, so a misspelt field cannot
+    silently fall back to its default, and so is ``instance_file`` beside
+    ``instance``, which would override it.
     """
     _check_keys(data, _CONFIG_KEYS, path)
     if "instance_file" in data and not isinstance(data["instance_file"], str):
@@ -101,20 +100,12 @@ def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "conf
         inst = instance_from_dict(json.loads(ref.read_text()), path=f"{path}.instance_file")
     else:
         raise ValueError(f"{path}.instance: required (inline object or instance_file)")
-    sched = data.get("schedule")
-    if sched is not None:
-        _check_keys(sched, ("eps", "delta_gap"), f"{path}.schedule")
-        eps_schedule, gap_schedule = (_numbers(sched.get(key), f"{path}.schedule.{key}")
-                                      for key in ("eps", "delta_gap"))
-        for key in ("eps", "delta_gap"):
-            if key in data:
-                raise ValueError(f"{path}.{key}: not allowed beside {path}.schedule")
-    else:
-        for key in ("eps", "delta_gap"):
-            if key not in data:
-                raise ValueError(f"{path}.{key}: required when no schedule is given")
-        eps_schedule, gap_schedule = ((_number(data[key], f"{path}.{key}"),)
-                                      for key in ("eps", "delta_gap"))
+    for key in ("eps", "delta_gap"):
+        if key not in data:
+            raise ValueError(f"{path}.{key}: required")
+    eps_schedule, gap_schedule = (
+        _numbers(data[key], f"{path}.{key}") if isinstance(data[key], list)
+        else (_number(data[key], f"{path}.{key}"),) for key in ("eps", "delta_gap"))
     # only the given keys: each default lives on ExperimentConfig
     fields = {key: _number(data[key], f"{path}.{key}", kind)
               for key, kind in (("delta", float), ("trials", int), ("seed", int), ("threads", int))
@@ -183,6 +174,9 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     depend on scheduling.
     """
     start = time.perf_counter()
+    # a bad output path fails before any trial runs, not after all of them
+    for out in filter(None, (config.out_csv, config.out_summary)):
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
     indices = list(range(config.trials))
     # under fork the pool starts all its workers at the first submit: no more than trials
     workers = min(config.threads, config.trials)
@@ -225,10 +219,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
                                  bound, worst, time.perf_counter() - start)
 
     if config.out_csv:
-        Path(config.out_csv).parent.mkdir(parents=True, exist_ok=True)
         _write_csv(config.out_csv, results)
     if config.out_summary:
-        Path(config.out_summary).parent.mkdir(parents=True, exist_ok=True)
         Path(config.out_summary).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     return report
 

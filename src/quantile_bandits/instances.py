@@ -335,6 +335,12 @@ def _number(value, field: str, kind=float):
         raise ValueError(f"{field}: expected {expected}, got {value!r}") from None
 
 
+def _string(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{field}: expected a string, got {value!r}")
+    return value
+
+
 def _numbers(values, field: str, size: int | None = None) -> tuple[float, ...]:
     if not isinstance(values, list) or not values or len(values) != (size or len(values)):
         what = f"{size} numbers" if size else "a nonempty list of numbers"
@@ -391,9 +397,10 @@ def instance_from_dict(data: dict, path: str = "instance") -> BanditInstance:
         _check_keys(g, ("id", "atoms", "cdf"), gpath)
         if "id" not in g:
             raise ValueError(f"{gpath}.id: required")
-        groups.append((str(g["id"]), _reservoir_from_dict(g, gpath)))
+        groups.append((_string(g["id"], f"{gpath}.id"), _reservoir_from_dict(g, gpath)))
+    name = _string(data.get("name", "instance"), f"{path}.name")
     try:
-        return BanditInstance(tuple(groups), family, alpha, str(data.get("name", "instance")))
+        return BanditInstance(tuple(groups), family, alpha, name)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from quantile_bandits import hardness
+from quantile_bandits import grouped, hardness, harness
 from quantile_bandits.cli import build_parser, main
+from quantile_bandits.elimination import bound_pulls_finite, gap_profile
+from quantile_bandits.harness import config_from_file
 
 SCHEDULE = Path(__file__).resolve().parent / "contract" / "gaussian-pwl-schedule.json"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -31,7 +33,7 @@ INSTANCE = {
 def schedule_path(tmp_path):
     path = tmp_path / "sched.json"
     path.write_text(json.dumps({
-        "instance": INSTANCE, "schedule": {"eps": [0.2, 0.15], "delta_gap": [0.2, 0.1]},
+        "instance": INSTANCE, "eps": [0.2, 0.15], "delta_gap": [0.2, 0.1],
         "delta": 0.1, "trials": 2, "seed": 3,
     }))
     return path
@@ -76,10 +78,15 @@ class TestRun:
 
     def test_malformed_schedule_is_an_error_not_a_traceback(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"instance": INSTANCE,
-                                    "schedule": {"eps": 0.2, "delta_gap": [0.2]}}))
-        assert main(["run", "--config", str(path)]) == 2
-        assert "error: config.schedule.eps:" in capsys.readouterr().err
+        for schedule, message in (
+                ({"eps": [0.2, "x"], "delta_gap": [0.2, 0.1]},
+                 "error: config.eps[1]: expected a number, got 'x'"),
+                ({"eps": [0.2, 0.15], "delta_gap": 0.1}, "got 2 and 1 epochs"),
+                ({"schedule": {"eps": [0.2], "delta_gap": [0.2]}},
+                 "error: config.schedule: unknown field")):
+            path.write_text(json.dumps(dict(schedule, instance=INSTANCE)))
+            assert main(["run", "--config", str(path)]) == 2
+            assert message in capsys.readouterr().err
 
     def test_eps_override_on_schedule_config(self, schedule_path, capsys):
         # --eps alone leaves a two-epoch delta_gap schedule beside one eps
@@ -124,6 +131,21 @@ class TestRun:
         path.write_text(json.dumps(dict({"eps": 0.2, "delta_gap": 0.2}, **config)))
         assert main(["run", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_output_path_under_a_file_exits_2_before_any_trial(self, config_path, tmp_path,
+                                                                monkeypatch, capsys, where):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        monkeypatch.setattr(harness, "run_trial", lambda *args: pytest.fail("a trial ran"))
+        argv = ["run", "--config", str(config_path)]
+        if where == "flag":
+            argv += ["--out", str(afile)]
+        else:
+            data = json.loads(config_path.read_text())
+            config_path.write_text(json.dumps(dict(data, out_csv=str(afile / "trials.csv"))))
+        assert main(argv) == 2
+        assert str(afile) in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_delta_gap_flag_exits_2(self, config_path, capsys, value):
@@ -181,6 +203,25 @@ class TestBound:
         assert schedule[0] == "arms requested per group: 39, 60"
         assert first[0] == "arms requested per group: 39"
         assert schedule[1] == first[1] == "finite-arm gap bound (one sampled draw, seed 7): 9276.53"
+
+    def test_finite_bound_scores_the_draw_run_makes(self, monkeypatch, capsys):
+        # bound rebuilds trial 0's first-epoch draw on its own; score the one
+        # run_trial actually makes and compare
+        cfg = config_from_file(SCHEDULE)
+        draws, sample = [], grouped._sample_finite_groups
+
+        def record(*args):
+            draws.append(sample(*args))
+            return draws[-1]
+
+        monkeypatch.setattr(grouped, "_sample_finite_groups", record)
+        harness.run_trial(cfg, 0)
+        groups, _, means = draws[0]
+        profile = gap_profile(groups, means, cfg.instance.alpha, cfg.gap_schedule[0])
+        finite = bound_pulls_finite(profile, means.size, cfg.delta)
+        assert main(["bound", "--config", str(SCHEDULE)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == \
+            f"finite-arm gap bound (one sampled draw, seed 7): {finite:.6g}"
 
 
 def parser_flags():
@@ -277,3 +318,8 @@ class TestMakeLb:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "eps" in capsys.readouterr().err
+        # an output path under a file
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["make-lb", "--eps", "0.2", "--delta-gap", "0.2", "--out", str(afile)]) == 2
+        assert str(afile) in capsys.readouterr().err

@@ -28,6 +28,7 @@ from quantile_bandits.grouped import required_arm_count
 from quantile_bandits.harness import CSV_COLUMNS
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+README = BENCH.parent / "README.md"
 
 
 def read_rows(path):
@@ -95,10 +96,9 @@ class TestConfigValidation:
                              r"config\.instance_file: expected a path string, got 5"),
                             ({"trials": "many"}, r"config\.trials:"),
                             ({"delta": None}, r"config\.delta:"),
-                            ({"schedule": {"eps": 0.2, "delta_gap": [0.1]}},
-                             r"config\.schedule\.eps:"),
-                            ({"schedule": {"eps": [0.2], "delta_gap": ["y"]}},
-                             r"config\.schedule\.delta_gap\[0\]:"),
+                            ({"eps": [0.2, "x"]}, r"config\.eps\[1\]: expected a number"),
+                            ({"eps": []}, r"config\.eps: expected a nonempty list of numbers"),
+                            ({"delta_gap": ["y"]}, r"config\.delta_gap\[0\]: expected a number"),
                             ({"trials": 2.9}, r"config\.trials: expected an integer"),
                             ({"trials": True}, r"config\.trials: expected an integer"),
                             ({"seed": 1.5}, r"config\.seed: expected an integer"),
@@ -108,8 +108,6 @@ class TestConfigValidation:
                             ({"out_csv": 5}, r"config\.out_csv: expected a path string"),
                             ({"out_summary": ["s.json"]},
                              r"config\.out_summary: expected a path string"),
-                            ({"schedule": {"eps": [0.2], "delta_gap": [0.2]}},
-                             r"config\.eps: not allowed beside config\.schedule"),
                             ({"instance_file": "inst.json"},
                              r"config\.instance_file: not allowed beside config\.instance")):
             with pytest.raises(ValueError, match=field):
@@ -123,8 +121,7 @@ class TestConfigValidation:
                 (instance, '"eps": 0.2, "delta_gap": Infinity', r"config\.delta_gap"),
                 (instance, '"eps": -Infinity, "delta_gap": 0.1', r"config\.eps"),
                 (instance, '"eps": 0.2, "delta_gap": 0.1, "delta": NaN', r"config\.delta"),
-                (instance, '"schedule": {"eps": [0.2], "delta_gap": [NaN]}',
-                 r"config\.schedule\.delta_gap\[0\]"),
+                (instance, '"eps": [0.2], "delta_gap": [NaN]', r"config\.delta_gap\[0\]"),
                 (nan_mean, '"eps": 0.2, "delta_gap": 0.1',
                  r"config\.instance\.groups\[0\]\.atoms\[0\]\[0\]"),
                 (inf_mass, '"eps": 0.2, "delta_gap": 0.1',
@@ -135,7 +132,8 @@ class TestConfigValidation:
 
     def test_unknown_fields_rejected(self):
         base = {"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1}
-        for key, value in (("trails", 3), ("c", 2.0), ("alpha", 0.3), ("noiseless", True)):
+        for key, value in (("trails", 3), ("c", 2.0), ("alpha", 0.3), ("noiseless", True),
+                           ("schedule", {"eps": [0.2], "delta_gap": [0.1]})):
             with pytest.raises(ValueError, match=rf"config\.{key}: unknown field"):
                 config_from_dict(dict(base, **{key: value}))
 
@@ -162,7 +160,17 @@ class TestConfigValidation:
                 ExperimentConfig(instance=inst, eps_schedule=eps, gap_schedule=gap)
         with pytest.raises(ValueError, match=r"config: schedule\[1\]"):
             config_from_dict({"instance": INSTANCE, "delta": 0.1,
-                              "schedule": {"eps": [0.2, 0.05], "delta_gap": [0.2, 0.1]}})
+                              "eps": [0.2, 0.05], "delta_gap": [0.2, 0.1]})
+        # a number beside a list is one epoch beside several
+        with pytest.raises(ValueError, match=r"config: eps and delta_gap schedules .*"
+                                             r"got 2 and 1 epochs"):
+            config_from_dict({"instance": INSTANCE, "eps": [0.2, 0.15], "delta_gap": 0.1})
+
+    def test_readme_configs_parse(self):
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+        assert len(blocks) == 2
+        cfgs = [config_from_dict(json.loads(block)) for block in blocks]
+        assert [len(cfg.eps_schedule) for cfg in cfgs] == [1, 2]
 
     def test_tolerances_validated_eagerly(self):
         with pytest.raises(ValueError):
@@ -185,11 +193,9 @@ class TestConfigValidation:
          r"config\.instance_file: no such file"),
         (lambda inst: config_from_dict({"instance_file": ".", "eps": 0.2, "delta_gap": 0.1}),
          r"config\.instance_file: no such file: \.$"),
-        (lambda inst: config_from_dict({"instance": INSTANCE, "schedule": [0.2, 0.1]}),
-         r"config\.schedule: expected an object"),
         (lambda inst: config_from_dict({"instance": INSTANCE, "schedule": {
-            "eps": [0.2], "delta_gap": [0.1], "delta": 0.05}}),
-         r"config\.schedule\.delta: unknown field"),
+            "eps": [0.2], "delta_gap": [0.1]}}),
+         r"config\.schedule: unknown field"),
     ])
     def test_rejects_invalid(self, build, message):
         inst = config_from_dict({"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.1}).instance
@@ -320,13 +326,21 @@ class TestArtifacts:
         cfg = small_config(tmp_path)
         cfg = config_from_dict({
             "instance": INSTANCE,
-            "schedule": {"eps": [0.2, 0.15], "delta_gap": [0.2, 0.1]},
+            "eps": [0.2, 0.15], "delta_gap": [0.2, 0.1],
             "delta": 0.1, "trials": 3, "seed": 7,
             "out_csv": str(tmp_path / "sched.csv"),
         })
+        assert (cfg.eps_schedule, cfg.gap_schedule) == ((0.2, 0.15), (0.2, 0.1))
         report = run_experiment(cfg)
         assert report.trials == 3
         assert report.success_rate == 1.0  # 0.4 median gap is easy
+
+    def test_one_value_lists_are_the_scalar_run(self, tmp_path):
+        rows = {}
+        for name, eps, gap in (("scalar", 0.2, 0.1), ("list", [0.2], [0.1]), ("mixed", [0.2], 0.1)):
+            run_experiment(small_config(tmp_path / name, eps=eps, delta_gap=gap))
+            rows[name] = (tmp_path / name / "trials.csv").read_bytes()
+        assert rows["list"] == rows["mixed"] == rows["scalar"]
 
     WORST_CASE = {"hard2-fine": 101981.77571763034, "three-group": 81458.10932456367,
                   "pwl-wide-pool": 343311.94089313556}
@@ -368,7 +382,7 @@ class TestArtifacts:
         twins = dict(INSTANCE, groups=[{"id": "a", "atoms": [[0.5, 1.0]]},
                                        {"id": "b", "atoms": [[0.5, 1.0]]}])
         cfg = config_from_dict({"instance": twins, "delta": 0.1, "trials": 3,
-                                "schedule": {"eps": [0.3, 0.15], "delta_gap": [0.3, 0.3]}})
+                                "eps": [0.3, 0.15], "delta_gap": [0.3, 0.3]})
         caps = [3.0 * eps * required_arm_count(eps, cfg.delta, 2) for eps in cfg.eps_schedule]
         assert math.floor(caps[0]) + 1 <= caps[1]
         epochs, oracles = [], grouped._epoch_oracles

@@ -504,6 +504,11 @@ class TestInstanceConfigFields:
          r"instance\.family\.sigma2: only a gaussian family takes sigma2, not 'noiseless'"),
         (_instance_dict(family={"kind": "gaussian", "sigma2": 1.5}),
          r"instance\.family\.sigma2: gaussian sigma2 must lie in \(0, 1\]"),
+        (_with_group(0, {"id": None, "atoms": [[0.5, 1.0]]}),
+         r"instance\.groups\[0\]\.id: expected a string, got None"),
+        (_with_group(1, {"id": 7, "atoms": [[0.5, 1.0]]}),
+         r"instance\.groups\[1\]\.id: expected a string, got 7"),
+        (_instance_dict(name=["x"]), r"instance\.name: expected a string, got \['x'\]"),
     ])
     def test_bad_field_named(self, data, field):
         with pytest.raises(ValueError, match=field):
