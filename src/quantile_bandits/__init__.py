@@ -25,10 +25,9 @@ from .hardness import (DriftReport, HardInstanceParams, conditional_good_prob,
                        expected_next_likelihood_ratio, likelihood_ratio,
                        make_worst_case_instances, success_scale, verify_drift)
 from .harness import (AggregateReport, ExperimentConfig, config_from_dict, config_from_file,
-                      mix_seed, run_experiment, run_trial)
+                      instance_from_dict, instance_to_dict, mix_seed, run_experiment, run_trial)
 from .instances import (BanditInstance, DiscreteReservoir, PiecewiseLinearReservoir, Reservoir,
-                        RewardEnv, RewardFamily, instance_from_dict, instance_to_dict,
-                        relaxed_success_set)
+                        RewardEnv, RewardFamily, relaxed_success_set)
 
 __version__ = "0.1.0"
 

@@ -13,11 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from .elimination import bound_pulls_finite, gap_profile
-from .grouped import (_sample_finite_groups, pull_bound_multistep, pull_bound_worst_case,
-                      required_arm_count)
-from .harness import ExperimentConfig, config_from_file, mix_seed, run_experiment
+from .grouped import pull_bound_multistep, pull_bound_worst_case, request_arms, required_arm_count
+from .harness import (ExperimentConfig, config_from_file, instance_to_dict, mix_seed,
+                      run_experiment)
 from .hardness import HardInstanceParams, make_worst_case_instances, success_scale, verify_drift
-from .instances import instance_to_dict
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -61,7 +60,7 @@ def _cmd_bound(args) -> int:
     num_groups = len(inst.groups)
     counts = [required_arm_count(eps, cfg.delta, num_groups) for eps in cfg.eps_schedule]
     rng = np.random.default_rng(mix_seed(cfg.seed, 0))
-    groups, _, means = _sample_finite_groups(inst, list(inst.group_ids), counts[0], rng)
+    groups, _, means = request_arms(inst, list(inst.group_ids), counts[0], rng)
     profile = gap_profile(groups, means, inst.alpha, cfg.gap_schedule[0])
     finite = bound_pulls_finite(profile, means.size, cfg.delta)
     total = pull_bound_multistep(inst, cfg.eps_schedule, cfg.gap_schedule, cfg.delta)
@@ -74,10 +73,15 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify_lb(args) -> int:
-    eps_values = _parse_floats(args.eps) if args.eps else [0.05, 0.1, 0.2]
-    gap_values = _parse_floats(args.delta_gap) if args.delta_gap else [0.05, 0.1, 0.2]
-    report = verify_drift(eps_values, gap_values,
-                          d_values=range(-args.d_range, args.d_range + 1))
+    """``verify_drift`` over the given grids; a grid not given keeps its default there."""
+    grids = {}
+    if args.eps is not None:
+        grids["eps_values"] = _parse_floats(args.eps)
+    if args.delta_gap is not None:
+        grids["gap_values"] = _parse_floats(args.delta_gap)
+    if args.d_range is not None:
+        grids["d_values"] = range(-args.d_range, args.d_range + 1)
+    report = verify_drift(**grids)
     print(report.format_table())
     return 0 if report.passed else 1
 
@@ -130,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--eps", default=None, help="comma list (default 0.05,0.1,0.2)")
     p_verify.add_argument("--delta-gap", default=None, dest="delta_gap",
                           help="comma list (default 0.05,0.1,0.2)")
-    p_verify.add_argument("--d-range", type=int, default=20, dest="d_range")
+    p_verify.add_argument("--d-range", type=int, default=None, dest="d_range")
     p_verify.set_defaults(func=_cmd_verify_lb)
 
     p_make = sub.add_parser("make-lb", help="emit the worst-case instance configs")

@@ -95,7 +95,6 @@ class ReservoirGapBounds:
     """
 
     bucket_count: int
-    boundaries: np.ndarray
     best_group_relaxed: str
     group_bound: dict[str, float]
     uniqueness_bound: float
@@ -129,7 +128,7 @@ def reservoir_gap_bounds(instance: BanditInstance, eps: float, gap: float) -> Re
         vals[level_steps + 2:] = res.quantile_many(bounds[level_steps + 1:m]) - high[gid]
         bucket_bounds[gid] = vals
         combined[gid] = np.maximum(gap, np.maximum(group_bound[gid], np.maximum(uniq, vals)))
-    return ReservoirGapBounds(m, bounds, relaxed_best, group_bound, uniq, bucket_bounds, combined)
+    return ReservoirGapBounds(m, relaxed_best, group_bound, uniq, bucket_bounds, combined)
 
 
 def pull_bound_worst_case(num_groups: int, eps: float, gap: float, delta: float) -> float:
@@ -157,8 +156,8 @@ class TrialResult:
     checks: RunChecks
 
 
-def _sample_finite_groups(instance: BanditInstance, group_ids: list[str], count: int,
-                          rng: np.random.Generator):
+def request_arms(instance: BanditInstance, group_ids: list[str], count: int,
+                 rng: np.random.Generator):
     """Request ``count`` fresh arms from each listed group.
 
     Group i holds arm ids i*count .. (i+1)*count - 1.  Returns the groups and
@@ -218,7 +217,7 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
 
     for eps, gap in zip(eps_schedule, gap_schedule):
         n_per = required_arm_count(eps, delta, num_groups)
-        groups, js, means = _sample_finite_groups(instance, surviving, n_per, rng)
+        groups, js, means = request_arms(instance, surviving, n_per, rng)
         sandwiched, bucket = _epoch_oracles(instance, groups, js, means, a, eps)
         event_a = event_a and sandwiched
         max_bucket = max(max_bucket, bucket)

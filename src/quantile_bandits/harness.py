@@ -1,4 +1,6 @@
-"""Reproducible Monte Carlo experiment runner.
+"""Reproducible Monte Carlo experiment runner, and the one reader and writer
+of the package's files: experiment configs, instance JSON (inline, in an
+``instance_file`` or written by ``make-lb``), ``trials.csv`` and ``summary.json``.
 
 Each trial draws its random stream from a child seed mixed deterministically
 out of (master seed, trial index) with a splitmix64 step, so results are
@@ -10,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -18,7 +21,8 @@ import numpy as np
 
 from .grouped import (TrialResult, check_schedule, pull_bound_multistep, pull_bound_worst_case,
                       run_multistep)
-from .instances import BanditInstance, _check_keys, _number, _numbers, instance_from_dict
+from .instances import (BanditInstance, DiscreteReservoir, PiecewiseLinearReservoir, Reservoir,
+                        RewardFamily)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -71,11 +75,121 @@ class ExperimentConfig:
         return self.gap_schedule[-1]
 
 
+def _check_keys(data, allowed: tuple[str, ...], path: str) -> None:
+    """Reject a non-object and, so no misspelling falls back to a default, unknown keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected an object")
+    for key in data:
+        if key not in allowed:
+            raise ValueError(f"{path}.{key}: unknown field")
+
+
+def _number(value, field: str, kind=float):
+    """``kind(value)`` of a finite JSON number; anything else (a string, a
+    boolean, null, a list, NaN or an infinity) or a non-integral number for an
+    integer field names its field."""
+    expected = "an integer" if kind is int else "a number"
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
+        raise ValueError(f"{field}: expected {expected}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{field}: expected a finite number, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(f"{field}: expected {expected}, got {value!r}") from None
+
+
+def _string(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{field}: expected a string, got {value!r}")
+    return value
+
+
+def _numbers(values, field: str, size: int | None = None) -> tuple[float, ...]:
+    if not isinstance(values, list) or not values or len(values) != (size or len(values)):
+        what = f"{size} numbers" if size else "a nonempty list of numbers"
+        raise ValueError(f"{field}: expected {what}, got {values!r}")
+    return tuple(_number(v, f"{field}[{i}]") for i, v in enumerate(values))
+
+
+# make-lb writes the success_* tolerances beside the instance; loading ignores them
+_INSTANCE_KEYS = ("name", "alpha", "family", "groups", "success_eps", "success_delta_gap")
+
+
+def _reservoir_from_dict(g: dict, path: str) -> Reservoir:
+    """One group's reservoir, from exactly one of ``atoms`` and ``cdf``."""
+    if ("atoms" in g) == ("cdf" in g):
+        raise ValueError(f"{path}: needs exactly one of 'atoms' and 'cdf'")
+    if "atoms" in g:
+        atoms = g["atoms"]
+        if not isinstance(atoms, list) or not atoms:
+            raise ValueError(f"{path}.atoms: expected a nonempty list of [mean, mass] pairs")
+        cls = DiscreteReservoir
+        fields = zip(*(_numbers(pair, f"{path}.atoms[{k}]", 2) for k, pair in enumerate(atoms)))
+    else:
+        _check_keys(g["cdf"], ("x", "p"), f"{path}.cdf")
+        cls = PiecewiseLinearReservoir
+        fields = [_numbers(g["cdf"].get(key), f"{path}.cdf.{key}") for key in ("x", "p")]
+    try:
+        return cls(*fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def instance_from_dict(data: dict, path: str = "instance") -> BanditInstance:
+    """Build an instance from a plain-dict config; errors carry field paths.
+    Numbers read as config numbers do, and unknown keys are rejected."""
+    _check_keys(data, _INSTANCE_KEYS, path)
+    fam = data.get("family", {"kind": "bernoulli"})
+    _check_keys(fam, ("kind", "sigma2"), f"{path}.family")
+    kind = fam.get("kind")
+    sigma2 = _number(fam["sigma2"], f"{path}.family.sigma2") if "sigma2" in fam else None
+    try:
+        family = RewardFamily(kind, sigma2)
+    except ValueError as exc:  # with a known kind, sigma2 is at fault
+        field = f"{path}.family.sigma2" if kind in RewardFamily.KINDS else f"{path}.family"
+        raise ValueError(f"{field}: {exc}") from None
+    if "alpha" not in data:
+        raise ValueError(f"{path}.alpha: required")
+    alpha = _number(data["alpha"], f"{path}.alpha")
+    raw_groups = data.get("groups")
+    if not isinstance(raw_groups, list) or not raw_groups:
+        raise ValueError(f"{path}.groups: expected a nonempty list")
+    groups: list[tuple[str, Reservoir]] = []
+    for i, g in enumerate(raw_groups):
+        gpath = f"{path}.groups[{i}]"
+        _check_keys(g, ("id", "atoms", "cdf"), gpath)
+        if "id" not in g:
+            raise ValueError(f"{gpath}.id: required")
+        groups.append((_string(g["id"], f"{gpath}.id"), _reservoir_from_dict(g, gpath)))
+    name = _string(data.get("name", "instance"), f"{path}.name")
+    try:
+        return BanditInstance(tuple(groups), family, alpha, name)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def instance_to_dict(instance: BanditInstance) -> dict:
+    groups = []
+    for gid, res in instance.groups:
+        if isinstance(res, DiscreteReservoir):
+            groups.append({"id": gid, "atoms": [[m, w] for m, w in zip(res.means, res.masses)]})
+        elif isinstance(res, PiecewiseLinearReservoir):
+            groups.append({"id": gid, "cdf": {"x": list(res.xs), "p": list(res.ps)}})
+        else:
+            raise TypeError(f"cannot serialize reservoir type {type(res).__name__}")
+    fam: dict = {"kind": instance.family.kind}
+    if instance.family.kind == "gaussian":
+        fam["sigma2"] = instance.family.sigma2
+    return {"name": instance.name, "alpha": instance.alpha, "family": fam, "groups": groups}
+
+
 _CONFIG_KEYS = ("instance", "instance_file", "eps", "delta_gap", "delta", "trials", "seed",
                 "threads", "out_csv", "out_summary")
 
 
-def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "config") -> ExperimentConfig:
+def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     """Build a config from a plain dict; validation errors carry field paths.
 
     ``eps`` and ``delta_gap`` each take a number (one epoch) or a list (one
@@ -83,41 +197,41 @@ def config_from_dict(data: dict, base_dir: Path | None = None, path: str = "conf
     silently fall back to its default, and so is ``instance_file`` beside
     ``instance``, which would override it.
     """
-    _check_keys(data, _CONFIG_KEYS, path)
+    _check_keys(data, _CONFIG_KEYS, "config")
     if "instance_file" in data and not isinstance(data["instance_file"], str):
-        raise ValueError(f"{path}.instance_file: expected a path string, "
+        raise ValueError("config.instance_file: expected a path string, "
                          f"got {data['instance_file']!r}")
     if "instance" in data and "instance_file" in data:
-        raise ValueError(f"{path}.instance_file: not allowed beside {path}.instance")
+        raise ValueError("config.instance_file: not allowed beside config.instance")
     if "instance" in data:
-        inst = instance_from_dict(data["instance"], path=f"{path}.instance")
+        inst = instance_from_dict(data["instance"], path="config.instance")
     elif "instance_file" in data:
         ref = Path(data["instance_file"])
         if base_dir is not None and not ref.is_absolute():
             ref = base_dir / ref
         if not ref.is_file():
-            raise ValueError(f"{path}.instance_file: no such file: {ref}")
-        inst = instance_from_dict(json.loads(ref.read_text()), path=f"{path}.instance_file")
+            raise ValueError(f"config.instance_file: no such file: {ref}")
+        inst = instance_from_dict(json.loads(ref.read_text()), path="config.instance_file")
     else:
-        raise ValueError(f"{path}.instance: required (inline object or instance_file)")
+        raise ValueError("config.instance: required (inline object or instance_file)")
     for key in ("eps", "delta_gap"):
         if key not in data:
-            raise ValueError(f"{path}.{key}: required")
+            raise ValueError(f"config.{key}: required")
     eps_schedule, gap_schedule = (
-        _numbers(data[key], f"{path}.{key}") if isinstance(data[key], list)
-        else (_number(data[key], f"{path}.{key}"),) for key in ("eps", "delta_gap"))
+        _numbers(data[key], f"config.{key}") if isinstance(data[key], list)
+        else (_number(data[key], f"config.{key}"),) for key in ("eps", "delta_gap"))
     # only the given keys: each default lives on ExperimentConfig
-    fields = {key: _number(data[key], f"{path}.{key}", kind)
+    fields = {key: _number(data[key], f"config.{key}", kind)
               for key, kind in (("delta", float), ("trials", int), ("seed", int), ("threads", int))
               if key in data}
     for key in ("out_csv", "out_summary"):
         if data.get(key) is not None and not isinstance(data[key], str):
-            raise ValueError(f"{path}.{key}: expected a path string, got {data[key]!r}")
+            raise ValueError(f"config.{key}: expected a path string, got {data[key]!r}")
     fields.update((key, data[key]) for key in ("out_csv", "out_summary") if key in data)
     try:
         return ExperimentConfig(inst, eps_schedule, gap_schedule, **fields)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"config: {exc}") from None
 
 
 def config_from_file(path: str | Path) -> ExperimentConfig:
@@ -174,9 +288,14 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     depend on scheduling.
     """
     start = time.perf_counter()
-    # a bad output path fails before any trial runs, not after all of them
+    # a bad output path fails before any trial runs, not after all of them;
+    # an existing file keeps its bytes and a new one is not left behind
     for out in filter(None, (config.out_csv, config.out_summary)):
         Path(out).parent.mkdir(parents=True, exist_ok=True)
+        existed = os.path.lexists(out)
+        os.close(os.open(out, os.O_WRONLY | os.O_CREAT))
+        if not existed:
+            os.unlink(out)
     indices = list(range(config.trials))
     # under fork the pool starts all its workers at the first submit: no more than trials
     workers = min(config.threads, config.trials)

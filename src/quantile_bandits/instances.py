@@ -12,13 +12,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 MASS_TOL = 1e-12
-
-_FAMILIES = ("bernoulli", "gaussian", "noiseless")
 
 
 @dataclass(frozen=True)
@@ -31,12 +29,14 @@ class RewardFamily:
     reward is the mean itself.  Only a Gaussian family takes ``sigma2``.
     """
 
+    KINDS: ClassVar[tuple[str, ...]] = ("bernoulli", "gaussian", "noiseless")
+
     kind: str
     sigma2: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _FAMILIES:
-            raise ValueError(f"unknown reward family {self.kind!r}; expected one of {_FAMILIES}")
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown reward family {self.kind!r}; expected one of {self.KINDS}")
         if self.kind != "gaussian" and self.sigma2 is not None:
             raise ValueError(f"only a gaussian family takes sigma2, not {self.kind!r}")
         if self.kind == "gaussian" and self.sigma2 is None:
@@ -125,9 +125,6 @@ class DiscreteReservoir(Reservoir):
     def _inverse(self, levels: np.ndarray) -> np.ndarray:
         idx = np.minimum(np.searchsorted(self._cum, levels, side="left"), len(self._means_arr) - 1)
         return self._means_arr[idx]
-
-    def atoms(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.means, self.masses))
 
 
 @dataclass(frozen=True)
@@ -308,113 +305,3 @@ def quantile_band(spec: Reservoir, alpha: float, eps: float) -> tuple[float, flo
     if not 0.0 < eps < min(alpha, 1.0 - alpha):
         raise ValueError(f"eps must lie in (0, min(alpha, 1-alpha)), got {eps}")
     return spec.quantile(1.0 - alpha - eps), spec.quantile(1.0 - alpha + eps)
-
-
-def _check_keys(data, allowed: tuple[str, ...], path: str) -> None:
-    """Reject a non-object and, so no misspelling falls back to a default, unknown keys."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected an object")
-    for key in data:
-        if key not in allowed:
-            raise ValueError(f"{path}.{key}: unknown field")
-
-
-def _number(value, field: str, kind=float):
-    """``kind(value)`` of a finite JSON number; anything else (a string, a
-    boolean, null, a list, NaN or an infinity) or a non-integral number for an
-    integer field names its field."""
-    expected = "an integer" if kind is int else "a number"
-    if (not isinstance(value, (int, float)) or isinstance(value, bool)
-            or (kind is int and isinstance(value, float) and not value.is_integer())):
-        raise ValueError(f"{field}: expected {expected}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{field}: expected a finite number, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError:  # an integer too large for a float
-        raise ValueError(f"{field}: expected {expected}, got {value!r}") from None
-
-
-def _string(value, field: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{field}: expected a string, got {value!r}")
-    return value
-
-
-def _numbers(values, field: str, size: int | None = None) -> tuple[float, ...]:
-    if not isinstance(values, list) or not values or len(values) != (size or len(values)):
-        what = f"{size} numbers" if size else "a nonempty list of numbers"
-        raise ValueError(f"{field}: expected {what}, got {values!r}")
-    return tuple(_number(v, f"{field}[{i}]") for i, v in enumerate(values))
-
-
-# make-lb writes the success_* tolerances beside the instance; loading ignores them
-_INSTANCE_KEYS = ("name", "alpha", "family", "groups", "success_eps", "success_delta_gap")
-
-
-def _reservoir_from_dict(g: dict, path: str) -> Reservoir:
-    """One group's reservoir, from exactly one of ``atoms`` and ``cdf``."""
-    if ("atoms" in g) == ("cdf" in g):
-        raise ValueError(f"{path}: needs exactly one of 'atoms' and 'cdf'")
-    if "atoms" in g:
-        atoms = g["atoms"]
-        if not isinstance(atoms, list) or not atoms:
-            raise ValueError(f"{path}.atoms: expected a nonempty list of [mean, mass] pairs")
-        cls = DiscreteReservoir
-        fields = zip(*(_numbers(pair, f"{path}.atoms[{k}]", 2) for k, pair in enumerate(atoms)))
-    else:
-        _check_keys(g["cdf"], ("x", "p"), f"{path}.cdf")
-        cls = PiecewiseLinearReservoir
-        fields = [_numbers(g["cdf"].get(key), f"{path}.cdf.{key}") for key in ("x", "p")]
-    try:
-        return cls(*fields)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def instance_from_dict(data: dict, path: str = "instance") -> BanditInstance:
-    """Build an instance from a plain-dict config; errors carry field paths.
-    Numbers read as config numbers do, and unknown keys are rejected."""
-    _check_keys(data, _INSTANCE_KEYS, path)
-    fam = data.get("family", {"kind": "bernoulli"})
-    _check_keys(fam, ("kind", "sigma2"), f"{path}.family")
-    kind = fam.get("kind")
-    sigma2 = _number(fam["sigma2"], f"{path}.family.sigma2") if "sigma2" in fam else None
-    try:
-        family = RewardFamily(kind, sigma2)
-    except ValueError as exc:  # with a known kind, sigma2 is at fault
-        field = f"{path}.family.sigma2" if kind in _FAMILIES else f"{path}.family"
-        raise ValueError(f"{field}: {exc}") from None
-    if "alpha" not in data:
-        raise ValueError(f"{path}.alpha: required")
-    alpha = _number(data["alpha"], f"{path}.alpha")
-    raw_groups = data.get("groups")
-    if not isinstance(raw_groups, list) or not raw_groups:
-        raise ValueError(f"{path}.groups: expected a nonempty list")
-    groups: list[tuple[str, Reservoir]] = []
-    for i, g in enumerate(raw_groups):
-        gpath = f"{path}.groups[{i}]"
-        _check_keys(g, ("id", "atoms", "cdf"), gpath)
-        if "id" not in g:
-            raise ValueError(f"{gpath}.id: required")
-        groups.append((_string(g["id"], f"{gpath}.id"), _reservoir_from_dict(g, gpath)))
-    name = _string(data.get("name", "instance"), f"{path}.name")
-    try:
-        return BanditInstance(tuple(groups), family, alpha, name)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def instance_to_dict(instance: BanditInstance) -> dict:
-    groups = []
-    for gid, res in instance.groups:
-        if isinstance(res, DiscreteReservoir):
-            groups.append({"id": gid, "atoms": [[m, w] for m, w in res.atoms()]})
-        elif isinstance(res, PiecewiseLinearReservoir):
-            groups.append({"id": gid, "cdf": {"x": list(res.xs), "p": list(res.ps)}})
-        else:
-            raise TypeError(f"cannot serialize reservoir type {type(res).__name__}")
-    fam: dict = {"kind": instance.family.kind}
-    if instance.family.kind == "gaussian":
-        fam["sigma2"] = instance.family.sigma2
-    return {"name": instance.name, "alpha": instance.alpha, "family": fam, "groups": groups}

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quantile_bandits import grouped, hardness, harness
+from quantile_bandits import cli, grouped, hardness, harness
 from quantile_bandits.cli import build_parser, main
 from quantile_bandits.elimination import bound_pulls_finite, gap_profile
 from quantile_bandits.harness import config_from_file
@@ -147,6 +147,38 @@ class TestRun:
         assert main(argv) == 2
         assert str(afile) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["trials.csv", "summary.json"])
+    def test_output_file_that_is_a_directory_exits_2_before_any_trial(
+            self, config_path, tmp_path, monkeypatch, capsys, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        calls, run_trial = [], harness.run_trial
+
+        def record(*args):
+            calls.append(args)
+            return run_trial(*args)
+
+        monkeypatch.setattr(harness, "run_trial", record)
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        assert str(out / name) in capsys.readouterr().err
+        assert calls == []
+        assert sorted(p.name for p in out.iterdir()) == [name]
+
+    def test_failed_run_keeps_earlier_outputs(self, config_path, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("trials.csv", "summary.json"):
+            (out / name).write_text("earlier\n")
+
+        def fail(*args):
+            raise ValueError("trial failed")
+
+        monkeypatch.setattr(harness, "run_trial", fail)
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        assert "trial failed" in capsys.readouterr().err
+        assert [(out / name).read_text() for name in ("trials.csv", "summary.json")] == \
+            ["earlier\n"] * 2
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_delta_gap_flag_exits_2(self, config_path, capsys, value):
         assert main(["run", "--config", str(config_path), "--delta-gap", value]) == 2
@@ -208,13 +240,13 @@ class TestBound:
         # bound rebuilds trial 0's first-epoch draw on its own; score the one
         # run_trial actually makes and compare
         cfg = config_from_file(SCHEDULE)
-        draws, sample = [], grouped._sample_finite_groups
+        draws, sample = [], grouped.request_arms
 
         def record(*args):
             draws.append(sample(*args))
             return draws[-1]
 
-        monkeypatch.setattr(grouped, "_sample_finite_groups", record)
+        monkeypatch.setattr(grouped, "request_arms", record)
         harness.run_trial(cfg, 0)
         groups, _, means = draws[0]
         profile = gap_profile(groups, means, cfg.instance.alpha, cfg.gap_schedule[0])
@@ -277,6 +309,18 @@ class TestVerifyLb:
     def test_single_point(self, capsys):
         code = main(["verify-lb", "--eps", "0.2", "--delta-gap", "0.2"])
         assert code == 0
+
+    def test_flags_not_given_keep_the_verifier_defaults(self, monkeypatch, capsys):
+        calls, verify = [], cli.verify_drift
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_drift", record)
+        assert main(["verify-lb"]) == 0
+        assert main(["verify-lb", "--d-range", "3"]) == 0
+        assert calls == [((), {}), ((), {"d_values": range(-3, 4)})]
 
     @pytest.mark.parametrize("args", [["--eps", ","], ["--delta-gap", ","], ["--d-range", "-1"]])
     def test_empty_grid_is_an_error(self, args, capsys):

@@ -1,5 +1,6 @@
 """Experiment harness: configs, determinism, CSV artifacts, aggregation."""
 
+import ast
 import concurrent.futures
 import csv
 import json
@@ -279,6 +280,17 @@ def test_importing_the_package_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a name that another module needs is public where it is defined
+    found = []
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{path.name}: .{node.module} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []
 
 
 class TestArtifacts:
