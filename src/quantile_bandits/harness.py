@@ -280,12 +280,47 @@ def _write_csv(path: str, results: list[TrialResult]) -> None:
                          for i, r in enumerate(results))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_share(run, config: ExperimentConfig, counter, results: dict) -> None:
+    """Run one trial at a time, each at the next index taken from the shared
+    ``counter``, until the counter passes ``config.trials``; ``results`` maps
+    each index this process ran to its result."""
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= config.trials:
+            return
+        results[index] = run(config, index)
+
+
+def _child(run, config: ExperimentConfig, counter, conn) -> None:
+    """A child process's share: it sends home its ``{index: TrialResult}``,
+    or the exception that stopped it."""
+    results: dict[int, TrialResult] = {}
+    try:
+        _run_share(run, config, counter, results)
+    except Exception as exc:
+        with counter.get_lock():  # no process takes another trial
+            counter.value = max(counter.value, config.trials)
+        conn.send(exc)
+    else:
+        conn.send(results)
+
+
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
     """Run all trials (optionally across processes), write CSV and summary.
 
-    Results come back in trial-index order whatever the worker count:
-    ``pool.map`` yields them in submission order, so the artifacts do not
-    depend on scheduling.
+    ``threads`` counts the processes that run trials, this one included,
+    capped by the trial count and the usable CPUs.  Results come back in
+    trial-index order whatever the worker count, because each process records
+    its trials by index, so the artifacts do not depend on scheduling.
     """
     start = time.perf_counter()
     # a bad output path fails before any trial runs, not after all of them;
@@ -297,20 +332,47 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         if not existed:
             os.unlink(out)
     indices = list(range(config.trials))
-    # under fork the pool starts all its workers at the first submit: no more than trials
-    workers = min(config.threads, config.trials)
+    workers = min(config.threads, config.trials, _usable_cpus())
     if workers > 1:
         # imported here: a one-process run, and importing the package, skip
-        # loading the process pool's modules
-        from concurrent.futures import ProcessPoolExecutor
+        # loading multiprocessing
+        import multiprocessing
 
-        # about 32 chunks a worker: the pool hands chunks out as workers free
-        # up, so the last one's run is all that one worker can idle behind
-        # another; at 4 a worker that idle was a fifth of a run's wall and
-        # changed from one run to the next
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, [config] * len(indices), indices,
-                                    chunksize=max(1, len(indices) // (32 * workers))))
+        # run_trial as read now, so a stand-in set on the module runs in every process
+        run = run_trial
+        counter = multiprocessing.Value("q", 0)
+        children = []
+        by_index: dict[int, TrialResult] = {}
+        try:
+            for _ in range(workers - 1):
+                reader, writer = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.Process(target=_child,
+                                                args=(run, config, counter, writer))
+                child.start()
+                # closed before the next child starts, so that no other
+                # process holds it and the reader sees EOF if this child dies
+                writer.close()
+                children.append((child, reader))
+            _run_share(run, config, counter, by_index)
+            for child, reader in children:
+                try:
+                    sent = reader.recv()
+                except EOFError:
+                    child.join()
+                    raise ChildProcessError(
+                        f"trial process {child.pid} exited with code {child.exitcode} "
+                        "before sending its results") from None
+                if isinstance(sent, BaseException):
+                    raise sent
+                by_index.update(sent)
+                child.join()
+        finally:
+            for child, reader in children:
+                if child.is_alive():
+                    child.terminate()
+                child.join()
+                reader.close()
+        results = [by_index[i] for i in indices]
     else:
         results = [run_trial(config, i) for i in indices]
 

@@ -1,14 +1,17 @@
 """Experiment harness: configs, determinism, CSV artifacts, aggregation."""
 
 import ast
-import concurrent.futures
 import csv
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +27,7 @@ from quantile_bandits import (
     run_experiment,
     run_trial,
 )
-from quantile_bandits import grouped, harness
+from quantile_bandits import cli, grouped, harness
 from quantile_bandits.grouped import required_arm_count
 from quantile_bandits.harness import CSV_COLUMNS
 
@@ -235,51 +238,196 @@ class TestDeterminism:
         assert direct.chosen_group == again.chosen_group
 
 
-class _RecordingPool:
-    """In-process stand-in for ProcessPoolExecutor that records its size."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
+_RUN_TRIAL = harness.run_trial
+CONTRACT = Path(__file__).resolve().parent / "contract"
 
 
+class _RecordingTrial:
+    """Stand-in for ``run_trial`` that records the running pid, the index and
+    the live thread count of each trial in ``out_dir``, then waits until
+    ``processes`` processes have each run one, so that every process gets a
+    trial however the scheduler orders them.  Every wait ends at a deadline,
+    so a missing process fails an assertion instead of hanging.
+
+    ``fault`` ("raise in caller", "raise in child" or "kill in child") makes
+    the first trial of one process fail once every process has its trial."""
+
+    def __init__(self, out_dir: Path, processes: int, fault: str | None = None):
+        self.out_dir = out_dir
+        self.processes = processes
+        self.fault = fault
+        self.caller = os.getpid()
+        self.deadline = time.monotonic() + 5.0
+        out_dir.mkdir(parents=True)
+
+    def _wait(self, done) -> None:
+        while not done() and time.monotonic() < self.deadline:
+            time.sleep(0.002)
+
+    def __call__(self, config, index):
+        # one empty file a trial: its name is all there is to read, so it
+        # cannot be seen half written
+        (self.out_dir / f"{os.getpid()} {index} {threading.active_count()}").touch()
+        self._wait(lambda: len(self.runs()) >= self.processes)
+        if self.fault is None:
+            return _RUN_TRIAL(config, index)
+        action, where = self.fault.split(" in ")
+        if (where == "caller") == (os.getpid() == self.caller):
+            if action == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError(f"trial {index} failed in the {where}")
+        if self.fault == "raise in caller":
+            # the child's trial outlasts the test unless the caller stops it
+            self._wait(lambda: False)
+        elif self.fault == "raise in child":
+            # the child has moved the counter past the trials and exited
+            self._wait(lambda: not multiprocessing.active_children())
+        return _RUN_TRIAL(config, index)
+
+    def runs(self) -> dict[int, list[tuple[int, int]]]:
+        """``{pid: [(index, live threads), ...]}`` for every process that ran a trial."""
+        runs: dict[int, list[tuple[int, int]]] = {}
+        for path in self.out_dir.iterdir():
+            pid, index, threads = map(int, path.name.split())
+            runs.setdefault(pid, []).append((index, threads))
+        return runs
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs past 10 s instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its 10 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
 class TestPool:
-    @pytest.mark.parametrize("threads, trials, size", [(64, 2, 2), (2, 8, 2), (3, 3, 3)])
-    def test_never_more_workers_than_trials(self, tmp_path, monkeypatch, threads, trials, size):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(_RecordingPool, "sizes", [])
+    @pytest.mark.parametrize("threads, trials, processes", [(64, 2, 2), (2, 8, 2), (3, 3, 3)])
+    def test_never_more_workers_than_trials(self, tmp_path, monkeypatch, threads, trials,
+                                            processes):
+        # the calling process is one of the workers: threads T starts T - 1 children
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+        recorder = _RecordingTrial(tmp_path / "runs", processes)
+        monkeypatch.setattr(harness, "run_trial", recorder)
+        live = threading.active_count()
         run_experiment(small_config(tmp_path / "pool", threads=threads, trials=trials))
-        assert _RecordingPool.sizes == [size]
+        runs = recorder.runs()
+        assert sorted(i for rows in runs.values() for i, _ in rows) == list(range(trials))
+        assert os.getpid() in runs
+        assert len(set(runs) - {os.getpid()}) == processes - 1  # distinct child pids
+        # no thread in the caller, while its trials run or after
+        assert {n for _, n in runs[os.getpid()]} == {live} == {threading.active_count()}
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(harness, "run_trial", _RUN_TRIAL)
         run_experiment(small_config(tmp_path / "serial", trials=trials))
         assert ((tmp_path / "pool" / "trials.csv").read_bytes()
                 == (tmp_path / "serial" / "trials.csv").read_bytes())
 
     def test_one_trial_runs_in_process(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+        recorder = _RecordingTrial(tmp_path / "runs", 1)
+        monkeypatch.setattr(harness, "run_trial", recorder)
         run_experiment(small_config(tmp_path, threads=64, trials=1))
-        assert _RecordingPool.sizes == []
+        assert recorder.runs() == {os.getpid(): [(0, threading.active_count())]}
+
+    def test_never_more_workers_than_usable_cpus(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        recorder = _RecordingTrial(tmp_path / "runs", 2)
+        monkeypatch.setattr(harness, "run_trial", recorder)
+        run_experiment(small_config(tmp_path, threads=64, trials=64))
+        runs = recorder.runs()
+        assert sorted(i for rows in runs.values() for i, _ in rows) == list(range(64))
+        assert os.getpid() in runs and len(set(runs) - {os.getpid()}) == 1
 
 
-def test_importing_the_package_loads_no_process_pool():
-    # the pool's modules load only when a run starts more than one worker
+@pytest.mark.usefixtures("deadline")
+class TestWorkerFailures:
+    # a failed child stops every process taking trials, and a failed caller
+    # stops the child mid-trial: 2 trials run; a dead child stops nobody
+    @pytest.mark.parametrize("fault, error, message, trials_run", [
+        ("raise in caller", ValueError, r"^trial \d+ failed in the caller$", 2),
+        ("raise in child", ValueError, r"^trial \d+ failed in the child$", 2),
+        ("kill in child", ChildProcessError,
+         r"^trial process \d+ exited with code -9 before sending its results$", 8),
+    ])
+    def test_run_raises_and_leaves_no_process(self, tmp_path, monkeypatch, fault, error,
+                                              message, trials_run):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+        recorder = _RecordingTrial(tmp_path / "runs", 2, fault)
+        monkeypatch.setattr(harness, "run_trial", recorder)
+        with pytest.raises(error, match=message):
+            run_experiment(small_config(tmp_path, threads=2, trials=8))
+        assert not (tmp_path / "trials.csv").exists()
+        assert multiprocessing.active_children() == []
+        assert sum(map(len, recorder.runs().values())) == trials_run
+
+    def test_cli_exits_2_when_a_child_dies(self, tmp_path, monkeypatch, capsys):
+        # ChildProcessError is an OSError, which cli.main reports as an error
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(harness, "run_trial",
+                            _RecordingTrial(tmp_path / "runs", 2, "kill in child"))
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"instance": INSTANCE, "eps": 0.2, "delta_gap": 0.2,
+                                    "delta": 0.1, "trials": 8, "seed": 1234}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out), "--threads", "2"]) == 2
+        assert re.fullmatch(r"error: trial process \d+ exited with code -9 "
+                            r"before sending its results\n", capsys.readouterr().err)
+        assert not (out / "trials.csv").exists()
+        assert multiprocessing.active_children() == []
+
+
+def _run_in_subprocess(code: str) -> str:
     env = dict(os.environ)
     src = str(Path(harness.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, quantile_bandits; print('concurrent.futures.process' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_children_write_the_same_bytes_under_every_start_method(tmp_path, method):
+    # the children receive run_trial and the config pickled, not inherited by fork
+    config = CONTRACT / "gaussian-pwl-schedule.json"
+    code = f"""
+import multiprocessing
+from dataclasses import replace
+from quantile_bandits import harness
+multiprocessing.set_start_method({method!r})
+harness._usable_cpus = lambda: 2
+config = harness.config_from_file({str(config)!r})
+for threads in (1, 2):
+    harness.run_experiment(replace(config, threads=threads, out_summary=None,
+                                   out_csv={str(tmp_path)!r} + f"/{{threads}}.csv"))
+print(len(multiprocessing.active_children()))
+"""
+    assert _run_in_subprocess(code).strip() == "0"
+    committed = (CONTRACT / "gaussian-pwl-schedule.trials.csv").read_bytes()
+    for threads in (1, 2):
+        assert (tmp_path / f"{threads}.csv").read_bytes() == committed
+
+
+def test_importing_the_package_loads_no_process_pool(tmp_path):
+    # the process modules load only when a run starts more than one worker
+    code = f"""
+import sys
+import quantile_bandits
+from quantile_bandits import harness
+names = ("multiprocessing", "concurrent.futures")
+print(*(name in sys.modules for name in names))
+harness.run_experiment(harness.config_from_dict({{
+    "instance": {INSTANCE!r}, "eps": 0.2, "delta_gap": 0.2, "delta": 0.1,
+    "trials": 2, "threads": 1, "out_csv": {str(tmp_path / "trials.csv")!r}}}))
+print(*(name in sys.modules for name in names))
+"""
+    assert _run_in_subprocess(code).split() == ["False"] * 4
 
 
 def test_no_module_imports_a_private_name_of_a_sibling():
