@@ -42,10 +42,12 @@ quantile among the live bounds at a rank shifted by the frozen bounds below
 them, and sorts frozen and live bounds together only when a frozen bound
 lies among the live ones (:func:`_live_rank`).  Between set changes the run
 carries the running sums and writes the ledger only at a set change or the
-stop.  Most blocks change nothing, and a screen proves that from their first
-and last rows of sums alone, when the sums are int32, no true means were
-given, no candidate group has a frozen arm, and 2*U stays above the slack
-through the block (:func:`_quiet_block`).
+stop.  Most blocks change nothing, and a screen proves that from their last
+row of sums alone, sorted once per group, when the sums are int32, no true
+means were given, no candidate group has a frozen arm, and 2*U stays above
+the slack through the block (:func:`_quiet_block`).  Its first row adds 0 or
+1 to the carried sums, so each group's kth and least carried sum, which the
+run keeps beside the sums, stand in for that row's from below.
 """
 
 from __future__ import annotations
@@ -282,11 +284,22 @@ _INT32_ROUNDS = 2**31
 _ROUNDING = 1e-12
 
 
-def _quiet_block(block: np.ndarray, carried: np.ndarray, width: np.ndarray, t: int,
-                 groups: list, slack: float):
-    """Certify from a block's first and last rows of running sums that none
-    of its rounds drops an arm, drops a candidate or meets the stop; return
-    (last row, spread of the last round) if so, else None.
+def _sum_floors(sums: np.ndarray, groups: list) -> list[tuple[int, int]]:
+    """Each group's kth and least value in a row of running sums, as ints:
+    one sort of the group's columns."""
+    floors = []
+    for kq, cols, _ in groups:
+        live = np.sort(sums[cols])
+        floors.append((int(live[kq]), int(live[0])))
+    return floors
+
+
+def _quiet_block(block: np.ndarray, carried: np.ndarray, floors: list, width: np.ndarray,
+                 t: int, groups: list, slack: float):
+    """Certify from a block's last row of running sums and floors under its
+    first row that none of its rounds drops an arm, drops a candidate or
+    meets the stop; return (last row, spread of the last round, the last
+    row's floors) if so, else None.
 
     ``block`` holds the (k, m) int32 0/1 rewards of rounds t..t+k-1, whose
     running sums start from ``carried``, and ``width`` their widths; no group
@@ -296,14 +309,17 @@ def _quiet_block(block: np.ndarray, carried: np.ndarray, width: np.ndarray, t: i
     decrease, so every order statistic of a middle row lies between its
     values in rows 0 and k-1, and each difference an event needs, top - kth
     and kth - bottom within a group and one group's kth minus another's, is
-    at most its row k-1 term minus its row 0 term.  Round i has no event
-    while each is at most 2 * n_i * w_i and 2 * w_i exceeds the slack.
-    n * U(n) rises with n, and U(n) falls or first rises and then falls, so
-    row 0 has the least n_i * w_i and row 0 or k-1 the least w_i.  Both
-    tests give up a rounding allowance, so they hold for the float
-    expressions the per-row path evaluates.  The spread is (x + w) - (x - w)
-    with x the largest kth over n, the per-row path's own expression at the
-    last round.
+    at most its row k-1 term minus its row 0 term.  ``floors`` holds per
+    group a (kth, least) at most row 0's: ``carried``'s own, since row 0
+    adds 0 or 1 to each sum, so only row k-1 is sorted, and its (kth, least)
+    are the next block's floors.  Round i has no event while each
+    difference, with floors for the row 0 terms, is at most 2 * n_i * w_i
+    and 2 * w_i exceeds the slack.  n * U(n) rises with n, and U(n) falls or
+    first rises and then falls, so row 0 has the least n_i * w_i and row 0
+    or k-1 the least w_i.  Both tests give up a rounding allowance, so they
+    hold for the float expressions the per-row path evaluates.  The spread
+    is (x + w) - (x - w) with x the largest kth over n, the per-row path's
+    own expression at the last round.
     """
     k = block.shape[0]
     n = t + k - 1
@@ -311,20 +327,20 @@ def _quiet_block(block: np.ndarray, carried: np.ndarray, width: np.ndarray, t: i
     if 2.0 * (min(w0, float(w)) * (1.0 - _ROUNDING) - _ROUNDING) <= slack:
         return None
     room = t * w0 * (1.0 - _ROUNDING) - n * _ROUNDING
-    ends = np.empty((2, carried.size), dtype=carried.dtype)
-    np.add(carried, block[0], out=ends[0])
-    np.add.reduce(block, axis=0, out=ends[1])
-    ends[1] += carried
+    last = np.add.reduce(block, axis=0, out=np.empty_like(carried))
+    last += carried
     lowest, highest, worst = math.inf, -math.inf, 0
-    for kq, cols, _ in groups:
-        live = np.sort(ends[:, cols], axis=1)
-        low, high = int(live[0, kq]), int(live[1, kq])
-        worst = max(worst, int(live[1, -1]) - low, high - int(live[0, 0]))
-        lowest, highest = min(lowest, low), max(highest, high)
+    last_floors = []
+    for (kq, cols, _), (kth, least) in zip(groups, floors):
+        live = np.sort(last[cols])
+        high = int(live[kq])
+        worst = max(worst, int(live[-1]) - kth, high - least)
+        lowest, highest = min(lowest, kth), max(highest, high)
+        last_floors.append((high, int(live[0])))
     if max(worst, highest - lowest) > 2.0 * room:
         return None
     x = highest / n
-    return ends[1], float((x + w) - (x - w))
+    return last, float((x + w) - (x - w)), last_floors
 
 
 def _live_rank(kq: int, frozen: tuple, extremes: tuple, live: int) -> int | None:
@@ -448,6 +464,7 @@ class EliminationRun:
         st = self.state
         led = self.ledger
         self._sums = led.sums[st.active].astype(self._dtype, copy=False)
+        self._floors = None  # the screen's floors under the next row 0, when it needs them
         self._pending = 0
         is_active = np.zeros(led.pulls.size, dtype=bool)
         is_active[st.active] = True
@@ -510,9 +527,12 @@ class EliminationRun:
         rewards are 0/1 and no sum decreases; no true means were given, so no
         coverage check is due; no candidate group has a frozen arm (the plan
         records both); and 2*w stays above the slack by a rounding allowance
-        through its last round.  :func:`_quiet_block` then sorts only rows 0
-        and K-1 of each group and certifies, in O(groups) scalar tests, that
-        no round drops an arm, drops a candidate or meets the stop.  A
+        through its last round.  :func:`_quiet_block` then sorts only row K-1
+        of each group and, with each group's kth and least carried sum as
+        floors under row 0's, certifies in O(groups) scalar tests that no
+        round drops an arm, drops a candidate or meets the stop.  The floors
+        come from the last certified block's sorted row K-1, or from one
+        sort of the carried sums after a plan or a per-row block.  A
         certified block carries row K-1 as the sums, takes the per-row
         path's spread of its last round, bit for bit, and doubles K.  The
         spread check is not evaluated on it: with no frozen arm the spread is
@@ -532,9 +552,12 @@ class EliminationRun:
         # every active arm has been pulled t-1 times: lockstep
         width = led.width_at(range(t, t + k))
         if self._screen:
-            quiet = _quiet_block(sums, self._sums, width, t, self._groups, self.slack)
+            if self._floors is None:
+                self._floors = _sum_floors(self._sums, self._groups)
+            quiet = _quiet_block(sums, self._sums, self._floors, width, t, self._groups,
+                                 self.slack)
             if quiet is not None:
-                self._sums, spread = quiet
+                self._sums, spread, self._floors = quiet
                 self._pending += k
                 self._block = min(2 * self._block, self._max_block)
                 self.state = EliminationState(t + k, st.candidates, st.quantile_arms, active,
@@ -590,6 +613,7 @@ class EliminationRun:
         candidates, quantile_arms = st.candidates, st.quantile_arms
         if not event[r]:
             self._sums = sums[r]
+            self._floors = None
             self._pending += r + 1
         else:
             # the set filter, _plan() and the caller read the ledger: commit

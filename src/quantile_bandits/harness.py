@@ -287,14 +287,26 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_share(run, config: ExperimentConfig, counter, results: dict) -> None:
+def _run_share(run, config: ExperimentConfig, counter, results: dict, children=()) -> None:
     """Run one trial at a time, each at the next index taken from the shared
     ``counter``, until the counter passes ``config.trials``; ``results`` maps
-    each index this process ran to its result."""
+    each index this process ran to its result.  A process that dies inside
+    the counter's lock never releases it, so the caller, given its
+    ``children``, waits for the lock a second at a time and raises
+    ``ChildProcessError`` once a wait ends with a child gone."""
+    lock = counter.get_lock()
     while True:
-        with counter.get_lock():
+        while not lock.acquire(timeout=1.0):
+            for child in children:
+                if child.exitcode is not None:
+                    raise ChildProcessError(
+                        f"trial process {child.pid} exited with code {child.exitcode} "
+                        "and left the trial counter locked")
+        try:
             index = counter.value
             counter.value = index + 1
+        finally:
+            lock.release()
         if index >= config.trials:
             return
         results[index] = run(config, index)
@@ -353,7 +365,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
                 # process holds it and the reader sees EOF if this child dies
                 writer.close()
                 children.append((child, reader))
-            _run_share(run, config, counter, by_index)
+            _run_share(run, config, counter, by_index, [child for child, _ in children])
             for child, reader in children:
                 try:
                     sent = reader.recv()

@@ -210,7 +210,8 @@ class RewardEnv:
     row), and :meth:`keep` cuts the last pull back to its first rewards; the
     true means are kept private so elimination code cannot peek at them.
     The family alone picks the draw, one variate per reward: a uniform for
-    Bernoulli, a standard normal for Gaussian, none for noiseless.
+    Bernoulli, a standard normal for Gaussian, none for noiseless.  The
+    generator must be PCG64, whose jump-ahead rewinds a Bernoulli pull.
     """
 
     def __init__(self, means: np.ndarray, family: RewardFamily, rng: np.random.Generator) -> None:
@@ -219,12 +220,18 @@ class RewardEnv:
             raise ValueError("means must be a nonempty 1-D array")
         if not np.all((means >= 0.0) & (means <= 1.0)):  # NaN fails too
             raise ValueError("arm means must lie in [0, 1]")
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise ValueError(f"rewards need a PCG64 generator, not "
+                             f"{type(rng.bit_generator).__name__}")
         self._means = means
         self._family = family
         self._rng = rng
         self._sigma = math.sqrt(family.sigma2) if family.kind == "gaussian" else 0.0
         self._draw = {"bernoulli": rng.random, "gaussian": rng.standard_normal}.get(family.kind)
-        self._start = None  # the generator state the last pull started from
+        # what the last pull drew: a Bernoulli pull's count of uniforms, one
+        # PCG64 word each; a Gaussian pull's starting generator state
+        self._drawn = self._start = None
+        self._row = None  # (base array, means of its one row) of the last repeated-row index
 
     @property
     def num_arms(self) -> int:
@@ -241,6 +248,19 @@ class RewardEnv:
         float64 for Gaussian and noiseless ones."""
         return np.dtype(np.int32 if self._family.kind == "bernoulli" else np.float64)
 
+    def _row_means(self, arms: np.ndarray) -> np.ndarray:
+        """The means of a repeated-row index's one row.  An index that
+        broadcasts the whole of a 1-D base array, as a block's index does the
+        plan's active arms, reads them once while consecutive pulls broadcast
+        that base; the base must not be written while it is pulled."""
+        base, row = arms.base, self._row
+        if not (isinstance(base, np.ndarray) and base.ndim == 1 and arms.ndim == 2
+                and arms.shape[1] == base.size and arms.strides[1] == base.strides[0]):
+            return self._means[arms[0]]
+        if row is None or row[0] is not base:
+            row = self._row = (base, self._means[arms[0]])
+        return row[1]
+
     def pull(self, arm_indices: np.ndarray) -> np.ndarray:
         """Pull each listed arm once and return the rewards in C order, as
         :attr:`reward_dtype`, in the index's shape; the generator advances
@@ -251,16 +271,21 @@ class RewardEnv:
 
         An index whose first axis has stride 0, such as
         ``np.broadcast_to(active, (k, m))``, repeats one row, so only that
-        row's means are read and broadcast over the draw."""
+        row's means are read and broadcast over the draw; pulls that
+        broadcast the whole of one base array read its means once.  A
+        Bernoulli pull records only how many uniforms it drew, and a
+        Gaussian one the generator state it started from, for :meth:`keep`."""
         arms = np.asarray(arm_indices)
         shape = arms.shape
-        mu = self._means[arms[0] if arms.ndim > 1 and arms.strides[0] == 0 else arms]
+        mu = (self._row_means(arms) if arms.ndim > 1 and arms.strides[0] == 0
+              else self._means[arms])
         if self._draw is None:
             return np.broadcast_to(mu, shape).copy()
+        if self._family.kind == "bernoulli":
+            self._drawn = arms.size
+            return np.less(self._draw(shape), mu, out=np.empty(shape, np.int32))
         self._start = self._rng.bit_generator.state
         draws = self._draw(shape)
-        if self._family.kind == "bernoulli":
-            return np.less(draws, mu, out=np.empty(shape, np.int32))
         draws *= self._sigma
         draws += mu
         return draws
@@ -268,9 +293,24 @@ class RewardEnv:
     def keep(self, count: int) -> None:
         """Keep the first ``count`` rewards of the last :meth:`pull`, in C
         order: the generator is left where a pull of ``count`` arms from
-        the same start would leave it."""
-        if self._draw is not None:
-            self._rng.bit_generator.state = self._start
+        the same start would leave it.  A Bernoulli pull took one PCG64
+        word per uniform, so the generator steps back by the words it drops
+        (``advance`` counts modulo 2**128, PCG64's period) and gets back the
+        buffered 32-bit half that ``advance`` clears and uniforms never
+        touch.  A Gaussian pull's ziggurat takes a varying number of words
+        per normal, so it restores the start and draws ``count`` again."""
+        if self._draw is None:
+            return
+        bits = self._rng.bit_generator
+        if self._family.kind == "bernoulli":
+            half = bits.state
+            bits.advance(count - self._drawn)
+            if half["has_uint32"]:
+                moved = bits.state
+                moved["has_uint32"], moved["uinteger"] = half["has_uint32"], half["uinteger"]
+                bits.state = moved
+        else:
+            bits.state = self._start
             self._draw(count)
 
 

@@ -577,6 +577,11 @@ def per_row_events(sums, width, t, groups, slack):
     return event, spread
 
 
+def kth_and_least(row, groups):
+    """Each group's kth and least value in a row of sums, by a full sort."""
+    return [(int(np.sort(row[cols])[kq]), int(row[cols].min())) for kq, cols, _ in groups]
+
+
 @settings(max_examples=600, deadline=None)
 @given(sizes=st.lists(st.integers(1, 6), min_size=2, max_size=3),
        kqs=st.lists(st.integers(0, 5), min_size=3, max_size=3),
@@ -607,7 +612,10 @@ def test_screen_passes_no_block_with_an_event(sizes, kqs, t, k, delta, near, rea
     # in which any round has an event, and it leaves the block as it found
     # it.  A run with one candidate has stopped, so a block has two or more
     # groups; at delta 0.49 the width first rises with t, then falls.  Each
-    # example is a block that a weakened certificate once passed in error
+    # example is a block that a weakened certificate once passed in error.
+    # The floors under row 0 are the carried sums' exact kth and least, as a
+    # run carries them, and then those lowered by a drawn amount, which any
+    # floors at most row 0's must be as safe as
     m = sum(sizes)
     width = confidence_width(np.arange(t, t + k), delta)
     rng = np.random.default_rng(seed)
@@ -624,14 +632,19 @@ def test_screen_passes_no_block_with_an_event(sizes, kqs, t, k, delta, near, rea
     sums = np.cumsum(block, axis=0) + carried
     event, spread = per_row_events(sums, width, t, groups, slack)
 
+    exact = kth_and_least(carried, groups)
+    lowered = [(kth - int(rng.integers(0, 3)), least - int(rng.integers(0, 3)))
+               for kth, least in exact]
     drawn = block.copy()
-    quiet = elimination._quiet_block(block, carried, width, t, groups, slack)
-    assert np.array_equal(block, drawn)
-    if quiet is not None:
-        assert not event.any()
-        last, last_spread = quiet
-        assert last.dtype == np.int32 and np.array_equal(last, sums[-1])
-        assert bits(last_spread) == bits(spread[-1])
+    for floors in (exact, lowered):
+        quiet = elimination._quiet_block(block, carried, floors, width, t, groups, slack)
+        assert np.array_equal(block, drawn)
+        if quiet is not None:
+            assert not event.any()
+            last, last_spread, last_floors = quiet
+            assert last.dtype == np.int32 and np.array_equal(last, sums[-1])
+            assert bits(last_spread) == bits(spread[-1])
+            assert last_floors == kth_and_least(sums[-1], groups)
 
 
 def test_hard_instance_blocks_are_screened():
@@ -661,6 +674,36 @@ def test_hard_instance_blocks_are_screened():
         else:
             assert not verdicts
         assert got.checks.bounds_valid is (True if oracle == "true" else None)
+
+
+def test_screened_blocks_carry_their_sums_floors():
+    # at every block the screen sees, the floors a run passes are its carried
+    # sums' exact kth and least per group, whether they come from one sort
+    # after a plan or a per-row block or from the last certified block's
+    # sorted last row.  The hard instance's shape, with the test above's
+    # budget, and two groups of 150 arms spread over [0, 1], whose wide
+    # blocks are screened while no arm has left
+    spread = np.linspace(0.0, 1.0, 150)
+    cases = [(np.array([0.5] * 6 + [0.45] * 3 + [0.55] * 3), 0.2, 12 * 40),
+             (np.concatenate([spread, spread[::-1]]), 0.25, 8 * 300)]
+    for means, slack, budget in cases:
+        half = means.size // 2
+        groups = [FiniteGroup("a", range(half)), FiniteGroup("b", range(half, means.size))]
+        verdicts = []
+
+        def screen(block, carried, floors, width, t, groups, slack,
+                   certify=elimination._quiet_block):
+            assert floors == kth_and_least(carried, groups)
+            quiet = certify(block, carried, floors, width, t, groups, slack)
+            verdicts.append(quiet is not None)
+            return quiet
+
+        with mock.patch.object(elimination, "_quiet_block", screen), \
+                mock.patch.object(elimination, "BLOCK_ELEMENTS", budget):
+            assert_same_run({"groups": groups, "means": means, "family": "bernoulli",
+                             "alpha": 0.5, "slack": slack, "oracle": "none", "seed": 2})
+        # floors followed both a certified block and a refused one
+        assert {True, False} <= set(verdicts[:-1])
 
 
 class ScreenRun(EliminationRun):

@@ -3,10 +3,11 @@
 For a fixed seed, ``trials.csv`` and ``summary.json`` (without
 ``wall_clock_s``) are the behavioural contract.  Each benchmark workload
 ``bench/workloads/<w>.json`` is pinned by ``bench/reference/<w>.csv`` and
-``tests/contract/<w>.summary.json``; ``tests/contract/<name>.json`` pins three
-more configs: Gaussian and noiseless rewards on the three-group instance, and
-a two-epoch Gaussian schedule on piecewise-linear reservoirs run on two
-workers.  A change that moves these files must regenerate them on purpose,
+``tests/contract/<w>.summary.json``; ``tests/contract/<name>.json`` pins four
+more configs: Gaussian and noiseless rewards on the three-group instance, a
+two-epoch Gaussian schedule on piecewise-linear reservoirs run on two
+workers, and a two-epoch Bernoulli schedule on two equal groups, whose first
+epochs end in tie-breaks, run on one worker and on two.  A change that moves these files must regenerate them on purpose,
 with ``quantile-bandits run --config <config> --out <dir>``.
 
 Those bytes also rest on numpy's generator streams: ``numpy-stream.txt``
@@ -55,15 +56,16 @@ def test_a_moved_stream_names_numpy(tmp_path):
 
 
 def test_contract_configs_are_found():
-    assert len(CONFIGS) == 3
+    assert len(CONFIGS) == 4
     assert [p.stem for p in WORKLOADS] == ["hard2-fine", "pwl-wide-pool", "three-group"]
 
 
-def assert_run_reproduces(config, csv_ref, summary_ref, out):
-    """``run`` on ``config`` writes ``csv_ref``'s bytes and ``summary_ref``'s
-    summary, without ``wall_clock_s``."""
+def assert_run_reproduces(config, csv_ref, summary_ref, out, *options):
+    """``run`` on ``config``, given the command-line ``options``, writes
+    ``csv_ref``'s bytes and ``summary_ref``'s summary, without
+    ``wall_clock_s``."""
     check_numpy_streams()  # a moved stream is numpy's doing: say so before the bytes differ
-    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(config), "--out", str(out), *options]) == 0
     assert (out / "trials.csv").read_bytes() == csv_ref.read_bytes()
     summary = json.loads((out / "summary.json").read_text())
     del summary["wall_clock_s"]
@@ -74,6 +76,17 @@ def assert_run_reproduces(config, csv_ref, summary_ref, out):
 def test_run_reproduces_reference(config, tmp_path, capsys):
     assert_run_reproduces(config, CONTRACT / f"{config.stem}.trials.csv",
                           CONTRACT / f"{config.stem}.summary.json", tmp_path)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_tie_breaks_before_rewinds_reproduce_at_any_thread_count(threads, tmp_path, capsys):
+    # a first epoch's tie-break leaves the generator a buffered 32-bit half,
+    # which the next epoch's cut blocks rewind around; the final tie-break
+    # draws it, so a rewind that dropped it would move the chosen groups
+    config = CONTRACT / "bernoulli-schedule.json"
+    assert_run_reproduces(config, CONTRACT / "bernoulli-schedule.trials.csv",
+                          CONTRACT / "bernoulli-schedule.summary.json", tmp_path,
+                          "--threads", threads)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS, ids=[p.stem for p in WORKLOADS])

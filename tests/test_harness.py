@@ -293,6 +293,12 @@ class _RecordingTrial:
         return runs
 
 
+def _exit_holding_the_counter(run, config, counter, conn):
+    """A child's target that takes the trial counter's lock and exits inside it."""
+    counter.get_lock().acquire()
+    os._exit(3)
+
+
 @pytest.fixture
 def deadline():
     """Fail a test that runs past 10 s instead of stalling the suite."""
@@ -366,6 +372,27 @@ class TestWorkerFailures:
         assert not (tmp_path / "trials.csv").exists()
         assert multiprocessing.active_children() == []
         assert sum(map(len, recorder.runs().values())) == trials_run
+
+    def test_child_dying_inside_the_counter_lock_raises(self, tmp_path, monkeypatch):
+        # a child that exits while it holds the trial counter's lock never
+        # releases it; the caller's first trial waits for the child to be
+        # gone, and its next wait for the lock ends in ChildProcessError,
+        # not a hang past the deadline
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(harness, "_child", _exit_holding_the_counter)
+
+        def after_the_child(config, index):
+            end = time.monotonic() + 5.0
+            while multiprocessing.active_children() and time.monotonic() < end:
+                time.sleep(0.002)
+            return _RUN_TRIAL(config, index)
+
+        monkeypatch.setattr(harness, "run_trial", after_the_child)
+        with pytest.raises(ChildProcessError, match=r"^trial process \d+ exited with code 3 "
+                                                    r"and left the trial counter locked$"):
+            run_experiment(small_config(tmp_path, threads=2, trials=8))
+        assert not (tmp_path / "trials.csv").exists()
+        assert multiprocessing.active_children() == []
 
     def test_cli_exits_2_when_a_child_dies(self, tmp_path, monkeypatch, capsys):
         # ChildProcessError is an OSError, which cli.main reports as an error

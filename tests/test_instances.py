@@ -322,6 +322,73 @@ class TestSampleReward:
             fresh = np.random.default_rng(3).bit_generator.state
             assert (rng.bit_generator.state == fresh) == draws_nothing
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["bernoulli", "gaussian"]), st.integers(1, 9), st.integers(1, 20),
+           st.data(), st.integers(0, 2**32 - 1))
+    def test_keep_restores_the_whole_state_after_a_tie_break(self, kind, k, m, data, seed):
+        # a tie-break's integers(3) leaves PCG64 holding a buffered 32-bit
+        # half, which jump-ahead clears; after a cut pull the whole state,
+        # buffered half included, and the next integers draws must be those
+        # of a twin that pulled only the kept rewards
+        j = data.draw(st.integers(0, k))
+        family = RewardFamily(kind, 0.25 if kind == "gaussian" else None)
+        means = np.random.default_rng(seed).random(m)
+        block = np.broadcast_to(np.arange(m), (k, m))
+        cut, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (cut, twin):
+            rng.integers(3)
+        assert cut.bit_generator.state["has_uint32"] == 1
+        env = RewardEnv(means, family, cut)
+        env.pull(block)
+        env.keep(j * m)
+        if j:
+            RewardEnv(means, family, twin).pull(block[:j])
+        assert cut.bit_generator.state == twin.bit_generator.state
+        assert np.array_equal(cut.integers(1000, size=5), twin.integers(1000, size=5))
+
+    def test_bernoulli_pull_reads_no_generator_state(self):
+        # the rewind counts the uniforms a pull drew, so only keep, on a cut
+        # block, reads the generator's state
+        reads = []
+
+        class Watched(np.random.PCG64):
+            @property
+            def state(self):
+                reads.append("state")
+                return np.random.PCG64.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                np.random.PCG64.state.__set__(self, value)
+
+        rng = np.random.Generator(Watched(5))
+        env = RewardEnv(np.array([0.2, 0.7, 0.4]), RewardFamily("bernoulli"), rng)
+        block = np.broadcast_to(np.arange(3), (6, 3))
+        for k in (1, 6, 2):
+            env.pull(block[:k])
+        assert reads == []
+        env.keep(2)
+        assert reads
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "gaussian", "noiseless"])
+    def test_generator_must_be_pcg64(self, kind):
+        family = RewardFamily(kind, 0.25 if kind == "gaussian" else None)
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(ValueError, match="PCG64 generator, not MT19937"):
+            RewardEnv(np.array([0.5]), family, rng)
+
+    @pytest.mark.parametrize("family", [RewardFamily("bernoulli"), RewardFamily("noiseless")])
+    def test_broadcast_rows_of_other_bases_read_their_own_means(self, family):
+        # the mean row is gathered once per base array broadcast whole; a new
+        # base, or a broadcast of part of one, reads its own means
+        means = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+        first, second = np.array([0, 3, 5]), np.array([1, 2, 4])
+        env = RewardEnv(means, family, np.random.default_rng(0))
+        for active in (first, second, first, second[1:], second[:2], second):
+            for k in (1, 4):
+                rewards = env.pull(np.broadcast_to(active, (k, active.size)))
+                assert np.array_equal(rewards, np.broadcast_to(means[active], rewards.shape))
+
     def test_mean_out_of_range(self):
         # NaN fails both comparisons with the range's ends, so it is tested too
         for bad in (1.2, -0.1, math.nan):
