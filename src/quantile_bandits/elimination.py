@@ -52,6 +52,7 @@ run keeps beside the sums, stand in for that row's from below.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -140,9 +141,9 @@ class ArmLedger:
             self._widths = width_table(top, self.delta_per_arm)
         return self._widths[index]
 
-    def record_pulls(self, arm_ids: np.ndarray, sums: np.ndarray, count: int) -> None:
-        """Record ``count`` more pulls of each listed arm, whose reward sums
-        are now ``sums``, and refresh their bounds."""
+    def record_pulls(self, arm_ids: np.ndarray | slice, sums: np.ndarray, count: int) -> None:
+        """Record ``count`` more pulls of each listed arm (an index array or
+        a slice), whose reward sums are now ``sums``, and refresh their bounds."""
         self.pulls[arm_ids] += count
         self.sums[arm_ids] = sums
         pulls = self.pulls[arm_ids]
@@ -383,11 +384,45 @@ def _running_sums(block: np.ndarray, carried: np.ndarray) -> None:
             np.cumsum(block[:, -1], out=block[:, -1])
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """What a run derives from its groups and alpha alone: each group's
+    column slice and kth index, keyed by id in group order, and each group's
+    starting pool and the starting active arms 0..n-1, both read-only."""
+
+    columns: dict
+    kq: dict
+    pools: tuple
+    active: np.ndarray
+
+
+@functools.lru_cache
+def _layout(groups: tuple[FiniteGroup, ...], alpha: float) -> _Layout:
+    """The run's :class:`_Layout`, built once per (groups, alpha), so every
+    trial of a config shares it; rejects ids that repeat and groups that do
+    not tile 0..n-1 in order."""
+    columns = {g.group_id: g.columns for g in groups}
+    if len(columns) != len(groups):
+        raise ValueError("group ids must be distinct")
+    n = 0
+    for g in groups:
+        if g.arm_ids.start != n:
+            raise ValueError("groups must tile arm ids 0..n-1 in group order")
+        n = g.arm_ids.stop
+    pools = tuple(np.arange(g.arm_ids.start, g.arm_ids.stop) for g in groups)
+    active = np.arange(n, dtype=np.int64)
+    for a in (*pools, active):
+        a.flags.writeable = False
+    kq = {g.group_id: quantile_index(len(g.arm_ids), alpha) for g in groups}
+    return _Layout(columns, kq, pools, active)
+
+
 class EliminationRun:
     """Driver object holding a single elimination run's state and its
     :class:`RunChecks` record, ``checks``.  ``env``'s generator draws the
     rewards and breaks ties; the optional oracle data ``true_means`` turns
-    on the checks that need them.
+    on the checks that need them.  What depends only on the groups and
+    alpha is built once per config (:func:`_layout`).
     """
 
     def __init__(self, groups: list[FiniteGroup], alpha: float, slack: float, delta: float,
@@ -400,26 +435,19 @@ class EliminationRun:
             raise ValueError(f"quantile slack must be positive and finite, got {slack}")
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        self._columns = {g.group_id: g.columns for g in groups}
-        if len(self._columns) != len(groups):
-            raise ValueError("group ids must be distinct")
-        n = 0
-        for g in groups:
-            if g.arm_ids.start != n:
-                raise ValueError("groups must tile arm ids 0..n-1 in group order")
-            n = g.arm_ids.stop
+        lay = _layout(tuple(groups), alpha)
+        n = lay.active.size
         if env.num_arms != n:
             raise ValueError("environment arm count does not match the groups")
         self.slack = slack
         self.env = env
         self.ledger = ArmLedger(n, delta / n)
-        self._kq = {g.group_id: quantile_index(len(g.arm_ids), alpha) for g in groups}
+        self._columns, self._kq = lay.columns, lay.kq
         self.state = EliminationState(
             round_index=1,
-            candidates=tuple(g.group_id for g in groups),
-            quantile_arms={g.group_id: np.arange(g.arm_ids.start, g.arm_ids.stop)
-                           for g in groups},
-            active=np.arange(n, dtype=np.int64),
+            candidates=tuple(lay.columns),
+            quantile_arms=dict(zip(lay.columns, lay.pools)),
+            active=lay.active,
             spread=math.inf,
         )
         # widths vanish, so the loop provably stops; the cap is a loud guard
@@ -466,19 +494,22 @@ class EliminationRun:
         self._sums = led.sums[st.active].astype(self._dtype, copy=False)
         self._floors = None  # the screen's floors under the next row 0, when it needs them
         self._pending = 0
-        is_active = np.zeros(led.pulls.size, dtype=bool)
-        is_active[st.active] = True
         self._index = np.broadcast_to(st.active, (self._max_block, st.active.size))
         self._mu = None if self._true_means is None else self._true_means[st.active]
         self._groups = []
+        is_active = None  # a mask over all arms, built once a group has frozen arms
         col = 0
         for gid in st.candidates:
-            cols, stop = self._columns[gid], col + st.quantile_arms[gid].size
-            frozen = ~is_active[cols]
-            bounds = ((np.sort(led.lcb[cols][frozen]), np.sort(led.ucb[cols][frozen]))
-                      if frozen.any() else None)
-            self._groups.append((self._kq[gid], slice(col, stop), bounds))
-            col = stop
+            cols, live = self._columns[gid], st.quantile_arms[gid].size
+            bounds = None
+            if live < cols.stop - cols.start:  # the pool is a subset of the group
+                if is_active is None:
+                    is_active = np.zeros(led.pulls.size, dtype=bool)
+                    is_active[st.active] = True
+                frozen = ~is_active[cols]
+                bounds = (np.sort(led.lcb[cols][frozen]), np.sort(led.ucb[cols][frozen]))
+            self._groups.append((self._kq[gid], slice(col, col + live), bounds))
+            col += live
         self._screen = (self._dtype == np.int32 and self._mu is None
                         and all(g[2] is None for g in self._groups))
 
@@ -522,6 +553,9 @@ class EliminationRun:
         Row 0 starts from the running sums the run carries across blocks.  A
         block ending in a set change or the stop commits every round since the
         last commit to the ledger; any other keeps its last row as the sums.
+        After a set change the run goes on from, :meth:`_plan` builds the
+        next block's plan; a block that stops the run builds none, since no
+        block would read it.
 
         Before any of that, a block is screened when its sums are int32, so
         rewards are 0/1 and no sum decreases; no true means were given, so no
@@ -617,9 +651,11 @@ class EliminationRun:
             self._pending += r + 1
         else:
             # the set filter, _plan() and the caller read the ledger: commit
-            # every round since the last commit, so it holds round r's bounds
-            led.record_pulls(active, sums[r], self._pending + r + 1)
-            if (led.pulls[active] != t + r).any():
+            # every round since the last commit, so it holds round r's bounds.
+            # With every arm active, active is 0..n-1 and a slice writes it
+            arms = slice(None) if active.size == led.pulls.size else active
+            led.record_pulls(arms, sums[r], self._pending + r + 1)
+            if (led.pulls[arms] != t + r).any():
                 self.checks.equal_pull_ok = False
             # quantile_arms is keyed in candidate order, and the groups tile
             # the ids in that order, so the pools concatenate in id order
@@ -645,7 +681,7 @@ class EliminationRun:
                        else max(1, self._max_block // 4, self._block // 2))
         self.state = EliminationState(t + r + 1, candidates, quantile_arms, active,
                                       float(spread[r]))
-        if event[r]:
+        if event[r] and not self.should_stop():
             self._plan()
         return self.state
 
@@ -653,7 +689,9 @@ class EliminationRun:
         """Final recommendation: argmax of the pessimistic group quantiles,
         ties broken by a draw from the reward environment's generator."""
         st = self.state
-        if st.round_index == 1 and len(st.candidates) != 1:
+        if len(st.candidates) == 1:  # a lone candidate ties with no one
+            return st.candidates[0]
+        if st.round_index == 1:
             raise RuntimeError("no rounds ran yet there are multiple candidates")
         scores = {gid: self._group_quantiles(self.ledger.lcb, gid) for gid in st.candidates}
         best = max(scores.values())

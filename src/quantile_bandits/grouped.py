@@ -15,12 +15,13 @@ evaluators built from them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import FiniteGroup, RunChecks, gap_bound_sum, multiset_quantile, run_elimination
+from .elimination import FiniteGroup, RunChecks, gap_bound_sum, quantile_index, run_elimination
 from .instances import BanditInstance, Reservoir, RewardEnv, quantile_band, relaxed_success_set
 
 _INT_TOL = 1e-9
@@ -55,12 +56,21 @@ def required_arm_count(eps: float, delta: float, num_groups: int) -> int:
 
 def quantile_sandwiched(spec: Reservoir, sampled_means, alpha: float, eps: float) -> bool:
     """Whether the sample (1-alpha)-quantile lies inside the reservoir's
-    quantile band at levels (1 - alpha -/+ eps)."""
-    q = multiset_quantile(sampled_means, alpha)
+    quantile band [low, high] at levels (1 - alpha -/+ eps).
+
+    The sample's kth smallest value, k = ``quantile_index(n, alpha)``, is at
+    least ``low`` when at most k values lie below ``low``, and at most
+    ``high`` when more than k values lie at or below ``high``, so two counts
+    decide it without a sort.  An empty sample raises ValueError."""
+    values = np.asarray(sampled_means, dtype=float).ravel()
+    if values.size == 0:
+        raise ValueError("multiset quantile of an empty collection")
+    kq = quantile_index(values.size, alpha)
     low, high = quantile_band(spec, alpha, eps)
-    return low <= q <= high
+    return bool(np.count_nonzero(values < low) <= kq < np.count_nonzero(values <= high))
 
 
+@functools.lru_cache
 def _bucket_geometry(eps: float, alpha: float) -> tuple[int, np.ndarray, int]:
     """Bucket count m, boundaries b_1..b_m, and the quantile-level index
     floor((1 - alpha) / eps) shared by the bucket count and the gap bounds.
@@ -69,12 +79,14 @@ def _bucket_geometry(eps: float, alpha: float) -> tuple[int, np.ndarray, int]:
     buckets 1..m-1 are [b_i, b_{i+1}) and bucket m is [b_m, 1].  Every
     bucket is at most eps wide and the level 1 - alpha sits on a boundary,
     so an arm's bucket pins its position relative to the group quantile up
-    to eps.  Callers check eps first.
+    to eps.  Callers check eps first.  Computed once per (eps, alpha), so
+    every epoch at one tolerance shares the read-only boundaries.
     """
     level_steps = math.floor((1.0 - alpha) / eps + _INT_TOL)
     m = math.ceil(alpha / eps + level_steps - _INT_TOL)
-    b = (1.0 - alpha) - level_steps * eps + np.arange(m) * eps
-    return m, np.clip(b, 0.0, 1.0), level_steps
+    b = np.clip((1.0 - alpha) - level_steps * eps + np.arange(m) * eps, 0.0, 1.0)
+    b.flags.writeable = False
+    return m, b, level_steps
 
 
 def _bucket_of(bounds: np.ndarray, js) -> np.ndarray:
@@ -156,6 +168,13 @@ class TrialResult:
     checks: RunChecks
 
 
+@functools.lru_cache
+def _finite_groups(group_ids: tuple[str, ...], count: int) -> tuple[FiniteGroup, ...]:
+    """The groups :func:`request_arms` lays out, built once per (ids, count)."""
+    return tuple(FiniteGroup(gid, range(i * count, (i + 1) * count))
+                 for i, gid in enumerate(group_ids))
+
+
 def request_arms(instance: BanditInstance, group_ids: list[str], count: int,
                  rng: np.random.Generator):
     """Request ``count`` fresh arms from each listed group.
@@ -164,12 +183,22 @@ def request_arms(instance: BanditInstance, group_ids: list[str], count: int,
     the flat hidden indices (one draw per epoch) and true means, which each
     group reads through its ``columns``.
     """
-    groups = [FiniteGroup(gid, range(i * count, (i + 1) * count))
-              for i, gid in enumerate(group_ids)]
+    groups = list(_finite_groups(tuple(group_ids), count))
     js = rng.random(len(group_ids) * count)
     means = np.concatenate([instance.reservoir(g.group_id).quantile_many(js[g.columns])
                             for g in groups])
     return groups, js, means
+
+
+def _largest_bucket(bounds: np.ndarray, js: np.ndarray) -> int:
+    """The most hidden indices in ``js`` that share a bucket, the largest
+    count ``np.bincount(_bucket_of(bounds, js))`` holds.  With c_i the count
+    of indices below boundary i, read off one sort, bucket i holds
+    c_i - c_{i-1} of them (c_{-1} = 0 and c_m = all), ties between
+    boundaries included.  One sort and a search per boundary replace a
+    search per index, whose branches random indices mispredict."""
+    below = np.sort(js).searchsorted(bounds, side="left")
+    return max(int(below[0]), js.size - int(below[-1]), int(np.diff(below).max(initial=0)))
 
 
 def _epoch_oracles(instance: BanditInstance, groups, js, means, alpha: float, eps: float):
@@ -178,10 +207,8 @@ def _epoch_oracles(instance: BanditInstance, groups, js, means, alpha: float, ep
         quantile_sandwiched(instance.reservoir(g.group_id), means[g.columns], alpha, eps)
         for g in groups
     )
-    m, bounds, _ = _bucket_geometry(eps, alpha)
-    largest = max(int(np.bincount(_bucket_of(bounds, js[g.columns]), minlength=m + 1).max())
-                  for g in groups)
-    return sandwiched, largest
+    _, bounds, _ = _bucket_geometry(eps, alpha)
+    return sandwiched, max(_largest_bucket(bounds, js[g.columns]) for g in groups)
 
 
 def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: float,

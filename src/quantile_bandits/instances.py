@@ -69,9 +69,10 @@ class Reservoir:
 
 
 def _checked_levels(ps) -> np.ndarray:
+    # a NaN level makes the least and the largest NaN, which fail both tests
     levels = np.asarray(ps, dtype=float)
-    inside = (levels >= 0.0) & (levels <= 1.0)
-    if not np.all(inside):
+    if not (levels.min(initial=1.0) >= 0.0 and levels.max(initial=0.0) <= 1.0):
+        inside = (levels >= 0.0) & (levels <= 1.0)
         raise ValueError(f"quantile levels must lie in [0, 1], got {levels[~inside].flat[0]}")
     return levels
 
@@ -134,6 +135,12 @@ class PiecewiseLinearReservoir(Reservoir):
     ``xs`` are strictly increasing breakpoints in [0, 1]; ``ps`` are the CDF
     values at those breakpoints (nondecreasing, ending at 1).  Below ``xs[0]``
     the CDF is 0; an initial atom can be encoded by ``ps[0] > 0``.
+
+    The quantile function reads four segment tables built once here.  Entry
+    i > 0 is segment i's lower CDF value, CDF rise, lower breakpoint and
+    breakpoint rise; entry 0, the lower support edge or an initial atom, is
+    (-0.0, 1.0, xs[0], -0.0), so it adds -0.0 to ``xs[0]`` and returns it
+    bit for bit, a -0.0 edge included.
     """
 
     xs: tuple[float, ...]
@@ -156,6 +163,11 @@ class PiecewiseLinearReservoir(Reservoir):
         p[-1] = 1.0
         object.__setattr__(self, "_xs", x)
         object.__setattr__(self, "_ps", p)
+        tables = (np.concatenate(([-0.0], p[:-1])), np.concatenate(([1.0], np.diff(p))),
+                  np.concatenate((x[:1], x[:-1])), np.concatenate(([-0.0], np.diff(x))))
+        for name, table in zip(("_p_lo", "_dp", "_x_lo", "_dx"), tables):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     def cdf(self, tau: float) -> float:
         if tau < self._xs[0]:
@@ -165,12 +177,10 @@ class PiecewiseLinearReservoir(Reservoir):
     def _inverse(self, levels: np.ndarray) -> np.ndarray:
         # searchsorted(left) places each level p in ps[i-1] < p <= ps[i], so
         # every i > 0 interpolates on a rising stretch; i == 0 is the lower
-        # support edge or an initial atom (ps[-1] is exactly 1, so i < n)
+        # support edge or an initial atom (ps[-1] is exactly 1, so i < n).
+        # The level minus -0.0 is +0.0 for a -0.0 level, so entry 0 adds -0.0
         i = np.searchsorted(self._ps, levels, side="left")
-        lo = np.maximum(i - 1, 0)
-        rising = i > 0
-        frac = (levels - self._ps[lo]) / np.where(rising, self._ps[i] - self._ps[lo], 1.0)
-        return np.where(rising, self._xs[lo] + frac * (self._xs[i] - self._xs[lo]), self._xs[i])
+        return self._x_lo[i] + (levels - self._p_lo[i]) / self._dp[i] * self._dx[i]
 
 
 @dataclass(frozen=True)
@@ -218,7 +228,7 @@ class RewardEnv:
         means = np.asarray(means, dtype=float)
         if means.ndim != 1 or means.size == 0:
             raise ValueError("means must be a nonempty 1-D array")
-        if not np.all((means >= 0.0) & (means <= 1.0)):  # NaN fails too
+        if not (means.min() >= 0.0 and means.max() <= 1.0):  # a NaN is both
             raise ValueError("arm means must lie in [0, 1]")
         if not isinstance(rng.bit_generator, np.random.PCG64):
             raise ValueError(f"rewards need a PCG64 generator, not "
@@ -274,10 +284,12 @@ class RewardEnv:
         row's means are read and broadcast over the draw; pulls that
         broadcast the whole of one base array read its means once.  A
         Bernoulli pull records only how many uniforms it drew, and a
-        Gaussian one the generator state it started from, for :meth:`keep`."""
+        Gaussian one the generator state it started from, for :meth:`keep`.
+        An index with no elements draws nothing and returns an empty array
+        of its shape."""
         arms = np.asarray(arm_indices)
         shape = arms.shape
-        mu = (self._row_means(arms) if arms.ndim > 1 and arms.strides[0] == 0
+        mu = (self._row_means(arms) if arms.ndim > 1 and arms.strides[0] == 0 and arms.size
               else self._means[arms])
         if self._draw is None:
             return np.broadcast_to(mu, shape).copy()

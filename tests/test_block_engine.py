@@ -442,6 +442,60 @@ def test_cut_blocks_rewind_the_stream():
                          "slack": 0.1, "oracle": "reversed", "seed": 3})
 
 
+class PlanCountRun(EliminationRun):
+    """Counts ``_plan`` calls and the blocks that change a set without
+    stopping the run."""
+
+    def __init__(self, *args, **kwargs):
+        self.plans = self.changes = 0
+        super().__init__(*args, **kwargs)
+
+    def _plan(self):
+        self.plans += 1
+        super()._plan()
+
+    def step(self):
+        before = self.state
+        after = super().step()
+        changed = (before.candidates, before.active.size) != (after.candidates, after.active.size)
+        self.changes += changed and not self.should_stop()
+        return after
+
+
+@pytest.mark.parametrize("family", ["bernoulli", "noiseless"])
+def test_no_plan_after_the_stop(family):
+    # every block that changes a set or meets the stop ends the block, but
+    # only a set change the run goes on from needs a new plan: a run that
+    # stops on dropping the last rival group, and one that stops on the
+    # spread after group a's outer arms froze, each plan once more than
+    # they change a set and go on, and give the sequential loop's bits
+    far = (np.array([0.9, 0.8, 0.9, 0.8, 0.1, 0.2, 0.1, 0.2]),
+           [FiniteGroup("a", range(4)), FiniteGroup("b", range(4, 8))])
+    for (means, groups), stops_on in ((far, "set change"), (FROZEN_CASE, "spread")):
+        case = {"groups": groups, "means": means, "family": family, "alpha": 0.5,
+                "slack": 0.1, "oracle": "none", "seed": 5}
+        engine, _ = build(PlanCountRun, case)
+        res = engine.run()
+        assert engine.plans == 1 + engine.changes
+        assert (len(res.final_candidates) == 1) == (stops_on == "set change")
+        if stops_on == "spread":
+            assert engine.changes > 0
+        assert_same_run(case)
+
+
+def test_run_layout_is_shared_and_read_only():
+    # the starting pools and active arms are built once per (groups,
+    # alpha) and handed to every run, so no run may write them
+    means, groups = FROZEN_CASE
+    runs = [EliminationRun(groups, 0.5, 0.1, 0.1,
+                           RewardEnv(means, FAMILIES["bernoulli"], np.random.default_rng(s)))
+            for s in (1, 2)]
+    assert runs[0].state.active is runs[1].state.active
+    for arr in (runs[0].state.active, *runs[0].state.quantile_arms.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
 class BranchRun(EliminationRun):
     """Counts the blocks in which one candidate group has frozen arms and
     another has none, so both ways of finding a quantile run in one block.

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantile_bandits import (
     BanditInstance,
@@ -15,6 +17,7 @@ from quantile_bandits import (
     epochs_until_elimination,
     gap_profile,
     make_worst_case_instances,
+    multiset_quantile,
     pull_bound_multistep,
     pull_bound_worst_case,
     quantile_sandwiched,
@@ -23,7 +26,8 @@ from quantile_bandits import (
     reservoir_gap_bounds,
     run_multistep,
 )
-from quantile_bandits.grouped import _bucket_geometry, _bucket_of, _epoch_oracles
+from quantile_bandits.grouped import (_bucket_geometry, _bucket_of, _epoch_oracles,
+                                      _largest_bucket)
 from quantile_bandits.hardness import HardInstanceParams
 from quantile_bandits.instances import quantile_band
 
@@ -105,6 +109,41 @@ class TestQuantileSandwiched:
         assert hits / 1000 >= 0.95
 
 
+@st.composite
+def sandwich_cases(draw):
+    """A two-to-four-atom reservoir on a 0.05 grid, an alpha, an eps inside
+    (0, min(alpha, 1 - alpha)) and a sample drawn from the band's ends, the
+    floats either side of them and the atoms, so ties sit on both ends."""
+    grid = sorted(set(draw(st.lists(st.integers(0, 20), min_size=2, max_size=4))))
+    if len(grid) < 2:
+        grid = [0, 20]
+    weights = np.array(draw(st.lists(st.integers(1, 5), min_size=len(grid),
+                                     max_size=len(grid))), dtype=float)
+    spec = DiscreteReservoir(tuple(g / 20 for g in grid), tuple(weights / weights.sum()))
+    alpha = draw(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.7, 0.9]))
+    eps = min(alpha, 1.0 - alpha) * draw(st.sampled_from([0.1, 0.5, 0.9]))
+    low, high = quantile_band(spec, alpha, eps)
+    pool = [low, high, *np.nextafter([low, low, high, high], [-1.0, 2.0, -1.0, 2.0]),
+            *spec.means]
+    sample = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    return spec, sample, alpha, eps
+
+
+class TestSandwichByCounting:
+    @settings(max_examples=400, deadline=None)
+    @given(sandwich_cases())
+    def test_counts_decide_as_the_sorted_quantile_does(self, case):
+        spec, sample, alpha, eps = case
+        low, high = quantile_band(spec, alpha, eps)
+        expected = low <= multiset_quantile(sample, alpha) <= high
+        assert quantile_sandwiched(spec, sample, alpha, eps) is expected
+        assert quantile_sandwiched(spec, np.array(sample), alpha, eps) is expected
+
+    def test_empty_sample_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            quantile_sandwiched(DiscreteReservoir.point_mass(0.5), [], 0.5, 0.1)
+
+
 class TestBucketGeometry:
     def test_half_eighth_geometry(self):
         m, bounds, _ = _bucket_geometry(0.125, 0.5)
@@ -161,6 +200,25 @@ class TestBucketGeometry:
             assert m in (math.floor(1 / eps), math.ceil(1 / eps))
             assert m >= 3
             assert np.isclose(bounds, 1.0 - alpha).any()  # the level is a boundary
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([(0.125, 0.5), (0.15, 0.5), (0.1, 0.3), (0.13, 0.37), (0.07, 0.61)]),
+           st.data())
+    def test_largest_bucket_is_the_largest_bincount(self, geometry, data):
+        # indices on the boundaries, one ulp either side and anywhere else
+        eps, alpha = geometry
+        m, bounds, _ = _bucket_geometry(eps, alpha)
+        near = np.clip(np.concatenate((bounds, np.nextafter(bounds, -1.0),
+                                       np.nextafter(bounds, 2.0), [0.0, 1.0])), 0.0, 1.0)
+        js = np.array(data.draw(st.lists(st.sampled_from(near.tolist()) | st.floats(0.0, 1.0),
+                                         min_size=1, max_size=60)))
+        assert _largest_bucket(bounds, js) == np.bincount(_bucket_of(bounds, js)).max()
+
+    def test_geometry_is_built_once_and_read_only(self):
+        first = _bucket_geometry(0.05, 0.5)
+        assert _bucket_geometry(0.05, 0.5) is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[1][0] = 0.5
 
     def test_epoch_oracle_counts_the_largest_bucket(self):
         inst = make_instance([("a", DiscreteReservoir((0.2, 0.6), (0.5, 0.5))),

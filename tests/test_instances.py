@@ -139,6 +139,55 @@ class TestPiecewiseLinear:
                 spec.quantile_many(np.array([0.5, bad]))
 
 
+def interpolated_quantiles(xs, ps, levels):
+    """The piecewise-linear quantile as a formula of the breakpoints, each
+    gather taken per level: the reference the segment tables must match."""
+    xs, ps = np.asarray(xs, dtype=float), np.asarray(ps, dtype=float)
+    ps[-1] = 1.0
+    i = np.searchsorted(ps, levels, side="left")
+    lo = np.maximum(i - 1, 0)
+    rising = i > 0
+    frac = (levels - ps[lo]) / np.where(rising, ps[i] - ps[lo], 1.0)
+    return np.where(rising, xs[lo] + frac * (xs[i] - xs[lo]), xs[i])
+
+
+@st.composite
+def rough_piecewise_linear_cdfs(draw):
+    """Breakpoints anywhere in [0, 1], a lower edge of 0.0 or -0.0, CDF
+    steps with zeros (flat stretches) and a first step above zero (an
+    initial atom) or not."""
+    xs = sorted(set(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=7))))
+    edge = draw(st.sampled_from([None, 0.0, -0.0]))
+    if edge is not None:
+        xs = [edge] + [x for x in xs if x > 0.0]
+    if len(xs) < 2:
+        xs = [0.0, 1.0] if xs[0] == 1.0 else [xs[0], 1.0]
+    step = st.just(0.0) | st.floats(1e-6, 1.0)
+    steps = np.array(draw(st.lists(step, min_size=len(xs), max_size=len(xs))))
+    if steps[1:].sum() == 0.0:
+        steps[-1] = 1.0
+    ps = np.cumsum(steps) / steps.sum()
+    return tuple(xs), tuple(ps.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(rough_piecewise_linear_cdfs(), st.lists(st.floats(0.0, 1.0), max_size=5))
+def test_tabled_inverse_is_the_interpolation_formula(cdf, extra):
+    # levels at every breakpoint's CDF value and one ulp either side, both
+    # ends and both zeros: the tables must give the formula's bits, signs of
+    # zero included
+    xs, ps = cdf
+    spec = PiecewiseLinearReservoir(xs, ps)
+    grid = np.array(ps)
+    levels = np.clip(np.concatenate([grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0),
+                                     [0.0, -0.0, 1.0], extra]), -0.0, 1.0)
+    expected = interpolated_quantiles(xs, ps, levels)
+    got = spec.quantile_many(levels)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    scalars = np.array([spec.quantile(p) for p in levels])
+    assert np.array_equal(scalars.view(np.int64), expected.view(np.int64))
+
+
 @st.composite
 def discrete_reservoirs(draw):
     """Atoms on a 0.05 grid with masses in ninths, normalised (sums within ulps of 1)."""
@@ -369,6 +418,25 @@ class TestSampleReward:
         assert reads == []
         env.keep(2)
         assert reads
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "gaussian", "noiseless"])
+    def test_empty_repeated_row_index_draws_nothing(self, kind):
+        # a block cut to 0 rows repeats a row that is not there: nothing is
+        # drawn, as a fresh env's first pull or after a pull, and keep(0)
+        # after it does not rewind the pull before it
+        family = RewardFamily(kind, 0.25 if kind == "gaussian" else None)
+        means = np.array([0.2, 0.7, 0.4])
+        rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+        env, twin_env = RewardEnv(means, family, rng), RewardEnv(means, family, twin)
+        block = np.broadcast_to(np.arange(3), (4, 3))
+        for rows in (0, 2, 0):
+            rewards = env.pull(block[:rows])
+            assert rewards.shape == (rows, 3) and rewards.dtype == env.reward_dtype
+            if rows:
+                twin_env.pull(block[:rows])
+            assert rng.bit_generator.state == twin.bit_generator.state
+            env.keep(rows * 3)
+            assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("kind", ["bernoulli", "gaussian", "noiseless"])
     def test_generator_must_be_pcg64(self, kind):
