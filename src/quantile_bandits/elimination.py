@@ -302,11 +302,13 @@ def _quiet_block(block: np.ndarray, carried: np.ndarray, floors: list, width: np
     meets the stop; return (last row, spread of the last round, the last
     row's floors) if so, else None.
 
-    ``block`` holds the (k, m) int32 0/1 rewards of rounds t..t+k-1, whose
+    ``block`` holds the (k, m) bool rewards of rounds t..t+k-1, whose int32
     running sums start from ``carried``, and ``width`` their widths; no group
     in ``groups`` has a frozen arm, so its bands are kth/n -/+ w.  Row 0 of
     the sums is ``carried`` + ``block[0]`` and row k-1 is ``carried`` plus
-    the column sums, the integers cumsum's last row holds.  Sums never
+    the column sums, the integers cumsum's last row holds.  The column sums
+    count the block's bytes, in uint8 while k < 256 so that no count wraps
+    and in int32 beyond, and the carried sums widen them to int32.  Sums never
     decrease, so every order statistic of a middle row lies between its
     values in rows 0 and k-1, and each difference an event needs, top - kth
     and kth - bottom within a group and one group's kth minus another's, is
@@ -328,8 +330,9 @@ def _quiet_block(block: np.ndarray, carried: np.ndarray, floors: list, width: np
     if 2.0 * (min(w0, float(w)) * (1.0 - _ROUNDING) - _ROUNDING) <= slack:
         return None
     room = t * w0 * (1.0 - _ROUNDING) - n * _ROUNDING
-    last = np.add.reduce(block, axis=0, out=np.empty_like(carried))
-    last += carried
+    counts = np.add.reduce(block.view(np.uint8), axis=0,
+                           dtype=np.uint8 if k < 256 else np.int32)
+    last = np.add(counts, carried)
     lowest, highest, worst = math.inf, -math.inf, 0
     last_floors = []
     for (kq, cols, _), (kth, least) in zip(groups, floors):
@@ -453,10 +456,10 @@ class EliminationRun:
         # widths vanish, so the loop provably stops; the cap is a loud guard
         # against the astronomically unlikely fully-frozen stall
         self._round_cap = 100 * invert_width(slack / 4.0, delta / n) + 10_000
-        # the running sums take the rewards' dtype while int32 holds them,
-        # and are float64, as Gaussian sums are, beyond that
-        self._dtype = (env.reward_dtype if self._round_cap < _INT32_ROUNDS
-                       else np.dtype(np.float64))
+        # bool rewards sum as int32 while int32 holds the sums, and as
+        # float64, as Gaussian sums are, beyond that
+        self._dtype = np.dtype(np.int32 if env.reward_dtype == bool
+                               and self._round_cap < _INT32_ROUNDS else np.float64)
         # the round from which 2*U(t) < slack, where the spread meets the stop
         self._t_star = invert_width(slack / 2.0, delta / n)
         self._max_block = max(1, BLOCK_ELEMENTS // n)
@@ -529,26 +532,27 @@ class EliminationRun:
         :meth:`RewardEnv.pull` of the plan's broadcast index, cut to K rows,
         draws the (K, m) rewards against one row of the active arms' means,
         and the widths U(t..t+K-1) are one slice of the shared width table.
-        The rewards become the running sums in place, row i after round t+i
-        (:func:`_running_sums`), int32 for Bernoulli rewards below an int32
-        round cap and float64 otherwise.  Each candidate group sorts its
-        (K, live arms) slice of columns along rows once.  Active arms share
-        each round's pull count n and width w, and x / n, then float x - w
-        and x + w, keep the order of x, so the sorted columns give every
-        round's row max and min, divided by n into float64, and both quantile
-        bounds kth / n -/+ w of a group with no frozen arm.  A group with
-        frozen arms reads them the same way at live rank kq - s when
-        :func:`_live_rank`, given the block's extreme live bounds, bottom and
-        top over n -/+ w, finds no frozen bound among them and s below on
-        both sides.  Otherwise a frozen bound straddles the live ones, and
-        the group divides its sorted sums into means and sorts its bounds
-        beside the frozen ones, one side at a time.  Group c's bounds fill
-        row c of the (groups, K) bands, so the candidate and stop tests
-        reduce over axis 0; the row max and min tell whether a round drops
-        one of the group's arms.  A block whose last round changes nothing
-        keeps the sets and the per-group plan; one cut short calls
-        :meth:`RewardEnv.keep` with the rewards of the rounds it keeps, so
-        the stream stands where one pull per round leaves it.
+        The rewards, widened from bool to int32 for Bernoulli rewards below an
+        int32 round cap and to float64 otherwise (Gaussian and noiseless
+        rewards are float64 already, and are not copied), become the running
+        sums in place, row i after round t+i (:func:`_running_sums`).  Each
+        candidate group sorts its (K, live arms) slice of columns along rows
+        once.  Active arms share each round's pull count n and width w, and
+        x / n, then float x - w and x + w, keep the order of x, so the sorted
+        columns give every round's row max and min, divided by n into float64,
+        and both quantile bounds kth / n -/+ w of a group with no frozen arm.
+        A group with frozen arms reads them the same way at live rank kq - s
+        when :func:`_live_rank`, given the block's extreme live bounds, bottom
+        and top over n -/+ w, finds no frozen bound among them and s below on
+        both sides.  Otherwise a frozen bound straddles the live ones, and the
+        group divides its sorted sums into means and sorts its bounds beside
+        the frozen ones, one side at a time.  Group c's bounds fill row c of
+        the (groups, K) bands, so the candidate and stop tests reduce over
+        axis 0; the row max and min tell whether a round drops one of the
+        group's arms.  A block whose last round changes nothing keeps the sets
+        and the per-group plan; one cut short calls :meth:`RewardEnv.keep`
+        with the rewards of the rounds it keeps, so the stream stands where
+        one pull per round leaves it.
 
         Row 0 starts from the running sums the run carries across blocks.  A
         block ending in a set change or the stop commits every round since the
@@ -558,20 +562,21 @@ class EliminationRun:
         block would read it.
 
         Before any of that, a block is screened when its sums are int32, so
-        rewards are 0/1 and no sum decreases; no true means were given, so no
-        coverage check is due; no candidate group has a frozen arm (the plan
-        records both); and 2*w stays above the slack by a rounding allowance
-        through its last round.  :func:`_quiet_block` then sorts only row K-1
-        of each group and, with each group's kth and least carried sum as
-        floors under row 0's, certifies in O(groups) scalar tests that no
-        round drops an arm, drops a candidate or meets the stop.  The floors
-        come from the last certified block's sorted row K-1, or from one
-        sort of the carried sums after a plan or a per-row block.  A
-        certified block carries row K-1 as the sums, takes the per-row
-        path's spread of its last round, bit for bit, and doubles K.  The
-        spread check is not evaluated on it: with no frozen arm the spread is
-        (x + w) - (x - w), a few ulps from 2*w, far inside the check's 1e-9.
-        A block the screen refuses runs the path above unchanged.
+        rewards are bools and no sum decreases; no true means were given, so
+        no coverage check is due; no candidate group has a frozen arm (the
+        plan records both); and 2*w stays above the slack by a rounding
+        allowance through its last round.  :func:`_quiet_block` then counts
+        the bool block's bytes per column, sorts only row K-1 of each group
+        and, with each group's kth and least carried sum as floors under row
+        0's, certifies in O(groups) scalar tests that no round drops an arm,
+        drops a candidate or meets the stop; only a refused block is widened
+        to int32.  The floors come from the last certified block's sorted row
+        K-1, or from one sort of the carried sums after a plan or a per-row
+        block.  A certified block carries row K-1 as the sums, takes the
+        per-row path's spread of its last round, bit for bit, and doubles K.
+        The spread check is not evaluated on it: with no frozen arm the spread
+        is (x + w) - (x - w), a few ulps from 2*w, far inside the check's
+        1e-9.  A block the screen refuses runs the path above unchanged.
         """
         if self.should_stop():
             raise RuntimeError("step() called after the stopping condition was met")
@@ -582,13 +587,13 @@ class EliminationRun:
         k = max(1, min(self._block, self._t_star - t + 1))
 
         # one draw for all k rounds; a block cut short keeps its rounds' rewards
-        sums = self.env.pull(self._index[:k]).astype(self._dtype, copy=False)
+        rewards = self.env.pull(self._index[:k])
         # every active arm has been pulled t-1 times: lockstep
         width = led.width_at(range(t, t + k))
         if self._screen:
             if self._floors is None:
                 self._floors = _sum_floors(self._sums, self._groups)
-            quiet = _quiet_block(sums, self._sums, self._floors, width, t, self._groups,
+            quiet = _quiet_block(rewards, self._sums, self._floors, width, t, self._groups,
                                  self.slack)
             if quiet is not None:
                 self._sums, spread, self._floors = quiet
@@ -597,6 +602,7 @@ class EliminationRun:
                 self.state = EliminationState(t + k, st.candidates, st.quantile_arms, active,
                                               spread)
                 return self.state
+        sums = rewards.astype(self._dtype, copy=False)
         _running_sums(sums, self._sums)
         rounds = np.arange(t, t + k, dtype=np.float64)  # sums / rounds: float64 means
 
@@ -668,6 +674,7 @@ class EliminationRun:
             # candidates never empty and spread[r] is the kept groups' spread
             candidates = tuple(quantile_arms)
             active = np.concatenate([quantile_arms[g] for g in candidates])
+            active.flags.writeable = False  # the next plan's pulls read its means once
             if active.size == 0:
                 raise RuntimeError(
                     "all potential quantile arms eliminated while candidates remain; "

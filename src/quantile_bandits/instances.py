@@ -220,8 +220,10 @@ class RewardEnv:
     row), and :meth:`keep` cuts the last pull back to its first rewards; the
     true means are kept private so elimination code cannot peek at them.
     The family alone picks the draw, one variate per reward: a uniform for
-    Bernoulli, a standard normal for Gaussian, none for noiseless.  The
-    generator must be PCG64, whose jump-ahead rewinds a Bernoulli pull.
+    Bernoulli, compared with the mean into a bool, a standard normal for
+    Gaussian, none for noiseless.  A block's repeated row of means is read
+    once per base array and tiled from its second pull on.  The generator
+    must be PCG64, whose jump-ahead rewinds a Bernoulli pull.
     """
 
     def __init__(self, means: np.ndarray, family: RewardFamily, rng: np.random.Generator) -> None:
@@ -241,7 +243,9 @@ class RewardEnv:
         # what the last pull drew: a Bernoulli pull's count of uniforms, one
         # PCG64 word each; a Gaussian pull's starting generator state
         self._drawn = self._start = None
-        self._row = None  # (base array, means of its one row) of the last repeated-row index
+        # (base array, means of its one row, a (rows, m) tile of them or None)
+        # of the last repeated-row index
+        self._row = None
 
     @property
     def num_arms(self) -> int:
@@ -254,39 +258,52 @@ class RewardEnv:
 
     @property
     def reward_dtype(self) -> np.dtype:
-        """The dtype :meth:`pull` returns: int32 for 0/1 Bernoulli rewards,
-        float64 for Gaussian and noiseless ones."""
-        return np.dtype(np.int32 if self._family.kind == "bernoulli" else np.float64)
+        """The dtype :meth:`pull` returns: bool for Bernoulli rewards, the
+        comparison's own result, and float64 for Gaussian and noiseless ones."""
+        return np.dtype(bool if self._family.kind == "bernoulli" else np.float64)
 
     def _row_means(self, arms: np.ndarray) -> np.ndarray:
-        """The means of a repeated-row index's one row.  An index that
-        broadcasts the whole of a 1-D base array, as a block's index does the
-        plan's active arms, reads them once while consecutive pulls broadcast
-        that base; the base must not be written while it is pulled."""
+        """The means of a repeated-row index's one row, as an array that
+        broadcasts to its shape.  An index that broadcasts the whole of a 1-D
+        base array, as a block's index does the plan's active arms, reads
+        them once while consecutive pulls broadcast that base: the first pull
+        gets the row itself, and each later one the first rows of a
+        C-contiguous (rows, m) tile of it, built at the size of the first
+        pull that needs more rows than the tile holds, so that the
+        comparison reads two contiguous arrays.  A base pulled once, as most
+        plans of a run with many set changes are, builds no tile.  The base
+        must not be written while it is pulled."""
         base, row = arms.base, self._row
         if not (isinstance(base, np.ndarray) and base.ndim == 1 and arms.ndim == 2
                 and arms.shape[1] == base.size and arms.strides[1] == base.strides[0]):
             return self._means[arms[0]]
         if row is None or row[0] is not base:
-            row = self._row = (base, self._means[arms[0]])
-        return row[1]
+            self._row = (base, self._means[arms[0]], None)
+            return self._row[1]
+        k, tile = arms.shape[0], row[2]
+        if tile is None or tile.shape[0] < k:
+            tile = np.empty(arms.shape)
+            tile[:] = row[1]
+            self._row = (base, row[1], tile)
+        return tile[:k]
 
     def pull(self, arm_indices: np.ndarray) -> np.ndarray:
         """Pull each listed arm once and return the rewards in C order, as
         :attr:`reward_dtype`, in the index's shape; the generator advances
         as one pull of the flattened index would.  A Bernoulli reward is
-        ``uniform < mean``, written as 0 or 1 straight into an int32 array;
-        a Gaussian one is ``z * sigma + mean`` in the normals' own array, the
-        bits of the generator's ``normal(mean, sigma)``.
+        ``uniform < mean``, the comparison's own bool array; a Gaussian one
+        is ``z * sigma + mean`` in the normals' own array, the bits of the
+        generator's ``normal(mean, sigma)``.
 
         An index whose first axis has stride 0, such as
         ``np.broadcast_to(active, (k, m))``, repeats one row, so only that
         row's means are read and broadcast over the draw; pulls that
-        broadcast the whole of one base array read its means once.  A
-        Bernoulli pull records only how many uniforms it drew, and a
-        Gaussian one the generator state it started from, for :meth:`keep`.
-        An index with no elements draws nothing and returns an empty array
-        of its shape."""
+        broadcast the whole of one base array read its means once, and from
+        the second such pull on they read a tiled copy of the row
+        (:meth:`_row_means`), elementwise the same means.  A Bernoulli pull
+        records only how many uniforms it drew, and a Gaussian one the
+        generator state it started from, for :meth:`keep`.  An index with no
+        elements draws nothing and returns an empty array of its shape."""
         arms = np.asarray(arm_indices)
         shape = arms.shape
         mu = (self._row_means(arms) if arms.ndim > 1 and arms.strides[0] == 0 and arms.size
@@ -295,7 +312,7 @@ class RewardEnv:
             return np.broadcast_to(mu, shape).copy()
         if self._family.kind == "bernoulli":
             self._drawn = arms.size
-            return np.less(self._draw(shape), mu, out=np.empty(shape, np.int32))
+            return np.less(self._draw(shape), mu)
         self._start = self._rng.bit_generator.state
         draws = self._draw(shape)
         draws *= self._sigma

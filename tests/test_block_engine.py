@@ -270,14 +270,14 @@ EDGE_MEANS = [m for x in (0.0, 0.5, 1.0)
        st.integers(1, 120), st.integers(0, 2**32 - 1))
 @example(EDGE_MEANS, 120, 0)
 def test_bernoulli_pull_is_the_float_comparison(means, count, seed):
-    # int32 0/1 rewards are the float comparison's rewards, and the draw
+    # bool rewards are the float comparison's rewards, and the draw
     # leaves the generator where the float comparison leaves its twin
     means = np.array(means)
     arms = np.random.default_rng(seed).integers(means.size, size=count)
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     env = RewardEnv(means, FAMILIES["bernoulli"], rng)
     rewards = env.pull(arms)
-    assert rewards.dtype == env.reward_dtype == np.int32
+    assert rewards.dtype == env.reward_dtype == bool
     assert np.array_equal(rewards, (twin.random(count) < means[arms]).astype(float))
     assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -496,6 +496,20 @@ def test_run_layout_is_shared_and_read_only():
             arr[0] = 1
 
 
+def test_active_arms_after_a_set_change_are_read_only():
+    # a plan's pulls read the active arms' means once per array, so the
+    # array a set change makes is as read-only as the starting one
+    means, groups = FROZEN_CASE
+    engine = EliminationRun(groups, 0.5, 0.1, 0.1,
+                            RewardEnv(means, FAMILIES["bernoulli"], np.random.default_rng(5)))
+    start = engine.state.active
+    while engine.state.active is start:
+        engine.step()
+    assert not engine.should_stop() and engine.state.active.size < start.size
+    with pytest.raises(ValueError, match="read-only"):
+        engine.state.active[0] = 1
+
+
 class BranchRun(EliminationRun):
     """Counts the blocks in which one candidate group has frozen arms and
     another has none, so both ways of finding a quantile run in one block.
@@ -659,7 +673,7 @@ def kth_and_least(row, groups):
          seed=0)
 def test_screen_passes_no_block_with_an_event(sizes, kqs, t, k, delta, near, reach, slack,
                                               seed):
-    # int32 blocks of near ties: each arm's sum is a common level, or that
+    # bool blocks of near ties: each arm's sum is a common level, or that
     # level -/+ ``reach`` times about 2 * t * w, so that top - kth, kth -
     # bottom and the gaps between groups' kths sit near the band width, and
     # slacks near 2w.  The certificate may refuse a quiet block, but never passes one
@@ -676,7 +690,7 @@ def test_screen_passes_no_block_with_an_event(sizes, kqs, t, k, delta, near, rea
     offset = rng.integers(-1, 1, m, endpoint=True) * reach * 2.0 * width[0] * t
     carried = np.clip(np.round(near * (t - 1) + offset * rng.uniform(0.95, 1.05, m)), 0, t - 1)
     chance = np.clip(near + rng.uniform(-1.0, 1.0, m), 0.0, 1.0)
-    block = (rng.random((k, m)) < chance).astype(np.int32)
+    block = rng.random((k, m)) < chance
     slack *= 2.0 * width.min()
     groups, start = [], 0
     for size, kq in zip(sizes, kqs):
@@ -699,6 +713,25 @@ def test_screen_passes_no_block_with_an_event(sizes, kqs, t, k, delta, near, rea
             assert last.dtype == np.int32 and np.array_equal(last, sums[-1])
             assert bits(last_spread) == bits(spread[-1])
             assert last_floors == kth_and_least(sums[-1], groups)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(255, 300), st.integers(1, 6), st.integers(3000, 10**6))
+def test_screen_counts_past_255_rows(k, m, t):
+    # a block of 256 or more rows can hold a column of more than 255 ones,
+    # which a uint8 count would wrap; the last row must be the exact count.
+    # From round 3000 on, 2 * t * U(t) exceeds 300, so every arm rising by
+    # k in one group is quiet
+    carried = np.full(m, t - 1, dtype=np.int32)
+    block = np.ones((k, m), dtype=bool)
+    width = confidence_width(np.arange(t, t + k), 0.1)
+    groups = [(0, slice(0, m), None)]
+    quiet = elimination._quiet_block(block, carried, [(t - 1, t - 1)], width, t, groups,
+                                     width.min())
+    assert quiet is not None
+    last, _, last_floors = quiet
+    assert last.dtype == np.int32 and np.array_equal(last, np.full(m, t - 1 + k))
+    assert last_floors == [(t - 1 + k, t - 1 + k)]
 
 
 def test_hard_instance_blocks_are_screened():

@@ -352,6 +352,36 @@ class TestSampleReward:
         fresh = np.random.default_rng(k).bit_generator.state
         assert (rng.bit_generator.state == fresh) == draws_nothing
 
+    @pytest.mark.parametrize("kind", ["bernoulli", "gaussian", "noiseless"])
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_tiled_rows_draw_what_the_broadcast_row_draws(self, kind, n, data, seed):
+        # blocks of 0-12 rows broadcast one of two or three bases in a drawn
+        # order, so first pulls of a base, tile builds, larger and smaller
+        # blocks from one tile all occur, and some pulls are cut by keep(j).
+        # A twin pulls each block's flat tile and keeps the same j: after
+        # every step the reward bits and the whole generator state agree
+        family = RewardFamily(kind, 0.25 if kind == "gaussian" else None)
+        means = np.random.default_rng(seed).random(n)
+        arms = st.lists(st.integers(0, n - 1), min_size=1, max_size=8)
+        bases = [np.array(data.draw(arms)) for _ in range(data.draw(st.integers(2, 3)))]
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        env, twin_env = RewardEnv(means, family, rng), RewardEnv(means, family, twin)
+        for _ in range(data.draw(st.integers(1, 12))):
+            active = bases[data.draw(st.integers(0, len(bases) - 1))]
+            k = data.draw(st.integers(0, 12))
+            rewards = env.pull(np.broadcast_to(active, (12, active.size))[:k])
+            flat = twin_env.pull(np.tile(active, k))
+            assert rewards.shape == (k, active.size) and rewards.dtype == flat.dtype
+            if rewards.dtype == np.float64:
+                rewards, flat = rewards.view(np.int64), flat.view(np.int64)
+            assert np.array_equal(rewards.ravel(), flat)
+            if data.draw(st.booleans()):
+                j = data.draw(st.integers(0, k * active.size))
+                env.keep(j)
+                twin_env.keep(j)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
     @pytest.mark.parametrize("family, draws_nothing", [
         (RewardFamily("bernoulli"), False), (RewardFamily("gaussian", 0.25), False),
         (RewardFamily("noiseless"), True)])
