@@ -14,13 +14,14 @@ indices and pulled through ``RewardEnv.pull``; ``ArmLedger`` keeps the
 per-arm pull counts, reward sums and confidence bounds.
 """
 
+from .bounds import (ReservoirGapBounds, bound_pulls_finite, epochs_until_elimination,
+                     pull_bound_multistep, pull_bound_worst_case, reservoir_gap_bounds)
 from .confidence import confidence_width, invert_width
 from .elimination import (ArmLedger, EliminationResult, EliminationRun, EliminationState,
-                          FiniteGroup, GapProfile, RunChecks, bound_pulls_finite, gap_profile,
-                          multiset_quantile, run_elimination)
-from .grouped import (ReservoirGapBounds, TrialResult, check_schedule, epochs_until_elimination,
-                      pull_bound_multistep, pull_bound_worst_case, quantile_sandwiched,
-                      required_arm_count, reservoir_gap_bounds, run_multistep)
+                          FiniteGroup, GapProfile, RunChecks, gap_profile, multiset_quantile,
+                          run_elimination)
+from .grouped import (TrialResult, check_schedule, quantile_sandwiched, required_arm_count,
+                      run_multistep)
 from .hardness import (DriftReport, HardInstanceParams, conditional_good_prob,
                        expected_next_likelihood_ratio, likelihood_ratio,
                        make_worst_case_instances, success_scale, verify_drift)

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .elimination import bound_pulls_finite, gap_profile
-from .grouped import pull_bound_multistep, pull_bound_worst_case, request_arms, required_arm_count
+from .bounds import bound_pulls_finite, pull_bound_multistep, pull_bound_worst_case
+from .elimination import gap_profile
+from .grouped import request_arms, required_arm_count
 from .harness import (ExperimentConfig, config_from_file, instance_to_dict, mix_seed,
                       run_experiment)
 from .hardness import HardInstanceParams, make_worst_case_instances, success_scale, verify_drift

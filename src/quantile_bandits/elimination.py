@@ -247,26 +247,6 @@ def gap_profile(groups: list[FiniteGroup], true_means: np.ndarray, alpha: float,
     return GapProfile(best_group, quants, group_gaps, uniqueness, arm_gaps, overall)
 
 
-def gap_bound_sum(gaps: np.ndarray, arms_over_delta: float) -> float:
-    """Sum over gaps g of (1 / g^2) * log((N/delta) * log(max(1/g^2, e))).
-
-    The summand of every pull-count bound; the bounds are order-level, so
-    the constant in front is 1.  ``arms_over_delta`` is N/delta.  The inner
-    log argument is clamped at e so a gap of 1 stays well-defined.
-    """
-    inner = np.log(np.maximum(1.0 / gaps**2, math.e))
-    return float(np.sum((1.0 / gaps**2) * np.log(arms_over_delta * inner)))
-
-
-def bound_pulls_finite(profile: GapProfile, num_arms: int, delta: float) -> float:
-    """Gap-based pull-count bound for the finite-arm elimination loop: the
-    bound summand over every arm's overall gap with N = ``num_arms``."""
-    gaps = profile.overall
-    if np.any(gaps <= 0.0):
-        raise ValueError("all overall gaps must be positive")
-    return gap_bound_sum(gaps, num_arms / delta)
-
-
 # elements per (rounds, arms) block array; a block runs
 # BLOCK_ELEMENTS // num_arms rounds at most
 BLOCK_ELEMENTS = 16_384
@@ -500,15 +480,13 @@ class EliminationRun:
         self._index = np.broadcast_to(st.active, (self._max_block, st.active.size))
         self._mu = None if self._true_means is None else self._true_means[st.active]
         self._groups = []
-        is_active = None  # a mask over all arms, built once a group has frozen arms
+        is_active = np.zeros(led.pulls.size, dtype=bool)
+        is_active[st.active] = True
         col = 0
         for gid in st.candidates:
             cols, live = self._columns[gid], st.quantile_arms[gid].size
             bounds = None
             if live < cols.stop - cols.start:  # the pool is a subset of the group
-                if is_active is None:
-                    is_active = np.zeros(led.pulls.size, dtype=bool)
-                    is_active[st.active] = True
                 frozen = ~is_active[cols]
                 bounds = (np.sort(led.lcb[cols][frozen]), np.sort(led.ucb[cols][frozen]))
             self._groups.append((self._kq[gid], slice(col, col + live), bounds))

@@ -7,10 +7,9 @@ The multi-step variant repeats this with a schedule of shrinking tolerances,
 permanently dropping groups the subroutine eliminated and discarding all
 previously requested arms between epochs.
 
-This module also houses the oracle-side analysis helpers: the eps-wide
-hidden-index buckets of sampled arms and their largest-bucket count,
-reservoir-level lower bounds on the realized gaps, and the pull-count bound
-evaluators built from them.
+Each epoch's oracles score the sampled arms: whether every group's sample
+quantile sandwiches its reservoir quantile band (event A), and the largest
+count of arms sharing one of the eps-wide hidden-index buckets.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import FiniteGroup, RunChecks, gap_bound_sum, quantile_index, run_elimination
+from .elimination import FiniteGroup, RunChecks, multiset_quantile, run_elimination
 from .instances import BanditInstance, Reservoir, RewardEnv, quantile_band, relaxed_success_set
 
 _INT_TOL = 1e-9
@@ -56,22 +55,14 @@ def required_arm_count(eps: float, delta: float, num_groups: int) -> int:
 
 def quantile_sandwiched(spec: Reservoir, sampled_means, alpha: float, eps: float) -> bool:
     """Whether the sample (1-alpha)-quantile lies inside the reservoir's
-    quantile band [low, high] at levels (1 - alpha -/+ eps).
-
-    The sample's kth smallest value, k = ``quantile_index(n, alpha)``, is at
-    least ``low`` when at most k values lie below ``low``, and at most
-    ``high`` when more than k values lie at or below ``high``, so two counts
-    decide it without a sort.  An empty sample raises ValueError."""
-    values = np.asarray(sampled_means, dtype=float).ravel()
-    if values.size == 0:
-        raise ValueError("multiset quantile of an empty collection")
-    kq = quantile_index(values.size, alpha)
+    quantile band [low, high] at levels (1 - alpha -/+ eps).  An empty
+    sample raises ValueError."""
     low, high = quantile_band(spec, alpha, eps)
-    return bool(np.count_nonzero(values < low) <= kq < np.count_nonzero(values <= high))
+    return low <= multiset_quantile(sampled_means, alpha) <= high
 
 
 @functools.lru_cache
-def _bucket_geometry(eps: float, alpha: float) -> tuple[int, np.ndarray, int]:
+def bucket_geometry(eps: float, alpha: float) -> tuple[int, np.ndarray, int]:
     """Bucket count m, boundaries b_1..b_m, and the quantile-level index
     floor((1 - alpha) / eps) shared by the bucket count and the gap bounds.
 
@@ -93,62 +84,6 @@ def _bucket_of(bounds: np.ndarray, js) -> np.ndarray:
     """Bucket 0..m of each hidden index in ``js``: the count of boundaries
     ``bounds`` at or below it."""
     return np.searchsorted(bounds, js, side="right")
-
-
-@dataclass(frozen=True)
-class ReservoirGapBounds:
-    """Reservoir-level lower bounds on the gaps realized by sampled groups.
-
-    Whenever every group's sample quantile is sandwiched, the realized group
-    gap dominates ``group_bound``, the realized uniqueness gap dominates
-    ``uniqueness_bound``, and every arm whose hidden index falls in bucket i
-    has arm gap at least ``bucket_bounds[gid][i]``.  ``combined`` folds in the
-    run's quantile slack, mirroring the per-arm overall gap.
-    """
-
-    bucket_count: int
-    best_group_relaxed: str
-    group_bound: dict[str, float]
-    uniqueness_bound: float
-    bucket_bounds: dict[str, np.ndarray]
-    combined: dict[str, np.ndarray]
-
-
-def reservoir_gap_bounds(instance: BanditInstance, eps: float, gap: float) -> ReservoirGapBounds:
-    """Evaluate the gap lower bounds at tolerances (eps, gap) exactly from
-    the reservoir quantiles."""
-    a = instance.alpha
-    low, high = {}, {}
-    for gid, res in instance.groups:
-        low[gid], high[gid] = quantile_band(res, a, eps)
-    if not 0.0 < gap < math.inf:
-        raise ValueError(f"gap must be positive and finite, got {gap}")
-    m, bounds, level_steps = _bucket_geometry(eps, a)
-    best_low = max(low.values())
-    best_high = max(high.values())
-    relaxed_best = min(gid for gid in instance.group_ids if high[gid] == best_high)
-    others_high = [high[gid] for gid in instance.group_ids if gid != relaxed_best]
-    uniq = best_low - max(others_high) if others_high else math.inf
-    group_bound = {gid: best_low - high[gid] for gid in instance.group_ids}
-
-    bucket_bounds: dict[str, np.ndarray] = {}
-    combined: dict[str, np.ndarray] = {}
-    for gid, res in instance.groups:
-        # bucket i lies in [bounds[i-1], bounds[i]); the three around the level stay 0
-        vals = np.zeros(m + 1)
-        vals[:level_steps - 1] = low[gid] - res.quantile_many(bounds[:level_steps - 1])
-        vals[level_steps + 2:] = res.quantile_many(bounds[level_steps + 1:m]) - high[gid]
-        bucket_bounds[gid] = vals
-        combined[gid] = np.maximum(gap, np.maximum(group_bound[gid], np.maximum(uniq, vals)))
-    return ReservoirGapBounds(m, relaxed_best, group_bound, uniq, bucket_bounds, combined)
-
-
-def pull_bound_worst_case(num_groups: int, eps: float, gap: float, delta: float) -> float:
-    """Weakened worst-case bound G / (eps^2 gap^2) * polylog terms, order-level
-    (constant 1)."""
-    lg = math.log(num_groups / delta)
-    loglog = max(math.log(max(math.log(1.0 / gap), 1.0)), 0.0) if gap < 1.0 else 0.0
-    return (num_groups / (eps**2 * gap**2)) * (lg * lg + lg * loglog)
 
 
 @dataclass
@@ -207,7 +142,7 @@ def _epoch_oracles(instance: BanditInstance, groups, js, means, alpha: float, ep
         quantile_sandwiched(instance.reservoir(g.group_id), means[g.columns], alpha, eps)
         for g in groups
     )
-    _, bounds, _ = _bucket_geometry(eps, alpha)
+    _, bounds, _ = bucket_geometry(eps, alpha)
     return sandwiched, max(_largest_bucket(bounds, js[g.columns]) for g in groups)
 
 
@@ -267,44 +202,3 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
         max_bucket_size=max_bucket, buckets_within_cap=within_cap,
         epoch_pulls=tuple(epoch_pulls), checks=checks,
     )
-
-
-def _schedule_gap_bounds(instance: BanditInstance, eps_schedule, gap_schedule, delta: float):
-    """Each epoch's reservoir gap bounds (evaluated once per epoch) and each
-    group's last paying epoch as :func:`epochs_until_elimination` defines it."""
-    check_schedule(instance.alpha, eps_schedule, gap_schedule, delta)
-    gap_bounds = [reservoir_gap_bounds(instance, eps, gap)
-                  for eps, gap in zip(eps_schedule, gap_schedule)]
-    kmax = {gid: next((k for k, (gap, gapb) in enumerate(zip(gap_schedule, gap_bounds), start=1)
-                       if gapb.group_bound[gid] > gap), len(gap_schedule))
-            for gid in instance.group_ids}
-    return gap_bounds, kmax
-
-
-def epochs_until_elimination(instance: BanditInstance, eps_schedule, gap_schedule,
-                             delta: float) -> dict[str, int]:
-    """Earliest epoch whose reservoir-level group gap bound exceeds that
-    epoch's quantile slack (the full schedule length when none does)."""
-    return _schedule_gap_bounds(instance, eps_schedule, gap_schedule, delta)[1]
-
-
-def pull_bound_multistep(instance: BanditInstance, eps_schedule, gap_schedule,
-                         delta: float) -> float:
-    """Schedule-aware pull bound: each group pays the per-epoch grouped bound
-    only up to the epoch where its reservoir gap bound exceeds the slack.
-
-    Epoch k's bound sums, over its paying groups, the bound summand over
-    buckets 1..m at N = G * n_k arms, and scales that sum by 3 * eps_k * n_k.
-    A one-epoch schedule gives the two-step bound, which every group pays.
-    """
-    gap_bounds, kmax = _schedule_gap_bounds(instance, eps_schedule, gap_schedule, delta)
-    num_groups = len(instance.groups)
-    total = 0.0
-    for k, (eps, gapb) in enumerate(zip(eps_schedule, gap_bounds), start=1):
-        n_k = required_arm_count(eps, delta, num_groups)
-        epoch = 0.0  # plain left-to-right sum: builtin sum() compensates from Python 3.12
-        for gid in instance.group_ids:
-            if k <= kmax[gid]:
-                epoch += gap_bound_sum(gapb.combined[gid][1:], num_groups * n_k / delta)
-        total += epoch * 3.0 * eps * n_k
-    return total

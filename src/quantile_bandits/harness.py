@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grouped import (TrialResult, check_schedule, pull_bound_multistep, pull_bound_worst_case,
-                      run_multistep)
+from .bounds import pull_bound_multistep, pull_bound_worst_case
+from .grouped import TrialResult, check_schedule, run_multistep
 from .instances import (BanditInstance, DiscreteReservoir, PiecewiseLinearReservoir, Reservoir,
                         RewardFamily)
 

@@ -30,7 +30,7 @@ from quantile_bandits import (
     run_multistep,
     verify_drift,
 )
-from quantile_bandits.grouped import _bucket_geometry
+from quantile_bandits.grouped import bucket_geometry
 from quantile_bandits.hardness import DRIFT_LIMIT
 
 FAM = RewardFamily("bernoulli")
@@ -120,7 +120,7 @@ def _resample_group_stats(inst, eps, delta, resamples, seed):
     rng = np.random.default_rng(seed)
     sandwiched = np.ones(resamples, dtype=bool)
     max_load = np.zeros(resamples, dtype=np.int64)
-    bucket_count, boundaries, _ = _bucket_geometry(eps, alpha)
+    bucket_count, boundaries, _ = bucket_geometry(eps, alpha)
     edges = np.concatenate(([0.0], boundaries, [1.0 + 1e-15]))
     k = math.ceil(n * (1.0 - alpha) - 1e-9) - 1
     for gid, res in inst.groups:

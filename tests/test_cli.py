@@ -9,7 +9,8 @@ import pytest
 
 from quantile_bandits import cli, grouped, hardness, harness
 from quantile_bandits.cli import build_parser, main
-from quantile_bandits.elimination import bound_pulls_finite, gap_profile
+from quantile_bandits.bounds import bound_pulls_finite
+from quantile_bandits.elimination import gap_profile
 from quantile_bandits.harness import config_from_file
 
 SCHEDULE = Path(__file__).resolve().parent / "contract" / "gaussian-pwl-schedule.json"

@@ -26,8 +26,8 @@ from quantile_bandits import (
     reservoir_gap_bounds,
     run_multistep,
 )
-from quantile_bandits.grouped import (_bucket_geometry, _bucket_of, _epoch_oracles,
-                                      _largest_bucket)
+from quantile_bandits.grouped import (_bucket_of, _epoch_oracles, _largest_bucket,
+                                      bucket_geometry)
 from quantile_bandits.hardness import HardInstanceParams
 from quantile_bandits.instances import quantile_band
 
@@ -45,7 +45,7 @@ GOOD_PAIR = make_worst_case_instances(HardInstanceParams(0.2, 0.2))[1]
 def bucket_members(eps, alpha, js):
     """Positions of ``js`` in each bucket, read off the edges 0, b_1..b_m, 1
     one interval at a time: [edges[i], edges[i+1]), the last one closed at 1."""
-    m, bounds, _ = _bucket_geometry(eps, alpha)
+    m, bounds, _ = bucket_geometry(eps, alpha)
     js = np.asarray(js, dtype=float)
     edges = np.concatenate(([0.0], bounds, [1.0]))
     return [np.flatnonzero((edges[i] <= js) & ((js < edges[i + 1]) | (i == m)))
@@ -146,7 +146,7 @@ class TestSandwichByCounting:
 
 class TestBucketGeometry:
     def test_half_eighth_geometry(self):
-        m, bounds, _ = _bucket_geometry(0.125, 0.5)
+        m, bounds, _ = bucket_geometry(0.125, 0.5)
         assert m == 8
         assert np.allclose(bounds, np.arange(8) / 8)
         # b_1 = 0 leaves bucket 0 empty
@@ -154,12 +154,12 @@ class TestBucketGeometry:
         assert 0 not in _bucket_of(bounds, [0.0, 0.5, 0.99])
 
     def test_point_three_geometry(self):
-        m, bounds, _ = _bucket_geometry(0.1, 0.3)
+        m, bounds, _ = bucket_geometry(0.1, 0.3)
         assert m == 10
         assert bounds[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_uneven_geometry(self):
-        m, bounds, _ = _bucket_geometry(0.15, 0.5)
+        m, bounds, _ = bucket_geometry(0.15, 0.5)
         assert m == 7
         assert bounds[0] == pytest.approx(0.05)
         # 0.02 < b_1
@@ -170,7 +170,7 @@ class TestBucketGeometry:
                                             (0.13, 0.37), (0.07, 0.61)])
     def test_each_boundary_and_its_neighbouring_floats(self, eps, alpha):
         # a boundary opens its bucket; one ulp below it is still in the bucket before
-        m, bounds, _ = _bucket_geometry(eps, alpha)
+        m, bounds, _ = bucket_geometry(eps, alpha)
         js = np.clip(np.concatenate((bounds, np.nextafter(bounds, -1.0), np.nextafter(bounds, 2.0),
                                      [0.0, 1.0])), 0.0, 1.0)
         which = _bucket_of(bounds, js)
@@ -186,7 +186,7 @@ class TestBucketGeometry:
         members = bucket_members(0.13, 0.37, js)
         all_idx = np.concatenate(members)
         assert np.array_equal(np.sort(all_idx), np.arange(js.size))
-        m, bounds, _ = _bucket_geometry(0.13, 0.37)
+        m, bounds, _ = bucket_geometry(0.13, 0.37)
         which = _bucket_of(bounds, js)
         for i, bucket in enumerate(members):
             assert np.array_equal(np.flatnonzero(which == i), bucket)
@@ -196,7 +196,7 @@ class TestBucketGeometry:
 
     def test_bucket_count_near_inverse_eps(self):
         for eps, alpha in ((0.125, 0.5), (0.1, 0.3), (0.15, 0.5), (0.07, 0.25)):
-            m, bounds, _ = _bucket_geometry(eps, alpha)
+            m, bounds, _ = bucket_geometry(eps, alpha)
             assert m in (math.floor(1 / eps), math.ceil(1 / eps))
             assert m >= 3
             assert np.isclose(bounds, 1.0 - alpha).any()  # the level is a boundary
@@ -207,7 +207,7 @@ class TestBucketGeometry:
     def test_largest_bucket_is_the_largest_bincount(self, geometry, data):
         # indices on the boundaries, one ulp either side and anywhere else
         eps, alpha = geometry
-        m, bounds, _ = _bucket_geometry(eps, alpha)
+        m, bounds, _ = bucket_geometry(eps, alpha)
         near = np.clip(np.concatenate((bounds, np.nextafter(bounds, -1.0),
                                        np.nextafter(bounds, 2.0), [0.0, 1.0])), 0.0, 1.0)
         js = np.array(data.draw(st.lists(st.sampled_from(near.tolist()) | st.floats(0.0, 1.0),
@@ -215,8 +215,8 @@ class TestBucketGeometry:
         assert _largest_bucket(bounds, js) == np.bincount(_bucket_of(bounds, js)).max()
 
     def test_geometry_is_built_once_and_read_only(self):
-        first = _bucket_geometry(0.05, 0.5)
-        assert _bucket_geometry(0.05, 0.5) is first
+        first = bucket_geometry(0.05, 0.5)
+        assert bucket_geometry(0.05, 0.5) is first
         with pytest.raises(ValueError, match="read-only"):
             first[1][0] = 0.5
 
@@ -308,7 +308,7 @@ class TestReservoirGapBounds:
             ("b", PiecewiseLinearReservoir((0.0, 0.35, 0.6, 1.0), (0.1, 0.2, 0.8, 1.0))),
         ], alpha=alpha)
         gb = reservoir_gap_bounds(inst, eps, 0.05)
-        m, bounds, level = _bucket_geometry(eps, alpha)
+        m, bounds, level = bucket_geometry(eps, alpha)
         for gid, res in inst.groups:
             low, high = quantile_band(res, alpha, eps)
             ref = [low - res.quantile(float(bounds[i])) if i < level - 1
@@ -501,7 +501,7 @@ class TestMultistep:
         assert rate >= floor - 3.0 * math.sqrt(floor * (1 - floor) / trials)
 
     def test_multistep_bound_evaluates_gap_bounds_once_per_epoch(self, monkeypatch):
-        from quantile_bandits import grouped
+        from quantile_bandits import bounds
         inst = make_instance([
             ("best", DiscreteReservoir.point_mass(0.7)),
             ("near", DiscreteReservoir.point_mass(0.55)),
@@ -513,7 +513,7 @@ class TestMultistep:
             calls.append(eps)
             return reservoir_gap_bounds(instance, eps, gap)
 
-        monkeypatch.setattr(grouped, "reservoir_gap_bounds", counted)
+        monkeypatch.setattr(bounds, "reservoir_gap_bounds", counted)
         bound = pull_bound_multistep(inst, [0.2, 0.1, 0.05], [0.2, 0.1, 0.05], 0.01)
         assert calls == [0.2, 0.1, 0.05]
         # the value of the per-group-and-epoch evaluation, bit for bit

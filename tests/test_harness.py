@@ -468,6 +468,28 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert found == []
 
 
+BOUND_EVALUATORS = {"gap_bound_sum", "bound_pulls_finite", "ReservoirGapBounds",
+                    "reservoir_gap_bounds", "pull_bound_worst_case", "_schedule_gap_bounds",
+                    "epochs_until_elimination", "pull_bound_multistep"}
+
+
+def test_bounds_live_only_in_bounds_and_no_trial_module_imports_them():
+    # the pull-count bounds have one home, and what a trial runs never reaches it
+    defined, importers = {}, []
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in BOUND_EVALUATORS:
+                defined.setdefault(node.name, []).append(path.name)
+        if path.stem in ("confidence", "instances", "elimination", "grouped"):
+            # "from .bounds import ..." or "from . import bounds"
+            importers += [path.name for node in ast.walk(tree)
+                          if isinstance(node, ast.ImportFrom) and node.level > 0
+                          and "bounds" in (node.module, *(a.name for a in node.names))]
+    assert defined == {name: ["bounds.py"] for name in BOUND_EVALUATORS}
+    assert importers == []
+
+
 class TestArtifacts:
     def test_csv_schema_and_row_count(self, tmp_path):
         cfg = small_config(tmp_path)
