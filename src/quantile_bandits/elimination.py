@@ -462,9 +462,9 @@ class EliminationRun:
     def _plan(self) -> None:
         """Store what every block reuses until the next set change: the active
         arms' running sums, seeded from the ledger, which is current here, with
-        no round pending; the reward index of the longest block, the active
-        arms broadcast to (max block, m) without a copy, whose first k rows
-        :meth:`RewardEnv.pull` reads as one row of means; the active arms'
+        no round pending; the reward index of the longest block, the env's
+        :meth:`RewardEnv.block_index` of the active arms for (max block, m),
+        whose first k rows draw against one row of means; the active arms'
         true means, given them; and, per candidate group, its kth index, the
         slice of its columns in ``active`` and its frozen arms' (lcb, ucb),
         each sorted, which never change (None for a group with no frozen
@@ -477,7 +477,7 @@ class EliminationRun:
         self._sums = led.sums[st.active].astype(self._dtype, copy=False)
         self._floors = None  # the screen's floors under the next row 0, when it needs them
         self._pending = 0
-        self._index = np.broadcast_to(st.active, (self._max_block, st.active.size))
+        self._index = self.env.block_index(st.active, self._max_block)
         self._mu = None if self._true_means is None else self._true_means[st.active]
         self._groups = []
         is_active = np.zeros(led.pulls.size, dtype=bool)
@@ -507,7 +507,7 @@ class EliminationRun:
         the budget, so a run of clustered set changes keeps blocks of that size.
 
         The block reads its per-plan inputs without gathering them: one
-        :meth:`RewardEnv.pull` of the plan's broadcast index, cut to K rows,
+        :meth:`RewardEnv.pull` of the plan's block index, cut to K rows,
         draws the (K, m) rewards against one row of the active arms' means,
         and the widths U(t..t+K-1) are one slice of the shared width table.
         The rewards, widened from bool to int32 for Bernoulli rewards below an
@@ -652,7 +652,6 @@ class EliminationRun:
             # candidates never empty and spread[r] is the kept groups' spread
             candidates = tuple(quantile_arms)
             active = np.concatenate([quantile_arms[g] for g in candidates])
-            active.flags.writeable = False  # the next plan's pulls read its means once
             if active.size == 0:
                 raise RuntimeError(
                     "all potential quantile arms eliminated while candidates remain; "

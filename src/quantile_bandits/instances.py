@@ -216,14 +216,15 @@ class RewardEnv:
     """Vectorized pull interface over a fixed set of arms.
 
     Algorithms draw rewards only through :meth:`pull`, whose index may have
-    any shape (a block of rounds is a (rounds, arms) index that repeats one
-    row), and :meth:`keep` cuts the last pull back to its first rewards; the
-    true means are kept private so elimination code cannot peek at them.
-    The family alone picks the draw, one variate per reward: a uniform for
-    Bernoulli, compared with the mean into a bool, a standard normal for
-    Gaussian, none for noiseless.  A block's repeated row of means is read
-    once per base array and tiled from its second pull on.  The generator
-    must be PCG64, whose jump-ahead rewinds a Bernoulli pull.
+    any shape, and :meth:`keep` cuts the last pull back to its first
+    rewards; the true means are kept private so elimination code cannot
+    peek at them.  A block of rounds pulls the leading rows of a
+    :meth:`block_index`, which repeats one row of arms: its row of means is
+    read once and tiled from the block's second pull on.  The family alone
+    picks the draw, one variate per reward: a uniform for Bernoulli,
+    compared with the mean into a bool, a standard normal for Gaussian,
+    none for noiseless.  The generator must be PCG64, whose jump-ahead
+    rewinds a Bernoulli pull.
     """
 
     def __init__(self, means: np.ndarray, family: RewardFamily, rng: np.random.Generator) -> None:
@@ -243,9 +244,9 @@ class RewardEnv:
         # what the last pull drew: a Bernoulli pull's count of uniforms, one
         # PCG64 word each; a Gaussian pull's starting generator state
         self._drawn = self._start = None
-        # (base array, means of its one row, a (rows, m) tile of them or None)
-        # of the last repeated-row index
-        self._row = None
+        # the last block index's own arms, their row of means and its tile
+        # (None before the block's first pull); no index views this empty one
+        self._row = (np.empty(0, dtype=np.intp), None, None)
 
     @property
     def num_arms(self) -> int:
@@ -262,30 +263,15 @@ class RewardEnv:
         comparison's own result, and float64 for Gaussian and noiseless ones."""
         return np.dtype(bool if self._family.kind == "bernoulli" else np.float64)
 
-    def _row_means(self, arms: np.ndarray) -> np.ndarray:
-        """The means of a repeated-row index's one row, as an array that
-        broadcasts to its shape.  An index that broadcasts the whole of a 1-D
-        base array, as a block's index does the plan's active arms, reads
-        them once while consecutive pulls broadcast that base: the first pull
-        gets the row itself, and each later one the first rows of a
-        C-contiguous (rows, m) tile of it, built at the size of the first
-        pull that needs more rows than the tile holds, so that the
-        comparison reads two contiguous arrays.  A base pulled once, as most
-        plans of a run with many set changes are, builds no tile.  The base
-        must not be written while it is pulled."""
-        base, row = arms.base, self._row
-        if not (isinstance(base, np.ndarray) and base.ndim == 1 and arms.ndim == 2
-                and arms.shape[1] == base.size and arms.strides[1] == base.strides[0]):
-            return self._means[arms[0]]
-        if row is None or row[0] is not base:
-            self._row = (base, self._means[arms[0]], None)
-            return self._row[1]
-        k, tile = arms.shape[0], row[2]
-        if tile is None or tile.shape[0] < k:
-            tile = np.empty(arms.shape)
-            tile[:] = row[1]
-            self._row = (base, row[1], tile)
-        return tile[:k]
+    def block_index(self, arms: np.ndarray, rows: int) -> np.ndarray:
+        """A block's (rows, m) pull index, which repeats the m listed arms in
+        every row: a read-only broadcast of a copy of ``arms`` that only
+        this env holds, so writing ``arms`` later changes none of its pulls.
+        Their row of means is read here, once.  A later call starts a new
+        block; an index from an earlier one is pulled as any other."""
+        own = np.array(arms)
+        self._row = (own, self._means[own], None)
+        return np.broadcast_to(own, (rows, own.size))
 
     def pull(self, arm_indices: np.ndarray) -> np.ndarray:
         """Pull each listed arm once and return the rewards in C order, as
@@ -295,19 +281,32 @@ class RewardEnv:
         is ``z * sigma + mean`` in the normals' own array, the bits of the
         generator's ``normal(mean, sigma)``.
 
-        An index whose first axis has stride 0, such as
-        ``np.broadcast_to(active, (k, m))``, repeats one row, so only that
-        row's means are read and broadcast over the draw; pulls that
-        broadcast the whole of one base array read its means once, and from
-        the second such pull on they read a tiled copy of the row
-        (:meth:`_row_means`), elementwise the same means.  A Bernoulli pull
-        records only how many uniforms it drew, and a Gaussian one the
-        generator state it started from, for :meth:`keep`.  An index with no
-        elements draws nothing and returns an empty array of its shape."""
+        The leading rows of the last :meth:`block_index` draw against its
+        row of means: the block's first pull against the row itself, and
+        each later one against the first rows of a C-contiguous (rows, m)
+        tile of it, built at the size of the first pull that needs more rows
+        than the tile holds, so that the comparison reads two contiguous
+        arrays.  A block pulled once, as most plans of a run with many set
+        changes are, builds no tile.  Any other index, a broadcast built
+        elsewhere included, reads each element's own mean, elementwise the
+        same.  A Bernoulli pull records only how many uniforms it drew, and
+        a Gaussian one the generator state it started from, for
+        :meth:`keep`.  An index with no elements draws nothing and returns
+        an empty array of its shape."""
         arms = np.asarray(arm_indices)
         shape = arms.shape
-        mu = (self._row_means(arms) if arms.ndim > 1 and arms.strides[0] == 0 and arms.size
-              else self._means[arms])
+        own, mu, tile = self._row
+        if not (arms.base is own and arms.strides == (0, own.itemsize)
+                and shape[1] == own.size):
+            mu = self._means[arms]
+        elif tile is None:  # the block's first pull: the row is a one-row tile
+            self._row = (own, mu, mu[None])
+        else:
+            if tile.shape[0] < shape[0]:
+                tile = np.empty(shape)
+                tile[:] = mu
+                self._row = (own, mu, tile)
+            mu = tile[:shape[0]]
         if self._draw is None:
             return np.broadcast_to(mu, shape).copy()
         if self._family.kind == "bernoulli":
@@ -343,19 +342,15 @@ class RewardEnv:
             self._draw(count)
 
 
-def relaxed_success_set(instance: BanditInstance, eps: float, gap: float) -> set[str]:
+@functools.lru_cache
+def relaxed_success_set(instance: BanditInstance, eps: float, gap: float) -> frozenset[str]:
     """Ground-truth oracle for the doubly relaxed identification goal.
 
     A group G succeeds when its quantile at level (1 - alpha + eps) is within
     ``gap`` of the best quantile at level (1 - alpha - eps) across groups.
+    Computed once per (instance, eps, gap), since every trial of an
+    experiment scores against the same set.
     """
-    return set(_relaxed_winners(instance, eps, gap))
-
-
-@functools.lru_cache
-def _relaxed_winners(instance: BanditInstance, eps: float, gap: float) -> frozenset[str]:
-    """:func:`relaxed_success_set`, computed once per (instance, eps, gap):
-    every trial of an experiment scores against the same set."""
     bands = {gid: quantile_band(res, instance.alpha, eps) for gid, res in instance.groups}
     if not 0.0 < gap < math.inf:
         raise ValueError(f"gap must be positive and finite, got {gap}")

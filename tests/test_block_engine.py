@@ -496,20 +496,6 @@ def test_run_layout_is_shared_and_read_only():
             arr[0] = 1
 
 
-def test_active_arms_after_a_set_change_are_read_only():
-    # a plan's pulls read the active arms' means once per array, so the
-    # array a set change makes is as read-only as the starting one
-    means, groups = FROZEN_CASE
-    engine = EliminationRun(groups, 0.5, 0.1, 0.1,
-                            RewardEnv(means, FAMILIES["bernoulli"], np.random.default_rng(5)))
-    start = engine.state.active
-    while engine.state.active is start:
-        engine.step()
-    assert not engine.should_stop() and engine.state.active.size < start.size
-    with pytest.raises(ValueError, match="read-only"):
-        engine.state.active[0] = 1
-
-
 class BranchRun(EliminationRun):
     """Counts the blocks in which one candidate group has frozen arms and
     another has none, so both ways of finding a quantile run in one block.

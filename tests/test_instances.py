@@ -341,9 +341,10 @@ class TestSampleReward:
         means = np.random.default_rng(7).random(12)
         active = np.array([0, 3, 4, 5, 9, 11])
         rng, twin = np.random.default_rng(k), np.random.default_rng(k)
-        block = np.broadcast_to(active, (16, active.size))[:k]
+        env = RewardEnv(means, family, rng)
+        block = env.block_index(active, 16)[:k]
         assert block.strides[0] == 0
-        rewards = RewardEnv(means, family, rng).pull(block)
+        rewards = env.pull(block)
         flat = RewardEnv(means, family, twin).pull(np.tile(active, k))
         assert rewards.shape == (k, active.size) and rewards.dtype == flat.dtype
         assert rewards.flags.c_contiguous and rewards.flags.writeable
@@ -356,21 +357,27 @@ class TestSampleReward:
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
     def test_tiled_rows_draw_what_the_broadcast_row_draws(self, kind, n, data, seed):
-        # blocks of 0-12 rows broadcast one of two or three bases in a drawn
-        # order, so first pulls of a base, tile builds, larger and smaller
-        # blocks from one tile all occur, and some pulls are cut by keep(j).
-        # A twin pulls each block's flat tile and keeps the same j: after
-        # every step the reward bits and the whole generator state agree
+        # each step pulls 0-12 rows of the current block index or of an
+        # earlier one, or starts a block from one of two or three arm lists,
+        # so first pulls of a block, tile builds, larger and smaller pulls
+        # from one tile and stale indices all occur, and some pulls are cut
+        # by keep(j).  A twin pulls each block's flat tile and keeps the same
+        # j: after every step the reward bits and the whole generator state
+        # agree
         family = RewardFamily(kind, 0.25 if kind == "gaussian" else None)
         means = np.random.default_rng(seed).random(n)
         arms = st.lists(st.integers(0, n - 1), min_size=1, max_size=8)
         bases = [np.array(data.draw(arms)) for _ in range(data.draw(st.integers(2, 3)))]
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         env, twin_env = RewardEnv(means, family, rng), RewardEnv(means, family, twin)
+        blocks = []
         for _ in range(data.draw(st.integers(1, 12))):
-            active = bases[data.draw(st.integers(0, len(bases) - 1))]
+            if not blocks or data.draw(st.booleans()):
+                active = bases[data.draw(st.integers(0, len(bases) - 1))]
+                blocks.append((env.block_index(active, 12), active))
+            index, active = blocks[data.draw(st.integers(-len(blocks), -1))]
             k = data.draw(st.integers(0, 12))
-            rewards = env.pull(np.broadcast_to(active, (12, active.size))[:k])
+            rewards = env.pull(index[:k])
             flat = twin_env.pull(np.tile(active, k))
             assert rewards.shape == (k, active.size) and rewards.dtype == flat.dtype
             if rewards.dtype == np.float64:
@@ -477,15 +484,62 @@ class TestSampleReward:
 
     @pytest.mark.parametrize("family", [RewardFamily("bernoulli"), RewardFamily("noiseless")])
     def test_broadcast_rows_of_other_bases_read_their_own_means(self, family):
-        # the mean row is gathered once per base array broadcast whole; a new
-        # base, or a broadcast of part of one, reads its own means
+        # the mean row is read once per block index; a new block, a block of
+        # part of an earlier one's arms, the index of an earlier block and a
+        # broadcast built elsewhere each read their own means
         means = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
         first, second = np.array([0, 3, 5]), np.array([1, 2, 4])
         env = RewardEnv(means, family, np.random.default_rng(0))
+        earlier = []
         for active in (first, second, first, second[1:], second[:2], second):
-            for k in (1, 4):
-                rewards = env.pull(np.broadcast_to(active, (k, active.size)))
-                assert np.array_equal(rewards, np.broadcast_to(means[active], rewards.shape))
+            earlier.append((env.block_index(active, 4), active))
+            for index, arms in (earlier[-1], earlier[0]):
+                for k in (1, 4):
+                    rewards = env.pull(index[:k])
+                    assert np.array_equal(rewards, np.broadcast_to(means[arms], rewards.shape))
+            rewards = env.pull(np.broadcast_to(first, (4, first.size)))
+            assert np.array_equal(rewards, np.broadcast_to(means[first], rewards.shape))
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "gaussian", "noiseless"])
+    def test_writing_the_arms_leaves_the_block_index_alone(self, kind):
+        # the block index views the env's own copy of the arms, so its
+        # contents and every pull of it, first or tiled, are the arms'
+        # as they were when the block started
+        family = RewardFamily(kind, 0.25 if kind == "gaussian" else None)
+        means = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+        arms, kept = np.array([0, 3, 5, 1]), np.array([0, 3, 5, 1])
+        rng, twin = np.random.default_rng(2), np.random.default_rng(2)
+        env, twin_env = RewardEnv(means, family, rng), RewardEnv(means, family, twin)
+        block = env.block_index(arms, 5)
+        arms[:] = [1, 2, 4, 3]
+        assert np.array_equal(block, np.broadcast_to(kept, block.shape))
+        for k in (2, 5, 1):
+            rewards = env.pull(block[:k])
+            flat = twin_env.pull(np.tile(kept, k))
+            assert np.array_equal(rewards.ravel(), flat)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "gaussian", "noiseless"])
+    def test_other_views_of_a_block_index_read_every_mean(self, kind):
+        # reversed columns, a column slice and the transpose view the env's
+        # own copy but are not a block's leading rows: each element reads its
+        # own mean, the stream moves as the flat pull's, and the block's own
+        # pulls after them still draw its row
+        family = RewardFamily(kind, 0.25 if kind == "gaussian" else None)
+        means = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+        active = np.array([0, 1, 3, 4])
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        env, twin_env = RewardEnv(means, family, rng), RewardEnv(means, family, twin)
+        block = env.block_index(active, 3)
+        for view in (block[:, ::-1], block[:2, 1:], block.T, block, block[:, ::-1], block):
+            assert view.base is block.base
+            rewards = env.pull(view)
+            flat = twin_env.pull(view.ravel())
+            assert rewards.shape == view.shape
+            assert np.array_equal(rewards.ravel(), flat)
+            if kind != "gaussian":  # 0/1 means: the rewards are the means
+                assert np.array_equal(rewards, means[view])
+            assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_mean_out_of_range(self):
         # NaN fails both comparisons with the range's ends, so it is tested too
