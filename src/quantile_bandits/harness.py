@@ -251,11 +251,12 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
 
 @dataclass
 class AggregateReport:
-    """Summary of an experiment; rates are None when there were no trials."""
+    """Summary of an experiment; rates are None when there were no trials.
+    ``success_ci_wilson3`` is the success rate's Wilson score interval at z = 3."""
 
     trials: int
     success_rate: float | None
-    success_ci_3sigma: tuple[float, float] | None
+    success_ci_wilson3: tuple[float, float] | None
     mean_pulls: float | None
     median_pulls: float | None
     max_pulls: int | None
@@ -395,15 +396,16 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
 
     if results:
         pulls = [r.total_pulls for r in results]
-        rate = sum(r.success for r in results) / len(results)
-        half = 3.0 * math.sqrt(max(rate * (1.0 - rate), 1e-12) / len(results))
-        ci = (max(rate - half, 0.0), min(rate + half, 1.0))
+        wins, n = sum(r.success for r in results), len(results)
+        # Wilson score interval at z = 3, in counts: it ends at exactly 0 or 1
+        half = 3.0 * math.sqrt(wins * (n - wins) / n + 9.0 / 4.0)
+        ci = ((wins + 4.5 - half) / (n + 9.0), (wins + 4.5 + half) / (n + 9.0))
         report = AggregateReport(
-            trials=len(results), success_rate=rate, success_ci_3sigma=ci,
+            trials=n, success_rate=wins / n, success_ci_wilson3=ci,
             mean_pulls=float(np.mean(pulls)), median_pulls=float(np.median(pulls)),
             max_pulls=int(max(pulls)),
-            event_a_rate=sum(r.event_a for r in results) / len(results),
-            partition_bound_rate=sum(r.buckets_within_cap for r in results) / len(results),
+            event_a_rate=sum(r.event_a for r in results) / n,
+            partition_bound_rate=sum(r.buckets_within_cap for r in results) / n,
             bound_grouped=bound, bound_worst_case=worst,
             wall_clock_s=time.perf_counter() - start,
         )

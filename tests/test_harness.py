@@ -523,6 +523,22 @@ class TestArtifacts:
         assert summary["trials"] == 8
         assert summary["success_rate"] == pytest.approx(report.success_rate)
 
+    @pytest.mark.parametrize("wins", [0, 5, 8])
+    def test_success_interval_is_the_wilson_score_interval_at_z_3(self, tmp_path, monkeypatch,
+                                                                  wins):
+        # the textbook form, centre and half-width over 1 + z^2/n; at 0 or n
+        # wins of n it ends at exactly 0 or 1, so 8 of 8 give [8/17, 1]
+        monkeypatch.setattr(harness, "run_trial", lambda config, index: replace(
+            _RUN_TRIAL(config, index), success=index < wins))
+        low, high = run_experiment(small_config(tmp_path)).success_ci_wilson3
+        n, p, z2 = 8, wins / 8, 9.0
+        centre = (p + z2 / (2 * n)) / (1 + z2 / n)
+        half = 3.0 * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / (1 + z2 / n)
+        assert (low, high) == pytest.approx((centre - half, centre + half), abs=1e-12)
+        assert (low == 0.0, high == 1.0) == (wins == 0, wins == 8)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["success_ci_wilson3"] == [low, high]
+
     def test_zero_trials_marked_undefined(self, tmp_path):
         cfg = small_config(tmp_path, trials=0)
         report = run_experiment(cfg)
