@@ -14,8 +14,8 @@ from quantile_bandits import (
     BanditInstance,
     DiscreteReservoir,
     RewardFamily,
+    plan_epochs,
     relaxed_success_set,
-    required_arm_count,
     run_multistep,
 )
 
@@ -40,13 +40,13 @@ for gid, res in instance.groups:
     print(f"  {gid:>7}: median {mid:.2f}, quantile band [{lo:.2f}, {hi:.2f}]")
 
 winners = relaxed_success_set(instance, eps, gap)
-n_per = required_arm_count(eps, delta, len(instance.groups))
+plans = plan_epochs(instance, (eps,), (gap,), delta)
+n_per = plans[0].arms_per_group
 print(f"\nacceptable answers at (eps={eps}, gap={gap}): {sorted(winners)}")
 print(f"arms requested per group: {n_per}")
 
 for seed in range(3):
-    trial = run_multistep(instance, (eps,), (gap,), delta, np.random.default_rng(seed),
-                          oracle_checks=True)
+    trial = run_multistep(instance, plans, np.random.default_rng(seed), oracle_checks=True)
     verdict = "correct" if trial.success else "WRONG"
     print(f"\nseed {seed}: chose {trial.chosen_group!r} ({verdict}) "
           f"after {trial.total_pulls} pulls in {trial.rounds} rounds")

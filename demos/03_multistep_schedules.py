@@ -17,6 +17,7 @@ from quantile_bandits import (
     RewardFamily,
     epochs_until_elimination,
     mix_seed,
+    plan_epochs,
     pull_bound_multistep,
     run_multistep,
 )
@@ -32,27 +33,27 @@ instance = BanditInstance(
     name="one-far-group",
 )
 
-eps_sched, gap_sched, delta = (0.2, 0.1, 0.05), (0.2, 0.1, 0.05), 0.04
-kmax = epochs_until_elimination(instance, eps_sched, gap_sched, delta)
+# every epoch requests arms for all three groups, so the single-tolerance
+# run is the schedule's last plan
+plans = plan_epochs(instance, (0.2, 0.1, 0.05), (0.2, 0.1, 0.05), 0.04)
+kmax = epochs_until_elimination(instance, plans)
 print("predicted elimination epoch per group:", kmax)
 
 trials = 5
 multi_pulls, single_pulls = [], []
 for i in range(trials):
-    tr = run_multistep(instance, eps_sched, gap_sched, delta,
-                       np.random.default_rng(mix_seed(3, i)))
+    tr = run_multistep(instance, plans, np.random.default_rng(mix_seed(3, i)))
     multi_pulls.append(tr.total_pulls)
     print(f"trial {i}: multi-step chose {tr.chosen_group!r}, "
-          f"epoch pulls {tr.epoch_pulls} (ran {len(tr.epoch_pulls)} of {len(eps_sched)} epochs)")
+          f"epoch pulls {tr.epoch_pulls} (ran {len(tr.epoch_pulls)} of {len(plans)} epochs)")
 for i in range(trials):
-    tr = run_multistep(instance, eps_sched[-1:], gap_sched[-1:], delta,
-                       np.random.default_rng(mix_seed(3, 1000 + i)))
+    tr = run_multistep(instance, plans[-1:], np.random.default_rng(mix_seed(3, 1000 + i)))
     single_pulls.append(tr.total_pulls)
 
 print(f"\nmean pulls, multi-step : {np.mean(multi_pulls):,.0f}")
 print(f"mean pulls, single-step: {np.mean(single_pulls):,.0f}")
 
-bound_multi = pull_bound_multistep(instance, eps_sched, gap_sched, delta)
-bound_single = pull_bound_multistep(instance, eps_sched[-1:], gap_sched[-1:], delta)
+bound_multi = pull_bound_multistep(instance, plans)
+bound_single = pull_bound_multistep(instance, plans[-1:])
 print(f"\nschedule-aware pull bound: {bound_multi:,.0f}")
 print(f"single-tolerance pull bound: {bound_single:,.0f}")

@@ -15,6 +15,7 @@ from quantile_bandits import (
     likelihood_ratio,
     make_worst_case_instances,
     mix_seed,
+    plan_epochs,
     relaxed_success_set,
     run_multistep,
     success_scale,
@@ -41,8 +42,9 @@ print("\n" + report.format_table(max_rows=5))
 print("\nempirical hardness trend (10 trials per setting, delta=0.05):")
 for eps, gap in ((0.2, 0.2), (0.1, 0.2), (0.2, 0.1)):
     inst = make_worst_case_instances(HardInstanceParams(eps, gap))[1]
+    plans = plan_epochs(inst, (eps,), (gap,), 0.05)
     pulls = []
     for i in range(10):
-        tr = run_multistep(inst, (eps,), (gap,), 0.05, np.random.default_rng(mix_seed(17, i)))
+        tr = run_multistep(inst, plans, np.random.default_rng(mix_seed(17, i)))
         pulls.append(tr.total_pulls)
     print(f"  eps={eps}, gap={gap}: mean pulls {np.mean(pulls):>12,.0f}")

@@ -20,8 +20,8 @@ from .confidence import confidence_width, invert_width
 from .elimination import (ArmLedger, EliminationResult, EliminationRun, EliminationState,
                           FiniteGroup, GapProfile, RunChecks, gap_profile, multiset_quantile,
                           run_elimination)
-from .grouped import (TrialResult, check_schedule, quantile_sandwiched, required_arm_count,
-                      run_multistep)
+from .grouped import (EpochPlan, TrialResult, plan_epochs, quantile_sandwiched,
+                      required_arm_count, run_multistep)
 from .hardness import (DriftReport, HardInstanceParams, conditional_good_prob,
                        expected_next_likelihood_ratio, likelihood_ratio,
                        make_worst_case_instances, success_scale, verify_drift)

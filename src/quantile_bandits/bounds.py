@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elimination import GapProfile
-from .grouped import bucket_geometry, check_schedule, required_arm_count
+from .grouped import EpochPlan, bucket_geometry
 from .instances import BanditInstance, quantile_band
 
 
@@ -95,42 +95,39 @@ def pull_bound_worst_case(num_groups: int, eps: float, gap: float, delta: float)
     return (num_groups / (eps**2 * gap**2)) * (lg * lg + lg * loglog)
 
 
-def _schedule_gap_bounds(instance: BanditInstance, eps_schedule, gap_schedule, delta: float):
+def _schedule_gap_bounds(instance: BanditInstance, plans: tuple[EpochPlan, ...]):
     """Each epoch's reservoir gap bounds (evaluated once per epoch) and each
     group's last paying epoch as :func:`epochs_until_elimination` defines it."""
-    check_schedule(instance.alpha, eps_schedule, gap_schedule, delta)
-    gap_bounds = [reservoir_gap_bounds(instance, eps, gap)
-                  for eps, gap in zip(eps_schedule, gap_schedule)]
-    kmax = {gid: next((k for k, (gap, gapb) in enumerate(zip(gap_schedule, gap_bounds), start=1)
-                       if gapb.group_bound[gid] > gap), len(gap_schedule))
+    gap_bounds = [reservoir_gap_bounds(instance, plan.eps, plan.gap) for plan in plans]
+    kmax = {gid: next((k for k, (plan, gapb) in enumerate(zip(plans, gap_bounds), start=1)
+                       if gapb.group_bound[gid] > plan.gap), len(plans))
             for gid in instance.group_ids}
     return gap_bounds, kmax
 
 
-def epochs_until_elimination(instance: BanditInstance, eps_schedule, gap_schedule,
-                             delta: float) -> dict[str, int]:
+def epochs_until_elimination(instance: BanditInstance,
+                             plans: tuple[EpochPlan, ...]) -> dict[str, int]:
     """Earliest epoch whose reservoir-level group gap bound exceeds that
     epoch's quantile slack (the full schedule length when none does)."""
-    return _schedule_gap_bounds(instance, eps_schedule, gap_schedule, delta)[1]
+    return _schedule_gap_bounds(instance, plans)[1]
 
 
-def pull_bound_multistep(instance: BanditInstance, eps_schedule, gap_schedule,
-                         delta: float) -> float:
+def pull_bound_multistep(instance: BanditInstance, plans: tuple[EpochPlan, ...]) -> float:
     """Schedule-aware pull bound: each group pays the per-epoch grouped bound
     only up to the epoch where its reservoir gap bound exceeds the slack.
 
-    Epoch k's bound sums, over its paying groups, the bound summand over
-    buckets 1..m at N = G * n_k arms, and scales that sum by 3 * eps_k * n_k.
-    A one-epoch schedule gives the two-step bound, which every group pays.
+    Epoch k's bound sums, over its paying groups, the bound summand over buckets 1..m at
+    N = G * n_k arms, and scales that sum by 3 * eps_k * n_k from the left (another order
+    moves the last bit).  A one-epoch plan gives the two-step bound, which every group pays.
     """
-    gap_bounds, kmax = _schedule_gap_bounds(instance, eps_schedule, gap_schedule, delta)
+    gap_bounds, kmax = _schedule_gap_bounds(instance, plans)
     num_groups = len(instance.groups)
     total = 0.0
-    for k, (eps, gapb) in enumerate(zip(eps_schedule, gap_bounds), start=1):
-        n_k = required_arm_count(eps, delta, num_groups)
+    for k, (plan, gapb) in enumerate(zip(plans, gap_bounds), start=1):
+        n_k = plan.arms_per_group
         epoch = 0.0  # plain left-to-right sum: builtin sum() compensates from Python 3.12
         for gid in instance.group_ids:
             if k <= kmax[gid]:
-                epoch += gap_bound_sum(gapb.combined[gid][1:], num_groups * n_k / delta)
-        total += epoch * 3.0 * eps * n_k
+                epoch += gap_bound_sum(gapb.combined[gid][1:], num_groups * n_k / plan.delta)
+        total += epoch * 3.0 * plan.eps * n_k
     return total

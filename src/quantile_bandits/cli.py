@@ -14,7 +14,7 @@ import numpy as np
 
 from .bounds import bound_pulls_finite, pull_bound_multistep, pull_bound_worst_case
 from .elimination import gap_profile
-from .grouped import request_arms, required_arm_count
+from .grouped import request_arms
 from .harness import (ExperimentConfig, config_from_file, instance_to_dict, mix_seed,
                       run_experiment)
 from .hardness import HardInstanceParams, make_worst_case_instances, success_scale, verify_drift
@@ -58,14 +58,13 @@ def _cmd_bound(args) -> int:
     trial 0's first-epoch draw, the one ``run_trial`` makes."""
     cfg = _load_config(args)
     inst = cfg.instance
-    num_groups = len(inst.groups)
-    counts = [required_arm_count(eps, cfg.delta, num_groups) for eps in cfg.eps_schedule]
+    counts = [plan.arms_per_group for plan in cfg.plans]
     rng = np.random.default_rng(mix_seed(cfg.seed, 0))
     groups, _, means = request_arms(inst, list(inst.group_ids), counts[0], rng)
     profile = gap_profile(groups, means, inst.alpha, cfg.gap_schedule[0])
     finite = bound_pulls_finite(profile, means.size, cfg.delta)
-    total = pull_bound_multistep(inst, cfg.eps_schedule, cfg.gap_schedule, cfg.delta)
-    worst = pull_bound_worst_case(num_groups, cfg.final_eps, cfg.final_gap, cfg.delta)
+    total = pull_bound_multistep(inst, cfg.plans)
+    worst = pull_bound_worst_case(len(inst.groups), cfg.final_eps, cfg.final_gap, cfg.delta)
     print(f"arms requested per group: {', '.join(map(str, counts))}")
     print(f"finite-arm gap bound (one sampled draw, seed {cfg.seed}): {finite:.6g}")
     print(f"grouped reservoir bound: {total:.6g}")

@@ -435,13 +435,13 @@ class EliminationRun:
         )
         # widths vanish, so the loop provably stops; the cap is a loud guard
         # against the astronomically unlikely fully-frozen stall
-        self._round_cap = 100 * invert_width(slack / 4.0, delta / n) + 10_000
+        self._round_cap = 100 * invert_width(slack / 4.0, self.ledger.delta_per_arm) + 10_000
         # bool rewards sum as int32 while int32 holds the sums, and as
         # float64, as Gaussian sums are, beyond that
         self._dtype = np.dtype(np.int32 if env.reward_dtype == bool
                                and self._round_cap < _INT32_ROUNDS else np.float64)
         # the round from which 2*U(t) < slack, where the spread meets the stop
-        self._t_star = invert_width(slack / 2.0, delta / n)
+        self._t_star = invert_width(slack / 2.0, self.ledger.delta_per_arm)
         self._max_block = max(1, BLOCK_ELEMENTS // n)
         self._block = self._max_block
         self.checks = RunChecks()

@@ -26,12 +26,24 @@ from .instances import BanditInstance, Reservoir, RewardEnv, quantile_band, rela
 _INT_TOL = 1e-9
 
 
-def check_schedule(alpha: float, eps_schedule, gap_schedule, delta: float) -> None:
-    """Validate a schedule of epoch tolerances; errors name the epoch.
+@dataclass(frozen=True)
+class EpochPlan:
+    """One epoch's tolerances ``eps`` and ``gap``, its failure budget and its arms per group."""
+
+    eps: float
+    gap: float
+    delta: float
+    arms_per_group: int
+
+
+def plan_epochs(instance: BanditInstance, eps_schedule, gap_schedule,
+                delta: float) -> tuple[EpochPlan, ...]:
+    """Check a schedule of epoch tolerances and plan its epochs; errors name the epoch.
 
     Every epoch needs delta < eps < min(alpha, 1 - alpha) and gap > 0, with
-    delta in (0, 1) the shared failure budget.  A two-step run is the
-    schedule of length one.
+    delta in (0, 1) the shared failure budget.  A two-step run is the schedule
+    of length one.  Each epoch requests ``required_arm_count(eps, delta, G)``
+    arms per group, with G all the instance's groups, not only the survivors.
     """
     if len(eps_schedule) != len(gap_schedule) or not eps_schedule:
         raise ValueError("eps and delta_gap schedules must be equally long and nonempty, "
@@ -39,11 +51,13 @@ def check_schedule(alpha: float, eps_schedule, gap_schedule, delta: float) -> No
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     for k, (eps, gap) in enumerate(zip(eps_schedule, gap_schedule)):
-        if not delta < eps < min(alpha, 1.0 - alpha):
+        if not delta < eps < min(instance.alpha, 1.0 - instance.alpha):
             raise ValueError(f"schedule[{k}]: need delta < eps < min(alpha, 1-alpha); "
-                             f"got delta={delta}, eps={eps}, alpha={alpha}")
+                             f"got delta={delta}, eps={eps}, alpha={instance.alpha}")
         if not 0.0 < gap < math.inf:
             raise ValueError(f"schedule[{k}]: gap must be positive and finite, got {gap}")
+    return tuple(EpochPlan(eps, gap, delta, required_arm_count(eps, delta, len(instance.groups)))
+                 for eps, gap in zip(eps_schedule, gap_schedule))
 
 
 def required_arm_count(eps: float, delta: float, num_groups: int) -> int:
@@ -146,14 +160,14 @@ def _epoch_oracles(instance: BanditInstance, groups, js, means, alpha: float, ep
     return sandwiched, max(_largest_bucket(bounds, js[g.columns]) for g in groups)
 
 
-def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: float,
+def run_multistep(instance: BanditInstance, plans: tuple[EpochPlan, ...],
                   rng: np.random.Generator, oracle_checks: bool = False) -> TrialResult:
-    """Run the epoch schedule of shrinking tolerances.
+    """Run the epochs of :func:`plan_epochs`' ``plans``, of shrinking tolerances.
 
-    Each epoch requests fresh arms for the surviving groups, runs the
-    elimination subroutine at that epoch's quantile slack, and permanently
-    drops the groups it eliminated.  A schedule of length one is exactly the
-    two-step algorithm.  The success flag is scored against the exact
+    Each epoch requests its plan's arms per group for the surviving groups,
+    runs the elimination subroutine at that epoch's quantile slack, and
+    permanently drops the groups it eliminated.  A one-epoch plan is exactly
+    the two-step algorithm.  The success flag is scored against the exact
     reservoir oracle at the final epoch's (eps, gap).  The epochs'
     :class:`RunChecks` add up to the trial's; ``oracle_checks`` passes the
     true means to each epoch.  Arms, rewards (as the instance's family draws
@@ -161,13 +175,9 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
 
     Every epoch spends the full ``delta`` on each of its three events (the
     sandwich, the bucket loads, the elimination run): K epochs succeed with
-    probability at least 1 - 3 * K * delta.  ``required_arm_count`` counts
-    all groups in every epoch, not only the survivors.
+    probability at least 1 - 3 * K * delta.  The plans arrive checked.
     """
     a = instance.alpha
-    check_schedule(a, eps_schedule, gap_schedule, delta)
-
-    num_groups = len(instance.groups)
     surviving = list(instance.group_ids)
     epoch_pulls: list[int] = []
     rounds = 0
@@ -177,15 +187,14 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
     chosen = surviving[0]
     checks: RunChecks | None = None
 
-    for eps, gap in zip(eps_schedule, gap_schedule):
-        n_per = required_arm_count(eps, delta, num_groups)
-        groups, js, means = request_arms(instance, surviving, n_per, rng)
-        sandwiched, bucket = _epoch_oracles(instance, groups, js, means, a, eps)
+    for plan in plans:
+        groups, js, means = request_arms(instance, surviving, plan.arms_per_group, rng)
+        sandwiched, bucket = _epoch_oracles(instance, groups, js, means, a, plan.eps)
         event_a = event_a and sandwiched
         max_bucket = max(max_bucket, bucket)
-        within_cap = within_cap and bucket <= 3.0 * eps * n_per
+        within_cap = within_cap and bucket <= 3.0 * plan.eps * plan.arms_per_group
         env = RewardEnv(means, instance.family, rng)
-        res = run_elimination(groups, a, gap, delta, env,
+        res = run_elimination(groups, a, plan.gap, plan.delta, env,
                               true_means=means if oracle_checks else None)
         epoch_pulls.append(res.total_pulls)
         rounds += res.rounds
@@ -195,7 +204,7 @@ def run_multistep(instance: BanditInstance, eps_schedule, gap_schedule, delta: f
         if len(surviving) == 1:
             break
 
-    success = chosen in relaxed_success_set(instance, eps_schedule[-1], gap_schedule[-1])
+    success = chosen in relaxed_success_set(instance, plans[-1].eps, plans[-1].gap)
     return TrialResult(
         instance_id=instance.name, chosen_group=chosen, success=success,
         total_pulls=sum(epoch_pulls), rounds=rounds, event_a=event_a,

@@ -14,13 +14,13 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import pull_bound_multistep, pull_bound_worst_case
-from .grouped import TrialResult, check_schedule, run_multistep
+from .grouped import EpochPlan, TrialResult, plan_epochs, run_multistep
 from .instances import (BanditInstance, DiscreteReservoir, PiecewiseLinearReservoir, Reservoir,
                         RewardFamily)
 
@@ -45,7 +45,8 @@ class ExperimentConfig:
 
     ``eps_schedule`` and ``gap_schedule`` list each epoch's tolerances, with
     ``delta`` the shared failure budget; a two-step run is the schedule of
-    length one.
+    length one.  ``plans`` holds their :func:`plan_epochs`, built at
+    construction, so ``dataclasses.replace`` builds new plans.
     """
 
     instance: BanditInstance
@@ -57,6 +58,7 @@ class ExperimentConfig:
     threads: int = 1
     out_csv: str | None = None
     out_summary: str | None = None
+    plans: tuple[EpochPlan, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.trials < 0:
@@ -64,7 +66,8 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         # validate tolerances eagerly so bad configs fail before any work
-        check_schedule(self.instance.alpha, self.eps_schedule, self.gap_schedule, self.delta)
+        object.__setattr__(self, "plans", plan_epochs(self.instance, self.eps_schedule,
+                                                      self.gap_schedule, self.delta))
 
     @property
     def final_eps(self) -> float:
@@ -245,14 +248,12 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     """Run one trial on its own deterministic child stream; the instance's
     reward family, noiseless included, decides how rewards are drawn."""
     rng = np.random.default_rng(mix_seed(config.seed, trial_index))
-    return run_multistep(config.instance, config.eps_schedule, config.gap_schedule,
-                         config.delta, rng)
+    return run_multistep(config.instance, config.plans, rng)
 
 
 @dataclass
 class AggregateReport:
-    """Summary of an experiment; rates are None when there were no trials.
-    ``success_ci_wilson3`` is the success rate's Wilson score interval at z = 3."""
+    """Summary of an experiment; rates are None when there were no trials."""
 
     trials: int
     success_rate: float | None
@@ -390,8 +391,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         results = [run_trial(config, i) for i in indices]
 
     num_groups = len(config.instance.groups)
-    bound = pull_bound_multistep(config.instance, config.eps_schedule, config.gap_schedule,
-                                 config.delta)
+    bound = pull_bound_multistep(config.instance, config.plans)
     worst = pull_bound_worst_case(num_groups, config.final_eps, config.final_gap, config.delta)
 
     if results:

@@ -24,6 +24,7 @@ from quantile_bandits import (
     make_worst_case_instances,
     multiset_quantile,
     mix_seed,
+    plan_epochs,
     required_arm_count,
     run_elimination,
     run_experiment,
@@ -190,9 +191,10 @@ class TestCriterion5StopPull:
         # grouped pipeline trajectories on two instances
         for inst, eps, gap, delta, reps in ((POINT_PAIR, 0.2, 0.1, 0.1, 40),
                                             (THREE_GROUP, 0.15, 0.15, 0.1, 30)):
+            plans = plan_epochs(inst, (eps,), (gap,), delta)
             for i in range(reps):
                 rng = np.random.default_rng(mix_seed(5150, i))
-                tr = run_multistep(inst, (eps,), (gap,), delta, rng, oracle_checks=True)
+                tr = run_multistep(inst, plans, rng, oracle_checks=True)
                 if tr.checks.bounds_valid:
                     valid += 1
                     violations += tr.checks.stop_pull_violations

@@ -25,6 +25,7 @@ from quantile_bandits import (
     RewardFamily,
     confidence_width,
     elimination,
+    plan_epochs,
     run_multistep,
 )
 
@@ -840,11 +841,11 @@ def test_reservoir_trials_match_sequential_loop(reservoirs, family, epochs):
     instance = BanditInstance((("hi", RESERVOIRS[reservoirs][0]),
                                ("lo", RESERVOIRS[reservoirs][1])),
                               FAMILIES[family], 0.5, reservoirs)
-    eps, gaps = SCHEDULES[epochs]
+    plans = plan_epochs(instance, *SCHEDULES[epochs], 0.1)
 
     def trial(seed):
         rng = np.random.default_rng(seed)
-        result = run_multistep(instance, eps, gaps, 0.1, rng, oracle_checks=True)
+        result = run_multistep(instance, plans, rng, oracle_checks=True)
         return result, rng.bit_generator.state
 
     for seed in range(3):

@@ -227,7 +227,7 @@ class TestBound:
             "grouped reservoir bound", "worst-case bound"]
         assert lines[0] == "arms requested per group: 47, 82"
 
-    def test_finite_bound_scores_the_first_epoch_draw(self, capsys):
+    def test_finite_bound_scores_the_first_epoch_draw(self, monkeypatch, capsys):
         # trial 0's first epoch is the one-epoch run at the schedule's first tolerances
         assert main(["bound", "--config", str(SCHEDULE)]) == 0
         schedule = capsys.readouterr().out.splitlines()
@@ -236,6 +236,14 @@ class TestBound:
         assert schedule[0] == "arms requested per group: 39, 60"
         assert first[0] == "arms requested per group: 39"
         assert schedule[1] == first[1] == "finite-arm gap bound (one sampled draw, seed 7): 9276.53"
+        # each override plans the epochs anew: the config's delta is 0.05, a
+        # smaller one asks for more arms, and an alpha that leaves eps outside
+        # (delta, min(alpha, 1 - alpha)) fails before any draw
+        assert main(["bound", "--config", str(SCHEDULE), "--delta", "0.01"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "arms requested per group: 52, 80"
+        monkeypatch.setattr(cli, "request_arms", None)
+        assert main(["bound", "--config", str(SCHEDULE), "--alpha", "0.2"]) == 2
+        assert "schedule[0]: need delta < eps" in capsys.readouterr().err
 
     def test_finite_bound_scores_the_draw_run_makes(self, monkeypatch, capsys):
         # bound rebuilds trial 0's first-epoch draw on its own; score the one

@@ -8,7 +8,9 @@ more configs: Gaussian and noiseless rewards on the three-group instance, a
 two-epoch Gaussian schedule on piecewise-linear reservoirs run on two
 workers, and a two-epoch Bernoulli schedule on two equal groups, whose first
 epochs end in tie-breaks, run on one worker and on two.  A change that moves these files must regenerate them on purpose,
-with ``quantile-bandits run --config <config> --out <dir>``.
+with ``quantile-bandits run --config <config> --out <dir>``.  Each of the
+seven configs also pins the stdout of ``quantile-bandits bound`` in
+``tests/contract/<name>.bound.txt``.
 
 Those bytes also rest on numpy's generator streams: ``numpy-stream.txt``
 pins the first uniforms and standard normals of ``default_rng(0)``, so a
@@ -93,3 +95,13 @@ def test_tie_breaks_before_rewinds_reproduce_at_any_thread_count(threads, tmp_pa
 def test_benchmark_workload_reproduces_reference(workload, tmp_path, capsys):
     assert_run_reproduces(workload, BENCH / "reference" / f"{workload.stem}.csv",
                           CONTRACT / f"{workload.stem}.summary.json", tmp_path)
+
+
+@pytest.mark.parametrize("config", CONFIGS + WORKLOADS, ids=[p.stem for p in CONFIGS + WORKLOADS])
+def test_bound_prints_reference(config, capsys):
+    """``bound`` on each contract config and benchmark workload prints
+    ``tests/contract/<name>.bound.txt``; a change that moves them regenerates
+    them with ``quantile-bandits bound --config <config> > <name>.bound.txt``."""
+    check_numpy_streams()
+    assert main(["bound", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == (CONTRACT / f"{config.stem}.bound.txt").read_text()

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from quantile_bandits import (
     BanditInstance,
     DiscreteReservoir,
+    EpochPlan,
     FiniteGroup,
     PiecewiseLinearReservoir,
     RewardFamily,
-    check_schedule,
     epochs_until_elimination,
     gap_profile,
     make_worst_case_instances,
+    plan_epochs,
     pull_bound_multistep,
     pull_bound_worst_case,
     quantile_sandwiched,
@@ -69,22 +70,33 @@ class TestRequiredArmCount:
             required_arm_count(0.0, 0.1, 2)
 
 
-class TestCheckSchedule:
+class TestPlanEpochs:
     def test_ordering_enforced(self):
+        half, low = GOOD_PAIR, make_instance([("a", DiscreteReservoir.point_mass(0.5))], 0.3)
         with pytest.raises(ValueError, match=r"schedule\[0\]: need delta < eps"):
-            check_schedule(0.5, [0.2], [0.1], 0.3)   # delta > eps
+            plan_epochs(half, [0.2], [0.1], 0.3)   # delta > eps
         with pytest.raises(ValueError, match=r"schedule\[0\]: need delta < eps"):
-            check_schedule(0.5, [0.6], [0.1], 0.05)  # eps > min(alpha, 1-alpha)
+            plan_epochs(half, [0.6], [0.1], 0.05)  # eps > min(alpha, 1-alpha)
         with pytest.raises(ValueError, match=r"schedule\[0\]: need delta < eps"):
-            check_schedule(0.3, [0.35], [0.1], 0.05)  # eps > alpha
+            plan_epochs(low, [0.35], [0.1], 0.05)  # eps > alpha
+        with pytest.raises(ValueError, match=r"schedule\[1\]: need delta < eps"):
+            plan_epochs(half, [0.2, 0.05], [0.2, 0.05], 0.1)  # a later epoch names itself
         for gap in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=r"schedule\[0\]: gap must be positive"):
-                check_schedule(0.5, [0.2], [gap], 0.05)
+                plan_epochs(half, [0.2], [gap], 0.05)
         with pytest.raises(ValueError, match="delta must lie in"):
-            check_schedule(0.5, [0.2], [0.1], -0.05)
-        with pytest.raises(ValueError, match="eps and delta_gap schedules"):
-            check_schedule(0.5, [], [], 0.05)
-        check_schedule(0.5, [0.2], [0.1], 0.05)
+            plan_epochs(half, [0.2], [0.1], -0.05)
+        for eps, gaps in (([], []), ([0.2, 0.1], [0.2])):
+            with pytest.raises(ValueError, match="eps and delta_gap schedules"):
+                plan_epochs(half, eps, gaps, 0.05)
+        plan_epochs(half, [0.2], [0.1], 0.05)
+
+    def test_every_epoch_requests_arms_for_all_groups(self):
+        # the count covers all G groups in every epoch, not only the survivors
+        three = make_instance([(gid, DiscreteReservoir.point_mass(0.5)) for gid in "abc"])
+        assert plan_epochs(three, (0.2, 0.1), (0.3, 0.05), 0.05) == (
+            EpochPlan(0.2, 0.3, 0.05, required_arm_count(0.2, 0.05, 3)),
+            EpochPlan(0.1, 0.05, 0.05, required_arm_count(0.1, 0.05, 3)))
 
 
 class TestQuantileSandwiched:
@@ -354,15 +366,15 @@ class TestPullBounds:
                 inner = math.log(max(1.0 / g**2, math.e))
                 expected += (1.0 / g**2) * math.log((2 * n / delta) * inner)
         expected *= 3 * eps * n
-        got = pull_bound_multistep(GOOD_PAIR, [eps], [gap], delta)
+        got = pull_bound_multistep(GOOD_PAIR, plan_epochs(GOOD_PAIR, [eps], [gap], delta))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_slack_dominated_bound_quarters_when_slack_doubles(self):
         # identical groups: every combined gap equals the slack floor
         res = DiscreteReservoir.point_mass(0.5)
         inst = make_instance([("a", res), ("b", res)])
-        b1 = pull_bound_multistep(inst, [0.1], [0.05], 0.05)
-        b2 = pull_bound_multistep(inst, [0.1], [0.10], 0.05)
+        b1 = pull_bound_multistep(inst, plan_epochs(inst, [0.1], [0.05], 0.05))
+        b2 = pull_bound_multistep(inst, plan_epochs(inst, [0.1], [0.10], 0.05))
         assert 3.0 < b1 / b2 < 5.0
 
     def test_worst_case_scaling(self):
@@ -374,7 +386,7 @@ class TestPullBounds:
     def test_grouped_vs_worst_case_same_order_when_slack_dominates(self):
         res = DiscreteReservoir.point_mass(0.5)
         inst = make_instance([("a", res), ("b", res)])
-        grouped = pull_bound_multistep(inst, [0.1], [0.05], 0.05)
+        grouped = pull_bound_multistep(inst, plan_epochs(inst, [0.1], [0.05], 0.05))
         worst = pull_bound_worst_case(2, 0.1, 0.05, 0.05)
         assert 0.1 < grouped / worst < 10.0
 
@@ -382,7 +394,7 @@ class TestPullBounds:
 class TestTwoStep:
     def test_single_group_returns_immediately(self):
         inst = make_instance([("only", DiscreteReservoir.point_mass(0.6))])
-        tr = run_multistep(inst, [0.1], [0.05], 0.05, np.random.default_rng(0))
+        tr = run_multistep(inst, plan_epochs(inst, [0.1], [0.05], 0.05), np.random.default_rng(0))
         assert tr.chosen_group == "only"
         assert tr.total_pulls == 0
         assert tr.success
@@ -392,14 +404,15 @@ class TestTwoStep:
             ("hi", DiscreteReservoir.point_mass(0.7)),
             ("lo", DiscreteReservoir.point_mass(0.3)),
         ], family=NOISELESS)
+        plans = plan_epochs(inst, [0.2], [0.1], 0.1)
         for seed in range(5):
-            tr = run_multistep(inst, [0.2], [0.1], 0.1, np.random.default_rng(seed))
+            tr = run_multistep(inst, plans, np.random.default_rng(seed))
             assert tr.chosen_group == "hi"
             assert tr.success
 
     def test_oracle_telemetry_populated(self):
-        tr = run_multistep(GOOD_PAIR, [0.2], [0.2], 0.1, np.random.default_rng(4),
-                           oracle_checks=True)
+        tr = run_multistep(GOOD_PAIR, plan_epochs(GOOD_PAIR, [0.2], [0.2], 0.1),
+                           np.random.default_rng(4), oracle_checks=True)
         assert tr.checks.event_b is not None
         assert tr.checks.bounds_valid is not None
         assert tr.checks.stop_pull_violations == 0
@@ -441,32 +454,26 @@ class TestOracleConstantsPerConfig:
         # every trial scores against one cached set, so it is a frozenset
         inst = make_instance([("hi", DiscreteReservoir.point_mass(0.7)),
                               ("lo", DiscreteReservoir.point_mass(0.3))], family=NOISELESS)
-        before = run_multistep(inst, [0.2], [0.1], 0.1, np.random.default_rng(3))
+        plans = plan_epochs(inst, [0.2], [0.1], 0.1)
+        before = run_multistep(inst, plans, np.random.default_rng(3))
         won = relaxed_success_set(inst, 0.2, 0.1)
         assert won == {"hi"} and isinstance(won, frozenset)
         with pytest.raises(AttributeError):
             won.add("lo")
         assert relaxed_success_set(inst, 0.2, 0.1) is won
-        after = run_multistep(inst, [0.2], [0.1], 0.1, np.random.default_rng(3))
+        after = run_multistep(inst, plans, np.random.default_rng(3))
         assert after == before and after.success
 
 
 class TestMultistep:
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            run_multistep(GOOD_PAIR, [0.2, 0.1], [0.2], 0.1, np.random.default_rng(0))
-        with pytest.raises(ValueError, match=r"schedule\[1\]: need delta < eps"):
-            run_multistep(GOOD_PAIR, [0.2, 0.05], [0.2, 0.05], 0.1, np.random.default_rng(0))
-        with pytest.raises(ValueError, match=r"schedule\[0\]: gap must be positive"):
-            run_multistep(GOOD_PAIR, [0.2], [0.0], 0.1, np.random.default_rng(0))
-
     def test_far_suboptimal_group_dropped_in_first_epoch(self):
         inst = make_instance([
             ("best", DiscreteReservoir.point_mass(0.7)),
             ("near", DiscreteReservoir.point_mass(0.55)),
             ("far", DiscreteReservoir.point_mass(0.2)),
         ], family=NOISELESS)
-        tr = run_multistep(inst, [0.2, 0.1], [0.2, 0.1], 0.05, np.random.default_rng(1))
+        tr = run_multistep(inst, plan_epochs(inst, [0.2, 0.1], [0.2, 0.1], 0.05),
+                           np.random.default_rng(1))
         assert tr.chosen_group == "best"
         assert len(tr.epoch_pulls) == 2
         # epoch 2 runs without the far group: at eps=0.1 it requests arms for
@@ -479,7 +486,8 @@ class TestMultistep:
             ("near", DiscreteReservoir.point_mass(0.55)),
             ("far", DiscreteReservoir.point_mass(0.2)),
         ])
-        kmax = epochs_until_elimination(inst, [0.2, 0.1, 0.05], [0.2, 0.1, 0.05], 0.01)
+        kmax = epochs_until_elimination(inst, plan_epochs(inst, [0.2, 0.1, 0.05],
+                                                          [0.2, 0.1, 0.05], 0.01))
         # far group's reservoir bound 0.5 exceeds every slack from epoch 1
         assert kmax["far"] == 1
         # the near group's bound 0.15 first beats slack at 0.1
@@ -495,10 +503,11 @@ class TestMultistep:
             ("lo", DiscreteReservoir.point_mass(0.3)),
         ])
         trials, delta, epochs = 100, 0.05, 2
+        plans = plan_epochs(inst, [0.2, 0.15], [0.2, 0.15], delta)
         wins = 0
         for i in range(trials):
             rng = np.random.default_rng(60_000 + i)
-            tr = run_multistep(inst, [0.2, 0.15], [0.2, 0.15], delta, rng)
+            tr = run_multistep(inst, plans, rng)
             wins += tr.success
         rate = wins / trials
         floor = 1.0 - 3.0 * epochs * delta
@@ -518,7 +527,8 @@ class TestMultistep:
             return reservoir_gap_bounds(instance, eps, gap)
 
         monkeypatch.setattr(bounds, "reservoir_gap_bounds", counted)
-        bound = pull_bound_multistep(inst, [0.2, 0.1, 0.05], [0.2, 0.1, 0.05], 0.01)
+        bound = pull_bound_multistep(inst, plan_epochs(inst, [0.2, 0.1, 0.05],
+                                                       [0.2, 0.1, 0.05], 0.01))
         assert calls == [0.2, 0.1, 0.05]
         # the value of the per-group-and-epoch evaluation, bit for bit
         assert repr(bound) == "3659878.7016695635"
@@ -529,13 +539,13 @@ class TestMultistep:
             ("near", DiscreteReservoir.point_mass(0.55)),
             ("far", DiscreteReservoir.point_mass(0.2)),
         ])
-        sched_e, sched_g = [0.2, 0.1, 0.05], [0.2, 0.1, 0.05]
-        with_cutoff = pull_bound_multistep(inst, sched_e, sched_g, 0.01)
+        plans = plan_epochs(inst, [0.2, 0.1, 0.05], [0.2, 0.1, 0.05], 0.01)
+        with_cutoff = pull_bound_multistep(inst, plans)
         assert with_cutoff > 0
         # paying every epoch for every group can only be larger
         total_all = 0.0
-        for e, g in zip(sched_e, sched_g):
-            total_all += pull_bound_multistep(inst, [e], [g], 0.01)
+        for plan in plans:
+            total_all += pull_bound_multistep(inst, (plan,))
         assert with_cutoff <= total_all + 1e-9
 
 

@@ -28,7 +28,6 @@ from quantile_bandits import (
     run_trial,
 )
 from quantile_bandits import cli, grouped, harness
-from quantile_bandits.grouped import required_arm_count
 from quantile_bandits.harness import CSV_COLUMNS
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -490,6 +489,40 @@ def test_bounds_live_only_in_bounds_and_no_trial_module_imports_them():
     assert importers == []
 
 
+def test_each_epoch_budget_has_one_owner():
+    # plan_epochs is the one caller of required_arm_count and the one check of
+    # a schedule: no other function works out an epoch's arm count
+    callers, checkers = [], []
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            callers += [(path.name, getattr(top, "name", None)) for node in ast.walk(top)
+                        if isinstance(node, ast.Call) and "required_arm_count" in (
+                            getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+        checkers += [path.name for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and node.name == "check_schedule"]
+    assert callers == [("grouped.py", "plan_epochs")]
+    assert checkers == []
+
+
+def test_a_config_plans_its_epochs_once_and_its_trials_never(tmp_path, monkeypatch):
+    # the trials and the bounds read the config's plans; replace builds new ones
+    calls, plan_epochs = [], grouped.plan_epochs
+
+    def counted(*args):
+        calls.append(args)
+        return plan_epochs(*args)
+
+    for module in (grouped, harness):
+        monkeypatch.setattr(module, "plan_epochs", counted)
+    cfg = small_config(tmp_path)
+    run_experiment(cfg)
+    assert len(calls) == 1
+    assert replace(cfg, delta=0.05).plans[0].arms_per_group > cfg.plans[0].arms_per_group
+    assert len(calls) == 2
+
+
 class TestArtifacts:
     def test_csv_schema_and_row_count(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -608,7 +641,7 @@ class TestArtifacts:
                                        {"id": "b", "atoms": [[0.5, 1.0]]}])
         cfg = config_from_dict({"instance": twins, "delta": 0.1, "trials": 3,
                                 "eps": [0.3, 0.15], "delta_gap": [0.3, 0.3]})
-        caps = [3.0 * eps * required_arm_count(eps, cfg.delta, 2) for eps in cfg.eps_schedule]
+        caps = [3.0 * plan.eps * plan.arms_per_group for plan in cfg.plans]
         assert math.floor(caps[0]) + 1 <= caps[1]
         epochs, oracles = [], grouped._epoch_oracles
 
