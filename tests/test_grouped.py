@@ -70,7 +70,9 @@ class TestRequiredArmCount:
             required_arm_count(0.0, 0.1, 2)
 
 
-class TestPlanEpochs:
+class TestCheckSchedule:
+    """The schedule checks, made by :func:`plan_epochs` before any epoch runs."""
+
     def test_ordering_enforced(self):
         half, low = GOOD_PAIR, make_instance([("a", DiscreteReservoir.point_mass(0.5))], 0.3)
         with pytest.raises(ValueError, match=r"schedule\[0\]: need delta < eps"):
@@ -79,18 +81,17 @@ class TestPlanEpochs:
             plan_epochs(half, [0.6], [0.1], 0.05)  # eps > min(alpha, 1-alpha)
         with pytest.raises(ValueError, match=r"schedule\[0\]: need delta < eps"):
             plan_epochs(low, [0.35], [0.1], 0.05)  # eps > alpha
-        with pytest.raises(ValueError, match=r"schedule\[1\]: need delta < eps"):
-            plan_epochs(half, [0.2, 0.05], [0.2, 0.05], 0.1)  # a later epoch names itself
         for gap in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=r"schedule\[0\]: gap must be positive"):
                 plan_epochs(half, [0.2], [gap], 0.05)
         with pytest.raises(ValueError, match="delta must lie in"):
             plan_epochs(half, [0.2], [0.1], -0.05)
-        for eps, gaps in (([], []), ([0.2, 0.1], [0.2])):
-            with pytest.raises(ValueError, match="eps and delta_gap schedules"):
-                plan_epochs(half, eps, gaps, 0.05)
+        with pytest.raises(ValueError, match="eps and delta_gap schedules"):
+            plan_epochs(half, [], [], 0.05)
         plan_epochs(half, [0.2], [0.1], 0.05)
 
+
+class TestPlanEpochs:
     def test_every_epoch_requests_arms_for_all_groups(self):
         # the count covers all G groups in every epoch, not only the survivors
         three = make_instance([(gid, DiscreteReservoir.point_mass(0.5)) for gid in "abc"])
@@ -466,6 +467,15 @@ class TestOracleConstantsPerConfig:
 
 
 class TestMultistep:
+    def test_schedule_validation(self):
+        # run_multistep takes checked plans; a bad schedule stops at plan_epochs
+        with pytest.raises(ValueError, match="eps and delta_gap schedules"):
+            plan_epochs(GOOD_PAIR, [0.2, 0.1], [0.2], 0.1)
+        with pytest.raises(ValueError, match=r"schedule\[1\]: need delta < eps"):
+            plan_epochs(GOOD_PAIR, [0.2, 0.05], [0.2, 0.05], 0.1)
+        with pytest.raises(ValueError, match=r"schedule\[0\]: gap must be positive"):
+            plan_epochs(GOOD_PAIR, [0.2], [0.0], 0.1)
+
     def test_far_suboptimal_group_dropped_in_first_epoch(self):
         inst = make_instance([
             ("best", DiscreteReservoir.point_mass(0.7)),
