@@ -32,22 +32,26 @@ Block rounds: between set changes round t+1 repeats round t with one more
 pull of the same arms, so :meth:`EliminationRun.step` evaluates a block of up
 to K rounds from one reward draw and its running sums, and ends it at the
 first round that changes a set or meets the stopping condition.  K is at
-most the block budget over the run's starting arm count (not the active
-count) and the rounds left to t*; it doubles after a full block and halves
-after a cut one, but not below a quarter of the budget.  The reward
-generator advances exactly as one draw per round would, sums accumulate row
-by row and quantiles are exact order statistics, so a block gives the same
-bits as its rounds run one at a time.  A group with frozen arms finds its
-quantile among the live bounds at a rank shifted by the frozen bounds below
-them, and sorts frozen and live bounds together only when a frozen bound
-lies among the live ones (:func:`_live_rank`).  Between set changes the run
-carries the running sums and writes the ledger only at a set change or the
-stop.  Most blocks change nothing, and a screen proves that from their last
-row of sums alone, sorted once per group, when the sums are int32, no true
-means were given, no candidate group has a frozen arm, and 2*U stays above
-the slack through the block (:func:`_quiet_block`).  Its first row adds 0 or
-1 to the carried sums, so each group's kth and least carried sum, which the
-run keeps beside the sums, stand in for that row's from below.
+most the block budget over the active arm count, worked out again at each
+set change, and the rounds left to t*; it doubles after a full block and
+halves after a cut one, but not below a quarter of the starting budget, the
+budget over the run's starting arm count.  The reward stream advances
+exactly as one draw per round would (a cut block's unused uniforms stay
+with the env for the next pull), sums accumulate row by row and quantiles
+are exact order statistics, so a block gives the same bits as its rounds
+run one at a time.  The run keeps each group's frozen bounds sorted,
+merging in the arms that leave at each set change.  A group with frozen
+arms finds its quantile among the live bounds at a rank shifted by the
+frozen bounds below them, and sorts frozen and live bounds together only
+when a frozen bound lies among the live ones (:func:`_live_rank`).  Between
+set changes the run carries the running sums and writes the ledger only at
+a set change or the stop.  Most blocks change nothing, and a screen proves
+that from their last row of sums alone, sorted once per group, when the sums
+are int32, no true means were given, no candidate group has a frozen arm,
+and 2*U stays above the slack through the block (:func:`_quiet_block`).  Its
+first row adds 0 or 1 to the carried sums, so each group's kth and least
+carried sum, which the run keeps beside the sums, stand in for that row's
+from below.
 """
 
 from __future__ import annotations
@@ -248,7 +252,7 @@ def gap_profile(groups: list[FiniteGroup], true_means: np.ndarray, alpha: float,
 
 
 # elements per (rounds, arms) block array; a block runs
-# BLOCK_ELEMENTS // num_arms rounds at most
+# BLOCK_ELEMENTS // (active arms) rounds at most
 BLOCK_ELEMENTS = 16_384
 
 # an arm's running sum of 0/1 rewards is at most its pull count, which the
@@ -341,6 +345,13 @@ def _live_rank(kq: int, frozen: tuple, extremes: tuple, live: int) -> int | None
     u = ucb.searchsorted((ucb_least.min(), ucb_largest.max()))
     rank = kq - int(s[0])
     return rank if s[0] == s[1] == u[0] == u[1] and 0 <= rank < live else None
+
+
+def _merged(frozen: np.ndarray | None, left: np.ndarray) -> np.ndarray:
+    """The sorted bounds ``frozen`` (None for none) with ``left`` added, sorted."""
+    merged = left if frozen is None else np.concatenate((frozen, left))
+    merged.sort()
+    return merged
 
 
 def _running_sums(block: np.ndarray, carried: np.ndarray) -> None:
@@ -442,8 +453,11 @@ class EliminationRun:
                                and self._round_cap < _INT32_ROUNDS else np.float64)
         # the round from which 2*U(t) < slack, where the spread meets the stop
         self._t_star = invert_width(slack / 2.0, self.ledger.delta_per_arm)
-        self._max_block = max(1, BLOCK_ELEMENTS // n)
-        self._block = self._max_block
+        # a block cut short halves K, but not below a quarter of the
+        # starting budget (the K cap itself grows as the active set shrinks)
+        self._floor = max(1, BLOCK_ELEMENTS // n // 4)
+        # each candidate group's frozen arms' sorted (lcb, ucb), once it has any
+        self._frozen = {}
         self.checks = RunChecks()
         # oracle side: run() fills in the stop-pull count and event B
         self._true_means = self._profile = None
@@ -452,6 +466,7 @@ class EliminationRun:
             self._profile = gap_profile(groups, self._true_means, alpha, slack)
             self.checks.bounds_valid = self.checks.best_group_retained = True
         self._plan()
+        self._block = self._max_block
 
     def should_stop(self) -> bool:
         return len(self.state.candidates) == 1 or self.state.spread <= self.slack
@@ -460,36 +475,31 @@ class EliminationRun:
         return float(np.partition(values[self._columns[gid]], self._kq[gid])[self._kq[gid]])
 
     def _plan(self) -> None:
-        """Store what every block reuses until the next set change: the active
-        arms' running sums, seeded from the ledger, which is current here, with
-        no round pending; the reward index of the longest block, the env's
-        :meth:`RewardEnv.block_index` of the active arms for (max block, m),
-        whose first k rows draw against one row of means; the active arms'
-        true means, given them; and, per candidate group, its kth index, the
-        slice of its columns in ``active`` and its frozen arms' (lcb, ucb),
-        each sorted, which never change (None for a group with no frozen
-        arm); and whether blocks go to the screen, which needs int32 sums, no
-        true means and no frozen arm in any group.  ``active`` is the
-        candidates' pools in candidate order, so each group's live arms are
-        one run of columns."""
+        """Store what every block reuses until the next set change: the K cap,
+        the block budget over the active arm count; the active arms' running
+        sums, seeded from the ledger, which is current here, with no round
+        pending; the reward index of the longest block, the env's
+        :meth:`RewardEnv.block_index` of the active arms for (K cap, m), whose
+        first k rows draw against one row of means; the active arms' true
+        means, given them; and, per candidate group, its kth index, the slice
+        of its columns in ``active`` and its frozen arms' sorted (lcb, ucb),
+        which the run keeps (None for a group with no frozen arm); and
+        whether blocks go to the screen, which needs int32 sums, no true means
+        and no frozen arm in any group.  ``active`` is the candidates' pools
+        in candidate order, so each group's live arms are one run of
+        columns."""
         st = self.state
-        led = self.ledger
-        self._sums = led.sums[st.active].astype(self._dtype, copy=False)
+        self._max_block = max(1, BLOCK_ELEMENTS // st.active.size)
+        self._sums = self.ledger.sums[st.active].astype(self._dtype, copy=False)
         self._floors = None  # the screen's floors under the next row 0, when it needs them
         self._pending = 0
         self._index = self.env.block_index(st.active, self._max_block)
         self._mu = None if self._true_means is None else self._true_means[st.active]
         self._groups = []
-        is_active = np.zeros(led.pulls.size, dtype=bool)
-        is_active[st.active] = True
         col = 0
         for gid in st.candidates:
-            cols, live = self._columns[gid], st.quantile_arms[gid].size
-            bounds = None
-            if live < cols.stop - cols.start:  # the pool is a subset of the group
-                frozen = ~is_active[cols]
-                bounds = (np.sort(led.lcb[cols][frozen]), np.sort(led.ucb[cols][frozen]))
-            self._groups.append((self._kq[gid], slice(col, col + live), bounds))
+            live = st.quantile_arms[gid].size
+            self._groups.append((self._kq[gid], slice(col, col + live), self._frozen.get(gid)))
             col += live
         self._screen = (self._dtype == np.int32 and self._mu is None
                         and all(g[2] is None for g in self._groups))
@@ -500,11 +510,13 @@ class EliminationRun:
         Each round pulls every active arm once.  The block ends at its first
         round that changes the candidates or the quantile arms, or that meets
         the stopping condition, so one call crosses at most one set change,
-        and only in its last round.  Its length K is at most the block budget
-        divided by the run's starting arm count, not the active count, and the
-        rounds left to t*, where 2*U(t) falls below the slack.  K doubles after
-        a full block; after one cut short it halves, but not below a quarter of
-        the budget, so a run of clustered set changes keeps blocks of that size.
+        and only in its last round.  Its length K is at most the plan's K cap,
+        the block budget divided by the active arm count, and the rounds left
+        to t*, where 2*U(t) falls below the slack.  K doubles after a full
+        block, up to the cap; after one cut short it halves, but not below a
+        quarter of the starting budget, the budget divided by the run's
+        starting arm count, so a run of clustered set changes keeps blocks of
+        that size while the cap grows as arms leave.
 
         The block reads its per-plan inputs without gathering them: one
         :meth:`RewardEnv.pull` of the plan's block index, cut to K rows,
@@ -530,11 +542,15 @@ class EliminationRun:
         group's arms.  A block whose last round changes nothing keeps the sets
         and the per-group plan; one cut short calls :meth:`RewardEnv.keep`
         with the rewards of the rounds it keeps, so the stream stands where
-        one pull per round leaves it.
+        one pull per round leaves it (the env holds the unused uniforms for
+        the next pull, and :meth:`run` syncs the generator once at the end).
 
         Row 0 starts from the running sums the run carries across blocks.  A
         block ending in a set change or the stop commits every round since the
         last commit to the ledger; any other keeps its last row as the sums.
+        At a set change the run gathers the active arms' new bounds once,
+        filters each kept group's pool by its slice of them, and merges the
+        arms that leave the pool into the group's sorted frozen bounds.
         After a set change the run goes on from, :meth:`_plan` builds the
         next block's plan; a block that stops the run builds none, since no
         block would read it.
@@ -642,12 +658,22 @@ class EliminationRun:
             if (led.pulls[arms] != t + r).any():
                 self.checks.equal_pull_ok = False
             # quantile_arms is keyed in candidate order, and the groups tile
-            # the ids in that order, so the pools concatenate in id order
+            # the ids in that order, so the pools concatenate in id order.
+            # Each pool's bounds are one slice of the active arms', and the
+            # arms that leave it join the group's sorted frozen bounds
             kept = keep_group[:, r]
-            quantile_arms = {gid: pool[(led.lcb[pool] <= q_ucb[c, r])
-                                       & (led.ucb[pool] >= q_lcb[c, r])]
-                             for c, (gid, pool) in enumerate(st.quantile_arms.items())
-                             if kept[c]}
+            lcb, ucb = led.lcb[arms], led.ucb[arms]
+            quantile_arms = {}
+            for c, (gid, pool) in enumerate(st.quantile_arms.items()):
+                if kept[c]:
+                    cols = self._groups[c][1]
+                    inside = (lcb[cols] <= q_ucb[c, r]) & (ucb[cols] >= q_lcb[c, r])
+                    quantile_arms[gid] = pool[inside]
+                    if not inside.all():
+                        out = ~inside
+                        low, high = self._frozen.get(gid, (None, None))
+                        self._frozen[gid] = (_merged(low, lcb[cols][out]),
+                                             _merged(high, ucb[cols][out]))
             # the largest q_lcb's group is kept (its q_ucb is no smaller), so
             # candidates never empty and spread[r] is the kept groups' spread
             candidates = tuple(quantile_arms)
@@ -662,7 +688,7 @@ class EliminationRun:
             self.checks.shortcut_consistent = False
 
         self._block = (min(2 * self._block, self._max_block) if r == k - 1
-                       else max(1, self._max_block // 4, self._block // 2))
+                       else max(self._floor, self._block // 2))
         self.state = EliminationState(t + r + 1, candidates, quantile_arms, active,
                                       float(spread[r]))
         if event[r] and not self.should_stop():
@@ -689,6 +715,7 @@ class EliminationRun:
             if self.state.round_index > self._round_cap:
                 raise RuntimeError(f"elimination failed to stop within {self._round_cap} rounds")
             self.step()
+        self.env.sync()  # the tie-break and the generator's next user read the stream
         chosen = self.choose()
         # the ledger is committed at the stop
         pulls = self.ledger.pulls.copy()

@@ -223,8 +223,13 @@ class RewardEnv:
     read once and tiled from the block's second pull on.  The family alone
     picks the draw, one variate per reward: a uniform for Bernoulli,
     compared with the mean into a bool, a standard normal for Gaussian,
-    none for noiseless.  The generator must be PCG64, whose jump-ahead
-    rewinds a Bernoulli pull.
+    none for noiseless.
+
+    A Bernoulli env reads a stream of uniforms: the ones a cut pull did not
+    use, which it holds in stream order, and then the generator's.  So a
+    generator read while the env holds uniforms stands ahead of the stream;
+    :meth:`sync` rewinds it past them, once, and reading :attr:`rng` syncs
+    first.  The generator must be PCG64, whose jump-ahead does that rewind.
     """
 
     def __init__(self, means: np.ndarray, family: RewardFamily, rng: np.random.Generator) -> None:
@@ -241,9 +246,10 @@ class RewardEnv:
         self._rng = rng
         self._sigma = math.sqrt(family.sigma2) if family.kind == "gaussian" else 0.0
         self._draw = {"bernoulli": rng.random, "gaussian": rng.standard_normal}.get(family.kind)
-        # what the last pull drew: a Bernoulli pull's count of uniforms, one
-        # PCG64 word each; a Gaussian pull's starting generator state
-        self._drawn = self._start = None
+        # a Bernoulli env's held uniforms, and the last pull's uniforms
+        # followed by those still held; a Gaussian pull's starting state
+        self._held = self._drawn = np.empty(0)
+        self._start = None
         # the last block index's own arms, their row of means and its tile
         # (None before the block's first pull); no index views this empty one
         self._row = (np.empty(0, dtype=np.intp), None, None)
@@ -254,7 +260,10 @@ class RewardEnv:
 
     @property
     def rng(self) -> np.random.Generator:
-        """The generator rewards are drawn from (read-only)."""
+        """The generator rewards are drawn from (read-only), synced first
+        (:meth:`sync`), so that it stands where the rewards pulled so far
+        leave the stream."""
+        self.sync()
         return self._rng
 
     @property
@@ -265,20 +274,23 @@ class RewardEnv:
 
     def block_index(self, arms: np.ndarray, rows: int) -> np.ndarray:
         """A block's (rows, m) pull index, which repeats the m listed arms in
-        every row: a read-only broadcast of a copy of ``arms`` that only
+        every row: a read-only stride-0 view of a copy of ``arms`` that only
         this env holds, so writing ``arms`` later changes none of its pulls.
         Their row of means is read here, once.  A later call starts a new
         block; an index from an earlier one is pulled as any other."""
         own = np.array(arms)
         self._row = (own, self._means[own], None)
-        return np.broadcast_to(own, (rows, own.size))
+        index = np.ndarray((rows, own.size), own.dtype, own, 0, (0, own.itemsize))
+        index.flags.writeable = False
+        return index
 
     def pull(self, arm_indices: np.ndarray) -> np.ndarray:
         """Pull each listed arm once and return the rewards in C order, as
-        :attr:`reward_dtype`, in the index's shape; the generator advances
-        as one pull of the flattened index would.  A Bernoulli reward is
-        ``uniform < mean``, the comparison's own bool array; a Gaussian one
-        is ``z * sigma + mean`` in the normals' own array, the bits of the
+        :attr:`reward_dtype`, in the index's shape; the stream advances as
+        one pull of the flattened index would.  A Bernoulli reward is
+        ``uniform < mean``, the comparison's own bool array, whose uniforms
+        are the held ones first and then the generator's; a Gaussian one is
+        ``z * sigma + mean`` in the normals' own array, the bits of the
         generator's ``normal(mean, sigma)``.
 
         The leading rows of the last :meth:`block_index` draw against its
@@ -289,9 +301,9 @@ class RewardEnv:
         arrays.  A block pulled once, as most plans of a run with many set
         changes are, builds no tile.  Any other index, a broadcast built
         elsewhere included, reads each element's own mean, elementwise the
-        same.  A Bernoulli pull records only how many uniforms it drew, and
-        a Gaussian one the generator state it started from, for
-        :meth:`keep`.  An index with no elements draws nothing and returns
+        same.  A Bernoulli pull keeps its uniforms for :meth:`keep` and
+        reads no generator state; a Gaussian one records the state it
+        started from.  An index with no elements draws nothing and returns
         an empty array of its shape."""
         arms = np.asarray(arm_indices)
         shape = arms.shape
@@ -310,8 +322,17 @@ class RewardEnv:
         if self._draw is None:
             return np.broadcast_to(mu, shape).copy()
         if self._family.kind == "bernoulli":
-            self._drawn = arms.size
-            return np.less(self._draw(shape), mu)
+            count, held = arms.size, self._held
+            if count <= held.size:
+                drawn = held
+            elif held.size:
+                drawn = np.empty(count)
+                drawn[:held.size] = held
+                self._draw(out=drawn[held.size:])
+            else:
+                drawn = self._draw(count)
+            self._drawn, self._held = drawn, drawn[count:]
+            return np.less(drawn[:count].reshape(shape), mu)
         self._start = self._rng.bit_generator.state
         draws = self._draw(shape)
         draws *= self._sigma
@@ -320,26 +341,39 @@ class RewardEnv:
 
     def keep(self, count: int) -> None:
         """Keep the first ``count`` rewards of the last :meth:`pull`, in C
-        order: the generator is left where a pull of ``count`` arms from
-        the same start would leave it.  A Bernoulli pull took one PCG64
-        word per uniform, so the generator steps back by the words it drops
-        (``advance`` counts modulo 2**128, PCG64's period) and gets back the
-        buffered 32-bit half that ``advance`` clears and uniforms never
-        touch.  A Gaussian pull's ziggurat takes a varying number of words
-        per normal, so it restores the start and draws ``count`` again."""
+        order: the stream is left where a pull of ``count`` arms from the
+        same start would leave it.  A Bernoulli env holds the pull's
+        uniforms past the first ``count``, in stream order, ahead of any it
+        still held, and the next pull takes them first; the generator is
+        not touched.
+        A Gaussian pull's ziggurat takes a varying number of words per
+        normal, so it restores the start and draws ``count`` again."""
         if self._draw is None:
             return
-        bits = self._rng.bit_generator
         if self._family.kind == "bernoulli":
-            half = bits.state
-            bits.advance(count - self._drawn)
-            if half["has_uint32"]:
-                moved = bits.state
-                moved["has_uint32"], moved["uinteger"] = half["has_uint32"], half["uinteger"]
-                bits.state = moved
+            self._held = self._drawn[count:]
         else:
-            bits.state = self._start
+            self._rng.bit_generator.state = self._start
             self._draw(count)
+
+    def sync(self) -> None:
+        """Rewind the generator past the uniforms the env holds and drop
+        them, so that it stands where the rewards pulled so far leave the
+        stream.  Each uniform took one PCG64 word, so the generator steps
+        back by their count (``advance`` counts modulo 2**128, PCG64's
+        period) and gets back the buffered 32-bit half, and the stale word
+        a used half leaves, which ``advance`` clears and uniforms never
+        touch.  Holding none, it reads nothing."""
+        if not self._held.size:
+            return
+        bits = self._rng.bit_generator
+        half = bits.state
+        bits.advance(-self._held.size)
+        moved = bits.state
+        moved["has_uint32"], moved["uinteger"] = half["has_uint32"], half["uinteger"]
+        bits.state = moved
+        self._drawn = self._drawn[:self._drawn.size - self._held.size]
+        self._held = self._drawn[self._drawn.size:]
 
 
 @functools.lru_cache

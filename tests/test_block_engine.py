@@ -3,8 +3,9 @@
 ``SequentialRun`` runs one round per ``step`` call, as the loop did before
 blocks.  On random small instances both must agree bit for bit: outcome,
 pull counts, final bounds, every telemetry flag, the ledger at every set
-change and the position of the reward generator after the run.  Whole
-multi-step trials on sampled reservoirs must agree too.
+change and the position of the reward generator after the run, where the
+env holds no uniforms.  Whole multi-step trials on sampled reservoirs must
+agree too.
 """
 
 from unittest import mock
@@ -71,9 +72,11 @@ def build(cls, case):
 
 def run(cls, case):
     """Run ``cls`` on ``case``; return the result, the final bounds and the
-    state of the reward generator."""
+    state of the reward generator, which the run leaves synced: its env
+    holds no uniforms of a cut block."""
     engine, env_rng = build(cls, case)
     res = engine.run()
+    assert engine.env._held.size == 0
     return res, engine.ledger.lcb, engine.ledger.ucb, env_rng.bit_generator.state
 
 
@@ -526,6 +529,59 @@ FROZEN_CASE = (np.array([0.1, 0.1, 0.5, 0.5, 0.9, 0.9, 0.5, 0.5]),
                [FiniteGroup("a", range(6)), FiniteGroup("b", range(6, 8))])
 
 
+class FrozenPlanRun(EliminationRun):
+    """Checks every plan's per-group tuples, whose frozen bounds the run
+    merges at each set change, against those built from the ledger, which
+    is current at a plan, as the plan once built them: each candidate
+    group's kth index, its slice of columns in ``active`` and, once the
+    group has frozen arms, their sorted lcb and ucb.  Counts the plans
+    whose groups have frozen arms."""
+
+    def __init__(self, *args, **kwargs):
+        self.frozen_plans = 0
+        super().__init__(*args, **kwargs)
+
+    def _plan(self):
+        super()._plan()
+        st, led = self.state, self.ledger
+        is_active = np.zeros(led.pulls.size, dtype=bool)
+        is_active[st.active] = True
+        col, expected = 0, []
+        for gid in st.candidates:
+            cols, live = self._columns[gid], st.quantile_arms[gid].size
+            bounds = None
+            if live < cols.stop - cols.start:
+                frozen = ~is_active[cols]
+                bounds = (np.sort(led.lcb[cols][frozen]), np.sort(led.ucb[cols][frozen]))
+            expected.append((self._kq[gid], slice(col, col + live), bounds))
+            col += live
+        assert len(self._groups) == len(expected)
+        for got, want in zip(self._groups, expected):
+            assert got[:2] == want[:2]
+            assert (got[2] is None) == (want[2] is None)
+            if want[2] is not None:
+                for merged, sorted_ in zip(got[2], want[2]):
+                    assert merged.dtype == sorted_.dtype
+                    assert merged.tobytes() == sorted_.tobytes()
+        self.frozen_plans += any(g[2] is not None for g in expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+@example({"groups": FROZEN_CASE[1], "means": FROZEN_CASE[0], "family": "bernoulli",
+          "alpha": 0.5, "slack": 0.1, "oracle": "none", "seed": 11})
+def test_merged_frozen_bounds_are_the_sorted_ledger_bounds(case):
+    # at every set change the run merges the arms that left a pool into
+    # their group's sorted frozen bounds, instead of sorting every group's
+    # frozen bounds from the ledger; both give the same floats in the same
+    # order, and the run the sequential loop's bits
+    engine = build(FrozenPlanRun, case)[0]
+    engine.run()
+    if case["groups"] is FROZEN_CASE[1]:
+        assert engine.frozen_plans > 0
+    assert_same_run(case)
+
+
 class BandRun(BranchRun):
     """Records, per frozen group and block, whether the rank shift found its
     band (True) or the sort did (False), and after every block cut short,
@@ -557,7 +613,8 @@ def test_frozen_and_frozen_free_groups_in_one_block():
     # outside the live ones, and from the sort when one straddles them: with
     # noise, one of two equal outer arms can leave while the other's bounds
     # pass the frozen ones, but noiseless equal arms leave together.  A block
-    # cut short halves K, but not below a quarter of the budget
+    # cut short halves K, but not below a quarter of the starting budget,
+    # the budget over all arms, although the cap grows as arms leave
     means, groups = FROZEN_CASE
     for family in ("noiseless", "bernoulli", "gaussian"):
         env = RewardEnv(means, FAMILIES[family], np.random.default_rng(11))
@@ -574,7 +631,7 @@ def test_frozen_and_frozen_free_groups_in_one_block():
         assert set(engine.shifted) == ({True} if family == "noiseless" else {True, False})
         assert engine.after_cut
         for k, left in engine.after_cut:
-            assert k >= max(1, min(engine._max_block // 4, left))
+            assert k >= max(1, min(elimination.BLOCK_ELEMENTS // means.size // 4, left))
         assert_same_run({"groups": groups, "means": means, "family": family, "alpha": 0.5,
                          "slack": 0.1, "oracle": "true", "seed": 11})
 
@@ -848,9 +905,20 @@ def test_reservoir_trials_match_sequential_loop(reservoirs, family, epochs):
         result = run_multistep(instance, plans, rng, oracle_checks=True)
         return result, rng.bit_generator.state
 
+    # the uniforms each run's env still held when the run synced it
+    held = []
+
+    def sync(self, sync=RewardEnv.sync):
+        held.append(self._held.size)
+        sync(self)
+
     for seed in range(3):
-        got = trial(seed)
+        with mock.patch.object(RewardEnv, "sync", sync):
+            got = trial(seed)
         with mock.patch.object(elimination, "EliminationRun", SequentialRun):
             ref = trial(seed)
         assert got == ref
         assert len(got[0].epoch_pulls) == epochs
+    # a Bernoulli run ends on a cut block and holds its unused uniforms, so
+    # the next epoch's arm draw matches only because the run synced first
+    assert any(held) == (family == "bernoulli")

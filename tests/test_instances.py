@@ -300,17 +300,23 @@ class TestSampleReward:
         (RewardFamily("gaussian", 1.0), False), (RewardFamily("noiseless"), True)])
     @pytest.mark.parametrize("count", [0, 1, 7, 1000])
     def test_skip_advances_like_pull(self, family, draws_nothing, count):
-        # the cut-block rewind keeps the rounds already drawn and skips the
-        # rest; the next draws must be those a pull of the same count leaves
+        # a cut block keeps the rounds already drawn and skips the rest; the
+        # next draws must be those a pull of the same count leaves, before
+        # any sync, and after a sync the generator stands where that pull
+        # leaves it
         means = np.random.default_rng(9).random(count + 3)
         pulled, cut = np.random.default_rng(4), np.random.default_rng(4)
-        RewardEnv(means, family, pulled).pull(np.arange(count))
+        twin = RewardEnv(means, family, pulled)
+        twin.pull(np.arange(count))
+        untouched = pulled.bit_generator.state == np.random.default_rng(4).bit_generator.state
+        assert untouched == (draws_nothing or count == 0)
         env = RewardEnv(means, family, cut)
         env.pull(np.arange(count + 3))
         env.keep(count)
+        arms = np.arange(count + 3)[::-1]
+        assert np.array_equal(env.pull(arms), twin.pull(arms))
+        env.sync()
         assert cut.bit_generator.state == pulled.bit_generator.state
-        untouched = pulled.bit_generator.state == np.random.default_rng(4).bit_generator.state
-        assert untouched == (draws_nothing or count == 0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["bernoulli", "gaussian", "noiseless"]),
@@ -318,17 +324,21 @@ class TestSampleReward:
            st.integers(0, 2**32 - 1))
     def test_keep_leaves_the_stream_where_a_shorter_pull_does(self, kind, sigma2, k, m, seed):
         # a block cut after its first j of k rounds keeps j * m rewards; the
-        # generator must stand where a pull of those j rows alone leaves it
+        # next pull must draw what it draws after a pull of those j rows
+        # alone, before any sync, and after a sync the generator must stand
+        # where that pull leaves it
         family = RewardFamily(kind, sigma2 if kind == "gaussian" else None)
         means = np.random.default_rng(seed).random(m)
         block = np.broadcast_to(np.arange(m), (k, m))
         for j in range(k + 1):
             cut, short = np.random.default_rng(seed), np.random.default_rng(seed)
-            env = RewardEnv(means, family, cut)
+            env, twin = RewardEnv(means, family, cut), RewardEnv(means, family, short)
             env.pull(block)
             env.keep(j * m)
             if j:
-                RewardEnv(means, family, short).pull(block[:j])
+                twin.pull(block[:j])
+            assert np.array_equal(env.pull(block), twin.pull(block))
+            env.sync()
             assert cut.bit_generator.state == short.bit_generator.state
 
     @pytest.mark.parametrize("family, draws_nothing", [
@@ -413,7 +423,8 @@ class TestSampleReward:
            st.data(), st.integers(0, 2**32 - 1))
     def test_keep_restores_the_whole_state_after_a_tie_break(self, kind, k, m, data, seed):
         # a tie-break's integers(3) leaves PCG64 holding a buffered 32-bit
-        # half, which jump-ahead clears; after a cut pull the whole state,
+        # half, which jump-ahead clears; after a cut pull the next pull's
+        # rewards, before any sync, and after a sync the whole state,
         # buffered half included, and the next integers draws must be those
         # of a twin that pulled only the kept rewards
         j = data.draw(st.integers(0, k))
@@ -424,17 +435,21 @@ class TestSampleReward:
         for rng in (cut, twin):
             rng.integers(3)
         assert cut.bit_generator.state["has_uint32"] == 1
-        env = RewardEnv(means, family, cut)
+        env, twin_env = RewardEnv(means, family, cut), RewardEnv(means, family, twin)
         env.pull(block)
         env.keep(j * m)
         if j:
-            RewardEnv(means, family, twin).pull(block[:j])
+            twin_env.pull(block[:j])
+        rows = block[:data.draw(st.integers(0, k))]
+        assert np.array_equal(env.pull(rows), twin_env.pull(rows))
+        env.sync()
         assert cut.bit_generator.state == twin.bit_generator.state
         assert np.array_equal(cut.integers(1000, size=5), twin.integers(1000, size=5))
 
     def test_bernoulli_pull_reads_no_generator_state(self):
-        # the rewind counts the uniforms a pull drew, so only keep, on a cut
-        # block, reads the generator's state
+        # a cut pull's unused uniforms are held, not rewound, so neither pull
+        # nor keep reads the generator's state; only sync does, and only
+        # while uniforms are held, when it rewinds past them
         reads = []
 
         class Watched(np.random.PCG64):
@@ -452,9 +467,56 @@ class TestSampleReward:
         block = np.broadcast_to(np.arange(3), (6, 3))
         for k in (1, 6, 2):
             env.pull(block[:k])
+        env.keep(2)  # holds 4 uniforms
+        env.pull(block[:1])  # takes 3 of them
+        env.keep(3)
+        env.pull(block[:2])  # takes the last and draws 5
+        env.keep(6)
+        env.sync()
+        assert env.rng is rng
         assert reads == []
-        env.keep(2)
+        env.pull(block[:5])
+        env.keep(4)
+        env.sync()
         assert reads
+        reads.clear()
+        env.sync()
+        assert reads == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_kept_tail_draws_what_a_twin_of_kept_rewards_draws(self, n, data, seed):
+        # random block pulls, some cut by keep(j), so that later pulls start
+        # inside the held uniforms and end inside them or past them, and
+        # tie-breaks through env.rng, whose integers(3) leaves PCG64 holding
+        # a buffered 32-bit half.  A twin draws only the rewards each pull
+        # keeps, one uniform each: every kept reward, every tie-break and,
+        # after a sync, the whole generator state must be the twin's
+        means = np.random.default_rng(seed).random(n)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        env = RewardEnv(means, RewardFamily("bernoulli"), rng)
+        arms = st.lists(st.integers(0, n - 1), min_size=1, max_size=6)
+        for _ in range(data.draw(st.integers(1, 16))):
+            action = data.draw(st.sampled_from(["block", "flat", "tie-break", "sync"]))
+            if action == "tie-break":
+                assert env.rng.integers(3) == twin.integers(3)
+                continue
+            if action == "sync":
+                env.sync()
+                assert rng.bit_generator.state == twin.bit_generator.state
+                continue
+            active = np.array(data.draw(arms))
+            k = data.draw(st.integers(0, 6))
+            index = (env.block_index(active, 6)[:k] if action == "block"
+                     else np.tile(active, k))
+            rewards = env.pull(index).ravel()
+            j = data.draw(st.integers(0, rewards.size)) if data.draw(st.booleans()) \
+                else rewards.size
+            env.keep(j)
+            assert np.array_equal(rewards[:j], twin.random(j) < means[index.ravel()[:j]])
+        env.sync()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert np.array_equal(env.rng.integers(1000, size=5), twin.integers(1000, size=5))
 
     @pytest.mark.parametrize("kind", ["bernoulli", "gaussian", "noiseless"])
     def test_empty_repeated_row_index_draws_nothing(self, kind):
