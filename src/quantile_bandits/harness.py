@@ -262,7 +262,9 @@ class AggregateReport:
     median_pulls: float | None
     max_pulls: int | None
     event_a_rate: float | None
+    event_a_ci_wilson3: tuple[float, float] | None
     partition_bound_rate: float | None
+    partition_bound_ci_wilson3: tuple[float, float] | None
     bound_grouped: float
     bound_worst_case: float
     wall_clock_s: float
@@ -270,6 +272,13 @@ class AggregateReport:
     def to_dict(self) -> dict:
         """The fields in order, "undefined" for None; JSON writes the tuple as a list."""
         return {k: "undefined" if v is None else v for k, v in asdict(self).items()}
+
+
+def _wilson3(hits: int, n: int) -> tuple[float, float]:
+    """Wilson score interval at z = 3 of ``hits`` in ``n`` trials, in counts:
+    it ends at exactly 0 or 1."""
+    half = 3.0 * math.sqrt(hits * (n - hits) / n + 9.0 / 4.0)
+    return (hits + 4.5 - half) / (n + 9.0), (hits + 4.5 + half) / (n + 9.0)
 
 
 def _write_csv(path: str, results: list[TrialResult]) -> None:
@@ -396,21 +405,22 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
 
     if results:
         pulls = [r.total_pulls for r in results]
-        wins, n = sum(r.success for r in results), len(results)
-        # Wilson score interval at z = 3, in counts: it ends at exactly 0 or 1
-        half = 3.0 * math.sqrt(wins * (n - wins) / n + 9.0 / 4.0)
-        ci = ((wins + 4.5 - half) / (n + 9.0), (wins + 4.5 + half) / (n + 9.0))
+        n = len(results)
+        wins = sum(r.success for r in results)
+        event_a = sum(r.event_a for r in results)
+        within_cap = sum(r.buckets_within_cap for r in results)
         report = AggregateReport(
-            trials=n, success_rate=wins / n, success_ci_wilson3=ci,
+            trials=n, success_rate=wins / n, success_ci_wilson3=_wilson3(wins, n),
             mean_pulls=float(np.mean(pulls)), median_pulls=float(np.median(pulls)),
             max_pulls=int(max(pulls)),
-            event_a_rate=sum(r.event_a for r in results) / n,
-            partition_bound_rate=sum(r.buckets_within_cap for r in results) / n,
+            event_a_rate=event_a / n, event_a_ci_wilson3=_wilson3(event_a, n),
+            partition_bound_rate=within_cap / n,
+            partition_bound_ci_wilson3=_wilson3(within_cap, n),
             bound_grouped=bound, bound_worst_case=worst,
             wall_clock_s=time.perf_counter() - start,
         )
     else:
-        report = AggregateReport(0, None, None, None, None, None, None, None,
+        report = AggregateReport(0, None, None, None, None, None, None, None, None, None,
                                  bound, worst, time.perf_counter() - start)
 
     if config.out_csv:

@@ -560,24 +560,33 @@ class TestArtifacts:
     def test_success_interval_is_the_wilson_score_interval_at_z_3(self, tmp_path, monkeypatch,
                                                                   wins):
         # the textbook form, centre and half-width over 1 + z^2/n; at 0 or n
-        # wins of n it ends at exactly 0 or 1, so 8 of 8 give [8/17, 1]
+        # hits of n it ends at exactly 0 or 1, so 8 of 8 give [8/17, 1].  The
+        # event-A and bucket-load intervals are the same interval of their
+        # own counts, here 8 - wins and (wins + 3) % 9 of the 8 trials
+        hits = {"success": wins, "event_a": 8 - wins, "partition_bound": (wins + 3) % 9}
         monkeypatch.setattr(harness, "run_trial", lambda config, index: replace(
-            _RUN_TRIAL(config, index), success=index < wins))
-        low, high = run_experiment(small_config(tmp_path)).success_ci_wilson3
-        n, p, z2 = 8, wins / 8, 9.0
-        centre = (p + z2 / (2 * n)) / (1 + z2 / n)
-        half = 3.0 * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / (1 + z2 / n)
-        assert (low, high) == pytest.approx((centre - half, centre + half), abs=1e-12)
-        assert (low == 0.0, high == 1.0) == (wins == 0, wins == 8)
+            _RUN_TRIAL(config, index), success=index < hits["success"],
+            event_a=index < hits["event_a"], buckets_within_cap=index < hits["partition_bound"]))
+        report = run_experiment(small_config(tmp_path))
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["success_ci_wilson3"] == [low, high]
+        for name, count in hits.items():
+            low, high = getattr(report, f"{name}_ci_wilson3")
+            n, p, z2 = 8, count / 8, 9.0
+            centre = (p + z2 / (2 * n)) / (1 + z2 / n)
+            half = 3.0 * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / (1 + z2 / n)
+            assert (low, high) == pytest.approx((centre - half, centre + half), abs=1e-12)
+            assert (low == 0.0, high == 1.0) == (count == 0, count == 8)
+            assert getattr(report, f"{name}_rate") == p
+            assert summary[f"{name}_ci_wilson3"] == [low, high]
 
     def test_zero_trials_marked_undefined(self, tmp_path):
         cfg = small_config(tmp_path, trials=0)
         report = run_experiment(cfg)
         assert report.trials == 0
         assert report.success_rate is None
-        assert json.loads((tmp_path / "summary.json").read_text())["success_rate"] == "undefined"
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert {summary[k] for k in ("success_rate", "success_ci_wilson3", "event_a_ci_wilson3",
+                                     "partition_bound_ci_wilson3")} == {"undefined"}
         assert (tmp_path / "trials.csv").read_text().strip().count("\n") == 0  # header only
 
     def test_schedule_config_runs(self, tmp_path):
