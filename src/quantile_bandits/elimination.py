@@ -39,19 +39,19 @@ budget over the run's starting arm count.  The reward stream advances
 exactly as one draw per round would (a cut block's unused uniforms stay
 with the env for the next pull), sums accumulate row by row and quantiles
 are exact order statistics, so a block gives the same bits as its rounds
-run one at a time.  The run keeps each group's frozen bounds sorted,
-merging in the arms that leave at each set change.  A group with frozen
-arms finds its quantile among the live bounds at a rank shifted by the
-frozen bounds below them, and sorts frozen and live bounds together only
-when a frozen bound lies among the live ones (:func:`_live_rank`).  Between
-set changes the run carries the running sums and writes the ledger only at
-a set change or the stop.  Most blocks change nothing, and a screen proves
-that from their last row of sums alone, sorted once per group, when the sums
-are int32, no true means were given, no candidate group has a frozen arm,
-and 2*U stays above the slack through the block (:func:`_quiet_block`).  Its
-first row adds 0 or 1 to the carried sums, so each group's kth and least
-carried sum, which the run keeps beside the sums, stand in for that row's
-from below.
+run one at a time.  The run keeps each group's frozen bounds sorted (empty
+while it has none), merging in the arms that leave at each set change, and
+one function finds each side of every group's band (:func:`_band`): a
+frozen bound, one live column, or the live bounds sorted with the few
+frozen bounds that straddle them.  The final choice reads the band of the
+round that stopped the run.  Between set changes the run carries the
+running sums and writes the ledger only at a set change or the stop.  Most
+blocks change nothing, and a screen proves that from their last row of sums
+alone, sorted once per group, when the sums are int32, no true means were
+given, no candidate group has a frozen arm, and 2*U stays above the slack
+through the block (:func:`_quiet_block`).  Its first row adds 0 or 1 to the
+carried sums, so each group's kth and least carried sum, which the run
+keeps beside the sums, stand in for that row's from below.
 """
 
 from __future__ import annotations
@@ -331,27 +331,38 @@ def _quiet_block(block: np.ndarray, carried: np.ndarray, floors: list, width: np
     return last, float((x + w) - (x - w)), last_floors
 
 
-def _live_rank(kq: int, frozen: tuple, extremes: tuple, live: int) -> int | None:
-    """Rank kq - s among every row's live bounds of a group's kth bound over
-    frozen and live ones, or None.  ``frozen`` holds the sorted frozen (lcb,
-    ucb), ``extremes`` per side each row's least and largest live bound.  With
-    no frozen bound of a side in [least, largest) over the block, s of them
-    lie below the least, so each row merges as frozen[:s], live, frozen[s:].
-    If both sides give one s and kq - s is a live rank, that live bound is the
-    float a sort of the merged row picks (a frozen bound tied with the largest
-    is the same float)."""
-    (lcb, ucb), ((lcb_least, lcb_largest), (ucb_least, ucb_largest)) = frozen, extremes
-    s = lcb.searchsorted((lcb_least.min(), lcb_largest.max()))
-    u = ucb.searchsorted((ucb_least.min(), ucb_largest.max()))
-    rank = kq - int(s[0])
-    return rank if s[0] == s[1] == u[0] == u[1] and 0 <= rank < live else None
+def _band(live: np.ndarray, ends: tuple, rounds: np.ndarray, width: np.ndarray, kq: int,
+          frozen: np.ndarray, side, out: np.ndarray) -> None:
+    """Write into ``out`` every row's kth bound of one side of a group: the
+    kth of its sorted ``frozen`` bounds together with side(live / n, w), its
+    live arms' bounds, where ``live`` holds the row-sorted running sums, n
+    the row's ``rounds``, w its ``width`` and ``ends`` columns 0 and -1 of
+    ``live`` over n.
 
-
-def _merged(frozen: np.ndarray | None, left: np.ndarray) -> np.ndarray:
-    """The sorted bounds ``frozen`` (None for none) with ``left`` added, sorted."""
-    merged = left if frozen is None else np.concatenate((frozen, left))
-    merged.sort()
-    return merged
+    x / n, then x -/+ w, keep the order of x, so side(ends, w) are each
+    row's least and largest live bound.  Of the frozen bounds, the first s
+    lie below every row's least and those from ``top`` on at or above every
+    row's largest (s = top = 0 with none), so each merged row is frozen[:s],
+    the live bounds with frozen[s:top], then frozen[top:].  The kth is a
+    frozen bound when kq misses that middle, the live column at rank kq - s
+    when no frozen bound is in it, and otherwise column kq - s of the middle
+    sorted along rows: the float a sort of the whole merged row picks, ties
+    included."""
+    m, s, top = live.shape[1], 0, 0
+    if frozen.size:
+        s, top = frozen.searchsorted((side(ends[0], width).min(),
+                                      side(ends[1], width).max())).tolist()
+    rank = kq - s
+    if rank < 0 or rank >= m + top - s:
+        out[:] = frozen[kq if rank < 0 else kq - m]
+    elif top == s:
+        side(live[:, rank] / rounds, width, out=out)
+    else:
+        middle = np.empty((live.shape[0], m + top - s))
+        middle[:, :top - s] = frozen[s:top]
+        side(live / rounds[:, None], width[:, None], out=middle[:, top - s:])
+        middle.sort(axis=1)
+        out[:] = middle[:, rank]
 
 
 def _running_sums(block: np.ndarray, carried: np.ndarray) -> None:
@@ -436,7 +447,7 @@ class EliminationRun:
         self.slack = slack
         self.env = env
         self.ledger = ArmLedger(n, delta / n)
-        self._columns, self._kq = lay.columns, lay.kq
+        self._kq = lay.kq
         self.state = EliminationState(
             round_index=1,
             candidates=tuple(lay.columns),
@@ -456,8 +467,9 @@ class EliminationRun:
         # a block cut short halves K, but not below a quarter of the
         # starting budget (the K cap itself grows as the active set shrinks)
         self._floor = max(1, BLOCK_ELEMENTS // n // 4)
-        # each candidate group's frozen arms' sorted (lcb, ucb), once it has any
-        self._frozen = {}
+        # each group's frozen arms' sorted (lcb, ucb), empty until an arm leaves
+        empty = np.empty(0)
+        self._frozen = dict.fromkeys(lay.columns, (empty, empty))
         self.checks = RunChecks()
         # oracle side: run() fills in the stop-pull count and event B
         self._true_means = self._profile = None
@@ -471,9 +483,6 @@ class EliminationRun:
     def should_stop(self) -> bool:
         return len(self.state.candidates) == 1 or self.state.spread <= self.slack
 
-    def _group_quantiles(self, values: np.ndarray, gid: str) -> float:
-        return float(np.partition(values[self._columns[gid]], self._kq[gid])[self._kq[gid]])
-
     def _plan(self) -> None:
         """Store what every block reuses until the next set change: the K cap,
         the block budget over the active arm count; the active arms' running
@@ -483,11 +492,10 @@ class EliminationRun:
         first k rows draw against one row of means; the active arms' true
         means, given them; and, per candidate group, its kth index, the slice
         of its columns in ``active`` and its frozen arms' sorted (lcb, ucb),
-        which the run keeps (None for a group with no frozen arm); and
-        whether blocks go to the screen, which needs int32 sums, no true means
-        and no frozen arm in any group.  ``active`` is the candidates' pools
-        in candidate order, so each group's live arms are one run of
-        columns."""
+        which the run keeps; and whether blocks go to the screen, which needs
+        int32 sums, no true means and no frozen arm in any group.  ``active``
+        is the candidates' pools in candidate order, so each group's live
+        arms are one run of columns."""
         st = self.state
         self._max_block = max(1, BLOCK_ELEMENTS // st.active.size)
         self._sums = self.ledger.sums[st.active].astype(self._dtype, copy=False)
@@ -499,10 +507,10 @@ class EliminationRun:
         col = 0
         for gid in st.candidates:
             live = st.quantile_arms[gid].size
-            self._groups.append((self._kq[gid], slice(col, col + live), self._frozen.get(gid)))
+            self._groups.append((self._kq[gid], slice(col, col + live), self._frozen[gid]))
             col += live
         self._screen = (self._dtype == np.int32 and self._mu is None
-                        and all(g[2] is None for g in self._groups))
+                        and not any(g[2][0].size for g in self._groups))
 
     def step(self) -> EliminationState:
         """Run one block of rounds and return the state after it.
@@ -527,30 +535,25 @@ class EliminationRun:
         rewards are float64 already, and are not copied), become the running
         sums in place, row i after round t+i (:func:`_running_sums`).  Each
         candidate group sorts its (K, live arms) slice of columns along rows
-        once.  Active arms share each round's pull count n and width w, and
-        x / n, then float x - w and x + w, keep the order of x, so the sorted
-        columns give every round's row max and min, divided by n into float64,
-        and both quantile bounds kth / n -/+ w of a group with no frozen arm.
-        A group with frozen arms reads them the same way at live rank kq - s
-        when :func:`_live_rank`, given the block's extreme live bounds, bottom
-        and top over n -/+ w, finds no frozen bound among them and s below on
-        both sides.  Otherwise a frozen bound straddles the live ones, and the
-        group divides its sorted sums into means and sorts its bounds beside
-        the frozen ones, one side at a time.  Group c's bounds fill row c of
-        the (groups, K) bands, so the candidate and stop tests reduce over
-        axis 0; the row max and min tell whether a round drops one of the
-        group's arms.  A block whose last round changes nothing keeps the sets
-        and the per-group plan; one cut short calls :meth:`RewardEnv.keep`
-        with the rewards of the rounds it keeps, so the stream stands where
-        one pull per round leaves it (the env holds the unused uniforms for
-        the next pull, and :meth:`run` syncs the generator once at the end).
+        once.  Active arms share each round's pull count n and width w, so
+        the sorted columns give every round's row min and max over n, and
+        :func:`_band`, called once per side, writes the group's quantile
+        bounds over its frozen and live arms into row c of the (groups, K)
+        bands.  The candidate and stop tests reduce over axis 0, and the row
+        min and max tell whether a round drops one of the group's arms.  A
+        block whose last round changes nothing keeps the sets and the
+        per-group plan; one cut short calls :meth:`RewardEnv.keep` with the
+        rewards of the rounds it keeps, so the stream stands where one pull
+        per round leaves it (the env holds the unused uniforms for the next
+        pull, and :meth:`run` syncs the generator once at the end).
 
         Row 0 starts from the running sums the run carries across blocks.  A
         block ending in a set change or the stop commits every round since the
         last commit to the ledger; any other keeps its last row as the sums.
         At a set change the run gathers the active arms' new bounds once,
-        filters each kept group's pool by its slice of them, and merges the
-        arms that leave the pool into the group's sorted frozen bounds.
+        filters each kept group's pool by its slice of them, merges the arms
+        that leave the pool into the group's sorted frozen bounds, and keeps
+        the kept groups' pessimistic band of round r for :meth:`choose`.
         After a set change the run goes on from, :meth:`_plan` builds the
         next block's plan; a block that stops the run builds none, since no
         block would read it.
@@ -608,25 +611,11 @@ class EliminationRun:
         arm_exits = np.zeros(k, dtype=bool)
         for c, (kq, cols, frozen) in enumerate(self._groups):
             live = np.sort(sums[:, cols], axis=1)
-            top, bottom = live[:, -1] / rounds, live[:, 0] / rounds
+            ends = live[:, 0] / rounds, live[:, -1] / rounds
+            _band(live, ends, rounds, width, kq, frozen[0], np.subtract, q_lcb[c])
+            _band(live, ends, rounds, width, kq, frozen[1], np.add, q_ucb[c])
             # an arm leaves once its interval misses the band: row extremes decide
-            top_lcb, bottom_ucb = top - width, bottom + width
-            rank = kq if frozen is None else _live_rank(
-                kq, frozen, ((bottom - width, top_lcb), (bottom_ucb, top + width)),
-                live.shape[1])
-            if rank is not None:
-                kth = live[:, rank] / rounds
-                np.subtract(kth, width, out=q_lcb[c])
-                np.add(kth, width, out=q_ucb[c])
-            else:  # a frozen bound straddles the live ones: sort them together
-                live = live / rounds[:, None]
-                mat = np.empty((k, frozen[0].size + live.shape[1]))
-                for bound, side, q in zip(frozen, (np.subtract, np.add), (q_lcb, q_ucb)):
-                    mat[:, :bound.size] = bound
-                    side(live, width[:, None], out=mat[:, bound.size:])
-                    mat.sort(axis=1)
-                    q[c] = mat[:, kq]
-            arm_exits |= (top_lcb > q_ucb[c]) | (bottom_ucb < q_lcb[c])
+            arm_exits |= (ends[1] - width > q_ucb[c]) | (ends[0] + width < q_lcb[c])
 
         # the first round that would drop a candidate or a quantile arm, or
         # stop the loop, ends the block; the rounds before it change nothing
@@ -671,12 +660,13 @@ class EliminationRun:
                     quantile_arms[gid] = pool[inside]
                     if not inside.all():
                         out = ~inside
-                        low, high = self._frozen.get(gid, (None, None))
-                        self._frozen[gid] = (_merged(low, lcb[cols][out]),
-                                             _merged(high, ucb[cols][out]))
+                        low, high = self._frozen[gid]
+                        self._frozen[gid] = (np.sort(np.concatenate((low, lcb[cols][out]))),
+                                             np.sort(np.concatenate((high, ucb[cols][out]))))
             # the largest q_lcb's group is kept (its q_ucb is no smaller), so
             # candidates never empty and spread[r] is the kept groups' spread
             candidates = tuple(quantile_arms)
+            self._stop_band = q_lcb[kept, r]  # what choose() reads at the stop
             active = np.concatenate([quantile_arms[g] for g in candidates])
             if active.size == 0:
                 raise RuntimeError(
@@ -696,16 +686,16 @@ class EliminationRun:
         return self.state
 
     def choose(self) -> str:
-        """Final recommendation: argmax of the pessimistic group quantiles,
-        ties broken by a draw from the reward environment's generator."""
+        """Final recommendation: argmax of the candidates' pessimistic
+        quantiles in the round that stopped the run, the band :meth:`step`
+        keeps, ties broken by a draw from the reward environment's generator."""
         st = self.state
         if len(st.candidates) == 1:  # a lone candidate ties with no one
             return st.candidates[0]
         if st.round_index == 1:
             raise RuntimeError("no rounds ran yet there are multiple candidates")
-        scores = {gid: self._group_quantiles(self.ledger.lcb, gid) for gid in st.candidates}
-        best = max(scores.values())
-        ties = [gid for gid in st.candidates if scores[gid] == best]
+        best = self._stop_band.max()
+        ties = [gid for gid, q in zip(st.candidates, self._stop_band) if q == best]
         if len(ties) == 1:
             return ties[0]
         return ties[int(self.env.rng.integers(len(ties)))]

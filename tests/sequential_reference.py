@@ -4,7 +4,9 @@ that the block engine of ``EliminationRun.step`` must match bit for bit.
 It counts stop-pull violations on its own, round by round: an arm's stop
 round is its first round with width U(t) < overall gap / 4, and every later
 round that pulls it is a violation.  ``run`` reports that count in place of
-the engine's closed form, so the two counts are compared, not shared.
+the engine's closed form, so the two counts are compared, not shared.  Its
+quantile bands and final choice partition the ledger's bounds of each
+group's columns, apart from the engine's band function.
 """
 
 import numpy as np
@@ -15,8 +17,9 @@ from quantile_bandits.elimination import EliminationResult, EliminationRun, Elim
 class SequentialRun(EliminationRun):
     """``EliminationRun`` whose ``step`` runs exactly one round."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, groups, *args, **kwargs):
+        super().__init__(groups, *args, **kwargs)
+        self._columns = {g.group_id: g.columns for g in groups}
         self._stop_round = np.full(self.ledger.pulls.size, -1, dtype=np.int64)
         self._stop_pulls = 0
 
@@ -72,6 +75,24 @@ class SequentialRun(EliminationRun):
 
         self.state = EliminationState(t + 1, new_candidates, quantile_arms, new_active, spread)
         return self.state
+
+    def _group_quantiles(self, values: np.ndarray, gid: str) -> float:
+        return float(np.partition(values[self._columns[gid]], self._kq[gid])[self._kq[gid]])
+
+    def choose(self) -> str:
+        """Final recommendation: argmax of the pessimistic group quantiles,
+        ties broken by a draw from the reward environment's generator."""
+        st = self.state
+        if len(st.candidates) == 1:  # a lone candidate ties with no one
+            return st.candidates[0]
+        if st.round_index == 1:
+            raise RuntimeError("no rounds ran yet there are multiple candidates")
+        scores = {gid: self._group_quantiles(self.ledger.lcb, gid) for gid in st.candidates}
+        best = max(scores.values())
+        ties = [gid for gid in st.candidates if scores[gid] == best]
+        if len(ties) == 1:
+            return ties[0]
+        return ties[int(self.env.rng.integers(len(ties)))]
 
     def run(self) -> EliminationResult:
         result = super().run()

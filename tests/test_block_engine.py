@@ -181,56 +181,52 @@ def test_sorted_frozen_merge_gives_the_kth(data):
 
 
 def frozen_bounds(anchors):
-    """Sorted frozen bounds of one side: a row's live extreme, the double
-    next to it on either side, or a value far from the live ones.  + 0.0
-    turns -0.0 into 0.0, since a bound mean -/+ w with w > 0 is never -0.0."""
+    """Sorted frozen bounds of one side, none to four: a row's live extreme,
+    the double next to it on either side, or a value far from the live ones.
+    + 0.0 turns -0.0 into 0.0, since a bound mean -/+ w with w > 0 is never
+    -0.0."""
     near = st.sampled_from(anchors).flatmap(lambda x: st.sampled_from(
         [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]))
     far = st.sampled_from([-1e3, -1.0, 2.0, 1e3]) | st.floats(-1e3, 1e3)
     return st.lists((near | far).map(lambda x: float(x) + 0.0),
-                    min_size=1, max_size=3).map(np.sort)
+                    max_size=4).map(lambda x: np.sort(np.array(x, dtype=float)))
 
 
 @settings(max_examples=800, deadline=None)
 @given(st.data())
-def test_live_rank_band_is_the_sorted_band(data):
-    # a group with frozen arms.  _live_rank gives a rank exactly when no
-    # frozen bound of either side lies in [least, largest) of the block's
-    # live bounds, both sides count the same s frozen bounds below them and
-    # kq - s is a live rank; the rank is then kq - s, and that column of the
-    # row-sorted sums over n, -/+ w, is the kth of frozen and live bounds
-    # sorted together, bit for bit
+def test_band_is_the_kth_of_the_merged_row(data):
+    # one side of a group's band, whichever of its three ways _band finds
+    # it: a frozen bound, one live column, or the live bounds sorted with
+    # the frozen ones that straddle them.  Every row is the kth that a
+    # partition of the whole row [frozen | sums / n -/+ w] finds, bit for
+    # bit, for int32 or float sums, frozen bounds at, one ulp from or far
+    # from the live extremes, and kq below, at the edges of and above the
+    # live ranks
     rows, live_n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
     t = data.draw(st.integers(1, 10**4))
-    sums = np.sort(np.array(data.draw(st.lists(
-        st.integers(0, t), min_size=rows * live_n, max_size=rows * live_n)),
-        dtype=np.int32).reshape(rows, live_n), axis=1)
+    values = data.draw(st.sampled_from([st.integers(0, t), SUMS]))
+    sums = np.sort(np.array(data.draw(st.lists(values, min_size=rows * live_n,
+                                               max_size=rows * live_n)),
+                            dtype=np.int32 if values is not SUMS else float)
+                   .reshape(rows, live_n), axis=1)
     width = np.array(data.draw(st.lists(st.floats(1e-9, 2.0) | st.sampled_from([0.05, 0.5]),
                                         min_size=rows, max_size=rows)))
     rounds = np.arange(t, t + rows, dtype=np.float64)
-    means = sums / rounds[:, None]
-    lcbs, ucbs = means - width[:, None], means + width[:, None]
-    extremes = ((lcbs[:, 0], lcbs[:, -1]), (ucbs[:, 0], ucbs[:, -1]))
-    frozen = tuple(data.draw(frozen_bounds(np.concatenate(side))) for side in extremes)
-    # kth positions around the frozen bounds below the live lcbs: the first
-    # and last live rank, just inside the frozen bounds on either side, or
-    # anywhere
-    below = [int((bound < least.min()).sum()) for bound, (least, _) in zip(frozen, extremes)]
-    size = frozen[0].size + live_n
-    kq = data.draw(st.sampled_from([below[0], below[0] + live_n - 1, below[0] - 1,
-                                    below[0] + live_n, below[1]]) | st.integers(0, size - 1))
+    side = data.draw(st.sampled_from([np.subtract, np.add]))
+    live = side(sums / rounds[:, None], width[:, None])
+    frozen = data.draw(frozen_bounds(np.concatenate((live[:, 0], live[:, -1]))))
+    below = int((frozen < live[:, 0].min()).sum())
+    above = int((frozen < live[:, -1].max()).sum())
+    size = frozen.size + live_n
+    kq = data.draw(st.sampled_from([below - 1, below, below + live_n - 1, above + live_n - 1,
+                                    above + live_n]) | st.integers(0, size - 1))
     kq = min(max(kq, 0), size - 1)
 
-    rank = elimination._live_rank(kq, frozen, extremes, live_n)
-    counts = {int((bound < edge).sum()) for bound, (least, largest) in zip(frozen, extremes)
-              for edge in (least.min(), largest.max())}
-    shifts = len(counts) == 1 and 0 <= kq - below[0] < live_n
-    assert rank == (kq - below[0] if shifts else None)
-    if rank is not None:
-        kth = sums[:, rank] / rounds
-        for bound, live, band in ((frozen[0], lcbs, kth - width), (frozen[1], ucbs, kth + width)):
-            merged = np.hstack([np.broadcast_to(bound, (rows, bound.size)), live])
-            assert bits(band) == bits(np.partition(merged, kq, axis=1)[:, kq])
+    out = np.full(rows, np.nan)
+    ends = sums[:, 0] / rounds, sums[:, -1] / rounds
+    elimination._band(sums, ends, rounds, width, kq, frozen, side, out)
+    merged = np.hstack([np.broadcast_to(frozen, (rows, frozen.size)), live])
+    assert bits(out) == bits(np.partition(merged, kq, axis=1)[:, kq])
 
 
 @settings(max_examples=200, deadline=None)
@@ -533,13 +529,14 @@ class FrozenPlanRun(EliminationRun):
     """Checks every plan's per-group tuples, whose frozen bounds the run
     merges at each set change, against those built from the ledger, which
     is current at a plan, as the plan once built them: each candidate
-    group's kth index, its slice of columns in ``active`` and, once the
-    group has frozen arms, their sorted lcb and ucb.  Counts the plans
+    group's kth index, its slice of columns in ``active`` and its frozen
+    arms' sorted lcb and ucb, empty while it has none.  Counts the plans
     whose groups have frozen arms."""
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, groups, *args, **kwargs):
         self.frozen_plans = 0
-        super().__init__(*args, **kwargs)
+        self._group_columns = {g.group_id: g.columns for g in groups}
+        super().__init__(groups, *args, **kwargs)
 
     def _plan(self):
         super()._plan()
@@ -548,22 +545,18 @@ class FrozenPlanRun(EliminationRun):
         is_active[st.active] = True
         col, expected = 0, []
         for gid in st.candidates:
-            cols, live = self._columns[gid], st.quantile_arms[gid].size
-            bounds = None
-            if live < cols.stop - cols.start:
-                frozen = ~is_active[cols]
-                bounds = (np.sort(led.lcb[cols][frozen]), np.sort(led.ucb[cols][frozen]))
+            cols, live = self._group_columns[gid], st.quantile_arms[gid].size
+            frozen = ~is_active[cols]
+            bounds = (np.sort(led.lcb[cols][frozen]), np.sort(led.ucb[cols][frozen]))
             expected.append((self._kq[gid], slice(col, col + live), bounds))
             col += live
         assert len(self._groups) == len(expected)
         for got, want in zip(self._groups, expected):
             assert got[:2] == want[:2]
-            assert (got[2] is None) == (want[2] is None)
-            if want[2] is not None:
-                for merged, sorted_ in zip(got[2], want[2]):
-                    assert merged.dtype == sorted_.dtype
-                    assert merged.tobytes() == sorted_.tobytes()
-        self.frozen_plans += any(g[2] is not None for g in expected)
+            for merged, sorted_ in zip(got[2], want[2]):
+                assert merged.dtype == sorted_.dtype
+                assert merged.tobytes() == sorted_.tobytes()
+        self.frozen_plans += any(g[2][0].size for g in expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -582,15 +575,45 @@ def test_merged_frozen_bounds_are_the_sorted_ledger_bounds(case):
     assert_same_run(case)
 
 
+@settings(max_examples=60, deadline=None)
+@given(instances())
+@example({"groups": FROZEN_CASE[1], "means": FROZEN_CASE[0], "family": "gaussian",
+          "alpha": 0.5, "slack": 0.1, "oracle": "none", "seed": 11})
+def test_choice_scores_are_the_stop_rounds_lcb_quantiles(case):
+    # a run that stops on the spread with two or more candidates chooses by
+    # the pessimistic band step kept from the stop round; it must be each
+    # candidate's kth lcb over all of its arms, as the reference partitions
+    # them from the ledger, which holds the stop round's bounds.  Without
+    # frozen arms q_ucb = q_lcb + 2w ranks the groups alike, so the chosen
+    # group alone would not tell the two bands apart
+    engine = build(EliminationRun, case)[0]
+    res = engine.run()
+    if len(res.final_candidates) > 1:
+        ref = build(SequentialRun, case)[0]
+        assert bits(engine._stop_band) == bits(
+            [ref._group_quantiles(engine.ledger.lcb, gid) for gid in res.final_candidates])
+
+
+def band_case(live, ends, rounds, width, kq, frozen, side, out):
+    """How ``_band`` finds its kth on these arguments: "frozen" when kq
+    misses the live bounds and the frozen ones among them, "live" from one
+    live column when no frozen bound lies among them, else "straddle"."""
+    s = int((frozen < side(live[:, 0] / rounds, width).min()).sum())
+    top = int((frozen < side(live[:, -1] / rounds, width).max()).sum())
+    if not 0 <= kq - s < live.shape[1] + top - s:
+        return "frozen"
+    return "live" if top == s else "straddle"
+
+
 class BandRun(BranchRun):
-    """Records, per frozen group and block, whether the rank shift found its
-    band (True) or the sort did (False), and after every block cut short,
-    the next block's length and the rounds left to t*; runs only while
-    ``elimination._live_rank`` is replaced by a recording wrapper."""
+    """Records the set of ways ``_band`` found a frozen group's band, and
+    after every block cut short, the next block's length and the rounds
+    left to t*; runs only while ``elimination._band`` is replaced by a
+    recording wrapper."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.shifted = []
+        self.cases = set()
         self.after_cut = []
 
     def planned(self):
@@ -609,10 +632,11 @@ def test_frozen_and_frozen_free_groups_in_one_block():
     # in group a the arms at 0.1 and 0.9 leave once w falls below about 0.2
     # and freeze; group b's two equal arms never leave.  Both medians are 0.5,
     # so both groups stay candidates until the spread 2w meets the slack.
-    # Group a's band comes from the rank shift while its frozen bounds lie
-    # outside the live ones, and from the sort when one straddles them: with
-    # noise, one of two equal outer arms can leave while the other's bounds
-    # pass the frozen ones, but noiseless equal arms leave together.  A block
+    # Group a's band comes from one live column while its frozen bounds lie
+    # outside the live ones, and from a sort of the live bounds with the
+    # frozen ones that straddle them: with noise, one of two equal outer
+    # arms can leave while the other's bounds pass the frozen ones, but
+    # noiseless equal arms leave together.  A block
     # cut short halves K, but not below a quarter of the starting budget,
     # the budget over all arms, although the cap grows as arms leave
     means, groups = FROZEN_CASE
@@ -620,15 +644,15 @@ def test_frozen_and_frozen_free_groups_in_one_block():
         env = RewardEnv(means, FAMILIES[family], np.random.default_rng(11))
         engine = BandRun(groups, 0.5, 0.1, 0.1, env, true_means=means)
 
-        def live_rank(*args, rank=elimination._live_rank):
-            got = rank(*args)
-            engine.shifted.append(got is not None)
-            return got
+        def band(*args, find=elimination._band):
+            if args[5].size:
+                engine.cases.add(band_case(*args))
+            find(*args)
 
-        with mock.patch.object(elimination, "_live_rank", live_rank):
+        with mock.patch.object(elimination, "_band", band):
             engine.run()
         assert engine.mixed_blocks > 0
-        assert set(engine.shifted) == ({True} if family == "noiseless" else {True, False})
+        assert engine.cases == ({"live"} if family == "noiseless" else {"live", "straddle"})
         assert engine.after_cut
         for k, left in engine.after_cut:
             assert k >= max(1, min(elimination.BLOCK_ELEMENTS // means.size // 4, left))
