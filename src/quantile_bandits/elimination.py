@@ -692,8 +692,8 @@ class EliminationRun:
         st = self.state
         if len(st.candidates) == 1:  # a lone candidate ties with no one
             return st.candidates[0]
-        if st.round_index == 1:
-            raise RuntimeError("no rounds ran yet there are multiple candidates")
+        if not self.should_stop():
+            raise RuntimeError("choose() called before the stopping condition was met")
         best = self._stop_band.max()
         ties = [gid for gid, q in zip(st.candidates, self._stop_band) if q == best]
         if len(ties) == 1:

@@ -636,9 +636,9 @@ def test_frozen_and_frozen_free_groups_in_one_block():
     # outside the live ones, and from a sort of the live bounds with the
     # frozen ones that straddle them: with noise, one of two equal outer
     # arms can leave while the other's bounds pass the frozen ones, but
-    # noiseless equal arms leave together.  A block
-    # cut short halves K, but not below a quarter of the starting budget,
-    # the budget over all arms, although the cap grows as arms leave
+    # noiseless equal arms leave together.  A block cut short halves K, but
+    # not below a quarter of the starting budget, the budget over all arms,
+    # although the cap grows as arms leave
     means, groups = FROZEN_CASE
     for family in ("noiseless", "bernoulli", "gaussian"):
         env = RewardEnv(means, FAMILIES[family], np.random.default_rng(11))

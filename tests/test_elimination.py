@@ -107,8 +107,14 @@ class TestNoiselessElimination:
         assert res.rounds == 0
 
     def test_choice_before_any_round_needs_one_candidate(self):
+        # before any round, and mid-run: the choice reads the band of the
+        # round that stopped the run
         run = EliminationRun(AB_GROUPS, 0.5, 0.1, 0.1, noiseless_env(AB_MEANS))
-        with pytest.raises(RuntimeError, match="no rounds ran yet there are multiple candidates"):
+        with pytest.raises(RuntimeError, match="before the stopping condition was met"):
+            run.choose()
+        run.step()
+        assert len(run.state.candidates) == 2 and not run.should_stop()
+        with pytest.raises(RuntimeError, match="before the stopping condition was met"):
             run.choose()
 
     def test_step_rejected_after_stop(self):
