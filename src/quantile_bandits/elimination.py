@@ -13,9 +13,11 @@ each group (eliminated arms keep their last bounds frozen):
 * active arms -- the union of potential quantile arms over candidate groups.
 
 Each group is a range of consecutive arm ids, and the groups tile 0..n-1 in
-group order.  The active set is the candidates' pools concatenated in that
-order, so a group's arms, and its live arms among the active ones, are read
-by slicing, never gathered.
+group order.  The active arms are the run's one record of the pools: a
+candidate's pool is one run of ``active``, the runs follow candidate order,
+and the plan keeps each run's column slice, so a group's arms, and its live
+arms among the active ones, are read by slicing, never gathered.  At a set
+change one boolean mask over the active columns filters every pool at once.
 
 The loop stops once a single candidate remains or the spread between the most
 optimistic and most pessimistic achievable max-quantiles drops to the target
@@ -157,11 +159,13 @@ class ArmLedger:
 
 @dataclass
 class EliminationState:
-    """Mutable per-round state of the elimination loop."""
+    """Mutable per-round state of the elimination loop: the next round's
+    index, the candidate groups in group order, the active arms, which are
+    the candidates' pools in that order (each pool one run of them), and the
+    last round's spread."""
 
     round_index: int
     candidates: tuple[str, ...]
-    quantile_arms: dict[str, np.ndarray]
     active: np.ndarray
     spread: float
 
@@ -391,13 +395,14 @@ def _running_sums(block: np.ndarray, carried: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class _Layout:
-    """What a run derives from its groups and alpha alone: each group's
-    column slice and kth index, keyed by id in group order, and each group's
-    starting pool and the starting active arms 0..n-1, both read-only."""
+    """What a run derives from its groups and alpha alone: the group ids in
+    order, each group's starting plan tuple (its kth index, its columns,
+    which start as its arm ids, and no frozen bounds: one read-only empty
+    array shared by every side) and the starting active arms 0..n-1,
+    read-only."""
 
-    columns: dict
-    kq: dict
-    pools: tuple
+    ids: tuple
+    groups: tuple
     active: np.ndarray
 
 
@@ -406,20 +411,19 @@ def _layout(groups: tuple[FiniteGroup, ...], alpha: float) -> _Layout:
     """The run's :class:`_Layout`, built once per (groups, alpha), so every
     trial of a config shares it; rejects ids that repeat and groups that do
     not tile 0..n-1 in order."""
-    columns = {g.group_id: g.columns for g in groups}
-    if len(columns) != len(groups):
+    ids = tuple(g.group_id for g in groups)
+    if len(set(ids)) != len(ids):
         raise ValueError("group ids must be distinct")
     n = 0
     for g in groups:
         if g.arm_ids.start != n:
             raise ValueError("groups must tile arm ids 0..n-1 in group order")
         n = g.arm_ids.stop
-    pools = tuple(np.arange(g.arm_ids.start, g.arm_ids.stop) for g in groups)
-    active = np.arange(n, dtype=np.int64)
-    for a in (*pools, active):
-        a.flags.writeable = False
-    kq = {g.group_id: quantile_index(len(g.arm_ids), alpha) for g in groups}
-    return _Layout(columns, kq, pools, active)
+    active, empty = np.arange(n, dtype=np.int64), np.empty(0)
+    active.flags.writeable = empty.flags.writeable = False
+    plan = tuple((quantile_index(len(g.arm_ids), alpha), g.columns, (empty, empty))
+                 for g in groups)
+    return _Layout(ids, plan, active)
 
 
 class EliminationRun:
@@ -447,14 +451,11 @@ class EliminationRun:
         self.slack = slack
         self.env = env
         self.ledger = ArmLedger(n, delta / n)
-        self._kq = lay.kq
-        self.state = EliminationState(
-            round_index=1,
-            candidates=tuple(lay.columns),
-            quantile_arms=dict(zip(lay.columns, lay.pools)),
-            active=lay.active,
-            spread=math.inf,
-        )
+        self.state = EliminationState(round_index=1, candidates=lay.ids, active=lay.active,
+                                      spread=math.inf)
+        # per candidate group: (kth index, its columns in active, its frozen
+        # arms' sorted (lcb, ucb)), which each set change builds anew
+        self._groups = list(lay.groups)
         # widths vanish, so the loop provably stops; the cap is a loud guard
         # against the astronomically unlikely fully-frozen stall
         self._round_cap = 100 * invert_width(slack / 4.0, self.ledger.delta_per_arm) + 10_000
@@ -467,9 +468,6 @@ class EliminationRun:
         # a block cut short halves K, but not below a quarter of the
         # starting budget (the K cap itself grows as the active set shrinks)
         self._floor = max(1, BLOCK_ELEMENTS // n // 4)
-        # each group's frozen arms' sorted (lcb, ucb), empty until an arm leaves
-        empty = np.empty(0)
-        self._frozen = dict.fromkeys(lay.columns, (empty, empty))
         self.checks = RunChecks()
         # oracle side: run() fills in the stop-pull count and event B
         self._true_means = self._profile = None
@@ -490,12 +488,10 @@ class EliminationRun:
         pending; the reward index of the longest block, the env's
         :meth:`RewardEnv.block_index` of the active arms for (K cap, m), whose
         first k rows draw against one row of means; the active arms' true
-        means, given them; and, per candidate group, its kth index, the slice
-        of its columns in ``active`` and its frozen arms' sorted (lcb, ucb),
-        which the run keeps; and whether blocks go to the screen, which needs
-        int32 sums, no true means and no frozen arm in any group.  ``active``
-        is the candidates' pools in candidate order, so each group's live
-        arms are one run of columns."""
+        means, given them; and whether blocks go to the screen, which needs
+        int32 sums, no true means and no frozen arm in any candidate group.
+        The per-group tuples the blocks read, ``_groups``, are the run's own
+        record, which the set change that calls this has just built."""
         st = self.state
         self._max_block = max(1, BLOCK_ELEMENTS // st.active.size)
         self._sums = self.ledger.sums[st.active].astype(self._dtype, copy=False)
@@ -503,12 +499,6 @@ class EliminationRun:
         self._pending = 0
         self._index = self.env.block_index(st.active, self._max_block)
         self._mu = None if self._true_means is None else self._true_means[st.active]
-        self._groups = []
-        col = 0
-        for gid in st.candidates:
-            live = st.quantile_arms[gid].size
-            self._groups.append((self._kq[gid], slice(col, col + live), self._frozen[gid]))
-            col += live
         self._screen = (self._dtype == np.int32 and self._mu is None
                         and not any(g[2][0].size for g in self._groups))
 
@@ -550,13 +540,15 @@ class EliminationRun:
         Row 0 starts from the running sums the run carries across blocks.  A
         block ending in a set change or the stop commits every round since the
         last commit to the ledger; any other keeps its last row as the sums.
-        At a set change the run gathers the active arms' new bounds once,
-        filters each kept group's pool by its slice of them, merges the arms
-        that leave the pool into the group's sorted frozen bounds, and keeps
-        the kept groups' pessimistic band of round r for :meth:`choose`.
-        After a set change the run goes on from, :meth:`_plan` builds the
-        next block's plan; a block that stops the run builds none, since no
-        block would read it.
+        At a set change the run gathers the active arms' new bounds once, and
+        one loop over the plan's groups writes each kept group's inside test
+        into one boolean mask over the active columns, merges the arms that
+        leave its pool into its sorted frozen bounds and appends its next
+        tuple; ``active[mask]`` is then the new active set, the kept pools in
+        order.  The run also keeps the kept groups' pessimistic band of round
+        r for :meth:`choose`.  After a set change the run goes on from,
+        :meth:`_plan` builds the rest of the next block's plan; a block that
+        stops the run builds none, since no block would read it.
 
         Before any of that, a block is screened when its sums are int32, so
         rewards are bools and no sum decreases; no true means were given, so
@@ -596,8 +588,7 @@ class EliminationRun:
                 self._sums, spread, self._floors = quiet
                 self._pending += k
                 self._block = min(2 * self._block, self._max_block)
-                self.state = EliminationState(t + k, st.candidates, st.quantile_arms, active,
-                                              spread)
+                self.state = EliminationState(t + k, st.candidates, active, spread)
                 return self.state
         sums = rewards.astype(self._dtype, copy=False)
         _running_sums(sums, self._sums)
@@ -633,7 +624,7 @@ class EliminationRun:
             if ((mean - w > self._mu) | (mean + w < self._mu)).any():
                 self.checks.bounds_valid = False
 
-        candidates, quantile_arms = st.candidates, st.quantile_arms
+        candidates = st.candidates
         if not event[r]:
             self._sums = sums[r]
             self._floors = None
@@ -646,28 +637,31 @@ class EliminationRun:
             led.record_pulls(arms, sums[r], self._pending + r + 1)
             if (led.pulls[arms] != t + r).any():
                 self.checks.equal_pull_ok = False
-            # quantile_arms is keyed in candidate order, and the groups tile
-            # the ids in that order, so the pools concatenate in id order.
-            # Each pool's bounds are one slice of the active arms', and the
-            # arms that leave it join the group's sorted frozen bounds
+            # each pool is its group's slice of the active arms, so one mask
+            # keeps the kept groups' arms inside their band, in order; the
+            # arms that leave a kept pool join the group's sorted frozen
+            # bounds, and the kept groups' live columns tile the new active
             kept = keep_group[:, r]
             lcb, ucb = led.lcb[arms], led.ucb[arms]
-            quantile_arms = {}
-            for c, (gid, pool) in enumerate(st.quantile_arms.items()):
+            mask = np.zeros(active.size, dtype=bool)
+            groups, col = [], 0
+            for c, (kq, cols, (low, high)) in enumerate(self._groups):
                 if kept[c]:
-                    cols = self._groups[c][1]
                     inside = (lcb[cols] <= q_ucb[c, r]) & (ucb[cols] >= q_lcb[c, r])
-                    quantile_arms[gid] = pool[inside]
-                    if not inside.all():
+                    mask[cols] = inside
+                    live = int(np.count_nonzero(inside))
+                    if live < inside.size:
                         out = ~inside
-                        low, high = self._frozen[gid]
-                        self._frozen[gid] = (np.sort(np.concatenate((low, lcb[cols][out]))),
-                                             np.sort(np.concatenate((high, ucb[cols][out]))))
+                        low = np.sort(np.concatenate((low, lcb[cols][out])))
+                        high = np.sort(np.concatenate((high, ucb[cols][out])))
+                    groups.append((kq, slice(col, col + live), (low, high)))
+                    col += live
+            self._groups = groups
             # the largest q_lcb's group is kept (its q_ucb is no smaller), so
             # candidates never empty and spread[r] is the kept groups' spread
-            candidates = tuple(quantile_arms)
+            candidates = tuple(gid for gid, keep in zip(st.candidates, kept) if keep)
             self._stop_band = q_lcb[kept, r]  # what choose() reads at the stop
-            active = np.concatenate([quantile_arms[g] for g in candidates])
+            active = active[mask]
             if active.size == 0:
                 raise RuntimeError(
                     "all potential quantile arms eliminated while candidates remain; "
@@ -679,8 +673,7 @@ class EliminationRun:
 
         self._block = (min(2 * self._block, self._max_block) if r == k - 1
                        else max(self._floor, self._block // 2))
-        self.state = EliminationState(t + r + 1, candidates, quantile_arms, active,
-                                      float(spread[r]))
+        self.state = EliminationState(t + r + 1, candidates, active, float(spread[r]))
         if event[r] and not self.should_stop():
             self._plan()
         return self.state

@@ -6,20 +6,29 @@ round is its first round with width U(t) < overall gap / 4, and every later
 round that pulls it is a violation.  ``run`` reports that count in place of
 the engine's closed form, so the two counts are compared, not shared.  Its
 quantile bands and final choice partition the ledger's bounds of each
-group's columns, apart from the engine's band function.
+group's columns, apart from the engine's band function, and it keeps its
+own pools and kth indices per group, apart from the engine's active arms
+and plan.
 """
 
 import numpy as np
 
-from quantile_bandits.elimination import EliminationResult, EliminationRun, EliminationState
+from quantile_bandits.elimination import (
+    EliminationResult,
+    EliminationRun,
+    EliminationState,
+    quantile_index,
+)
 
 
 class SequentialRun(EliminationRun):
     """``EliminationRun`` whose ``step`` runs exactly one round."""
 
-    def __init__(self, groups, *args, **kwargs):
-        super().__init__(groups, *args, **kwargs)
+    def __init__(self, groups, alpha, *args, **kwargs):
+        super().__init__(groups, alpha, *args, **kwargs)
         self._columns = {g.group_id: g.columns for g in groups}
+        self._kth = {g.group_id: quantile_index(len(g.arm_ids), alpha) for g in groups}
+        self._pools = {g.group_id: np.arange(g.arm_ids.start, g.arm_ids.stop) for g in groups}
         self._stop_round = np.full(self.ledger.pulls.size, -1, dtype=np.int64)
         self._stop_pulls = 0
 
@@ -52,12 +61,13 @@ class SequentialRun(EliminationRun):
         threshold = max(q_lcb.values())
         new_candidates = tuple(gid for gid in st.candidates if q_ucb[gid] >= threshold)
 
-        quantile_arms: dict[str, np.ndarray] = {}
+        pools: dict[str, np.ndarray] = {}
         for gid in new_candidates:
-            pool = st.quantile_arms[gid]
+            pool = self._pools[gid]
             mask = (led.lcb[pool] <= q_ucb[gid]) & (led.ucb[pool] >= q_lcb[gid])
-            quantile_arms[gid] = pool[mask]
-        new_active = (np.sort(np.concatenate([quantile_arms[g] for g in new_candidates]))
+            pools[gid] = pool[mask]
+        self._pools = pools
+        new_active = (np.sort(np.concatenate([pools[g] for g in new_candidates]))
                       if new_candidates else np.empty(0, dtype=np.int64))
         if new_candidates and new_active.size == 0:
             raise RuntimeError(
@@ -73,11 +83,11 @@ class SequentialRun(EliminationRun):
         if self._profile is not None and self._profile.best_group not in new_candidates:
             self.checks.best_group_retained = False
 
-        self.state = EliminationState(t + 1, new_candidates, quantile_arms, new_active, spread)
+        self.state = EliminationState(t + 1, new_candidates, new_active, spread)
         return self.state
 
     def _group_quantiles(self, values: np.ndarray, gid: str) -> float:
-        return float(np.partition(values[self._columns[gid]], self._kq[gid])[self._kq[gid]])
+        return float(np.partition(values[self._columns[gid]], self._kth[gid])[self._kth[gid]])
 
     def choose(self) -> str:
         """Final recommendation: argmax of the pessimistic group quantiles,

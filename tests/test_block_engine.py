@@ -29,6 +29,7 @@ from quantile_bandits import (
     plan_epochs,
     run_multistep,
 )
+from quantile_bandits.elimination import quantile_index
 
 FAMILIES = {"bernoulli": RewardFamily("bernoulli"), "gaussian": RewardFamily("gaussian", 0.25),
             "noiseless": RewardFamily("noiseless")}
@@ -355,9 +356,9 @@ def test_block_engine_matches_sequential_loop(case):
 
 
 def snapshotting(cls):
-    """``cls`` keeping a copy of its ledger's pulls, sums, lcb and ucb after
-    every step that changes a set, and after the stop, keyed by the round
-    just run."""
+    """``cls`` keeping, after every step that changes a set and after the
+    stop, keyed by the round just run, its candidates and a copy of its
+    active arms and of its ledger's pulls, sums, lcb and ucb."""
 
     class Snapshots(cls):
         def __init__(self, *args, **kwargs):
@@ -370,8 +371,8 @@ def snapshotting(cls):
             if (before.candidates != after.candidates
                     or before.active.size != after.active.size or self.should_stop()):
                 led = self.ledger
-                self.snapshots[after.round_index - 1] = [
-                    a.copy() for a in (led.pulls, led.sums, led.lcb, led.ucb)]
+                self.snapshots[after.round_index - 1] = (after.candidates, [
+                    a.copy() for a in (after.active, led.pulls, led.sums, led.lcb, led.ucb)])
             return after
 
     return Snapshots
@@ -381,14 +382,18 @@ def snapshotting(cls):
 @given(instances())
 def test_ledger_is_current_at_every_set_change(case):
     # the block engine writes its ledger only at set changes and the stop,
-    # where the set filter, the per-group plan and the caller read it
+    # where the set filter, the per-group plan and the caller read it; its
+    # masked active arms and its candidates there are the reference's,
+    # which filters pools of its own
     ref = build(snapshotting(SequentialRun), case)[0]
     got = build(snapshotting(EliminationRun), case)[0]
     ref.run()
     got.run()
     assert list(got.snapshots) == list(ref.snapshots)
-    for t, ledger in got.snapshots.items():
-        assert all(np.array_equal(a, b) for a, b in zip(ledger, ref.snapshots[t])), t
+    for t, (candidates, arrays) in got.snapshots.items():
+        want_candidates, want_arrays = ref.snapshots[t]
+        assert candidates == want_candidates, t
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, want_arrays)), t
 
 
 @settings(max_examples=15, deadline=None)
@@ -484,16 +489,26 @@ def test_no_plan_after_the_stop(family):
 
 
 def test_run_layout_is_shared_and_read_only():
-    # the starting pools and active arms are built once per (groups,
-    # alpha) and handed to every run, so no run may write them
+    # the starting active arms and the groups' starting frozen bounds, one
+    # empty array for every side, are built once per (groups, alpha) and
+    # handed to every run, so no run may write them
     means, groups = FROZEN_CASE
     runs = [EliminationRun(groups, 0.5, 0.1, 0.1,
                            RewardEnv(means, FAMILIES["bernoulli"], np.random.default_rng(s)))
             for s in (1, 2)]
     assert runs[0].state.active is runs[1].state.active
-    for arr in (runs[0].state.active, *runs[0].state.quantile_arms.values()):
+    frozen = [side for run in runs for _, _, bounds in run._groups for side in bounds]
+    assert len(frozen) == 8 and all(side is frozen[0] for side in frozen)
+    assert frozen[0].size == 0
+    for arr in (runs[0].state.active, frozen[0]):
         with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 1
+            arr[...] = 1
+
+
+def live_count(cols):
+    """A group's live arm count in a plan: the length of its slice of the
+    active columns."""
+    return cols.stop - cols.start
 
 
 class BranchRun(EliminationRun):
@@ -509,7 +524,8 @@ class BranchRun(EliminationRun):
 
     def step(self):
         before = self.state
-        frozen = {before.quantile_arms[gid].size < self._sizes[gid] for gid in before.candidates}
+        frozen = {live_count(cols) < self._sizes[gid]
+                  for gid, (_, cols, _) in zip(before.candidates, self._groups)}
         self.mixed_blocks += frozen == {True, False}
         full = max(1, min(self._block, self._t_star - before.round_index + 1))
         after = super().step()
@@ -526,17 +542,18 @@ FROZEN_CASE = (np.array([0.1, 0.1, 0.5, 0.5, 0.9, 0.9, 0.5, 0.5]),
 
 
 class FrozenPlanRun(EliminationRun):
-    """Checks every plan's per-group tuples, whose frozen bounds the run
-    merges at each set change, against those built from the ledger, which
-    is current at a plan, as the plan once built them: each candidate
-    group's kth index, its slice of columns in ``active`` and its frozen
-    arms' sorted lcb and ucb, empty while it has none.  Counts the plans
-    whose groups have frozen arms."""
+    """Checks every plan's per-group tuples, which the run builds at each
+    set change, against those built from the ledger, which is current at a
+    plan, and from the active arms within each group's id range: each
+    candidate group's kth index, its slice of columns in ``active`` and its
+    frozen arms' sorted lcb and ucb, empty while it has none.  Counts the
+    plans whose groups have frozen arms."""
 
-    def __init__(self, groups, *args, **kwargs):
+    def __init__(self, groups, alpha, *args, **kwargs):
         self.frozen_plans = 0
         self._group_columns = {g.group_id: g.columns for g in groups}
-        super().__init__(groups, *args, **kwargs)
+        self._kth = {g.group_id: quantile_index(len(g.arm_ids), alpha) for g in groups}
+        super().__init__(groups, alpha, *args, **kwargs)
 
     def _plan(self):
         super()._plan()
@@ -545,11 +562,12 @@ class FrozenPlanRun(EliminationRun):
         is_active[st.active] = True
         col, expected = 0, []
         for gid in st.candidates:
-            cols, live = self._group_columns[gid], st.quantile_arms[gid].size
-            frozen = ~is_active[cols]
+            cols = self._group_columns[gid]
+            live, frozen = int(is_active[cols].sum()), ~is_active[cols]
             bounds = (np.sort(led.lcb[cols][frozen]), np.sort(led.ucb[cols][frozen]))
-            expected.append((self._kq[gid], slice(col, col + live), bounds))
+            expected.append((self._kth[gid], slice(col, col + live), bounds))
             col += live
+        assert col == st.active.size
         assert len(self._groups) == len(expected)
         for got, want in zip(self._groups, expected):
             assert got[:2] == want[:2]
@@ -872,7 +890,8 @@ class ScreenRun(EliminationRun):
 
     def step(self):
         st = self.state
-        frozen = any(st.quantile_arms[g].size < self._sizes[g] for g in st.candidates)
+        frozen = any(live_count(cols) < self._sizes[gid]
+                     for gid, (_, cols, _) in zip(st.candidates, self._groups))
         calls = elimination._quiet_block.call_count
         after = super().step()
         self.blocks.append((frozen, elimination._quiet_block.call_count > calls))
