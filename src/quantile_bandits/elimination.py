@@ -455,7 +455,7 @@ class EliminationRun:
                                       spread=math.inf)
         # per candidate group: (kth index, its columns in active, its frozen
         # arms' sorted (lcb, ucb)), which each set change builds anew
-        self._groups = list(lay.groups)
+        self._groups = lay.groups
         # the round from which 2*U(t) < slack, where the spread meets the stop
         self._t_star = invert_width(slack / 2.0, self.ledger.delta_per_arm)
         # widths vanish, so the loop provably stops; the cap is a loud guard
