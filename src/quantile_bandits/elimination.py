@@ -451,8 +451,12 @@ class EliminationRun:
         self.slack = slack
         self.env = env
         self.ledger = ArmLedger(n, delta / n)
-        self.state = EliminationState(round_index=1, candidates=lay.ids, active=lay.active,
-                                      spread=math.inf)
+        self.state = EliminationState(
+            round_index=1,
+            candidates=lay.ids,
+            active=lay.active,
+            spread=math.inf,
+        )
         # per candidate group: (kth index, its columns in active, its frozen
         # arms' sorted (lcb, ucb)), which each set change builds anew
         self._groups = lay.groups
@@ -493,8 +497,9 @@ class EliminationRun:
         first k rows draw against one row of means; the active arms' true
         means, given them; and whether blocks go to the screen, which needs
         int32 sums, no true means and no frozen arm in any candidate group.
-        The per-group tuples the blocks read, ``_groups``, are the run's own
-        record, which the set change that calls this has just built."""
+        The per-group tuples the blocks read, ``_groups``, are not rebuilt
+        here: the run takes them from the layout and each set change builds
+        the next ones."""
         st = self.state
         self._max_block = max(1, BLOCK_ELEMENTS // st.active.size)
         self._sums = self.ledger.sums[st.active].astype(self._dtype, copy=False)
