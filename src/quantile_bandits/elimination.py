@@ -259,8 +259,8 @@ def gap_profile(groups: list[FiniteGroup], true_means: np.ndarray, alpha: float,
 # BLOCK_ELEMENTS // (active arms) rounds at most
 BLOCK_ELEMENTS = 16_384
 
-# an arm's running sum of 0/1 rewards is at most its pull count: int32 sums
-# hold for a run whose t* is below this, with its round cap clamped below it
+# an arm's running sum of 0/1 rewards is at most its pull count, which the
+# round cap bounds: int32 sums hold while the cap is below this
 _INT32_ROUNDS = 2**31
 
 
@@ -460,18 +460,15 @@ class EliminationRun:
         # per candidate group: (kth index, its columns in active, its frozen
         # arms' sorted (lcb, ucb)), which each set change builds anew
         self._groups = lay.groups
-        # the round from which 2*U(t) < slack, where the spread meets the stop
-        self._t_star = invert_width(slack / 2.0, self.ledger.delta_per_arm)
         # widths vanish, so the loop provably stops; the cap is a loud guard
         # against the astronomically unlikely fully-frozen stall
         self._round_cap = 100 * invert_width(slack / 4.0, self.ledger.delta_per_arm) + 10_000
-        # bool rewards sum as int32 when t* fits in int32, and as float64, as
-        # Gaussian sums are, beyond that.  Blocks end by t*, and past it each
-        # block is one round, so a cap below 2**31 keeps every sum in int32
-        int32 = env.reward_dtype == bool and self._t_star < _INT32_ROUNDS
-        if int32:
-            self._round_cap = min(self._round_cap, _INT32_ROUNDS - 1)
-        self._dtype = np.dtype(np.int32 if int32 else np.float64)
+        # bool rewards sum as int32 while int32 holds the sums, and as
+        # float64, as Gaussian sums are, beyond that
+        self._dtype = np.dtype(np.int32 if env.reward_dtype == bool
+                               and self._round_cap < _INT32_ROUNDS else np.float64)
+        # the round from which 2*U(t) < slack, where the spread meets the stop
+        self._t_star = invert_width(slack / 2.0, self.ledger.delta_per_arm)
         # a block cut short halves K, but not below a quarter of the
         # starting budget (the K cap itself grows as the active set shrinks)
         self._floor = max(1, BLOCK_ELEMENTS // n // 4)
@@ -528,8 +525,8 @@ class EliminationRun:
         :meth:`RewardEnv.pull` of the plan's block index, cut to K rows,
         draws the (K, m) rewards against one row of the active arms' means,
         and the widths U(t..t+K-1) are one slice of the shared width table.
-        The rewards, widened from bool to int32 for Bernoulli rewards whose t*
-        is below 2**31 and to float64 otherwise (Gaussian and noiseless
+        The rewards, widened from bool to int32 for Bernoulli rewards below an
+        int32 round cap and to float64 otherwise (Gaussian and noiseless
         rewards are float64 already, and are not copied), become the running
         sums in place, row i after round t+i (:func:`_running_sums`).  Each
         candidate group sorts its (K, live arms) slice of columns along rows

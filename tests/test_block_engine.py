@@ -324,55 +324,19 @@ def test_int32_running_sums_match_float_sums(k, m):
 
 
 def test_running_sum_dtype_follows_rewards_and_round_cap():
-    # Bernoulli sums are int32 while t* fits in int32, and their round cap
-    # is then clamped below 2**31; past that, and for Gaussian and noiseless
-    # rewards throughout, sums are float64 and the cap is its formula.  With
-    # 4 arms t* is 9.6e7 rounds at slack 1e-3, where the formula gives
-    # 3.9e10, and 9.9e9 at slack 1e-4.  The runs are only built, never run
+    # Bernoulli sums are int32 while the round cap fits in int32 and float64
+    # beyond it; Gaussian and noiseless sums are float64 throughout.  The
+    # runs are only built, never run
     groups = [FiniteGroup("a", range(2)), FiniteGroup("b", range(2, 4))]
     means = np.full(4, 0.5)
-    for family in ("bernoulli", "noiseless", "gaussian"):
+    for family, wide in (("bernoulli", np.int32), ("noiseless", np.float64),
+                         ("gaussian", np.float64)):
         env = RewardEnv(means, FAMILIES[family], np.random.default_rng(0))
-        for slack in (0.1, 1e-3, 1e-4):
+        for slack, dtype in ((0.1, wide), (1e-3, np.float64)):
             engine = EliminationRun(groups, 0.5, slack, 0.1, env)
-            assert (engine._t_star < 2**31) == (slack > 1e-4)
-            int32 = family == "bernoulli" and slack > 1e-4
-            dtype = np.int32 if int32 else np.float64
+            assert (engine._round_cap < 2**31) == (slack == 0.1)
             assert engine._dtype == dtype
             assert engine._sums.dtype == dtype
-            if int32 and slack < 0.1:
-                assert engine._round_cap == 2**31 - 1
-            else:
-                assert (engine._round_cap < 2**31) == (slack == 0.1)
-
-
-def test_int32_sums_past_the_round_cap_formula_match_float_sums():
-    # at slack 0.004 the cap's formula, 2.5e9 rounds for 6 arms, passes
-    # 2**31 while t* is 6.3e6: the Bernoulli run sums int32 under the
-    # clamped cap, and its ledger, result and stream equal those of the
-    # same run summing float64
-    groups = [FiniteGroup("a", range(3)), FiniteGroup("b", range(3, 6))]
-    means = np.array([0.5, 0.5, 0.5, 0.49, 0.49, 0.49])
-    runs = []
-    for cap in (elimination._INT32_ROUNDS, 0):
-        rng = np.random.default_rng(5)
-        with mock.patch.object(elimination, "_INT32_ROUNDS", cap):
-            engine = EliminationRun(groups, 0.5, 0.004, 0.1,
-                                    RewardEnv(means, FAMILIES["bernoulli"], rng))
-            res = engine.run()
-        led = engine.ledger
-        runs.append((engine, res, [led.pulls, led.sums, led.lcb, led.ucb],
-                     rng.bit_generator.state))
-    (wide, got, ledger, stream), (narrow, ref, ref_ledger, ref_stream) = runs
-    assert wide._dtype == np.int32 and wide._round_cap == 2**31 - 1
-    assert narrow._dtype == np.float64 and narrow._round_cap > 2**31
-    # no arm left a pool before the stop: every arm has the run's pulls
-    assert got.rounds > 1000 and (got.pull_counts == got.rounds).all()
-    assert (got.chosen, got.rounds, got.total_pulls, got.final_candidates, got.checks) == \
-        (ref.chosen, ref.rounds, ref.total_pulls, ref.final_candidates, ref.checks)
-    assert np.array_equal(got.pull_counts, ref.pull_counts)
-    assert all(np.array_equal(a, b) for a, b in zip(ledger, ref_ledger))
-    assert stream == ref_stream
 
 
 @settings(max_examples=15, deadline=None)
