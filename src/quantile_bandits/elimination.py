@@ -58,7 +58,6 @@ keeps beside the sums, stand in for that row's from below.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -393,45 +392,12 @@ def _running_sums(block: np.ndarray, carried: np.ndarray) -> None:
             np.cumsum(block[:, -1], out=block[:, -1])
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """What a run derives from its groups and alpha alone: the group ids in
-    order, each group's starting plan tuple (its kth index, its columns,
-    which start as its arm ids, and no frozen bounds: one read-only empty
-    array shared by every side) and the starting active arms 0..n-1,
-    read-only."""
-
-    ids: tuple
-    groups: tuple
-    active: np.ndarray
-
-
-@functools.lru_cache
-def _layout(groups: tuple[FiniteGroup, ...], alpha: float) -> _Layout:
-    """The run's :class:`_Layout`, built once per (groups, alpha), so every
-    trial of a config shares it; rejects ids that repeat and groups that do
-    not tile 0..n-1 in order."""
-    ids = tuple(g.group_id for g in groups)
-    if len(set(ids)) != len(ids):
-        raise ValueError("group ids must be distinct")
-    n = 0
-    for g in groups:
-        if g.arm_ids.start != n:
-            raise ValueError("groups must tile arm ids 0..n-1 in group order")
-        n = g.arm_ids.stop
-    active, empty = np.arange(n, dtype=np.int64), np.empty(0)
-    active.flags.writeable = empty.flags.writeable = False
-    plan = tuple((quantile_index(len(g.arm_ids), alpha), g.columns, (empty, empty))
-                 for g in groups)
-    return _Layout(ids, plan, active)
-
-
 class EliminationRun:
     """Driver object holding a single elimination run's state and its
     :class:`RunChecks` record, ``checks``.  ``env``'s generator draws the
     rewards and breaks ties; the optional oracle data ``true_means`` turns
-    on the checks that need them.  What depends only on the groups and
-    alpha is built once per config (:func:`_layout`).
+    on the checks that need them.  The groups must have distinct ids and
+    tile the arm ids 0..n-1 in group order.
     """
 
     def __init__(self, groups: list[FiniteGroup], alpha: float, slack: float, delta: float,
@@ -444,8 +410,14 @@ class EliminationRun:
             raise ValueError(f"quantile slack must be positive and finite, got {slack}")
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        lay = _layout(tuple(groups), alpha)
-        n = lay.active.size
+        ids = tuple(g.group_id for g in groups)
+        if len(set(ids)) != len(ids):
+            raise ValueError("group ids must be distinct")
+        n = 0
+        for g in groups:
+            if g.arm_ids.start != n:
+                raise ValueError("groups must tile arm ids 0..n-1 in group order")
+            n = g.arm_ids.stop
         if env.num_arms != n:
             raise ValueError("environment arm count does not match the groups")
         self.slack = slack
@@ -453,13 +425,16 @@ class EliminationRun:
         self.ledger = ArmLedger(n, delta / n)
         self.state = EliminationState(
             round_index=1,
-            candidates=lay.ids,
-            active=lay.active,
+            candidates=ids,
+            active=np.arange(n, dtype=np.int64),
             spread=math.inf,
         )
         # per candidate group: (kth index, its columns in active, its frozen
-        # arms' sorted (lcb, ucb)), which each set change builds anew
-        self._groups = lay.groups
+        # arms' sorted (lcb, ucb)), which each set change builds anew; the
+        # columns start as the group's arm ids, with no frozen bounds
+        empty = np.empty(0)
+        self._groups = [(quantile_index(len(g.arm_ids), alpha), g.columns, (empty, empty))
+                        for g in groups]
         # widths vanish, so the loop provably stops; the cap is a loud guard
         # against the astronomically unlikely fully-frozen stall
         self._round_cap = 100 * invert_width(slack / 4.0, self.ledger.delta_per_arm) + 10_000
@@ -473,12 +448,13 @@ class EliminationRun:
         # starting budget (the K cap itself grows as the active set shrinks)
         self._floor = max(1, BLOCK_ELEMENTS // n // 4)
         self.checks = RunChecks()
-        # oracle side: run() fills in the stop-pull count and event B
+        # oracle side: run() fills in the stop-pull count, whether the best
+        # group was retained and event B
         self._true_means = self._profile = None
         if true_means is not None:
             self._true_means = np.asarray(true_means, dtype=float)
             self._profile = gap_profile(groups, self._true_means, alpha, slack)
-            self.checks.bounds_valid = self.checks.best_group_retained = True
+            self.checks.bounds_valid = True
         self._plan()
         self._block = self._max_block
 
@@ -495,8 +471,8 @@ class EliminationRun:
         means, given them; and whether blocks go to the screen, which needs
         int32 sums, no true means and no frozen arm in any candidate group.
         The per-group tuples the blocks read, ``_groups``, are not rebuilt
-        here: the run takes them from the layout and each set change builds
-        the next ones."""
+        here: the run builds the starting ones and each set change the next
+        ones."""
         st = self.state
         self._max_block = max(1, BLOCK_ELEMENTS // st.active.size)
         self._sums = self.ledger.sums[st.active].astype(self._dtype, copy=False)
@@ -671,8 +647,6 @@ class EliminationRun:
                 raise RuntimeError(
                     "all potential quantile arms eliminated while candidates remain; "
                     "confidence bounds must have failed catastrophically")
-            if self.checks.best_group_retained and self._profile.best_group not in candidates:
-                self.checks.best_group_retained = False
         if (np.abs(spread[:r + 1] - 2.0 * width[:r + 1]) > 1e-9).any():
             self.checks.shortcut_consistent = False
 
@@ -713,6 +687,9 @@ class EliminationRun:
             # is a violation
             stop = invert_width(self._profile.overall / 4.0, self.ledger.delta_per_arm)
             self.checks.stop_pull_violations = int(np.maximum(pulls - stop, 0).sum())
+            # candidates only shrink, so the best group stayed a candidate in
+            # every round exactly when it is among the final ones
+            self.checks.best_group_retained = self._profile.best_group in self.state.candidates
             q = self._profile.group_quantiles
             self.checks.event_b = q[chosen] >= max(q.values()) - self.slack
         return EliminationResult(chosen, int(pulls.sum()), self.state.round_index - 1, pulls,

@@ -200,7 +200,7 @@ def run_multistep(instance: BanditInstance, plans: tuple[EpochPlan, ...],
         rounds += res.rounds
         chosen = res.chosen
         checks = res.checks if checks is None else checks + res.checks
-        surviving = [gid for gid in surviving if gid in res.final_candidates]
+        surviving = list(res.final_candidates)
         if len(surviving) == 1:
             break
 

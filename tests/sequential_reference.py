@@ -3,12 +3,13 @@ that the block engine of ``EliminationRun.step`` must match bit for bit.
 
 It counts stop-pull violations on its own, round by round: an arm's stop
 round is its first round with width U(t) < overall gap / 4, and every later
-round that pulls it is a violation.  ``run`` reports that count in place of
-the engine's closed form, so the two counts are compared, not shared.  Its
-quantile bands and final choice partition the ledger's bounds of each
-group's columns, apart from the engine's band function, and it keeps its
-own pools and kth indices per group, apart from the engine's active arms
-and plan.
+round that pulls it is a violation.  It also checks in every round that the
+best group is still a candidate.  ``run`` reports that count and that flag
+in place of the engine's closed form and its reading of the final
+candidates, so the two are compared, not shared.  Its quantile bands and
+final choice partition the ledger's bounds of each group's columns, apart
+from the engine's band function, and it keeps its own pools and kth
+indices per group, apart from the engine's active arms and plan.
 """
 
 import numpy as np
@@ -31,6 +32,7 @@ class SequentialRun(EliminationRun):
         self._pools = {g.group_id: np.arange(g.arm_ids.start, g.arm_ids.stop) for g in groups}
         self._stop_round = np.full(self.ledger.pulls.size, -1, dtype=np.int64)
         self._stop_pulls = 0
+        self._retained = True
 
     def step(self) -> EliminationState:
         if self.should_stop():
@@ -81,7 +83,7 @@ class SequentialRun(EliminationRun):
             self.checks.shortcut_consistent = False
 
         if self._profile is not None and self._profile.best_group not in new_candidates:
-            self.checks.best_group_retained = False
+            self._retained = False
 
         self.state = EliminationState(t + 1, new_candidates, new_active, spread)
         return self.state
@@ -108,4 +110,5 @@ class SequentialRun(EliminationRun):
         result = super().run()
         if self._profile is not None:
             self.checks.stop_pull_violations = self._stop_pulls
+            self.checks.best_group_retained = self._retained
         return result

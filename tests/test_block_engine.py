@@ -60,14 +60,28 @@ def instances(draw):
     }
 
 
+def capped(cls):
+    """``cls`` with its round cap lowered to t*, the round from which
+    2 * U(t) < slack.  While the spread is 2 * U(t), as every run here
+    checks, a run stops by t*, so the cap changes no run that ends and turns
+    one that stalls into an immediate RuntimeError."""
+
+    class Capped(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._round_cap = self._t_star
+
+    return Capped
+
+
 def build(cls, case):
-    """An engine of class ``cls`` on ``case``, with its reward generator,
-    which also breaks ties."""
+    """An engine of class ``cls``, capped at t*, on ``case``, with its reward
+    generator, which also breaks ties."""
     env_rng = np.random.default_rng(case["seed"])
     env = RewardEnv(case["means"], FAMILIES[case["family"]], env_rng)
     oracle = {"none": None, "true": case["means"], "reversed": case["means"][::-1]}
-    engine = cls(case["groups"], case["alpha"], case["slack"], 0.1, env,
-                 true_means=oracle[case["oracle"]])
+    engine = capped(cls)(case["groups"], case["alpha"], case["slack"], 0.1, env,
+                         true_means=oracle[case["oracle"]])
     return engine, env_rng
 
 
@@ -486,23 +500,6 @@ def test_no_plan_after_the_stop(family):
         if stops_on == "spread":
             assert engine.changes > 0
         assert_same_run(case)
-
-
-def test_run_layout_is_shared_and_read_only():
-    # the starting active arms and the groups' starting frozen bounds, one
-    # empty array for every side, are built once per (groups, alpha) and
-    # handed to every run, so no run may write them
-    means, groups = FROZEN_CASE
-    runs = [EliminationRun(groups, 0.5, 0.1, 0.1,
-                           RewardEnv(means, FAMILIES["bernoulli"], np.random.default_rng(s)))
-            for s in (1, 2)]
-    assert runs[0].state.active is runs[1].state.active
-    frozen = [side for run in runs for _, _, bounds in run._groups for side in bounds]
-    assert len(frozen) == 8 and all(side is frozen[0] for side in frozen)
-    assert frozen[0].size == 0
-    for arr in (runs[0].state.active, frozen[0]):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[...] = 1
 
 
 def live_count(cols):
@@ -956,9 +953,10 @@ def test_reservoir_trials_match_sequential_loop(reservoirs, family, epochs):
         sync(self)
 
     for seed in range(3):
-        with mock.patch.object(RewardEnv, "sync", sync):
+        with mock.patch.object(RewardEnv, "sync", sync), \
+                mock.patch.object(elimination, "EliminationRun", capped(EliminationRun)):
             got = trial(seed)
-        with mock.patch.object(elimination, "EliminationRun", SequentialRun):
+        with mock.patch.object(elimination, "EliminationRun", capped(SequentialRun)):
             ref = trial(seed)
         assert got == ref
         assert len(got[0].epoch_pulls) == epochs

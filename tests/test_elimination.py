@@ -80,6 +80,15 @@ class TestNoiselessElimination:
         assert res.rounds == t_star
         assert res.final_candidates == ("A",)
 
+    def test_run_past_its_round_cap_raises(self):
+        # the cap is checked before each block: the same run with its cap
+        # below its stopping round raises, naming the cap, before that round
+        run = EliminationRun(AB_GROUPS, 0.5, 0.01, 0.1, noiseless_env(AB_MEANS))
+        run._round_cap = 10
+        with pytest.raises(RuntimeError, match="elimination failed to stop within 10 rounds"):
+            run.run()
+        assert 10 < run.state.round_index <= invert_width(0.05, 0.1 / 8)
+
     def test_arm_pull_counts_match_gap_thresholds(self):
         # arms quit at width < arm-gap / 2; quantile arms run to the end
         env = noiseless_env(AB_MEANS)
