@@ -62,9 +62,9 @@ def instances(draw):
 
 def capped(cls):
     """``cls`` with its round cap lowered to t*, the round from which
-    2 * U(t) < slack.  While the spread is 2 * U(t), as every run here
-    checks, a run stops by t*, so the cap changes no run that ends and turns
-    one that stalls into an immediate RuntimeError."""
+    2 * U(t) < slack.  While the spread is 2 * U(t), which the suite
+    asserts, a run stops by t*, so the cap changes no run that ends and
+    turns one that stalls into an immediate RuntimeError."""
 
     class Capped(cls):
         def __init__(self, *args, **kwargs):
