@@ -282,6 +282,15 @@ def _sum_floors(sums: np.ndarray, groups: list) -> list[tuple[int, int]]:
     return floors
 
 
+def _add_counts(block: np.ndarray, carried: np.ndarray) -> np.ndarray:
+    """``carried`` plus the column sums of a (k, m) bool ``block``: its bytes
+    counted per column, in uint8 while k < 256 so that no count wraps and in
+    int32 beyond, then widened to int32 by the carried int32 sums."""
+    counts = np.add.reduce(block.view(np.uint8), axis=0,
+                           dtype=np.uint8 if block.shape[0] < 256 else np.int32)
+    return np.add(counts, carried)
+
+
 def _quiet_block(block: np.ndarray, carried: np.ndarray, floors: list, width: np.ndarray,
                  t: int, groups: list, slack: float):
     """Certify from a block's last row of running sums and floors under its
@@ -293,13 +302,12 @@ def _quiet_block(block: np.ndarray, carried: np.ndarray, floors: list, width: np
     running sums start from ``carried``, and ``width`` their widths; no group
     in ``groups`` has a frozen arm, so its bands are kth/n -/+ w.  Row 0 of
     the sums is ``carried`` + ``block[0]`` and row k-1 is ``carried`` plus
-    the column sums, the integers cumsum's last row holds.  The column sums
-    count the block's bytes, in uint8 while k < 256 so that no count wraps
-    and in int32 beyond, and the carried sums widen them to int32.  Sums never
-    decrease, so every order statistic of a middle row lies between its
-    values in rows 0 and k-1, and each difference an event needs, top - kth
-    and kth - bottom within a group and one group's kth minus another's, is
-    at most its row k-1 term minus its row 0 term.  ``floors`` holds per
+    the column sums, the integers cumsum's last row holds, which
+    :func:`_add_counts` counts from the block's bytes.  Sums never decrease,
+    so every order statistic of a middle row lies between its values in rows
+    0 and k-1, and each difference an event needs, top - kth and kth -
+    bottom within a group and one group's kth minus another's, is at most
+    its row k-1 term minus its row 0 term.  ``floors`` holds per
     group a (kth, least) at most row 0's: ``carried``'s own, since row 0
     adds 0 or 1 to each sum, so only row k-1 is sorted, and its (kth, least)
     are the next block's floors.  Round i has no event while each
@@ -317,9 +325,7 @@ def _quiet_block(block: np.ndarray, carried: np.ndarray, floors: list, width: np
     if 2.0 * (min(w0, float(w)) * (1.0 - _ROUNDING) - _ROUNDING) <= slack:
         return None
     room = t * w0 * (1.0 - _ROUNDING) - n * _ROUNDING
-    counts = np.add.reduce(block.view(np.uint8), axis=0,
-                           dtype=np.uint8 if k < 256 else np.int32)
-    last = np.add(counts, carried)
+    last = _add_counts(block, carried)
     lowest, highest, worst = math.inf, -math.inf, 0
     last_floors = []
     for (kq, cols, _), (kth, least) in zip(groups, floors):
@@ -444,6 +450,12 @@ class EliminationRun:
                                and self._round_cap < _INT32_ROUNDS else np.float64)
         # the round from which 2*U(t) < slack, where the spread meets the stop
         self._t_star = invert_width(slack / 2.0, self.ledger.delta_per_arm)
+        # the first round at which the screen's width test against max(1,
+        # slack), 2 * (U(t) * (1 - R) - R) > max(1, slack), can fail: before
+        # it every band is wider than any difference of means in [0, 1], so
+        # no round changes a set or meets the stop
+        self._t_free = invert_width((max(1.0, slack) / 2.0 + _ROUNDING) / (1.0 - _ROUNDING),
+                                    self.ledger.delta_per_arm)
         # a block cut short halves K, but not below a quarter of the
         # starting budget (the K cap itself grows as the active set shrinks)
         self._floor = max(1, BLOCK_ELEMENTS // n // 4)
@@ -554,6 +566,17 @@ class EliminationRun:
         led = self.ledger
         t = st.round_index
         active = st.active
+        if self._screen and t < self._t_free:
+            # rounds t..t_free-1, drawn in whole rounds of at most the K cap
+            for start in range(t, self._t_free, self._max_block):
+                rewards = self.env.pull(self._index[:min(self._max_block, self._t_free - start)])
+                self._sums = _add_counts(rewards, self._sums)
+            n = self._t_free - 1
+            self._pending += n - t + 1
+            self._floors = _sum_floors(self._sums, self._groups)
+            x, w = max(kth for kth, _ in self._floors) / n, led.width_at(range(n, n + 1))[0]
+            self.state = EliminationState(n + 1, st.candidates, active, float((x + w) - (x - w)))
+            return self.state
         k = max(1, min(self._block, self._t_star - t + 1))
 
         # one draw for all k rounds; a block cut short keeps its rounds' rewards

@@ -419,13 +419,17 @@ def test_small_block_budgets_match_sequential_loop(case, budget):
 
 
 class CountingEnv(RewardEnv):
+    """Counts pulls and keeps, and records each pull's rows."""
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.pulls = 0
         self.keeps = 0
+        self.rows = []
 
     def pull(self, arm_indices):
         self.pulls += 1
+        self.rows.append(arm_indices.shape[0])
         return super().pull(arm_indices)
 
     def keep(self, count):
@@ -817,6 +821,86 @@ def test_screen_counts_past_255_rows(k, m, t):
     assert last_floors == [(t - 1 + k, t - 1 + k)]
 
 
+class ScriptedEnv:
+    """A Bernoulli env stand-in whose pulls return the next rows of a fixed
+    (rounds, m) bool ``block``, set after the run is built, a whole pull's
+    rows at a time."""
+
+    reward_dtype = bool
+
+    def __init__(self, num_arms):
+        self.num_arms = num_arms
+        self.block, self.drawn = None, 0
+
+    def block_index(self, arms, rows):
+        return np.broadcast_to(arms, (rows, arms.size))
+
+    def pull(self, index):
+        rows = self.block[self.drawn:self.drawn + index.shape[0]]
+        self.drawn += rows.shape[0]
+        return rows.copy()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=2, max_size=3),
+       alpha=st.sampled_from([0.3, 0.5, 0.7]) | st.floats(0.01, 0.99),
+       delta=st.sampled_from([0.49, 0.1, 1e-6]),
+       slack=st.sampled_from([0.5, 0.999999, 1.000001, 1.5]),
+       chances=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=18,
+                        max_size=18),
+       extremes=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(sizes=[2, 1], alpha=0.5, delta=0.1, slack=0.5, chances=[0.0, 1.0] + [0.5] * 16,
+         extremes=True, seed=0)
+def test_opening_stretch_has_no_event(sizes, alpha, delta, slack, chances, extremes, seed):
+    # a run's first step draws rounds 1..t_free-1 as one stretch with no
+    # test.  Every sum lies in [0, n], so no round in it may drop an arm or
+    # a candidate or meet the stop, even with sums of 0 and n in one group;
+    # the sums, spread and floors it hands on are the cumsum's last row, the
+    # per-row spread of round t_free-1, bit for bit, and that row's kth and
+    # least.  The ledger's per-arm confidence is ``delta`` itself, so that at
+    # 0.49 U(t) first rises and then falls, as it does in a run of two arms
+    m = sum(sizes)
+    groups = [FiniteGroup(f"g{g}", range(sum(sizes[:g]), sum(sizes[:g + 1])))
+              for g in range(len(sizes))]
+    chance = np.array(chances[:m])
+    if extremes and sizes[0] > 1:
+        chance[0], chance[sizes[0] - 1] = 0.0, 1.0
+    env = ScriptedEnv(m)
+    with mock.patch.object(elimination, "ArmLedger",
+                           lambda n, _, ledger=elimination.ArmLedger: ledger(n, delta)):
+        engine = EliminationRun(groups, alpha, slack, 0.5, env)
+    t_free, plan = engine._t_free, engine._groups
+    assert t_free > 1
+    env.block = np.random.default_rng(seed).random((t_free - 1, m)) < chance
+    sums = np.cumsum(env.block, axis=0)
+    event, spread = per_row_events(sums, engine.ledger.width_at(range(1, t_free)), 1, plan,
+                                   slack)
+    assert not event.any()
+    after = engine.step()
+    assert after.round_index == t_free and env.drawn == t_free - 1
+    assert after.candidates == engine.state.candidates and after.active.size == m
+    assert engine._sums.dtype == np.int32 and np.array_equal(engine._sums, sums[-1])
+    assert bits(after.spread) == bits(spread[-1])
+    assert engine._floors == kth_and_least(sums[-1], plan)
+    assert engine._pending == t_free - 1
+
+
+def test_opening_stretch_draws_whole_rounds_in_chunks():
+    # the stretch draws at most the K cap's rounds at a time: with a cap of
+    # 20 rounds, the 90 rounds before t_free are four pulls of 20 and one of
+    # 10, and the run is the sequential loop's
+    means, groups = FROZEN_CASE
+    case = {"groups": groups, "means": means, "family": "bernoulli", "alpha": 0.5,
+            "slack": 0.1, "oracle": "none", "seed": 11}
+    with mock.patch.object(elimination, "BLOCK_ELEMENTS", 20 * means.size):
+        env = CountingEnv(means, FAMILIES["bernoulli"], np.random.default_rng(11))
+        engine = EliminationRun(groups, 0.5, 0.1, 0.1, env)
+        engine.step()
+        assert engine.state.round_index == engine._t_free == 91
+        assert env.rows == [20, 20, 20, 20, 10]
+        assert_same_run(case)
+
+
 def test_hard_instance_blocks_are_screened():
     # the lower-bound instance's shape: group a's arms all at 0.5, group b's
     # at 0.45 and 0.55, so the sets rarely change and most blocks are quiet.
@@ -849,36 +933,42 @@ def test_hard_instance_blocks_are_screened():
 def test_screened_blocks_carry_their_sums_floors():
     # at every block the screen sees, the floors a run passes are its carried
     # sums' exact kth and least per group, whether they come from one sort
-    # after a plan or a per-row block or from the last certified block's
-    # sorted last row.  The hard instance's shape, with the test above's
-    # budget, and two groups of 150 arms spread over [0, 1], whose wide
-    # blocks are screened while no arm has left
+    # after the opening stretch or a per-row block or from the last certified
+    # block's sorted last row.  The hard instance's shape, with a budget of
+    # 200 rounds of 12 arms, whose first block after the stretch drifts too
+    # far to certify, and two groups of 150 arms spread over [0, 1], whose
+    # wide blocks are screened while no arm has left.  The screen sees no
+    # round before t_free, and its first block starts there
     spread = np.linspace(0.0, 1.0, 150)
-    cases = [(np.array([0.5] * 6 + [0.45] * 3 + [0.55] * 3), 0.2, 12 * 40),
+    cases = [(np.array([0.5] * 6 + [0.45] * 3 + [0.55] * 3), 0.2, 12 * 200),
              (np.concatenate([spread, spread[::-1]]), 0.25, 8 * 300)]
     for means, slack, budget in cases:
         half = means.size // 2
         groups = [FiniteGroup("a", range(half)), FiniteGroup("b", range(half, means.size))]
-        verdicts = []
+        case = {"groups": groups, "means": means, "family": "bernoulli", "alpha": 0.5,
+                "slack": slack, "oracle": "none", "seed": 2}
+        verdicts, starts = [], []
 
         def screen(block, carried, floors, width, t, groups, slack,
                    certify=elimination._quiet_block):
             assert floors == kth_and_least(carried, groups)
             quiet = certify(block, carried, floors, width, t, groups, slack)
             verdicts.append(quiet is not None)
+            starts.append(t)
             return quiet
 
         with mock.patch.object(elimination, "_quiet_block", screen), \
                 mock.patch.object(elimination, "BLOCK_ELEMENTS", budget):
-            assert_same_run({"groups": groups, "means": means, "family": "bernoulli",
-                             "alpha": 0.5, "slack": slack, "oracle": "none", "seed": 2})
+            assert_same_run(case)
         # floors followed both a certified block and a refused one
         assert {True, False} <= set(verdicts[:-1])
+        assert starts[0] == build(EliminationRun, case)[0]._t_free > 1
 
 
 class ScreenRun(EliminationRun):
-    """Records, per block, whether a candidate group had frozen arms and
-    whether the block went to the certificate."""
+    """Records, per block, its first round and the round after it, whether a
+    candidate group had frozen arms and whether the block went to the
+    certificate."""
 
     def __init__(self, groups, *args, **kwargs):
         super().__init__(groups, *args, **kwargs)
@@ -891,7 +981,8 @@ class ScreenRun(EliminationRun):
                      for gid, (_, cols, _) in zip(st.candidates, self._groups))
         calls = elimination._quiet_block.call_count
         after = super().step()
-        self.blocks.append((frozen, elimination._quiet_block.call_count > calls))
+        self.blocks.append((st.round_index, after.round_index, frozen,
+                            elimination._quiet_block.call_count > calls))
         return after
 
 
@@ -901,7 +992,9 @@ def test_only_frozen_free_int32_blocks_enter_the_screen(family):
     # means: group a's outer arms freeze early, group b's never do.  Float
     # sums, of Gaussian or noiseless rewards or of Bernoulli rewards past an
     # int32 round cap, and blocks with a frozen arm go straight to the
-    # per-row path
+    # per-row path.  With int32 sums, rounds 1..t_free-1 are one step that
+    # the screen does not see, and every frozen-free block after it is
+    # screened
     means, groups = FROZEN_CASE
     rewards = "bernoulli" if family == "float-sums" else family
     env = RewardEnv(means, FAMILIES[rewards], np.random.default_rng(11))
@@ -910,12 +1003,14 @@ def test_only_frozen_free_int32_blocks_enter_the_screen(family):
             mock.patch.object(elimination, "_quiet_block", wraps=elimination._quiet_block):
         engine = ScreenRun(groups, 0.5, 0.1, 0.1, env)
         engine.run()
-    screened = [entered for _, entered in engine.blocks]
-    assert any(frozen for frozen, _ in engine.blocks)
+    blocks = engine.blocks
+    assert any(frozen for _, _, frozen, _ in blocks)
     if family == "bernoulli":
-        assert screened == [not frozen for frozen, _ in engine.blocks]
+        assert blocks[0] == (1, engine._t_free, False, False) and engine._t_free > 1
+        assert [entered for *_, entered in blocks[1:]] == \
+            [not frozen for _, _, frozen, _ in blocks[1:]]
     else:
-        assert not any(screened)
+        assert not any(entered for *_, entered in blocks)
 
 
 RESERVOIRS = {
