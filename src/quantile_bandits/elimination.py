@@ -54,6 +54,14 @@ given, no candidate group has a frozen arm, and 2*U stays above the slack
 through the block (:func:`_quiet_block`).  Its first row adds 0 or 1 to the
 carried sums, so each group's kth and least carried sum, which the run
 keeps beside the sums, stand in for that row's from below.
+
+The opening stretch: every Bernoulli sum lies in [0, n], so every difference
+an event tests is at most n, and while 2*U(t) exceeds max(1, slack) by the
+screen's rounding allowance no round can change a set or stop the run,
+whatever the rewards.  A run whose blocks the screen would see therefore
+draws rounds 1..t_free-1, t_free the first round where that test can fail,
+as one step with no test: it only counts each draw's bytes per column into
+the carried sums, as the screen does.
 """
 
 from __future__ import annotations
@@ -559,6 +567,20 @@ class EliminationRun:
         The spread check is not evaluated on it: with no frozen arm the spread
         is (x + w) - (x - w), a few ulps from 2*w, far inside the check's
         1e-9.  A block the screen refuses runs the path above unchanged.
+
+        Before any block, a run the screen would see, at a round t before
+        t_free, the first round where 2 * (U(t) * (1 - R) - R) > max(1,
+        slack) can fail (R the screen's rounding allowance), runs rounds
+        t..t_free-1 as one stretch with no test.  Every sum lies in [0, n],
+        so every difference an event tests is at most n, below 2 * n * U(t)
+        by the screen's allowance, and 2 * U(t) exceeds the slack: no round
+        of the stretch drops an arm or a candidate or meets the stop.  U
+        falls, or first rises and then falls, so no round before t_free has
+        U(t) below the test's bound.  The stretch draws whole rounds, at most
+        the K cap's at a time, adds each draw's byte counts per column to
+        the carried sums (:func:`_add_counts`), and then takes the floors
+        from one sort of the sums and the spread (x + w) - (x - w) of round
+        t_free-1, x the largest kth over n, as a certified block does.
         """
         if self.should_stop():
             raise RuntimeError("step() called after the stopping condition was met")

@@ -60,6 +60,12 @@ def instances(draw):
     }
 
 
+# two groups with the same median, 0.5; group a's outer arms leave and
+# freeze, group b's never do
+FROZEN_CASE = (np.array([0.1, 0.1, 0.5, 0.5, 0.9, 0.9, 0.5, 0.5]),
+               [FiniteGroup("a", range(6)), FiniteGroup("b", range(6, 8))])
+
+
 def capped(cls):
     """``cls`` with its round cap lowered to t*, the round from which
     2 * U(t) < slack.  While the spread is 2 * U(t), which the suite
@@ -363,6 +369,17 @@ def test_float_sums_of_int32_rewards_match_sequential_loop(case):
 
 @settings(max_examples=60, deadline=None)
 @given(instances())
+# frozen bounds that straddle the live ones, with Bernoulli and Gaussian
+# rewards, where _band sorts them together
+@example({"groups": FROZEN_CASE[1], "means": FROZEN_CASE[0], "family": "bernoulli",
+          "alpha": 0.5, "slack": 0.1, "oracle": "none", "seed": 11})
+@example({"groups": FROZEN_CASE[1], "means": FROZEN_CASE[0], "family": "gaussian",
+          "alpha": 0.5, "slack": 0.1, "oracle": "true", "seed": 11})
+# group g0's median is 0, so its arm at 1 leaves as soon as 2w < 1: at
+# t_free, where the opening stretch must end
+@example({"groups": [FiniteGroup("g0", range(3)), FiniteGroup("g1", range(3, 5))],
+          "means": np.array([0.0, 0.0, 1.0, 0.5, 0.5]), "family": "bernoulli",
+          "alpha": 0.5, "slack": 0.25, "oracle": "none", "seed": 0})
 def test_block_engine_matches_sequential_loop(case):
     got = assert_same_run(case)
     # active arms stay in lockstep and the spread is 2 * U(t) in every round
@@ -534,12 +551,6 @@ class BranchRun(EliminationRun):
                 and not self.should_stop():
             assert after.round_index - before.round_index == full
         return after
-
-
-# two groups with the same median, 0.5; group a's outer arms leave and
-# freeze, group b's never do
-FROZEN_CASE = (np.array([0.1, 0.1, 0.5, 0.5, 0.9, 0.9, 0.5, 0.5]),
-               [FiniteGroup("a", range(6)), FiniteGroup("b", range(6, 8))])
 
 
 class FrozenPlanRun(EliminationRun):
