@@ -65,6 +65,26 @@ def instances(draw):
 FROZEN_CASE = (np.array([0.1, 0.1, 0.5, 0.5, 0.9, 0.9, 0.5, 0.5]),
                [FiniteGroup("a", range(6)), FiniteGroup("b", range(6, 8))])
 
+# explicit examples for the differential properties, each a path that a
+# broken engine once got wrong; hypothesis runs them first and reports their
+# failure without a search or shrinking.  At seed 11 group a's outer arms
+# freeze one at a time, each merging into the frozen bounds the group
+# already has, and its frozen bounds come to straddle the live ones, where
+# _band sorts them together; blocks are cut at those set changes, and the
+# next pull starts inside the held uniforms
+STRADDLE = {"groups": FROZEN_CASE[1], "means": FROZEN_CASE[0], "family": "bernoulli",
+            "alpha": 0.5, "slack": 0.1, "oracle": "none", "seed": 11}
+# group c is dropped while a and b go on, and b later, which stops the run
+DROP = {"groups": [FiniteGroup("a", range(2)), FiniteGroup("b", range(2, 4)),
+                   FiniteGroup("c", range(4, 6))],
+        "means": np.array([0.9, 0.8, 0.5, 0.6, 0.1, 0.2]), "family": "bernoulli",
+        "alpha": 0.5, "slack": 0.1, "oracle": "none", "seed": 0}
+# group g0's median is 0, so its arm at 1 leaves in the first round with
+# 2w < 1: round t_free, where the opening stretch must end
+STRETCH = {"groups": [FiniteGroup("g0", range(3)), FiniteGroup("g1", range(3, 5))],
+           "means": np.array([0.0, 0.0, 1.0, 0.5, 0.5]), "family": "bernoulli",
+           "alpha": 0.5, "slack": 0.25, "oracle": "none", "seed": 0}
+
 
 def capped(cls):
     """``cls`` with its round cap lowered to t*, the round from which
@@ -361,6 +381,8 @@ def test_running_sum_dtype_follows_rewards_and_round_cap():
 
 @settings(max_examples=15, deadline=None)
 @given(instances())
+@example(STRADDLE)
+@example(DROP)
 def test_float_sums_of_int32_rewards_match_sequential_loop(case):
     # past the int32 round cap a Bernoulli run sums its 0/1 rewards as float64
     with mock.patch.object(elimination, "_INT32_ROUNDS", 0):
@@ -369,17 +391,10 @@ def test_float_sums_of_int32_rewards_match_sequential_loop(case):
 
 @settings(max_examples=60, deadline=None)
 @given(instances())
-# frozen bounds that straddle the live ones, with Bernoulli and Gaussian
-# rewards, where _band sorts them together
-@example({"groups": FROZEN_CASE[1], "means": FROZEN_CASE[0], "family": "bernoulli",
-          "alpha": 0.5, "slack": 0.1, "oracle": "none", "seed": 11})
-@example({"groups": FROZEN_CASE[1], "means": FROZEN_CASE[0], "family": "gaussian",
-          "alpha": 0.5, "slack": 0.1, "oracle": "true", "seed": 11})
-# group g0's median is 0, so its arm at 1 leaves as soon as 2w < 1: at
-# t_free, where the opening stretch must end
-@example({"groups": [FiniteGroup("g0", range(3)), FiniteGroup("g1", range(3, 5))],
-          "means": np.array([0.0, 0.0, 1.0, 0.5, 0.5]), "family": "bernoulli",
-          "alpha": 0.5, "slack": 0.25, "oracle": "none", "seed": 0})
+@example(STRADDLE)
+@example(dict(STRADDLE, family="gaussian", oracle="true"))
+@example(DROP)
+@example(STRETCH)
 def test_block_engine_matches_sequential_loop(case):
     got = assert_same_run(case)
     # active arms stay in lockstep and the spread is 2 * U(t) in every round
@@ -591,8 +606,7 @@ class FrozenPlanRun(EliminationRun):
 
 @settings(max_examples=60, deadline=None)
 @given(instances())
-@example({"groups": FROZEN_CASE[1], "means": FROZEN_CASE[0], "family": "bernoulli",
-          "alpha": 0.5, "slack": 0.1, "oracle": "none", "seed": 11})
+@example(STRADDLE)
 def test_merged_frozen_bounds_are_the_sorted_ledger_bounds(case):
     # at every set change the run merges the arms that left a pool into
     # their group's sorted frozen bounds, instead of sorting every group's
@@ -607,8 +621,7 @@ def test_merged_frozen_bounds_are_the_sorted_ledger_bounds(case):
 
 @settings(max_examples=60, deadline=None)
 @given(instances())
-@example({"groups": FROZEN_CASE[1], "means": FROZEN_CASE[0], "family": "gaussian",
-          "alpha": 0.5, "slack": 0.1, "oracle": "none", "seed": 11})
+@example(dict(STRADDLE, family="gaussian"))
 def test_choice_scores_are_the_stop_rounds_lcb_quantiles(case):
     # a run that stops on the spread with two or more candidates chooses by
     # the pessimistic band step kept from the stop round; it must be each
