@@ -65,9 +65,9 @@ def instances(draw):
 FROZEN_CASE = (np.array([0.1, 0.1, 0.5, 0.5, 0.9, 0.9, 0.5, 0.5]),
                [FiniteGroup("a", range(6)), FiniteGroup("b", range(6, 8))])
 
-# explicit examples for the differential properties, each a path that a
-# broken engine once got wrong; hypothesis runs them first and reports their
-# failure without a search or shrinking.  At seed 11 group a's outer arms
+# explicit examples for the differential properties, each a path that one
+# of the mutants in mutants.py breaks; hypothesis runs them first and
+# reports their failure without a search or shrinking.  At seed 11 group a's outer arms
 # freeze one at a time, each merging into the frozen bounds the group
 # already has, and its frozen bounds come to straddle the live ones, where
 # _band sorts them together; blocks are cut at those set changes, and the
@@ -900,9 +900,10 @@ def test_opening_stretch_has_no_event(sizes, alpha, delta, slack, chances, extre
     event, spread = per_row_events(sums, engine.ledger.width_at(range(1, t_free)), 1, plan,
                                    slack)
     assert not event.any()
+    before = engine.state
     after = engine.step()
     assert after.round_index == t_free and env.drawn == t_free - 1
-    assert after.candidates == engine.state.candidates and after.active.size == m
+    assert after.candidates == before.candidates and after.active is before.active
     assert engine._sums.dtype == np.int32 and np.array_equal(engine._sums, sums[-1])
     assert bits(after.spread) == bits(spread[-1])
     assert engine._floors == kth_and_least(sums[-1], plan)
@@ -914,15 +915,13 @@ def test_opening_stretch_draws_whole_rounds_in_chunks():
     # 20 rounds, the 90 rounds before t_free are four pulls of 20 and one of
     # 10, and the run is the sequential loop's
     means, groups = FROZEN_CASE
-    case = {"groups": groups, "means": means, "family": "bernoulli", "alpha": 0.5,
-            "slack": 0.1, "oracle": "none", "seed": 11}
     with mock.patch.object(elimination, "BLOCK_ELEMENTS", 20 * means.size):
         env = CountingEnv(means, FAMILIES["bernoulli"], np.random.default_rng(11))
         engine = EliminationRun(groups, 0.5, 0.1, 0.1, env)
         engine.step()
         assert engine.state.round_index == engine._t_free == 91
         assert env.rows == [20, 20, 20, 20, 10]
-        assert_same_run(case)
+        assert_same_run(STRADDLE)
 
 
 def test_hard_instance_blocks_are_screened():
